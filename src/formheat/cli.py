@@ -217,13 +217,21 @@ class RunConfig:
             c2=self._get("coeff.c2", float, default=1.0))
 
     def time_config(self):
-        return TimeSteppingConfig(
+        """The time-stepping parameters, checked as ``run`` needs them
+        (step count included); any violation is a :class:`ConfigError`."""
+        kwargs = dict(
             dt=self._get("time.dt", float, required=True),
             t_end=self._get("time.t_end", float, required=True),
             theta=self._get("time.theta", float, default=1.0),
             solver=self._get("solver.type", str, default="auto"),
             solver_tol=self._get("solver.tol", float, default=1e-12),
             snapshot_times=self.floats("time.snapshots"))
+        try:
+            tcfg = TimeSteppingConfig(**kwargs)
+            tcfg.n_steps        # raises unless t_end is a multiple of dt
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        return tcfg
 
     def initial_data(self, pencil):
         rng = np.random.default_rng(self.seed)
@@ -303,15 +311,17 @@ def _load_mesh_checked(cfg):
 
 
 def _pipeline_evolve(cfg, outdir, manifest):
+    tcfg = cfg.time_config()
     mesh = _load_mesh_checked(cfg)
     coeff = cfg.coefficients()
     lumped = cfg._get("mass.lumped", bool, default=False)
     pencil = build_pencil(mesh, coeff, lumped=lumped)
-    tcfg = cfg.time_config()
     report = evolve(pencil, cfg.initial_data(pencil), None, tcfg)
     monitors = outdir / "monitors.csv"
     report.to_csv(monitors)
     manifest.add_output(monitors)
+    for key, value in report.solver.items():
+        manifest.add(f"solver.{key}", value)
     for k, (t, field) in enumerate(report.snapshots):
         path = outdir / f"snapshot_{k:03d}.csv"
         _write_snapshot(path, mesh, pencil.dofmap, field)
@@ -515,7 +525,7 @@ def validate(config_path):
             for t in tcfg.snapshot_times:
                 if t > tcfg.t_end + 1e-12:
                     diags.append(f"snapshot time {t} beyond t_end")
-        except (ConfigError, ValueError) as exc:
+        except ConfigError as exc:
             diags.append(f"time: {exc}")
     if cfg.pipeline == "exponents":
         gamma = cfg._get("exponents.gamma", float, default=0.0)

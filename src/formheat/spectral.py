@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (CoefficientSet, assemble_bulk_mass,
                        assemble_bulk_stiffness, assemble_surface_mass,
-                       build_dofmap, _surface_selection)
+                       build_dofmap, lanczos_start, _surface_selection)
 from .errors import (EigenSolveError, OutsideTheoryError, SizeLimitError,
                      UnsupportedScenarioError)
 from .geometry.surface import INTERFACE, SurfaceMesh
@@ -201,12 +201,18 @@ def embedding_exponents(d, gamma, *, case="nondegenerate",
 
 # -- matrix spectra ------------------------------------------------------------------
 
-def generalized_eigs(pencil, count, *, tol=1e-8, dense_limit=2000):
+def generalized_eigs(pencil, count, *, tol=1e-8, dense_limit=250):
     """Smallest eigenpairs of ``T v = lambda Mt v`` for symmetric pencils.
 
     Returns ``(values, vectors)`` with ascending real eigenvalues and
     Mt-orthonormal columns.  Residuals ``||T v - lambda Mt v|| / ||v||``
-    are verified against ``tol``.
+    are verified against ``tol``.  Up to ``dense_limit`` dofs, or when
+    nearly all pairs are wanted, the pencil is solved densely; otherwise
+    by shift-invert Lanczos at ``-0.01`` on the cached factorization of
+    ``T + 0.01 Mt``.  The default limit is the measured crossover for
+    8 pairs on the unit-square fixture with single-threaded BLAS: both
+    take about 9 ms at 272 dofs; at 1,980 dofs dense takes 1.2 s and
+    shift-invert 29 ms, with eigenvalues agreeing to 3e-12 relative.
     """
     if not pencil.is_symmetric():
         raise EigenSolveError("pencil is not symmetric; "
@@ -215,13 +221,17 @@ def generalized_eigs(pencil, count, *, tol=1e-8, dense_limit=2000):
     if count > n:
         raise ValueError("requested more eigenpairs than dofs")
     mt = pencil.mtilde()
-    if n <= dense_limit:
+    if n <= dense_limit or count >= n - 1:
         sym_t = 0.5 * (pencil.T + pencil.T.T)
         vals, vecs = scipy.linalg.eigh(sym_t.toarray(), mt.toarray(),
                                        subset_by_index=[0, count - 1])
     else:
-        vals, vecs = spla.eigsh(pencil.T.tocsc(), k=count, M=mt.tocsc(),
-                                sigma=-0.01, which="LM")
+        sigma = -0.01
+        lu = pencil.factorization(("shift", sigma),
+                                  lambda: pencil.T - sigma * mt)
+        vals, vecs = spla.eigsh(pencil.T, k=count, M=mt, sigma=sigma,
+                                which="LM", OPinv=lu.operator(),
+                                v0=lanczos_start(n))
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     worst = 0.0
@@ -293,8 +303,11 @@ def _pencil_eigendecomposition(pencil, dense_limit):
                 f"(pencil has {n})")
         if not pencil.is_symmetric():
             raise EigenSolveError("spectral calculus needs a symmetric pencil")
-        vals, vecs = scipy.linalg.eigh(pencil.T.toarray(),
-                                       pencil.mtilde().toarray())
+        # Fortran-ordered temporaries let LAPACK work in place instead of
+        # on two more dense copies
+        vals, vecs = scipy.linalg.eigh(pencil.T.toarray(order="F"),
+                                       pencil.mtilde().toarray(order="F"),
+                                       overwrite_a=True, overwrite_b=True)
         pencil._eig_cache = (vals, vecs)
     return pencil._eig_cache
 

@@ -167,6 +167,24 @@ def _gauss(n):
     return _GAUSS_CACHE[n]
 
 
+def _panel_edges(lo, hi):
+    """Ascending panel edges on ``[lo, hi]``, which does not contain 0 in
+    its interior.  Widths are 2 near ``t = 0`` and grow geometrically
+    away from it (``next = x + max(2, x)`` in ``|t|``), matching the
+    profile ``(1 + t^2)^(gamma/2)``, which is smooth on the scale of
+    ``|t|``.  A near-collinear wedge can reach ``|t| ~ 1e14``; the panel
+    count is O(log |t|) and never above that of uniform width-2 panels.
+    """
+    near, far = sorted((abs(lo), abs(hi)))
+    edges = [near]
+    while edges[-1] + max(2.0, edges[-1]) < far:
+        edges.append(edges[-1] + max(2.0, edges[-1]))
+    edges.append(far)
+    if hi <= 0.0:
+        return [-x for x in reversed(edges)]
+    return edges
+
+
 def _radial_wedge(p, a, b, gamma):
     """Signed integral of |x - p|^gamma over the triangle (p, a, b).
 
@@ -199,8 +217,7 @@ def _radial_wedge(p, a, b, gamma):
     xg, wg = _gauss(32)
     total = 0.0
     for lo, hi in zip(breaks[:-1], breaks[1:]):
-        npanel = max(1, int(np.ceil((hi - lo) / 2.0)))
-        edges = np.linspace(lo, hi, npanel + 1)
+        edges = _panel_edges(lo, hi)
         for p0, p1 in zip(edges[:-1], edges[1:]):
             half = 0.5 * (p1 - p0)
             mid = 0.5 * (p1 + p0)

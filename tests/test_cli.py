@@ -209,3 +209,41 @@ time.t_end = 0.1
 """)
     assert main(["validate", cfg]) == 0
     assert capsys.readouterr().out.strip() == "ok"
+
+
+def test_nonmultiple_dt_is_a_config_error(workdir, capsys):
+    cfg = write_cfg(workdir / "dt.cfg", f"""
+pipeline = evolve
+output = {workdir}/dt
+mesh = square.mesh
+time.dt = 0.03
+time.t_end = 0.1
+""")
+    assert run(cfg) == 2
+    record = json.loads((workdir / "dt" / "error.json").read_text())
+    assert record["kind"] == "ConfigError"
+    assert "integer multiple of dt" in record["error"]
+    assert not (workdir / "dt" / "monitors.csv").exists()
+    diags = validate(cfg)
+    assert any(d.startswith("time:") and "integer multiple of dt" in d
+               for d in diags)
+
+
+def test_evolve_manifest_reports_solver(workdir):
+    cfg = write_cfg(workdir / "solver.cfg", f"""
+pipeline = evolve
+output = {workdir}/solver
+mesh = mixed.mesh
+time.dt = 0.01
+time.t_end = 0.05
+solver.type = cg
+init.bulk = random
+""")
+    assert run(cfg) == 0
+    rows = dict(line.split(",", 1) for line in
+                (workdir / "solver" / "manifest.csv").read_text().splitlines())
+    assert rows["solver.method"] == "direct"
+    assert int(rows["solver.factor_nnz"]) > 0
+    assert 0.0 <= float(rows["solver.backward_error_max"]) <= 1e-11
+    monitors = (workdir / "solver" / "monitors.csv").read_text().splitlines()
+    assert all(line.endswith(",0") for line in monitors[1:])

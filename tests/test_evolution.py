@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from formheat.assembly import BlockField, CoefficientSet, build_pencil
-from formheat.errors import SolveError
+from formheat.assembly import (BlockField, CoefficientSet, build_pencil,
+                               project_initial_data)
+from formheat.errors import ConsistencyError, SolveError
 from formheat.evolution import (ThetaStepper, TimeSteppingConfig, evolve,
-                                recover_interface_flux, theta_step)
+                                recover_interface_flux, steady_solve,
+                                theta_step)
 from formheat.geometry import refine_uniform
 from formheat.model_problems import (ManufacturedSolution, nodal_full_vector,
                                      standard_fixture_mesh, unit_square_mesh)
@@ -191,3 +194,74 @@ def test_snapshots_collected(conserving_pencil_8):
     u0 = BlockField.from_functions(pencil.mesh, pencil.dofmap, 1.0, 1.0, 1.0)
     report = evolve(pencil, u0, None, cfg)
     assert [t for t, _ in report.snapshots] == [0.1, 0.2]
+
+
+def _random_block(pencil, seed):
+    rng = np.random.default_rng(seed)
+    return BlockField(rng.uniform(0, 1, pencil.dofmap.n_free),
+                      rng.uniform(0, 1, pencil.dofmap.n_gd),
+                      rng.uniform(0, 1, pencil.dofmap.n_sigma))
+
+
+def test_one_factorization_per_theta_and_dt(monkeypatch):
+    pencil = build_pencil(standard_fixture_mesh(8), CoefficientSet())
+    factored = []
+    real_splu = spla.splu
+
+    def counting_splu(a, *args, **kwargs):
+        factored.append(a.shape)
+        return real_splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    cfg = TimeSteppingConfig(dt=0.01, t_end=0.05, theta=1.0)
+    raw = _random_block(pencil, 1)
+    report = evolve(pencil, raw, None, cfg)
+    assert len(factored) == 2       # projection normal matrix, step matrix
+    u = report.final_vector
+    for _ in range(3):
+        u = theta_step(pencil, u, None, cfg)
+    evolve(pencil, raw, None, cfg)
+    assert len(factored) == 2
+    for dt, theta in ((0.02, 1.0), (0.01, 0.5)):
+        step_cfg = TimeSteppingConfig(dt=dt, t_end=dt, theta=theta)
+        theta_step(pencil, u, None, step_cfg)
+        theta_step(pencil, u, None, step_cfg)
+    assert len(factored) == 4
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_evolve_matches_dense_theta_loop(theta):
+    pencil = build_pencil(standard_fixture_mesh(8), CoefficientSet())
+    raw = _random_block(pencil, 2)
+    cfg = TimeSteppingConfig(dt=0.01, t_end=0.2, theta=theta)
+    report = evolve(pencil, raw, None, cfg)
+    mt = pencil.mtilde().toarray()
+    t_mat = pencil.T.toarray()
+    u = np.linalg.solve(mt, pencil.J.T @ (pencil.M_blk @ raw.stacked()))
+    lhs = mt + theta * cfg.dt * t_mat
+    rhs = mt - (1.0 - theta) * cfg.dt * t_mat
+    for _ in range(cfg.n_steps):
+        u = np.linalg.solve(lhs, rhs @ u)
+    assert np.abs(report.final_vector - u).max() <= 1e-12 * np.abs(u).max()
+    assert np.all(report.cg_iters == 0)
+    assert report.solver["method"] == "direct"
+    assert report.solver["backward_error_max"] <= 10 * cfg.solver_tol
+
+
+@pytest.mark.parametrize("coeff", [
+    CoefficientSet(mu_bulk=0.0, mu_gd=0.0, mu_sigma=0.0),   # T = 0
+    CoefficientSet(),       # no Dirichlet part: constants span the kernel
+])
+def test_steady_solve_singular_stiffness(conserving_mesh_8, coeff):
+    pencil = build_pencil(conserving_mesh_8, coeff)
+    f = BlockField.from_functions(conserving_mesh_8, pencil.dofmap,
+                                  1.0, 1.0, 1.0)
+    with pytest.raises(SolveError):
+        steady_solve(pencil, f)
+
+
+def test_projection_singular_normal_matrix(conserving_mesh_8):
+    pencil = build_pencil(conserving_mesh_8, CoefficientSet(
+        zeta_bulk=0.0, zeta_gd=0.0, zeta_sigma=0.0))
+    with pytest.raises(ConsistencyError):
+        project_initial_data(_random_block(pencil, 3), pencil)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from formheat.weights import (DyadicCube, WeightSpec,
                               adaptive_triangles_integral, classify_case,
                               muckenhoupt_lower_bound_scan, weight_eval,
                               weighted_cell_integral)
+from formheat.weights import _radial_wedge
 
 SQRT2_THIRD = np.sqrt(2.0) / 3.0
 # frozen from the Richardson-extrapolated midpoint-grid oracle (n0 = 200)
@@ -180,3 +183,27 @@ def test_classify_case_examples():
         WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]), 1.2), mesh)
     assert flagged.case == "B"
     assert flagged.outside_theory
+
+
+def test_near_collinear_wedge():
+    # The right end cap of this cell, split into a fan about the segment
+    # end (0.9, 0.7), holds a sliver whose apex lies ~1e-16 off the line
+    # through its far edge, so the wedge substitution reaches |t| ~ 8e13.
+    w = WeightSpec(Polyline([(0.1, 0.2), (0.9, 0.7)]), 0.5)
+    tri = np.array([[0.75, 0.625], [0.875, 0.625], [0.875, 0.75]])
+    start = time.perf_counter()
+    value = weighted_cell_integral(w, tri)
+    assert time.perf_counter() - start < 5.0
+    reference, _ = adaptive_triangles_integral(w.eval, tri[None],
+                                               tol_rel=1e-6)
+    assert value == pytest.approx(reference, rel=1e-6)
+
+    apex = np.array([0.9, 0.7])
+    a = np.array([0.8711538461538462, 0.7461538461538462])
+    b = np.array([0.875, 0.7399999999999999])
+    sliver = _radial_wedge(apex, a, b, 0.5)
+    assert sliver == -_radial_wedge(apex, b, a, 0.5)
+    u, v = a - apex, b - apex
+    area = 0.5 * abs(u[0] * v[1] - u[1] * v[0])
+    reach = max(np.linalg.norm(u), np.linalg.norm(v))
+    assert 0.0 < sliver <= area * reach ** 0.5 * (1 + 1e-6)
