@@ -18,7 +18,7 @@ import numpy as np
 from formheat import (CoefficientSet, DyadicCube, Points, Polyline,
                       WeightSpec, classify_case,
                       muckenhoupt_lower_bound_scan, standard_fixture_mesh,
-                      weight_eval, weighted_cell_integral)
+                      weighted_cell_integral)
 
 print(__doc__)
 
@@ -80,4 +80,4 @@ w = WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]), 0.5)
 ys = np.array([0.5, 0.51, 0.6, 0.75, 1.0])
 pts = np.stack([np.full_like(ys, 0.3), ys], axis=1)
 print("  y:      ", "  ".join(f"{y:7.3f}" for y in ys))
-print("  weight: ", "  ".join(f"{v:7.4f}" for v in weight_eval(w, pts)))
+print("  weight: ", "  ".join(f"{v:7.4f}" for v in w.eval(pts)))

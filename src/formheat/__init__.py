@@ -16,9 +16,8 @@ from .geometry import (Mesh, load_mesh, save_mesh, refine_uniform,
                        SurfaceChart, chart_metric, transition, rotation,
                        SurfaceMesh, surface_gradient_p1,
                        Points, Polyline, distance_to_submanifold)
-from .weights import (WeightSpec, DyadicCube, weight_eval,
-                      weighted_cell_integral, muckenhoupt_lower_bound_scan,
-                      classify_case)
+from .weights import (WeightSpec, DyadicCube, weighted_cell_integral,
+                      muckenhoupt_lower_bound_scan, classify_case)
 from .assembly import (CoefficientSet, DofMap, BlockField, DiscreteOperator,
                        build_dofmap, build_pencil,
                        assemble_bulk_stiffness, assemble_surface_stiffness,
@@ -41,7 +40,7 @@ __all__ = [
     "SurfaceChart", "chart_metric", "transition", "rotation",
     "SurfaceMesh", "surface_gradient_p1",
     "Points", "Polyline", "distance_to_submanifold",
-    "WeightSpec", "DyadicCube", "weight_eval", "weighted_cell_integral",
+    "WeightSpec", "DyadicCube", "weighted_cell_integral",
     "muckenhoupt_lower_bound_scan", "classify_case",
     "CoefficientSet", "DofMap", "BlockField", "DiscreteOperator",
     "build_dofmap", "build_pencil", "assemble_bulk_stiffness",

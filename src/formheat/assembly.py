@@ -14,8 +14,15 @@ Dirichlet conditions are imposed by eliminating the dofs of the closed
 Dirichlet boundary part (vertices of Dirichlet edges, plus any
 explicitly constrained surface endpoints).
 
-Element contributions accumulate associatively (element-parallel
-assembly would be safe); assembled operators are immutable.
+There is one batched element path: the P1 gradients and areas of all
+triangles come from one array pass, coefficients are evaluated once over
+all quadrature points of a region, and each matrix is one ``einsum``
+over element values summed onto the free dofs by one sparse
+constructor; surface matrices are built the same way from edge arrays.
+Coefficient callables therefore receive (n, 2) point arrays and must
+return one value per point.  Only the weight integrals over cells stay
+per cell, in :mod:`formheat.weights`.  Assembled operators are
+immutable.
 """
 
 from __future__ import annotations
@@ -50,43 +57,29 @@ def _matrix_of(value):
 
 def _eval_matrix_callable(fn, points):
     """Evaluate a user matrix coefficient at (n, 2) points -> (n, 2, 2)."""
-    try:
-        vals = np.asarray(fn(points), dtype=float)
-        if vals.shape == (len(points), 2, 2):
-            return vals
-        if vals.shape == (len(points),):
-            return vals[:, None, None] * np.eye(2)
-    except Exception:
-        pass
-    out = np.empty((len(points), 2, 2))
-    for k, p in enumerate(points):
-        v = np.asarray(fn(p), dtype=float)
-        out[k] = float(v) * np.eye(2) if v.ndim == 0 else v
-    return out
+    vals = np.asarray(fn(points), dtype=float)
+    if vals.shape == (len(points), 2, 2):
+        return vals
+    if vals.shape == (len(points),):
+        return vals[:, None, None] * np.eye(2)
+    raise ValueError(f"bulk coefficient callable returned shape {vals.shape} "
+                     f"for {len(points)} points; expected (n,) or (n, 2, 2)")
 
 
 def _eval_scalar_callable(fn, points, tau=None):
-    """Evaluate a surface coefficient at points, reduced to its
+    """Evaluate a surface coefficient at (n, 2) points, reduced to its
     tangential scalar action when matrix-valued."""
-    def reduce(vals):
-        vals = np.asarray(vals, dtype=float)
-        if vals.ndim == 3 and vals.shape[1:] == (2, 2):
-            return np.einsum("i,nij,j->n", tau, vals, tau)
-        return vals.reshape(len(points))
-
-    if tau is not None:
+    if tau is None:
+        vals = fn(points)
+    else:
         try:
-            return reduce(fn(points, tau))
-        except TypeError:
-            pass
-    try:
-        return reduce(fn(points))
-    except Exception:
-        out = np.empty(len(points))
-        for k, p in enumerate(points):
-            v = np.asarray(fn(p), dtype=float)
-            out[k] = float(tau @ v @ tau) if v.ndim == 2 else float(v)
-        return out
+            vals = fn(points, tau)
+        except TypeError:               # a callable of the points alone
+            vals = fn(points)
+    vals = np.asarray(vals, dtype=float)
+    if vals.ndim == 3 and vals.shape[1:] == (2, 2):
+        return np.einsum("i,nij,j->n", tau, vals, tau)
+    return vals.reshape(len(points))
 
 
 class CoefficientSet:
@@ -96,8 +89,9 @@ class CoefficientSet:
     ----------
     mu_bulk : scalar, 2x2 array, dict, or callable
         Bulk diffusion matrix.  A dict maps triangle region ids to
-        scalars/matrices.  Callables receive point arrays (n, 2) and
-        return (n, 2, 2) (or a single point -> 2x2).
+        scalars/matrices/callables.  Callables receive point arrays
+        (n, 2) and return (n, 2, 2) matrices or (n,) scalars; they are
+        evaluated once over all quadrature points of a region.
     mu_gd, mu_sigma : scalar, 2x2 array, or callable
         Surface diffusion on the dynamic boundary / interface.  Only the
         tangential scalar action (mu tau, tau) enters in 2-D.
@@ -312,52 +306,80 @@ class BlockField:
 
 # -- element kernels --------------------------------------------------------------
 
-def p1_gradients(tri):
-    """Constant P1 basis gradients (2x3) and the triangle area."""
-    tri = np.asarray(tri, dtype=float)
-    e0 = tri[2] - tri[1]
-    e1 = tri[0] - tri[2]
-    e2 = tri[1] - tri[0]
-    area = 0.5 * (e2[0] * (-e1[1]) - e2[1] * (-e1[0]))
-    grads = np.array([[-e0[1], -e1[1], -e2[1]],
-                      [e0[0], e1[0], e2[0]]]) / (2.0 * area)
-    return grads, area
+def _p1_geometry(mesh):
+    """Constant P1 basis gradients (nt, 2, 3) and areas (nt,) of every
+    triangle."""
+    tri = mesh.vertices[mesh.triangles]
+    e0 = tri[:, 2] - tri[:, 1]
+    e1 = tri[:, 0] - tri[:, 2]
+    e2 = tri[:, 1] - tri[:, 0]
+    area = mesh.triangle_areas()
+    grads = np.stack([np.stack([-e0[:, 1], -e1[:, 1], -e2[:, 1]], axis=1),
+                      np.stack([e0[:, 0], e1[:, 0], e2[:, 0]], axis=1)], axis=1)
+    return grads / (2.0 * area)[:, None, None], area
 
 
-def _bulk_coefficient_integral(mesh, coeff, k, quad_order, weight_tol,
-                               use_envelope):
-    """Matrix integral of the (enveloped) coefficient over triangle ``k``."""
-    tri = mesh.vertices[mesh.triangles[k]]
-    region = mesh.tri_regions[k]
-    weight = coeff.bulk_weight
+def _scatter(mesh, dofmap, elem):
+    """Sum element matrices (nt, 3, 3) onto the free dofs (CSR)."""
+    free = dofmap.vertex_free[mesh.triangles]
+    rows = np.broadcast_to(free[:, :, None], elem.shape)
+    cols = np.broadcast_to(free[:, None, :], elem.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    n = dofmap.n_free
+    return sp.csr_matrix((elem[keep], (rows[keep], cols[keep])), shape=(n, n))
 
-    if use_envelope:
-        if weight is None:
-            _, area = p1_gradients(tri)
-            return coeff.mu_bulk_star * area * np.eye(2)
-        return weighted_cell_integral(weight, tri, tol_rel=weight_tol) * np.eye(2)
 
-    base = coeff.bulk_base_matrix(region)
-    if base is not None:
-        if weight is None:
-            _, area = p1_gradients(tri)
-            return area * base
-        return weighted_cell_integral(weight, tri, tol_rel=weight_tol) * base
-
-    # general callable coefficient
-    def f(points):
-        return coeff.bulk_values(points, region).reshape(len(points), 4)
-
+def _weight_integrals(mesh, weight, area, weight_tol):
+    """Integral of the bulk weight over every triangle (the areas when
+    there is no weight)."""
     if weight is None:
-        bary, wts = triangle_rule(quad_order)
-        pts = bary @ tri
-        _, area = p1_gradients(tri)
-        vals = f(pts)
-        return (wts @ vals).reshape(2, 2) * area
-    value, _ = adaptive_triangles_integral(
-        f, tri[None], tol_rel=weight_tol, order=quad_order,
-        weight_fn=weight.eval)
-    return np.asarray(value).reshape(2, 2)
+        return area
+    return np.array([weighted_cell_integral(weight, tri, tol_rel=weight_tol)
+                     for tri in mesh.vertices[mesh.triangles]])
+
+
+def _envelope_integrals(coeff, area, cell_w):
+    """Integral of the scalar bulk envelope times identity, (nt, 2, 2)."""
+    scale = coeff.mu_bulk_star * area if coeff.bulk_weight is None else cell_w
+    return scale[:, None, None] * np.eye(2)
+
+
+def _coefficient_integrals(mesh, coeff, area, cell_w, quad_order, weight_tol):
+    """Integral of the full bulk coefficient over every triangle,
+    (nt, 2, 2).  Constant bases scale the weight integrals; callables are
+    evaluated once per region over all its quadrature points, or, under
+    a weight, integrated adaptively cell by cell."""
+    tris = mesh.vertices[mesh.triangles]
+    out = np.empty((mesh.num_triangles, 2, 2))
+    for region in np.unique(mesh.tri_regions):
+        sel = mesh.tri_regions == region
+        base = coeff.bulk_base_matrix(region)
+        if base is not None:
+            out[sel] = cell_w[sel, None, None] * base
+            continue
+
+        def f(points):
+            return coeff.bulk_values(points, region).reshape(len(points), 4)
+
+        if coeff.bulk_weight is None:
+            bary, wts = triangle_rule(quad_order)
+            pts = bary @ tris[sel]
+            vals = f(pts.reshape(-1, 2)).reshape(len(pts), len(wts), 4)
+            out[sel] = (wts @ vals).reshape(-1, 2, 2) * area[sel, None, None]
+            continue
+        for k in np.flatnonzero(sel):
+            value, _ = adaptive_triangles_integral(
+                f, tris[k][None], tol_rel=weight_tol, order=quad_order,
+                weight_fn=coeff.bulk_weight.eval)
+            out[k] = np.asarray(value).reshape(2, 2)
+    return out
+
+
+def _stiffness(mesh, dofmap, grads, cell_mats):
+    """Stiffness with element matrices ``grad^T C grad`` for the cell
+    coefficient integrals ``C``."""
+    elem = np.einsum("nia,nij,njb->nab", grads, cell_mats, grads)
+    return _scatter(mesh, dofmap, elem)
 
 
 def assemble_bulk_stiffness(mesh, coeff, quad_order=2, *, dofmap=None,
@@ -371,25 +393,14 @@ def assemble_bulk_stiffness(mesh, coeff, quad_order=2, *, dofmap=None,
     """
     if dofmap is None:
         dofmap = build_dofmap(mesh)
-    rows, cols, vals = [], [], []
-    for k in range(mesh.num_triangles):
-        tri_idx = mesh.triangles[k]
-        grads, _ = p1_gradients(mesh.vertices[tri_idx])
-        c_mat = _bulk_coefficient_integral(mesh, coeff, k, quad_order,
-                                           weight_tol, use_envelope)
-        elem = grads.T @ c_mat @ grads
-        free = dofmap.vertex_free[tri_idx]
-        for a in range(3):
-            if free[a] < 0:
-                continue
-            for b in range(3):
-                if free[b] < 0:
-                    continue
-                rows.append(free[a])
-                cols.append(free[b])
-                vals.append(elem[a, b])
-    n = dofmap.n_free
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    grads, area = _p1_geometry(mesh)
+    cell_w = _weight_integrals(mesh, coeff.bulk_weight, area, weight_tol)
+    if use_envelope:
+        cell_mats = _envelope_integrals(coeff, area, cell_w)
+    else:
+        cell_mats = _coefficient_integrals(mesh, coeff, area, cell_w,
+                                           quad_order, weight_tol)
+    return _stiffness(mesh, dofmap, grads, cell_mats)
 
 
 def _edge_coefficient_integral(smesh, coeff, which, k, envelope, tol=1e-12):
@@ -419,6 +430,19 @@ def _edge_coefficient_integral(smesh, coeff, which, k, envelope, tol=1e-12):
     return value
 
 
+def _edge_matrix(smesh, vals):
+    """Sum per-edge entries onto the surface nodes (CSR).  The columns of
+    ``vals`` are ``(aa, bb)`` or ``(aa, bb, ab, ba)`` for edge nodes
+    ``(a, b)``."""
+    a, b = smesh.edge_nodes.T
+    k = vals.shape[1]
+    rows = np.stack([a, b, a, b][:k], axis=1)
+    cols = np.stack([a, b, b, a][:k], axis=1)
+    n = smesh.num_nodes
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n, n))
+
+
 def assemble_surface_stiffness(smesh, coeff=None, which=None, *,
                                mu_s=None, mu_s_star=None, envelope=False,
                                tol=1e-12):
@@ -440,18 +464,11 @@ def assemble_surface_stiffness(smesh, coeff=None, which=None, *,
                                mu_sigma=mu_s if mu_s is not None else 1.0,
                                mu_gd_star=mu_s_star, mu_sigma_star=mu_s_star)
         which = which or DYNAMIC
-    n = smesh.num_nodes
-    mat = sp.lil_matrix((n, n))
-    for k in range(len(smesh.edges)):
-        s_e = _edge_coefficient_integral(smesh, coeff, which, k, envelope, tol)
-        length = smesh.edge_lengths[k]
-        a, b = smesh.edge_nodes[k]
-        w = s_e / length ** 2
-        mat[a, a] += w
-        mat[b, b] += w
-        mat[a, b] -= w
-        mat[b, a] -= w
-    return mat.tocsr()
+    s_e = np.array([_edge_coefficient_integral(smesh, coeff, which, k,
+                                               envelope, tol)
+                    for k in range(len(smesh.edges))])
+    w = s_e / smesh.edge_lengths ** 2
+    return _edge_matrix(smesh, np.stack([w, w, -w, -w], axis=1))
 
 
 def assemble_surface_mass(smesh, coeff=None, which=None, *, lumped=False,
@@ -464,30 +481,25 @@ def assemble_surface_mass(smesh, coeff=None, which=None, *, lumped=False,
     if coeff is None:
         coeff = CoefficientSet()
         which = which or DYNAMIC
-    n = smesh.num_nodes
-    mat = sp.lil_matrix((n, n))
     xg = np.array([0.5 - 0.5 / np.sqrt(3), 0.5 + 0.5 / np.sqrt(3)])
     wg = np.array([0.5, 0.5])
-    for k in range(len(smesh.edges)):
-        i, j = smesh.edges[k]
-        p0, p1 = smesh.mesh.vertices[i], smesh.mesh.vertices[j]
-        length = smesh.edge_lengths[k]
-        pts = p0 + np.outer(xg, p1 - p0)
-        z = coeff.zeta_values(which, pts) if weighted else np.ones(len(pts))
-        phi0, phi1 = 1.0 - xg, xg
-        m00 = length * np.sum(wg * z * phi0 * phi0)
-        m01 = length * np.sum(wg * z * phi0 * phi1)
-        m11 = length * np.sum(wg * z * phi1 * phi1)
-        a, b = smesh.edge_nodes[k]
-        if lumped:
-            mat[a, a] += m00 + m01
-            mat[b, b] += m11 + m01
-        else:
-            mat[a, a] += m00
-            mat[b, b] += m11
-            mat[a, b] += m01
-            mat[b, a] += m01
-    return mat.tocsr()
+    ends = smesh.mesh.vertices[smesh.edges]
+    pts = ends[:, None, 0] + xg[None, :, None] * (ends[:, None, 1]
+                                                   - ends[:, None, 0])
+    if weighted:
+        z = coeff.zeta_values(which, pts.reshape(-1, 2)).reshape(-1, 2)
+    else:
+        z = np.ones((len(ends), 2))
+    phi0, phi1 = 1.0 - xg, xg
+    length = smesh.edge_lengths
+    m00 = length * np.sum(wg * z * phi0 * phi0, axis=1)
+    m01 = length * np.sum(wg * z * phi0 * phi1, axis=1)
+    m11 = length * np.sum(wg * z * phi1 * phi1, axis=1)
+    if lumped:
+        vals = np.stack([m00 + m01, m11 + m01], axis=1)
+    else:
+        vals = np.stack([m00, m11, m01, m01], axis=1)
+    return _edge_matrix(smesh, vals)
 
 
 def assemble_bulk_mass(mesh, coeff=None, *, dofmap=None, lumped=False,
@@ -498,28 +510,17 @@ def assemble_bulk_mass(mesh, coeff=None, *, dofmap=None, lumped=False,
     if dofmap is None:
         dofmap = build_dofmap(mesh)
     bary, wts = triangle_rule(max(order, 2))
-    rows, cols, vals = [], [], []
-    for k in range(mesh.num_triangles):
-        tri_idx = mesh.triangles[k]
-        tri = mesh.vertices[tri_idx]
-        _, area = p1_gradients(tri)
-        pts = bary @ tri
-        z = coeff.zeta_values("bulk", pts) if weighted else np.ones(len(pts))
-        elem = area * np.einsum("q,q,qa,qb->ab", wts, z, bary, bary)
-        if lumped:
-            elem = np.diag(elem.sum(axis=1))
-        free = dofmap.vertex_free[tri_idx]
-        for a in range(3):
-            if free[a] < 0:
-                continue
-            for b in range(3):
-                if free[b] < 0:
-                    continue
-                rows.append(free[a])
-                cols.append(free[b])
-                vals.append(elem[a, b])
-    n = dofmap.n_free
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    area = mesh.triangle_areas()
+    if weighted:
+        pts = bary @ mesh.vertices[mesh.triangles]
+        z = coeff.zeta_values("bulk", pts.reshape(-1, 2)).reshape(len(pts), -1)
+    else:
+        z = np.ones((mesh.num_triangles, len(wts)))
+    elem = area[:, None, None] * np.einsum("q,nq,qa,qb->nab", wts, z, bary,
+                                           bary)
+    if lumped:
+        elem = elem.sum(axis=2)[:, :, None] * np.eye(3)
+    return _scatter(mesh, dofmap, elem)
 
 
 def _surface_selection(smesh, dofmap, which):
@@ -691,8 +692,7 @@ class DiscreteOperator:
         The pencil never changes, so one factorization per matrix serves
         every solve.  Keys name the matrix: ``("step", theta, dt)`` for
         ``Mt + theta dt T``, ``"mtilde"``, ``"T"``, ``("shift", sigma)``
-        for ``T - sigma Mt``, ``"sym(T)+mtilde"`` and
-        ``("M_plain", "interface")``.
+        for ``T - sigma Mt`` and ``("M_plain", "interface")``.
         """
         lu = self._factors.get(key)
         if lu is None:
@@ -733,76 +733,105 @@ class DiscreteOperator:
         """Smallest generalized eigenvalue of (sym(T) + Mtilde, M_form).
 
         A positive value witnesses coercivity of the form plus the block
-        norm against the form-domain norm.  Above ``dense_limit`` dofs it
-        is found by shift-invert Lanczos at 0 on the cached factorization.
-        The limit stays high: the smallest eigenvalue is often highly
-        multiple (sym(T) + Mtilde and M_form differ only on the surfaces),
-        and forced onto the Lanczos path the unit-square fixture does not
-        converge at 272 or 1,056 dofs.
+        norm against the form-domain norm.  Computed densely; above
+        ``dense_limit`` dofs it raises :class:`SizeLimitError`.  There is
+        no sparse path: the smallest eigenvalue is often highly multiple
+        (sym(T) + Mtilde and M_form differ only on the surfaces), and
+        shift-invert Lanczos at 0 does not converge on the unit-square
+        fixture at 272 or 1,056 dofs.
         """
+        n = self.n_free
+        if n > dense_limit:
+            raise SizeLimitError(
+                f"J-ellipticity constant limited to {dense_limit} dofs "
+                f"(pencil has {n})")
         a_mat = 0.5 * (self.T + self.T.T) + self.mtilde()
-        b_mat = self.M_form
-        n = a_mat.shape[0]
-        if n <= dense_limit or n <= 2:
-            lam = scipy.linalg.eigh(a_mat.toarray(), b_mat.toarray(),
-                                    eigvals_only=True,
-                                    subset_by_index=[0, 0])
-            return float(lam[0])
-        lu = self.factorization("sym(T)+mtilde", lambda: a_mat)
-        lam, _ = spla.eigsh(a_mat, k=1, M=b_mat, sigma=0.0, which="LM",
-                            OPinv=lu.operator(), v0=lanczos_start(n))
+        lam = scipy.linalg.eigh(a_mat.toarray(), self.M_form.toarray(),
+                                eigvals_only=True, subset_by_index=[0, 0])
         return float(lam[0])
+
+
+def _distinct_masses(assemble, zeta, lumped):
+    """The ``(weighted, plain, consistent plain)`` masses of one block,
+    with ``assemble(lumped=..., weighted=...)`` called once per distinct
+    matrix: a unit relaxation makes the weighted mass the plain one, and
+    without lumping the plain mass is the consistent one."""
+    consistent = assemble(lumped=False, weighted=False)
+    plain = assemble(lumped=True, weighted=False) if lumped else consistent
+    unit = not callable(zeta) and float(zeta) == 1.0
+    weighted = plain if unit else assemble(lumped=lumped, weighted=True)
+    return weighted, plain, consistent
 
 
 def build_pencil(mesh, coeff, *, lumped=False, quad_order=2, weight_tol=1e-8,
                  extra_constrained=(), surface_tol=1e-12):
-    """Assemble the full discrete operator pencil for a labeled mesh."""
+    """Assemble the full discrete operator pencil for a labeled mesh.
+
+    Each distinct matrix is built once: the weight integrals over the
+    triangles serve both the coefficient and the envelope stiffness, and
+    coinciding masses are shared.
+    """
     smesh_gd = SurfaceMesh.from_mesh(mesh, DYNAMIC)
     smesh_sigma = SurfaceMesh.from_mesh(mesh, INTERFACE)
     smeshes = {DYNAMIC: smesh_gd, INTERFACE: smesh_sigma}
     dofmap = build_dofmap(mesh, smesh_gd, smesh_sigma, extra_constrained)
 
-    k_bulk = assemble_bulk_stiffness(mesh, coeff, quad_order, dofmap=dofmap,
-                                     weight_tol=weight_tol)
-    k_env = assemble_bulk_stiffness(mesh, coeff, quad_order, dofmap=dofmap,
-                                    weight_tol=weight_tol, use_envelope=True)
-    t_mat = k_bulk.copy()
-    m_form = assemble_bulk_mass(mesh, coeff, dofmap=dofmap,
-                                weighted=False) + k_env
+    grads, area = _p1_geometry(mesh)
+    cell_w = _weight_integrals(mesh, coeff.bulk_weight, area, weight_tol)
+    k_bulk = _stiffness(mesh, dofmap, grads, _coefficient_integrals(
+        mesh, coeff, area, cell_w, quad_order, weight_tol))
+    k_env = _stiffness(mesh, dofmap, grads,
+                       _envelope_integrals(coeff, area, cell_w))
+    m_bulk, m_bulk_plain, m_bulk_consistent = _distinct_masses(
+        lambda **kw: assemble_bulk_mass(mesh, coeff, dofmap=dofmap, **kw),
+        coeff.zeta_bulk, lumped)
+    t_mat = k_bulk
+    m_form = m_bulk_consistent + k_env
+    blocks, plain_blocks = [m_bulk], [m_bulk_plain]
 
     surface_parts = {}
     for which, smesh in smeshes.items():
         n_surf = len(dofmap.surface_vertices(which))
         if smesh.num_nodes == 0 or n_surf == 0:
             surface_parts[which] = None
+            blocks.append(sp.csr_matrix((n_surf, n_surf)))
+            plain_blocks.append(sp.csr_matrix((n_surf, n_surf)))
             continue
         p_mat, r_mat = _surface_selection(smesh, dofmap, which)
-        k_all = assemble_surface_stiffness(smesh, coeff, which, tol=surface_tol)
-        k_env_all = assemble_surface_stiffness(smesh, coeff, which,
-                                               envelope=True, tol=surface_tol)
-        m_all = assemble_surface_mass(smesh, coeff, which, lumped=lumped)
-        m_plain_all = assemble_surface_mass(smesh, coeff, which, lumped=False,
-                                            weighted=False)
-        k_free = (p_mat @ k_all @ p_mat.T).tocsr()
+
+        def restrict(mat):
+            return (p_mat @ mat @ p_mat.T).tocsr()
+
+        gd = which == DYNAMIC
+        k_free = restrict(assemble_surface_stiffness(smesh, coeff, which,
+                                                     tol=surface_tol))
+        if (coeff.mu_gd_star if gd else coeff.mu_sigma_star) is None:
+            k_env_free = k_free     # the envelope is the coefficient itself
+        else:
+            k_env_free = restrict(assemble_surface_stiffness(
+                smesh, coeff, which, envelope=True, tol=surface_tol))
+        m_all, m_plain, m_consistent = _distinct_masses(
+            lambda **kw: assemble_surface_mass(smesh, coeff, which, **kw),
+            coeff.zeta_gd if gd else coeff.zeta_sigma, lumped)
         t_mat = t_mat + (r_mat.T @ k_free @ r_mat)
-        m_form = m_form + (r_mat.T @ (p_mat @ k_env_all @ p_mat.T) @ r_mat)
+        m_form = m_form + (r_mat.T @ k_env_free @ r_mat)
         surface_parts[which] = {
             "smesh": smesh,
             "P": p_mat,
             "R": r_mat,
             "K": k_free,
-            "M": (p_mat @ m_all @ p_mat.T).tocsr(),
-            "M_plain": (p_mat @ m_plain_all @ p_mat.T).tocsr(),
+            "M": restrict(m_all),
+            "M_plain": restrict(m_consistent),
         }
+        blocks.append(surface_parts[which]["M"])
+        plain_blocks.append(restrict(m_plain))
 
-    m_blk = assemble_block_mass(mesh, smeshes, coeff, lumped=lumped,
-                                dofmap=dofmap)
-    m_blk_plain = assemble_block_mass(mesh, smeshes, coeff, lumped=lumped,
-                                      dofmap=dofmap, weighted=False)
+    m_blk = sp.block_diag(blocks, format="csr")
+    m_blk_plain = sp.block_diag(plain_blocks, format="csr")
     j_mat = assemble_trace_map(dofmap)
 
     return DiscreteOperator(mesh, coeff, dofmap, smeshes, t_mat.tocsr(),
-                            k_bulk.tocsr(), m_blk, m_blk_plain, j_mat,
+                            k_bulk, m_blk, m_blk_plain, j_mat,
                             m_form.tocsr(), surface_parts, lumped)
 
 
@@ -836,29 +865,31 @@ def validate_envelopes(mesh, coeff, order=4):
     """
     diags = []
     bary, _ = triangle_rule(order)
-    c1_obs = np.inf
-    c2_obs = 0.0
-    zeta_min = np.inf
-    for k in range(mesh.num_triangles):
-        tri = mesh.vertices[mesh.triangles[k]]
-        pts = bary @ tri
-        mu = coeff.bulk_values(pts, mesh.tri_regions[k])
-        env = coeff.bulk_envelope_values(pts)
-        sym = 0.5 * (mu + np.swapaxes(mu, 1, 2))
-        tr = sym[:, 0, 0] + sym[:, 1, 1]
-        det = sym[:, 0, 0] * sym[:, 1, 1] - sym[:, 0, 1] * sym[:, 1, 0]
-        disc = np.sqrt(np.maximum(0.25 * tr * tr - det, 0.0))
-        lam_min = 0.5 * tr - disc
-        norm2 = np.linalg.norm(mu, ord=2, axis=(1, 2))
-        pos = env > 0
-        if np.any(pos):
-            c1_obs = min(c1_obs, float(np.min(lam_min[pos] / env[pos])))
-            c2_obs = max(c2_obs, float(np.max(norm2[pos] / env[pos])))
-        if np.any(lam_min + 1e-13 * np.maximum(env, 1.0) < coeff.c1 * env):
-            diags.append(f"bulk coefficient below c1 * envelope on triangle {k}")
-        if np.any(norm2 > coeff.c2 * env * (1 + 1e-13) + 1e-13):
-            diags.append(f"bulk coefficient above c2 * envelope on triangle {k}")
-        zeta_min = min(zeta_min, float(np.min(coeff.zeta_values("bulk", pts))))
+    pts = bary @ mesh.vertices[mesh.triangles]            # (nt, q, 2)
+    flat = pts.reshape(-1, 2)
+    mu = np.empty(pts.shape[:2] + (2, 2))
+    for region in np.unique(mesh.tri_regions):
+        sel = mesh.tri_regions == region
+        mu[sel] = coeff.bulk_values(pts[sel].reshape(-1, 2),
+                                    region).reshape(-1, len(bary), 2, 2)
+    env = coeff.bulk_envelope_values(flat).reshape(pts.shape[:2])
+    a, b, c, d = (mu[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    off = 0.5 * (b + c)                     # of the symmetric part
+    tr = a + d
+    disc = np.sqrt(np.maximum(0.25 * tr * tr - (a * d - off * off), 0.0))
+    lam_min = 0.5 * tr - disc
+    # largest singular value of a 2x2 matrix, free of cancellation
+    norm2 = np.hypot(0.5 * tr, 0.5 * (c - b)) + np.hypot(0.5 * (a - d), off)
+    pos = env > 0
+    c1_obs = float(np.min(lam_min[pos] / env[pos])) if np.any(pos) else np.inf
+    c2_obs = float(np.max(norm2[pos] / env[pos])) if np.any(pos) else 0.0
+    below = lam_min + 1e-13 * np.maximum(env, 1.0) < coeff.c1 * env
+    above = norm2 > coeff.c2 * env * (1 + 1e-13) + 1e-13
+    diags += [f"bulk coefficient below c1 * envelope on triangle {k}"
+              for k in np.flatnonzero(below.any(axis=1))]
+    diags += [f"bulk coefficient above c2 * envelope on triangle {k}"
+              for k in np.flatnonzero(above.any(axis=1))]
+    zeta_min = float(np.min(coeff.zeta_values("bulk", flat)))
 
     for which in (DYNAMIC, INTERFACE):
         smesh = SurfaceMesh.from_mesh(mesh, which)

@@ -15,8 +15,7 @@ prefixes and ``#`` comments, for example::
     time.t_end = 0.1
 
 Subcommands: ``formheat run <config>``, ``formheat validate <config>``,
-``formheat version``.  The environment variable ``FORMHEAT_THREADS``
-caps the worker/BLAS thread count.  All data outputs are UTF-8 CSV with
+``formheat version``.  All data outputs are UTF-8 CSV with
 header rows; on failure a machine-readable ``error.json`` record is
 written next to the outputs and the exit code is nonzero (2 for
 configuration and input-file problems, 1 for pipeline failures).
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -537,27 +535,8 @@ def validate(config_path):
     return diags
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("FORMHEAT_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=n)
-    except Exception:
-        pass
-
-
 def main(argv=None):
     """Entry point of the ``formheat`` command."""
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(
         prog="formheat",
         description="coupled bulk-surface heat flow experiments")

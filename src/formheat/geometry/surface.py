@@ -38,6 +38,7 @@ class SurfaceMesh:
         if len(self.edges) == 0:
             self.node_vertices = np.zeros(0, dtype=int)
             self.edge_nodes = np.zeros((0, 2), dtype=int)
+            self.edge_lengths = np.zeros(0)
             self.chains = []
             self.arc_coords = {}
             return

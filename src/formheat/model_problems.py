@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import BlockField, p1_gradients
+from .assembly import BlockField
 from .geometry.mesh import Mesh
 from .weights import triangle_rule, _gauss
 
@@ -157,15 +157,10 @@ def block_l2_error(pencil, u, exact_bulk, exact_gd=None, exact_sigma=None,
     full = nodal_full_vector(pencil, u)
     bary, wts = triangle_rule(order)
 
-    total = 0.0
-    for k in range(mesh.num_triangles):
-        tri_idx = mesh.triangles[k]
-        tri = mesh.vertices[tri_idx]
-        _, area = p1_gradients(tri)
-        pts = bary @ tri
-        uh = bary @ full[tri_idx]
-        diff = uh - exact_bulk(pts, t)
-        total += area * float(wts @ diff ** 2)
+    pts = bary @ mesh.vertices[mesh.triangles]            # (nt, q, 2)
+    uh = full[mesh.triangles] @ bary.T                    # (nt, q)
+    diff = uh - np.reshape(exact_bulk(pts.reshape(-1, 2), t), uh.shape)
+    total = float(mesh.triangle_areas() @ (diff ** 2 @ wts))
 
     xg, wg = _gauss(5)
     tg = 0.5 * (xg + 1.0)
@@ -174,12 +169,10 @@ def block_l2_error(pencil, u, exact_bulk, exact_gd=None, exact_sigma=None,
         if part is None:
             continue
         smesh = part["smesh"]
-        for e in range(len(smesh.edges)):
-            i, j = smesh.edges[e]
-            p0, p1 = mesh.vertices[i], mesh.vertices[j]
-            length = smesh.edge_lengths[e]
-            pts = p0 + np.outer(tg, p1 - p0)
-            uh = (1.0 - tg) * full[i] + tg * full[j]
-            diff = uh - exact(pts, t)
-            total += 0.5 * length * float(wg @ diff ** 2)
+        i, j = smesh.edges.T
+        p0, p1 = mesh.vertices[i], mesh.vertices[j]
+        pts = p0[:, None] + tg[:, None] * (p1 - p0)[:, None]  # (ne, 5, 2)
+        uh = np.outer(full[i], 1.0 - tg) + np.outer(full[j], tg)
+        diff = uh - np.reshape(exact(pts.reshape(-1, 2), t), uh.shape)
+        total += 0.5 * float(smesh.edge_lengths @ (diff ** 2 @ wg))
     return float(np.sqrt(total))

@@ -89,10 +89,6 @@ class EmbeddingReport:
             return 1 / p
         return self.r0 / ((self.r0 - 2) * p)
 
-    @property
-    def theta_condition(self):
-        return self.theta_threshold
-
     def csv_row(self):
         gamma = float(self.gamma)
         gamma_txt = str(int(gamma)) if gamma == int(gamma) else repr(gamma)
@@ -362,20 +358,14 @@ def fractional_embedding_probe(pencils, theta, p_proxy, *, n_samples=64,
             # Wt the diagonal lumped-measure Gram, the worst ratio is the
             # largest diagonal entry of (B^T Wt B)^-1, i.e. the largest
             # column norm of Wt^-1/2 Mt V D^-1 V^T.
-            wt = sp_diag_apply(pencil)
+            # lumped block measure pulled back to the bulk dofs
+            wt = np.asarray(pencil.J.T @ pencil.lumped_block_weights()).ravel()
             a_mat = (mt.toarray() @ (vecs / scale[None, :])) @ vecs.T
             a_mat /= np.sqrt(wt)[:, None]
             sup = float(np.sqrt((a_mat ** 2).sum(axis=0).max()))
             worst = max(worst, sup)
         rows.append(ProbeRow(level=level, h=pencil.mesh.h_max(), ratio=worst))
     return rows
-
-
-def sp_diag_apply(pencil):
-    """Lumped block measure pulled back to bulk dofs (diagonal of
-    J^T diag(w) J as a vector)."""
-    w = pencil.lumped_block_weights()
-    return np.asarray(pencil.J.T @ w).ravel()
 
 
 def probe_trend(rows, growth_factor=1.5):

@@ -73,14 +73,6 @@ class WeightSpec:
         return f"WeightSpec({self.s!r}, gamma={self.gamma})"
 
 
-def weight_eval(w, x):
-    """Evaluate ``dist(x, S)^gamma``; identically 1 when gamma = 0."""
-    val = w.eval(x)
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
-
-
 # -- polygon helpers -----------------------------------------------------------
 
 def polygon_area(poly):

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from formheat.assembly import CoefficientSet, build_pencil
-from formheat.geometry import Points, Polyline
+from formheat.geometry import Mesh, Points, Polyline
 from formheat.model_problems import standard_fixture_mesh, unit_square_mesh
 from formheat.weights import WeightSpec
 
@@ -29,6 +29,26 @@ def form_fixture_coefficients():
         ("bulk-case-B", CoefficientSet(
             bulk_weight=WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]), 0.5))),
     ]
+
+
+def jittered_mesh(mesh, seed, amount=0.2):
+    """Copy of ``mesh`` whose vertices off the boundary and the interface
+    move by at most ``amount`` times the shortest edge, with all labels
+    and regions kept; seeded, so the mesh is the same on every run."""
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    fixed = np.zeros(mesh.num_vertices, dtype=bool)
+    fixed[mesh.boundary_edges.ravel()] = True
+    fixed[mesh.interface_edges.ravel()] = True
+    tri = mesh.triangles
+    edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
+    h = mesh.edge_lengths(edges).min()
+    radius = amount * h * rng.uniform(0.0, 1.0, mesh.num_vertices)
+    angle = rng.uniform(0.0, 2.0 * np.pi, mesh.num_vertices)
+    shift = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    shift[fixed] = 0.0
+    return Mesh(mesh.vertices + shift, tri.copy(), mesh.boundary_edges,
+                mesh.boundary_labels, mesh.interface_edges, mesh.tri_regions)
 
 
 @pytest.fixture(scope="session")

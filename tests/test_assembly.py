@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from conftest import form_fixture_coefficients
+import formheat.assembly as assembly
+from conftest import form_fixture_coefficients, jittered_mesh
 from oracles import (edge_linear_coefficient_integral, form_value_oracle,
                      grid_richardson_triangle)
 from formheat.assembly import (BlockField, CoefficientSet, assemble_block_mass,
@@ -10,7 +12,7 @@ from formheat.assembly import (BlockField, CoefficientSet, assemble_block_mass,
                                assemble_surface_stiffness, assemble_trace_map,
                                build_dofmap, build_pencil,
                                project_initial_data, validate_envelopes)
-from formheat.errors import EnvelopeViolationError
+from formheat.errors import EnvelopeViolationError, SizeLimitError
 from formheat.geometry import Mesh, Points, Polyline, SurfaceMesh, refine_uniform
 from formheat.model_problems import standard_fixture_mesh, unit_square_mesh
 from formheat.weights import WeightSpec
@@ -106,20 +108,21 @@ def test_surface_stiffness_degenerate_at_midpoint():
 
 
 def test_block_mass_totals():
-    mesh = unit_square_mesh(6, bottom="neumann", top="dynamic",
-                            interface_y=0.5)
-    smeshes = {"dynamic": SurfaceMesh.from_mesh(mesh, "dynamic"),
-               "interface": SurfaceMesh.from_mesh(mesh, "interface")}
-    m_blk = assemble_block_mass(mesh, smeshes, CoefficientSet())
-    n_free = mesh.num_vertices
-    bulk_total = m_blk[:n_free, :n_free].sum()
-    assert bulk_total == pytest.approx(1.0, rel=1e-13)
-    surf_total = m_blk.sum() - bulk_total
-    assert surf_total == pytest.approx(2.0, rel=1e-13)  # |Gamma_d| + |Sigma|
+    square = unit_square_mesh(6, bottom="neumann", top="dynamic",
+                              interface_y=0.5)
+    for mesh in (square, jittered_mesh(square, seed=5)):
+        smeshes = {"dynamic": SurfaceMesh.from_mesh(mesh, "dynamic"),
+                   "interface": SurfaceMesh.from_mesh(mesh, "interface")}
+        m_blk = assemble_block_mass(mesh, smeshes, CoefficientSet())
+        n_free = mesh.num_vertices
+        bulk_total = m_blk[:n_free, :n_free].sum()
+        assert bulk_total == pytest.approx(1.0, rel=1e-13)
+        surf_total = m_blk.sum() - bulk_total
+        assert surf_total == pytest.approx(2.0, rel=1e-13)  # |Gamma_d| + |Sigma|
 
-    tripled = assemble_block_mass(mesh, smeshes, CoefficientSet(
-        zeta_bulk=3.0, zeta_gd=3.0, zeta_sigma=3.0))
-    assert abs(tripled - 3.0 * m_blk).max() <= 1e-13
+        tripled = assemble_block_mass(mesh, smeshes, CoefficientSet(
+            zeta_bulk=3.0, zeta_gd=3.0, zeta_sigma=3.0))
+        assert abs(tripled - 3.0 * m_blk).max() <= 1e-13
 
 
 def test_trace_map_examples():
@@ -201,19 +204,91 @@ def test_extra_constrained_endpoints():
 
 
 def test_form_consistency_with_oracle(std_mesh_8):
+    # the jittered mesh has no right triangles, so the batched gradients
+    # meet the oracle's Vandermonde ones on general shapes
     from oracles import FormOracle
     rng = np.random.default_rng(23)
-    for name, coeff in form_fixture_coefficients():
-        pencil = build_pencil(std_mesh_8, coeff)
-        oracle = FormOracle(pencil)
-        for _ in range(10):
-            u = rng.standard_normal(pencil.n_free)
-            v = rng.standard_normal(pencil.n_free)
-            assembled = float(v @ (pencil.T @ u))
-            reference = oracle.value(u, v)
-            scale = max(abs(reference), 1e-12 * np.linalg.norm(u)
-                        * np.linalg.norm(v))
-            assert abs(assembled - reference) <= 1e-10 * scale, name
+    for mesh in (std_mesh_8, jittered_mesh(std_mesh_8, seed=3)):
+        for name, coeff in form_fixture_coefficients():
+            pencil = build_pencil(mesh, coeff)
+            oracle = FormOracle(pencil)
+            for _ in range(10):
+                u = rng.standard_normal(pencil.n_free)
+                v = rng.standard_normal(pencil.n_free)
+                assembled = float(v @ (pencil.T @ u))
+                reference = oracle.value(u, v)
+                scale = max(abs(reference), 1e-12 * np.linalg.norm(u)
+                            * np.linalg.norm(v))
+                assert abs(assembled - reference) <= 1e-10 * scale, name
+
+
+def test_weighted_pencil_integrates_each_cell_once(std_mesh_8, monkeypatch):
+    # the coefficient and envelope stiffness share one weight integral
+    # per triangle
+    calls = []
+    integral = assembly.weighted_cell_integral
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return integral(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "weighted_cell_integral", counting)
+    coeff = CoefficientSet(
+        bulk_weight=WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]), 0.5))
+    build_pencil(std_mesh_8, coeff)
+    assert len(calls) == std_mesh_8.num_triangles
+
+
+def test_bulk_coefficient_error_propagates(std_mesh_8):
+    # callables take (n, 2) point arrays; an error they raise is not
+    # retried point by point
+    def mu(points):
+        if np.ndim(points) == 2:
+            raise ValueError("coefficient bug")
+        return 1.0
+
+    with pytest.raises(ValueError, match="coefficient bug"):
+        build_pencil(std_mesh_8, CoefficientSet(mu_bulk=mu))
+
+
+_positive = st.floats(0.2, 5.0)
+
+
+@st.composite
+def _bulk_coefficients(draw):
+    """A constant scalar, or a per-region dict of scalars and symmetric
+    positive definite matrices."""
+    if draw(st.booleans()):
+        return draw(_positive)
+    a, c = draw(_positive), draw(_positive)
+    b = draw(st.floats(-0.9, 0.9)) * np.sqrt(a * c)
+    return {0: draw(_positive), 1: [[a, b], [b, c]]}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 4]), refine=st.booleans(),
+       seed=st.integers(0, 2 ** 16), mu_bulk=_bulk_coefficients(),
+       mu_gd=st.floats(0.0, 5.0), mu_sigma=st.floats(0.0, 5.0),
+       lumped=st.booleans())
+def test_pencil_properties_on_perturbed_meshes(n, refine, seed, mu_bulk,
+                                               mu_gd, mu_sigma, lumped):
+    mesh = unit_square_mesh(n, bottom="neumann", top="dynamic",
+                            interface_y=0.5)
+    if refine:
+        mesh = refine_uniform(mesh)
+    mesh = jittered_mesh(mesh, seed)
+    pencil = build_pencil(mesh, CoefficientSet(mu_bulk=mu_bulk, mu_gd=mu_gd,
+                                               mu_sigma=mu_sigma),
+                          lumped=lumped)
+    t_mat = pencil.T.toarray()
+    scale = np.abs(t_mat).max()
+    assert np.abs(t_mat - t_mat.T).max() <= 1e-12 * scale
+    assert np.linalg.eigvalsh(t_mat).min() >= -1e-12 * scale
+    ones = np.ones(pencil.n_free)
+    assert np.abs(t_mat @ ones).max() <= 1e-12 * scale
+    # |Omega| + |Gamma_d| + |Sigma|
+    assert pencil.M_blk.sum() == pytest.approx(3.0, rel=1e-13)
+    assert pencil.M_blk_plain.sum() == pytest.approx(3.0, rel=1e-13)
 
 
 def test_j_ellipticity_positive_and_stable(std_mesh_8):
@@ -225,6 +300,11 @@ def test_j_ellipticity_positive_and_stable(std_mesh_8):
     assert coarse > 0 and fine > 0
     assert fine >= 0.5 * coarse
     assert fine <= 1.5 * coarse
+
+
+def test_j_ellipticity_size_limit(std_pencil_8):
+    with pytest.raises(SizeLimitError):
+        std_pencil_8.j_ellipticity_constant(dense_limit=10)
 
 
 def test_envelope_validation_flags_bad_constants():

@@ -9,7 +9,7 @@ from formheat.geometry import Points, Polyline
 from formheat.model_problems import standard_fixture_mesh
 from formheat.weights import (DyadicCube, WeightSpec,
                               adaptive_triangles_integral, classify_case,
-                              muckenhoupt_lower_bound_scan, weight_eval,
+                              muckenhoupt_lower_bound_scan,
                               weighted_cell_integral)
 from formheat.weights import _radial_wedge
 
@@ -20,11 +20,11 @@ POINT_G1_CUBE = 0.3825978584650808
 
 def test_weight_eval_examples():
     w0 = WeightSpec(Points((0.3, 0.7)), 0.0)
-    assert weight_eval(w0, (10.0, -3.0)) == 1.0
+    assert w0.eval((10.0, -3.0)) == 1.0
     w1 = WeightSpec(Points((0.0, 0.0)), 1.0)
-    assert weight_eval(w1, (3.0, 4.0)) == pytest.approx(5.0)
+    assert w1.eval((3.0, 4.0)) == pytest.approx(5.0)
     w2 = WeightSpec(Polyline([(-1.0, 0.0), (1.0, 0.0)]), 0.5)
-    assert weight_eval(w2, (0.3, 0.09)) == pytest.approx(0.3)
+    assert w2.eval((0.3, 0.09)) == pytest.approx(0.3)
 
 
 def test_weight_spec_validation():
