@@ -329,13 +329,13 @@ def _scatter(mesh, dofmap, elem):
     return sp.csr_matrix((elem[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
-def _weight_integrals(mesh, weight, area, weight_tol):
-    """Integral of the bulk weight over every triangle (the areas when
-    there is no weight)."""
+def _weight_integrals(tris, weight, area, weight_tol):
+    """Integral of the bulk weight over each triangle of ``tris``
+    (nt, 3, 2); the areas when there is no weight."""
     if weight is None:
         return area
     return np.array([weighted_cell_integral(weight, tri, tol_rel=weight_tol)
-                     for tri in mesh.vertices[mesh.triangles]])
+                     for tri in tris])
 
 
 def _envelope_integrals(coeff, area, cell_w):
@@ -346,7 +346,8 @@ def _envelope_integrals(coeff, area, cell_w):
 
 def _coefficient_integrals(mesh, coeff, area, cell_w, quad_order, weight_tol):
     """Integral of the full bulk coefficient over every triangle,
-    (nt, 2, 2).  Constant bases scale the weight integrals; callables are
+    (nt, 2, 2).  Constant bases scale the weight integrals ``cell_w``
+    (computed here for their regions alone when None); callables are
     evaluated once per region over all its quadrature points, or, under
     a weight, integrated adaptively cell by cell."""
     tris = mesh.vertices[mesh.triangles]
@@ -355,7 +356,9 @@ def _coefficient_integrals(mesh, coeff, area, cell_w, quad_order, weight_tol):
         sel = mesh.tri_regions == region
         base = coeff.bulk_base_matrix(region)
         if base is not None:
-            out[sel] = cell_w[sel, None, None] * base
+            w = (cell_w[sel] if cell_w is not None else _weight_integrals(
+                tris[sel], coeff.bulk_weight, area[sel], weight_tol))
+            out[sel] = w[:, None, None] * base
             continue
 
         def f(points):
@@ -394,11 +397,12 @@ def assemble_bulk_stiffness(mesh, coeff, quad_order=2, *, dofmap=None,
     if dofmap is None:
         dofmap = build_dofmap(mesh)
     grads, area = _p1_geometry(mesh)
-    cell_w = _weight_integrals(mesh, coeff.bulk_weight, area, weight_tol)
     if use_envelope:
-        cell_mats = _envelope_integrals(coeff, area, cell_w)
+        cell_mats = _envelope_integrals(coeff, area, _weight_integrals(
+            mesh.vertices[mesh.triangles], coeff.bulk_weight, area,
+            weight_tol))
     else:
-        cell_mats = _coefficient_integrals(mesh, coeff, area, cell_w,
+        cell_mats = _coefficient_integrals(mesh, coeff, area, None,
                                            quad_order, weight_tol)
     return _stiffness(mesh, dofmap, grads, cell_mats)
 
@@ -751,25 +755,13 @@ class DiscreteOperator:
         return float(lam[0])
 
 
-def _distinct_masses(assemble, zeta, lumped):
-    """The ``(weighted, plain, consistent plain)`` masses of one block,
-    with ``assemble(lumped=..., weighted=...)`` called once per distinct
-    matrix: a unit relaxation makes the weighted mass the plain one, and
-    without lumping the plain mass is the consistent one."""
-    consistent = assemble(lumped=False, weighted=False)
-    plain = assemble(lumped=True, weighted=False) if lumped else consistent
-    unit = not callable(zeta) and float(zeta) == 1.0
-    weighted = plain if unit else assemble(lumped=lumped, weighted=True)
-    return weighted, plain, consistent
-
-
 def build_pencil(mesh, coeff, *, lumped=False, quad_order=2, weight_tol=1e-8,
                  extra_constrained=(), surface_tol=1e-12):
     """Assemble the full discrete operator pencil for a labeled mesh.
 
-    Each distinct matrix is built once: the weight integrals over the
-    triangles serve both the coefficient and the envelope stiffness, and
-    coinciding masses are shared.
+    The weight integrals over the triangles are computed once and serve
+    both the coefficient and the envelope stiffness; the unweighted masses
+    of ``M_form`` and ``surface_parts`` are blocks of the plain block mass.
     """
     smesh_gd = SurfaceMesh.from_mesh(mesh, DYNAMIC)
     smesh_sigma = SurfaceMesh.from_mesh(mesh, INTERFACE)
@@ -777,42 +769,45 @@ def build_pencil(mesh, coeff, *, lumped=False, quad_order=2, weight_tol=1e-8,
     dofmap = build_dofmap(mesh, smesh_gd, smesh_sigma, extra_constrained)
 
     grads, area = _p1_geometry(mesh)
-    cell_w = _weight_integrals(mesh, coeff.bulk_weight, area, weight_tol)
+    cell_w = _weight_integrals(mesh.vertices[mesh.triangles], coeff.bulk_weight,
+                               area, weight_tol)
     k_bulk = _stiffness(mesh, dofmap, grads, _coefficient_integrals(
         mesh, coeff, area, cell_w, quad_order, weight_tol))
     k_env = _stiffness(mesh, dofmap, grads,
                        _envelope_integrals(coeff, area, cell_w))
-    m_bulk, m_bulk_plain, m_bulk_consistent = _distinct_masses(
-        lambda **kw: assemble_bulk_mass(mesh, coeff, dofmap=dofmap, **kw),
-        coeff.zeta_bulk, lumped)
+    m_blk = assemble_block_mass(mesh, smeshes, coeff, lumped=lumped,
+                                dofmap=dofmap)
+    m_consistent = assemble_block_mass(mesh, smeshes, coeff, dofmap=dofmap,
+                                       weighted=False)
+    m_blk_plain = assemble_block_mass(
+        mesh, smeshes, coeff, lumped=True, dofmap=dofmap,
+        weighted=False) if lumped else m_consistent
+    n = dofmap.n_free
     t_mat = k_bulk
-    m_form = m_bulk_consistent + k_env
-    blocks, plain_blocks = [m_bulk], [m_bulk_plain]
+    m_form = m_consistent[:n, :n] + k_env
 
     surface_parts = {}
+    start = n
     for which, smesh in smeshes.items():
         n_surf = len(dofmap.surface_vertices(which))
+        block = slice(start, start + n_surf)
+        start += n_surf
         if smesh.num_nodes == 0 or n_surf == 0:
             surface_parts[which] = None
-            blocks.append(sp.csr_matrix((n_surf, n_surf)))
-            plain_blocks.append(sp.csr_matrix((n_surf, n_surf)))
             continue
         p_mat, r_mat = _surface_selection(smesh, dofmap, which)
 
         def restrict(mat):
             return (p_mat @ mat @ p_mat.T).tocsr()
 
-        gd = which == DYNAMIC
         k_free = restrict(assemble_surface_stiffness(smesh, coeff, which,
                                                      tol=surface_tol))
-        if (coeff.mu_gd_star if gd else coeff.mu_sigma_star) is None:
+        star = coeff.mu_gd_star if which == DYNAMIC else coeff.mu_sigma_star
+        if star is None:
             k_env_free = k_free     # the envelope is the coefficient itself
         else:
             k_env_free = restrict(assemble_surface_stiffness(
                 smesh, coeff, which, envelope=True, tol=surface_tol))
-        m_all, m_plain, m_consistent = _distinct_masses(
-            lambda **kw: assemble_surface_mass(smesh, coeff, which, **kw),
-            coeff.zeta_gd if gd else coeff.zeta_sigma, lumped)
         t_mat = t_mat + (r_mat.T @ k_free @ r_mat)
         m_form = m_form + (r_mat.T @ k_env_free @ r_mat)
         surface_parts[which] = {
@@ -820,14 +815,10 @@ def build_pencil(mesh, coeff, *, lumped=False, quad_order=2, weight_tol=1e-8,
             "P": p_mat,
             "R": r_mat,
             "K": k_free,
-            "M": restrict(m_all),
-            "M_plain": restrict(m_consistent),
+            "M": m_blk[block, block],
+            "M_plain": m_consistent[block, block],
         }
-        blocks.append(surface_parts[which]["M"])
-        plain_blocks.append(restrict(m_plain))
 
-    m_blk = sp.block_diag(blocks, format="csr")
-    m_blk_plain = sp.block_diag(plain_blocks, format="csr")
     j_mat = assemble_trace_map(dofmap)
 
     return DiscreteOperator(mesh, coeff, dofmap, smeshes, t_mat.tocsr(),

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
 
 import formheat.assembly as assembly
 from conftest import form_fixture_coefficients, jittered_mesh
@@ -251,46 +250,6 @@ def test_bulk_coefficient_error_propagates(std_mesh_8):
         build_pencil(std_mesh_8, CoefficientSet(mu_bulk=mu))
 
 
-_positive = st.floats(0.2, 5.0)
-
-
-@st.composite
-def _bulk_coefficients(draw):
-    """A constant scalar, or a per-region dict of scalars and symmetric
-    positive definite matrices."""
-    if draw(st.booleans()):
-        return draw(_positive)
-    a, c = draw(_positive), draw(_positive)
-    b = draw(st.floats(-0.9, 0.9)) * np.sqrt(a * c)
-    return {0: draw(_positive), 1: [[a, b], [b, c]]}
-
-
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(n=st.sampled_from([2, 4]), refine=st.booleans(),
-       seed=st.integers(0, 2 ** 16), mu_bulk=_bulk_coefficients(),
-       mu_gd=st.floats(0.0, 5.0), mu_sigma=st.floats(0.0, 5.0),
-       lumped=st.booleans())
-def test_pencil_properties_on_perturbed_meshes(n, refine, seed, mu_bulk,
-                                               mu_gd, mu_sigma, lumped):
-    mesh = unit_square_mesh(n, bottom="neumann", top="dynamic",
-                            interface_y=0.5)
-    if refine:
-        mesh = refine_uniform(mesh)
-    mesh = jittered_mesh(mesh, seed)
-    pencil = build_pencil(mesh, CoefficientSet(mu_bulk=mu_bulk, mu_gd=mu_gd,
-                                               mu_sigma=mu_sigma),
-                          lumped=lumped)
-    t_mat = pencil.T.toarray()
-    scale = np.abs(t_mat).max()
-    assert np.abs(t_mat - t_mat.T).max() <= 1e-12 * scale
-    assert np.linalg.eigvalsh(t_mat).min() >= -1e-12 * scale
-    ones = np.ones(pencil.n_free)
-    assert np.abs(t_mat @ ones).max() <= 1e-12 * scale
-    # |Omega| + |Gamma_d| + |Sigma|
-    assert pencil.M_blk.sum() == pytest.approx(3.0, rel=1e-13)
-    assert pencil.M_blk_plain.sum() == pytest.approx(3.0, rel=1e-13)
-
-
 def test_j_ellipticity_positive_and_stable(std_mesh_8):
     coeff = CoefficientSet(
         bulk_weight=WeightSpec(Points((0.5, 0.25)), 1.0))
@@ -314,6 +273,18 @@ def test_envelope_validation_flags_bad_constants():
     diags, observed = validate_envelopes(mesh, coeff)
     assert any("below c1" in d for d in diags)
     assert observed["c1_obs"] == pytest.approx(0.5, rel=1e-12)
+
+    # a coefficient that breaks both bounds on every triangle gets both
+    # diagnostics per triangle, in sorted order
+    both = CoefficientSet(mu_bulk=[[0.5, 0.0], [0.0, 3.0]], c1=1.0, c2=2.0)
+    diags, observed = validate_envelopes(mesh, both)
+    assert diags == sorted(
+        [f"bulk coefficient below c1 * envelope on triangle {k}"
+         for k in range(mesh.num_triangles)]
+        + [f"bulk coefficient above c2 * envelope on triangle {k}"
+           for k in range(mesh.num_triangles)])
+    assert observed["c1_obs"] == pytest.approx(0.5, rel=1e-12)
+    assert observed["c2_obs"] == pytest.approx(3.0, rel=1e-12)
 
     ok_diags, observed = validate_envelopes(mesh, CoefficientSet())
     assert ok_diags == []
