@@ -27,6 +27,7 @@ immutable.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,15 +69,16 @@ def _eval_matrix_callable(fn, points):
 
 def _eval_scalar_callable(fn, points, tau=None):
     """Evaluate a surface coefficient at (n, 2) points, reduced to its
-    tangential scalar action when matrix-valued."""
-    if tau is None:
-        vals = fn(points)
-    else:
+    tangential scalar action when matrix-valued; ``fn(points, tau)`` if
+    its signature accepts both, else ``fn(points)``."""
+    args = (points,)
+    if tau is not None:
         try:
-            vals = fn(points, tau)
-        except TypeError:               # a callable of the points alone
-            vals = fn(points)
-    vals = np.asarray(vals, dtype=float)
+            inspect.signature(fn).bind(points, tau)
+            args = (points, tau)
+        except (TypeError, ValueError):  # points only, or no signature
+            pass
+    vals = np.asarray(fn(*args), dtype=float)
     if vals.ndim == 3 and vals.shape[1:] == (2, 2):
         return np.einsum("i,nij,j->n", tau, vals, tau)
     return vals.reshape(len(points))

@@ -34,13 +34,14 @@ import numpy as np
 from . import __version__
 from .assembly import (BlockField, CoefficientSet, build_pencil,
                        validate_envelopes)
-from .errors import ConfigError, FormheatError
+from .errors import ConfigError, DegenerateGeometryError, FormheatError
 from .evolution import TimeSteppingConfig, evolve
 from .geometry import Points, Polyline, load_mesh, refine_uniform
 from .model_problems import nodal_full_vector
 from .spectral import (embedding_exponents, fractional_embedding_probe,
                        generalized_eigs, probe_trend)
-from .weights import WeightSpec, classify_case, muckenhoupt_lower_bound_scan
+from .weights import (WeightSpec, _scan_window, classify_case,
+                      muckenhoupt_lower_bound_scan)
 
 _PIPELINES = ("evolve", "eigs", "exponents", "probe", "scan")
 
@@ -135,13 +136,13 @@ class RunConfig:
 
     # -- coefficient block ------------------------------------------------
 
-    def _submanifold(self, key):
-        raw = self._get(key, str, default=None)
+    def _submanifold(self, key, required=False):
+        raw = self._get(key, str, default=None, required=required)
         if raw is None:
             return None
         tokens = raw.split()
-        kind = tokens[0]
         try:
+            kind = tokens[0]
             nums = [float(t) for t in tokens[1:]]
             pts = np.array(nums).reshape(-1, 2)
             if kind == "point":
@@ -152,21 +153,30 @@ class RunConfig:
                 return Polyline(pts)
         except (ValueError, IndexError):
             pass
+        except DegenerateGeometryError as exc:
+            raise ConfigError(str(exc), key=key, line=self._line(key)) from None
         raise ConfigError("expected 'point x y', 'points ...', "
                           "'segment x1 y1 x2 y2' or 'polyline ...'",
                           key=key, line=self._line(key))
+
+    def _weight(self, target, gamma, key):
+        try:
+            return WeightSpec(target, gamma)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=key, line=self._line(key)) from None
 
     def _surface_coefficient(self, key):
         raw = self._get(key, str, default=None)
         if raw is None:
             return 1.0, None
-        tokens = raw.split()
+        tokens = raw.split() or [raw]
         if tokens[0] == "dist_to_point":
-            if len(tokens) != 4:
+            try:
+                x, y, gamma = map(float, tokens[1:])
+            except ValueError:                 # not three numbers
                 raise ConfigError("expected 'dist_to_point x y gamma'",
-                                  key=key, line=self._line(key))
-            x, y, gamma = map(float, tokens[1:])
-            spec = WeightSpec(Points((x, y)), gamma)
+                                  key=key, line=self._line(key)) from None
+            spec = self._weight(Points((x, y)), gamma, key)
             return (lambda pts: spec.eval(pts)), spec
         try:
             return float(tokens[0]), None
@@ -179,7 +189,7 @@ class RunConfig:
         if target is None:
             return None
         gamma = self._get("coeff.weight.gamma", float, default=0.0)
-        return WeightSpec(target, gamma)
+        return self._weight(target, gamma, "coeff.weight.gamma")
 
     def coefficients(self):
         def matrix(raw, key):
@@ -230,6 +240,23 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return tcfg
+
+    def scan_config(self):
+        """The scan's ``(WeightSpec, l_max, window)``, checked as ``run``
+        needs them; any violation is a :class:`ConfigError`."""
+        target = self._submanifold("scan.s", required=True)
+        weight = self._weight(
+            target, self._get("scan.gamma", float, default=0.0), "scan.gamma")
+        l_max = self._get("scan.l_max", int, default=4)
+        window = self.floats("scan.window", default=(-1.0, -1.0, 1.0, 1.0))
+        if len(window) != 4:
+            raise ConfigError("expected 'xmin ymin xmax ymax'",
+                              key="scan.window", line=self._line("scan.window"))
+        try:
+            _scan_window(l_max, window)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        return weight, l_max, window
 
     def initial_data(self, pencil):
         rng = np.random.default_rng(self.seed)
@@ -400,16 +427,7 @@ def _pipeline_probe(cfg, outdir, manifest):
 
 
 def _pipeline_scan(cfg, outdir, manifest):
-    target = cfg._submanifold("scan.s")
-    if target is None:
-        raise ConfigError("missing required key", key="scan.s")
-    gamma = cfg._get("scan.gamma", float, default=0.0)
-    l_max = cfg._get("scan.l_max", int, default=4)
-    window = cfg.floats("scan.window", default=(-1.0, -1.0, 1.0, 1.0))
-    if len(window) != 4:
-        raise ConfigError("expected 'xmin ymin xmax ymax'", key="scan.window")
-    result = muckenhoupt_lower_bound_scan(WeightSpec(target, gamma), l_max,
-                                          window)
+    result = muckenhoupt_lower_bound_scan(*cfg.scan_config())
     path = outdir / "scan.csv"
     _write_csv(path, "level,m_x,m_y,normalized",
                [(lvl, mx, my, _fmt(val)) for lvl, mx, my, val, _ in result.rows])
@@ -525,6 +543,11 @@ def validate(config_path):
                     diags.append(f"snapshot time {t} beyond t_end")
         except ConfigError as exc:
             diags.append(f"time: {exc}")
+    if cfg.pipeline == "scan":
+        try:
+            cfg.scan_config()
+        except ConfigError as exc:
+            diags.append(f"scan: {exc}")
     if cfg.pipeline == "exponents":
         gamma = cfg._get("exponents.gamma", float, default=0.0)
         case = cfg._get("exponents.case", str, default="nondegenerate")

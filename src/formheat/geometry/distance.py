@@ -3,6 +3,11 @@
 These are the exact distance kernels behind the degenerate bulk weight
 ``dist(x, S)^gamma``, where ``S`` is a finite point set (codimension 2)
 or a polyline (codimension 1).
+
+:func:`set_polygon_distance` measures it to a stack of convex polygons
+(one dyadic scan level) in array passes over (polygons x edges x target
+points): 0 where a target point lies inside or a target segment meets
+an edge, else the least point-to-edge or vertex-to-segment distance.
 """
 
 from __future__ import annotations
@@ -64,11 +69,6 @@ class Polyline:
         if np.any(np.hypot(seg[:, 0], seg[:, 1]) <= 0.0):
             raise DegenerateGeometryError("polyline has a zero-length segment")
         self.vertices = verts
-
-    @property
-    def segments(self):
-        """Array of segments, shape (n-1, 2, 2)."""
-        return np.stack([self.vertices[:-1], self.vertices[1:]], axis=1)
 
     def distance(self, x):
         """Distance from ``x`` (shape (..., 2)) to the polyline."""
@@ -145,109 +145,74 @@ def distance_to_submanifold(s_spec, x):
     return d
 
 
-# -- small exact predicates used by quadrature and scans ----------------------
+# -- batched exact predicates used by scans ---------------------------------
 
-def point_segment_distance(p, a, b):
-    """Distance from point ``p`` to segment ``a``-``b``."""
-    p = np.asarray(p, float)
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
+def _segment_distance(p, a, b):
+    """Distance from points ``p`` to segments ``a``-``b`` (broadcast (..., 2)
+    arrays).  ``np.vecdot`` is a BLAS dot, fused multiply-add where the host
+    has it, so values may differ from :meth:`Polyline.distance` in the last bit."""
     d = b - a
-    len2 = float(d @ d)
-    if len2 == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = np.clip(float((p - a) @ d) / len2, 0.0, 1.0)
-    return float(np.linalg.norm(p - (a + t * d)))
+    t = np.clip(np.vecdot(p - a, d) / np.vecdot(d, d), 0.0, 1.0)
+    diff = p - (a + t[..., None] * d)
+    return np.sqrt(np.vecdot(diff, diff))
 
 
-def segments_intersect(p0, p1, q0, q1):
-    """Whether closed segments p0-p1 and q0-q1 intersect."""
-    def orient(a, b, c):
-        val = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if val > 0:
-            return 1
-        if val < 0:
-            return -1
-        return 0
-
-    def on_seg(a, b, c):
-        return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
-
-    o1, o2 = orient(p0, p1, q0), orient(p0, p1, q1)
-    o3, o4 = orient(q0, q1, p0), orient(q0, q1, p1)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_seg(p0, p1, q0):
-        return True
-    if o2 == 0 and on_seg(p0, p1, q1):
-        return True
-    if o3 == 0 and on_seg(q0, q1, p0):
-        return True
-    if o4 == 0 and on_seg(q0, q1, p1):
-        return True
-    return False
+def _cross(a, b, c):
+    """Orientation ``(b - a) x (c - a)``: positive when ``c`` lies left of
+    the directed line ``a`` -> ``b``."""
+    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
 
 
-def segment_segment_distance(p0, p1, q0, q1):
-    """Distance between two closed segments."""
-    if segments_intersect(p0, p1, q0, q1):
-        return 0.0
-    return min(point_segment_distance(p0, q0, q1),
-               point_segment_distance(p1, q0, q1),
-               point_segment_distance(q0, p0, p1),
-               point_segment_distance(q1, p0, p1))
+def _in_box(a, b, c):
+    """Whether ``c`` lies in the bounding box of the segment ``a``-``b``."""
+    return ((np.minimum(a, b) <= c) & (c <= np.maximum(a, b))).all(axis=-1)
 
 
-def point_in_triangle(p, tri):
-    """Whether point ``p`` lies in the closed triangle (3x2 array)."""
-    a, b, c = np.asarray(tri, float)
-    d1 = (p[0] - b[0]) * (a[1] - b[1]) - (a[0] - b[0]) * (p[1] - b[1])
-    d2 = (p[0] - c[0]) * (b[1] - c[1]) - (b[0] - c[0]) * (p[1] - c[1])
-    d3 = (p[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (p[1] - a[1])
-    has_neg = (d1 < 0) or (d2 < 0) or (d3 < 0)
-    has_pos = (d1 > 0) or (d2 > 0) or (d3 > 0)
-    return not (has_neg and has_pos)
+# (polygon, target point, edge) triples per array pass: bounds the
+# temporaries at a few MB whatever the number of cubes or target points
+_BLOCK = 1 << 18
 
 
-def set_polygon_distance(s_spec, polygon):
-    """Distance from a Points/Polyline target to a convex polygon (m x 2).
+def set_polygon_distance(s_spec, polygons):
+    """Distances from a Points/Polyline target to a stack of convex polygons.
 
-    Zero when the target touches or enters the polygon.
+    Parameters
+    ----------
+    s_spec : Points | Polyline | (2,) coordinate pair
+    polygons : array_like, shape (m, k, 2)
+        Convex polygons with distinct consecutive vertices.
+
+    Returns
+    -------
+    ndarray, shape (m,)
+        Zero where the target touches or enters the polygon.
     """
     target = as_submanifold(s_spec)
-    poly = np.asarray(polygon, float).reshape(-1, 2)
-    edges = [(poly[k], poly[(k + 1) % len(poly)]) for k in range(len(poly))]
-
-    def poly_contains(p):
-        sign = 0
-        for a, b in edges:
-            cr = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            if cr > 0:
-                if sign < 0:
-                    return False
-                sign = 1
-            elif cr < 0:
-                if sign > 0:
-                    return False
-                sign = -1
-        return True
-
-    if isinstance(target, Points):
-        best = np.inf
-        for p in target.points:
-            if poly_contains(p):
-                return 0.0
-            best = min(best, min(point_segment_distance(p, a, b) for a, b in edges))
-        return best
-
-    best = np.inf
-    for s0, s1 in target.segments:
-        if poly_contains(s0) or poly_contains(s1):
-            return 0.0
-        for a, b in edges:
-            d = segment_segment_distance(s0, s1, a, b)
-            if d == 0.0:
-                return 0.0
-            best = min(best, d)
-    return best
+    poly = np.asarray(polygons, dtype=float)
+    verts = target.points if isinstance(target, Points) else target.vertices
+    step = max(1, _BLOCK // (len(verts) * poly.shape[1]))
+    if len(poly) > step:
+        return np.concatenate([set_polygon_distance(target, poly[i:i + step])
+                               for i in range(0, len(poly), step)])
+    a = poly[:, None]                          # (m, 1, k, 2): edge k is a -> b
+    b = np.roll(poly, -1, axis=1)[:, None]
+    p = verts[:, None]                         # (n, 1, 2)
+    side = _cross(a, b, p)                     # (m, n, k)
+    inside = ~((side > 0).any(axis=-1) & (side < 0).any(axis=-1))
+    touch = inside.any(axis=1)
+    dist = _segment_distance(p, a, b).min(axis=(1, 2))
+    if isinstance(target, Polyline):
+        s0, s1 = p[:-1], p[1:]                 # segment j is s0 -> s1
+        o1 = np.sign(_cross(s0, s1, a))        # (m, s, k): edge ends vs segments
+        o2 = np.roll(o1, -1, axis=-1)
+        o3 = np.sign(side[:, :-1])             # segment ends vs edges
+        o4 = np.sign(side[:, 1:])
+        meets = (((o1 != o2) & (o3 != o4))
+                 | ((o1 == 0) & _in_box(s0, s1, a))
+                 | ((o2 == 0) & _in_box(s0, s1, b))
+                 | ((o3 == 0) & _in_box(a, b, s0))
+                 | ((o4 == 0) & _in_box(a, b, s1)))
+        touch |= meets.any(axis=(1, 2))
+        dist = np.minimum(dist, _segment_distance(a, s0, s1).min(axis=(1, 2)))
+    return np.where(touch, 0.0, dist)

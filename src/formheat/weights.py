@@ -33,6 +33,8 @@ from .geometry.distance import (Points, Polyline, as_submanifold,
                                 set_polygon_distance)
 
 _EPS = 1e-14
+# CCW cube corners (m + offset) * 2^-l: dyadic rationals, computed exactly
+_CORNERS = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
 
 
 class WeightSpec:
@@ -476,10 +478,7 @@ class DyadicCube:
         return self.edge ** 2
 
     def polygon(self):
-        cx, cy = self.center
-        h = 0.5 * self.edge
-        return np.array([[cx - h, cy - h], [cx + h, cy - h],
-                         [cx + h, cy + h], [cx - h, cy + h]])
+        return (np.array([self.mx, self.my]) + _CORNERS) * self.edge
 
 
 def _cell_polygon(cell):
@@ -543,6 +542,18 @@ class ScanResult:
         return None
 
 
+def _scan_window(l_max, window):
+    """The scan window as floats; ``ValueError`` unless ``l_max`` is in
+    0..8 and the window is finite and non-empty."""
+    if not 0 <= l_max <= 8:
+        raise ValueError("scan level must be in 0..8")
+    xmin, ymin, xmax, ymax = box = tuple(map(float, window))
+    if not (np.isfinite(box).all() and xmin <= xmax and ymin <= ymax):
+        raise ValueError("scan window must be finite and non-empty "
+                         "(xmin <= xmax, ymin <= ymax)")
+    return box
+
+
 def muckenhoupt_lower_bound_scan(w, l_max, window):
     """Scan dyadic cubes for the normalized weighted volume lower bound.
 
@@ -556,9 +567,10 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
     ----------
     w : WeightSpec
     l_max : int
-        Finest level, at most 8.
+        Finest level, in 0..8.
     window : (xmin, ymin, xmax, ymax)
-        Region to scan; should cover a neighbourhood of the set.
+        Finite, non-empty region to scan; should cover a neighbourhood
+        of the set.
 
     Returns
     -------
@@ -566,9 +578,7 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
         Observed infimum, its cube, per-level minima (including the
         on-set cubes), and per-cube rows for export.
     """
-    if l_max > 8:
-        raise ValueError("scan level must be at most 8")
-    xmin, ymin, xmax, ymax = map(float, window)
+    xmin, ymin, xmax, ymax = _scan_window(l_max, window)
     sx0, sy0, sx1, sy1 = w.bounding_box()
     covers = (xmin <= sx0 and ymin <= sy0 and xmax >= sx1 and ymax >= sy1)
 
@@ -581,31 +591,29 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
 
     for level in range(l_max + 1):
         edge = 2.0 ** (-level)
-        mx_lo = int(np.ceil(xmin / edge - 0.5))
-        mx_hi = int(np.floor(xmax / edge + 0.5))
-        my_lo = int(np.ceil(ymin / edge - 0.5))
-        my_hi = int(np.floor(ymax / edge + 0.5))
+        lo = np.ceil(np.array([xmin, ymin]) / edge - 0.5).astype(int)
+        hi = np.floor(np.array([xmax, ymax]) / edge + 0.5).astype(int)
+        mx, my = np.mgrid[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1].reshape(2, -1)
+        polygons = (np.stack([mx, my], axis=-1)[:, None] + _CORNERS) * edge
+        dist = set_polygon_distance(w.s, polygons)
+        far = dist >= edge
+        # Python's float pow: numpy's vectorized power may round differently
+        bounds = [(2.0 ** level * r) ** w.gamma for r in dist[far].tolist()]
+        deferred.extend(zip([level] * len(bounds), mx[far].tolist(),
+                            my[far].tolist(), bounds))
         norm_factor = 2.0 ** (level * (d + w.gamma))
-        lvl_min = np.inf
+        lvl_min = min(bounds, default=np.inf)
         lvl_min_on_s = np.inf
-        for mx in range(mx_lo, mx_hi + 1):
-            for my in range(my_lo, my_hi + 1):
-                cube = DyadicCube(level, mx, my)
-                dist = set_polygon_distance(w.s, cube.polygon())
-                if dist >= edge:
-                    bound = (2.0 ** level * dist) ** w.gamma
-                    deferred.append((cube, bound))
-                    lvl_min = min(lvl_min, bound)
-                    continue
-                value = norm_factor * weighted_cell_integral(w, cube)
-                on_s = dist == 0.0
-                rows.append((level, mx, my, value, on_s))
-                lvl_min = min(lvl_min, value)
-                if on_s:
-                    lvl_min_on_s = min(lvl_min_on_s, value)
-                if value < c_min:
-                    c_min = value
-                    argmin = cube
+        for i in np.flatnonzero(~far):
+            value = norm_factor * weighted_cell_integral(w, polygons[i])
+            on_s = bool(dist[i] == 0.0)
+            rows.append((level, int(mx[i]), int(my[i]), value, on_s))
+            lvl_min = min(lvl_min, value)
+            if on_s:
+                lvl_min_on_s = min(lvl_min_on_s, value)
+            if value < c_min:
+                c_min = value
+                argmin = DyadicCube(level, int(mx[i]), int(my[i]))
         level_stats.append({
             "level": level,
             "min": lvl_min,
@@ -613,11 +621,12 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
         })
 
     # a far cube can only matter if its analytic bound undercuts the minimum
-    for cube, bound in deferred:
+    for level, mx, my, bound in deferred:
         if bound < c_min:
-            value = (2.0 ** (cube.level * (d + w.gamma))
+            cube = DyadicCube(level, mx, my)
+            value = (2.0 ** (level * (d + w.gamma))
                      * weighted_cell_integral(w, cube))
-            rows.append((cube.level, cube.mx, cube.my, value, False))
+            rows.append((level, mx, my, value, False))
             if value < c_min:
                 c_min = value
                 argmin = cube

@@ -250,6 +250,24 @@ def test_bulk_coefficient_error_propagates(std_mesh_8):
         build_pencil(std_mesh_8, CoefficientSet(mu_bulk=mu))
 
 
+def test_tau_aware_surface_coefficient(std_mesh_8):
+    # a callable of (points, tau) receives the edge tangent; a TypeError
+    # it raises reaches the caller instead of a retry without tau
+    def mu_sigma(points, tau):
+        assert np.isclose(np.linalg.norm(tau), 1.0)
+        return np.full(len(points), 2.0)
+
+    T = build_pencil(std_mesh_8, CoefficientSet(mu_sigma=mu_sigma)).T
+    T_const = build_pencil(std_mesh_8, CoefficientSet(mu_sigma=2.0)).T
+    assert abs(T - T_const).max() <= 1e-14 * abs(T_const).max()
+
+    def broken(points, tau):
+        return 2.0 * "tau"
+
+    with pytest.raises(TypeError, match="can't multiply sequence"):
+        build_pencil(std_mesh_8, CoefficientSet(mu_sigma=broken))
+
+
 def test_j_ellipticity_positive_and_stable(std_mesh_8):
     coeff = CoefficientSet(
         bulk_weight=WeightSpec(Points((0.5, 0.25)), 1.0))

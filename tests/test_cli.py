@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -227,6 +228,42 @@ time.t_end = 0.1
     diags = validate(cfg)
     assert any(d.startswith("time:") and "integer multiple of dt" in d
                for d in diags)
+
+
+_BASE_KEYS = {
+    "scan": {"pipeline": "scan", "scan.s": "segment -1 0 1 0",
+             "scan.gamma": "0.5", "scan.l_max": "2"},
+    "evolve": {"pipeline": "evolve", "mesh": "square.mesh",
+               "time.dt": "0.01", "time.t_end": "0.05",
+               "coeff.weight.s": "segment 0 0.5 1 0.5"},
+}
+
+
+@pytest.mark.parametrize("pipeline, key, value, section, message", [
+    ("scan", "scan.l_max", "9", "scan", "0..8"),
+    ("scan", "scan.l_max", "-1", "scan", "0..8"),
+    ("scan", "scan.gamma", "-0.5", "scan", "nonnegative"),
+    ("scan", "scan.window", "1 1 -1 -1", "scan", "non-empty"),
+    ("scan", "scan.s", "segment 0 0 0 0", "scan", "zero-length"),
+    ("scan", "scan.s", "", "scan", "expected 'point x y'"),
+    ("evolve", "coeff.weight.gamma", "-1", "coefficients", "nonnegative"),
+    ("evolve", "coeff.mu_gd", "dist_to_point 0 1 -0.5", "coefficients",
+     "nonnegative"),
+    ("evolve", "coeff.mu_gd", "", "coefficients", "malformed coefficient"),
+])
+def test_bad_config_values_are_config_errors(workdir, pipeline, key, value,
+                                             section, message):
+    keys = dict(_BASE_KEYS[pipeline], output=f"{workdir}/bad")
+    keys[key] = value
+    cfg = write_cfg(workdir / "bad.cfg",
+                    "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert run(cfg) == 2
+    record = json.loads((workdir / "bad" / "error.json").read_text())
+    assert record["kind"] == "ConfigError"
+    assert message in record["error"]
+    assert sorted(os.listdir(workdir / "bad")) == ["error.json"]
+    diags = validate(cfg)
+    assert any(d.startswith(f"{section}:") and message in d for d in diags)
 
 
 def test_evolve_manifest_reports_solver(workdir):

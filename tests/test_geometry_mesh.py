@@ -5,6 +5,8 @@ from formheat.errors import MeshFormatError, MeshInvariantError
 from formheat.geometry import (Mesh, Points, Polyline,
                                distance_to_submanifold, load_mesh,
                                refine_uniform, save_mesh)
+from formheat.geometry import distance
+from formheat.geometry.distance import set_polygon_distance
 from formheat.model_problems import standard_fixture_mesh, unit_square_mesh
 
 UNIT_SQUARE_TEXT = """\
@@ -171,6 +173,49 @@ def test_distance_to_submanifold_examples():
     seg = Polyline([(0.0, 0.0), (1.0, 0.0)])
     assert distance_to_submanifold(seg, (0.5, 0.2)) == pytest.approx(0.2)
     assert distance_to_submanifold(seg, (2.0, 1.0)) == pytest.approx(np.sqrt(2.0))
+
+
+def _box(x0, y0, x1, y1):
+    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+
+
+@pytest.mark.parametrize("target, boxes, expected", [
+    # a point inside, off a corner (3-4-5), off an edge
+    (Points((0.0, 0.0)),
+     [_box(-1, -1, 1, 1), _box(3, 4, 4, 5), _box(2, -1, 3, 1)],
+     [0.0, 5.0, 2.0]),
+    # a two-point set: the nearer point counts, one point inside gives 0
+    (Points([(0.0, 0.0), (10.0, 0.0)]),
+     [_box(3, 4, 4, 5), _box(6, 3, 7, 4), _box(9, -1, 11, 1)],
+     [5.0, np.sqrt(18.0), 0.0]),
+    # a segment crossing a box with both endpoints outside, parallel to an
+    # edge at offset 1, and beyond its end
+    (Polyline([(-1.0, 0.5), (2.0, 0.5)]),
+     [_box(0, 0, 1, 1), _box(0, 1.5, 1, 2.5), _box(3, 0, 4, 1)],
+     [0.0, 1.0, 1.0]),
+    # an oblique segment touching a corner, and nearest a box corner
+    (Polyline([(0.0, 0.0), (2.0, 2.0)]),
+     [_box(1, 0, 2, 1), _box(2, 0, 3, 1)],
+     [0.0, np.sqrt(0.5)]),
+    # a polyline whose middle vertex is nearest an edge
+    (Polyline([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]),
+     [_box(0.8, 1.5, 1.2, 2.0)],
+     [0.5]),
+], ids=["point", "two-points", "segment", "oblique", "polyline"])
+def test_set_polygon_distance_examples(target, boxes, expected):
+    dist = set_polygon_distance(target, np.array(boxes, dtype=float))
+    assert dist.shape == (len(boxes),)
+    np.testing.assert_array_equal(dist, expected)
+
+
+def test_set_polygon_distance_in_blocks(monkeypatch):
+    # a stack split into blocks gives the values of one pass
+    rng = np.random.default_rng(3)
+    boxes = rng.uniform(-2, 2, (50, 1, 2)) + np.array(_box(0, 0, 0.3, 0.3))
+    target = Polyline([(-1.0, -0.5), (0.2, 0.4), (1.5, -1.0)])
+    whole = set_polygon_distance(target, boxes)
+    monkeypatch.setattr(distance, "_BLOCK", 40)     # 3 boxes per block
+    np.testing.assert_array_equal(set_polygon_distance(target, boxes), whole)
 
 
 def test_boundary_outward_normals():
