@@ -15,7 +15,9 @@ prefixes and ``#`` comments, for example::
     time.t_end = 0.1
 
 Subcommands: ``formheat run <config>``, ``formheat validate <config>``,
-``formheat version``.  All data outputs are UTF-8 CSV with
+``formheat version``.  ``run`` and ``validate`` share one preparation
+step that builds every input of the pipeline; ``validate`` stops there
+and exits 2 if it reports anything.  All data outputs are UTF-8 CSV with
 header rows; on failure a machine-readable ``error.json`` record is
 written next to the outputs and the exit code is nonzero (2 for
 configuration and input-file problems, 1 for pipeline failures).
@@ -37,13 +39,11 @@ from .assembly import (BlockField, CoefficientSet, build_pencil,
 from .errors import ConfigError, DegenerateGeometryError, FormheatError
 from .evolution import TimeSteppingConfig, evolve
 from .geometry import Points, Polyline, load_mesh, refine_uniform
-from .model_problems import nodal_full_vector
-from .spectral import (embedding_exponents, fractional_embedding_probe,
-                       generalized_eigs, probe_trend)
+from .spectral import (_check_probe_arguments, embedding_exponents,
+                       fractional_embedding_probe, generalized_eigs,
+                       probe_trend)
 from .weights import (WeightSpec, _scan_window, classify_case,
                       muckenhoupt_lower_bound_scan)
-
-_PIPELINES = ("evolve", "eigs", "exponents", "probe", "scan")
 
 _KNOWN_KEYS = {
     "pipeline", "output", "seed", "mesh",
@@ -89,15 +89,23 @@ def parse_config(path):
 
 
 class RunConfig:
-    """Parsed and type-checked run configuration."""
+    """Parsed and type-checked run configuration.
+
+    Each pipeline's inputs come from the section builders listed in
+    ``_PIPELINES``: methods named after their section that parse and
+    check every key of that section and build the input from it, raising
+    :class:`ConfigError`, ``OSError`` or another :class:`FormheatError`
+    exactly as ``run`` reports it.  No builder assembles or solves.
+    """
 
     def __init__(self, entries, base_dir):
         self.entries = entries
         self.base_dir = Path(base_dir)
         self.pipeline = self._get("pipeline", str, required=True)
         if self.pipeline not in _PIPELINES:
-            raise ConfigError(f"unknown pipeline (expected one of {_PIPELINES})",
-                              key="pipeline", line=self._line("pipeline"))
+            raise ConfigError(
+                f"unknown pipeline (expected one of {tuple(_PIPELINES)})",
+                key="pipeline", line=self._line("pipeline"))
         self.output = Path(self._get("output", str, default="out"))
         self.seed = self._get("seed", int, default=0)
         mesh = self._get("mesh", str, default=None)
@@ -191,13 +199,27 @@ class RunConfig:
         gamma = self._get("coeff.weight.gamma", float, default=0.0)
         return self._weight(target, gamma, "coeff.weight.gamma")
 
+    # -- section builders ---------------------------------------------------
+
+    def mesh(self):
+        """The mesh file named by ``mesh``, relative to the config."""
+        if self.mesh_path is None:
+            raise ConfigError("missing required key", key="mesh")
+        if not self.mesh_path.exists():
+            raise FileNotFoundError(f"mesh: file not found ({self.mesh_path})")
+        return load_mesh(self.mesh_path)
+
     def coefficients(self):
         def matrix(raw, key):
-            vals = raw.split()
+            try:
+                vals = [float(v) for v in raw.split()]
+            except ValueError:
+                raise ConfigError(f"malformed coefficient '{raw}'", key=key,
+                                  line=self._line(key)) from None
             if len(vals) == 1:
-                return float(vals[0])
+                return vals[0]
             if len(vals) == 4:
-                return np.array([float(v) for v in vals]).reshape(2, 2)
+                return np.array(vals).reshape(2, 2)
             raise ConfigError("expected a scalar or 4 matrix entries",
                               key=key, line=self._line(key))
 
@@ -206,27 +228,37 @@ class RunConfig:
                    if k.startswith("coeff.mu_omega.region.")}
         if regions:
             mu_bulk = {"default": matrix(mu_omega_raw, "coeff.mu_omega")}
-            for key, (value, _) in regions.items():
-                rid = int(key.rsplit(".", 1)[1])
+            for key, (value, line) in regions.items():
+                try:
+                    rid = int(key.rsplit(".", 1)[1])
+                except ValueError:
+                    raise ConfigError("region id must be an integer",
+                                      key=key, line=line) from None
                 mu_bulk[rid] = matrix(value, key)
         else:
             mu_bulk = matrix(mu_omega_raw, "coeff.mu_omega")
 
         mu_gd, mu_gd_star = self._surface_coefficient("coeff.mu_gd")
         mu_sigma, mu_sigma_star = self._surface_coefficient("coeff.mu_sigma")
+        bulk_weight = self.bulk_weight()
+        zeta = {}
+        for block in ("bulk", "gd", "sigma"):
+            key = f"coeff.zeta.{block}"
+            zeta[block] = self._get(key, float, default=1.0)
+            if not zeta[block] > 0:
+                raise ConfigError("relaxation coefficient must be positive",
+                                  key=key, line=self._line(key))
         return CoefficientSet(
             mu_bulk=mu_bulk, mu_gd=mu_gd, mu_sigma=mu_sigma,
-            bulk_weight=self.bulk_weight(),
+            bulk_weight=bulk_weight,
             mu_gd_star=mu_gd_star, mu_sigma_star=mu_sigma_star,
-            zeta_bulk=self._get("coeff.zeta.bulk", float, default=1.0),
-            zeta_gd=self._get("coeff.zeta.gd", float, default=1.0),
-            zeta_sigma=self._get("coeff.zeta.sigma", float, default=1.0),
+            zeta_bulk=zeta["bulk"], zeta_gd=zeta["gd"],
+            zeta_sigma=zeta["sigma"],
             c1=self._get("coeff.c1", float, default=1.0),
             c2=self._get("coeff.c2", float, default=1.0))
 
-    def time_config(self):
-        """The time-stepping parameters, checked as ``run`` needs them
-        (step count included); any violation is a :class:`ConfigError`."""
+    def time(self):
+        """The time-stepping parameters, step count included."""
         kwargs = dict(
             dt=self._get("time.dt", float, required=True),
             t_end=self._get("time.t_end", float, required=True),
@@ -241,9 +273,84 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         return tcfg
 
-    def scan_config(self):
-        """The scan's ``(WeightSpec, l_max, window)``, checked as ``run``
-        needs them; any violation is a :class:`ConfigError`."""
+    def mass(self):
+        """Whether the block mass is lumped."""
+        return self._get("mass.lumped", bool, default=False)
+
+    def init(self):
+        """The initial data as a function of the pencil's dof map.  Each
+        ``init.*`` block is a constant or ``random``: uniform on [0, 1),
+        drawn from ``seed`` in block order."""
+        specs = []
+        for key in ("init.bulk", "init.gd", "init.sigma"):
+            raw = self._get(key, str, default="0.0")
+            try:
+                specs.append(None if raw == "random" else float(raw))
+            except ValueError:
+                raise ConfigError("expected a number or 'random'",
+                                  key=key, line=self._line(key)) from None
+        seed = self.seed
+
+        def initial_data(dofmap):
+            rng = np.random.default_rng(seed)
+            verts = (dofmap.free_vertices, dofmap.gd_vertices,
+                     dofmap.sigma_vertices)
+            return BlockField(*(
+                rng.uniform(0.0, 1.0, size=len(v)) if spec is None
+                else np.full(len(v), spec) for spec, v in zip(specs, verts)))
+        return initial_data
+
+    def eigs(self):
+        """The number of eigenpairs."""
+        count = self._get("eigs.count", int, default=6)
+        if count < 1:
+            raise ConfigError("expected a positive count", key="eigs.count",
+                              line=self._line("eigs.count"))
+        return count
+
+    def exponents(self):
+        """The exponent-catalogue report.  ``exponents.case = auto`` (the
+        default) classifies the bulk weight on the mesh unless gamma = 0."""
+        d = self._get("exponents.d", int, default=2)
+        gamma = self._get("exponents.gamma", float, default=0.0)
+        case = self._get("exponents.case", str, default="auto")
+        if case not in ("nondegenerate", "A", "B", "auto"):
+            raise ConfigError("expected nondegenerate, A, B or auto",
+                              key="exponents.case",
+                              line=self._line("exponents.case"))
+        if case == "auto":
+            if gamma == 0.0:
+                case = "nondegenerate"
+            else:
+                mesh = self.mesh()
+                weight = self.bulk_weight()
+                if weight is None:
+                    raise ConfigError("exponents.case = auto needs "
+                                      "coeff.weight.*", key="exponents.case")
+                case = classify_case(weight, mesh).case
+        try:
+            return embedding_exponents(
+                d, gamma, case=case,
+                surface_uniformly_positive=self._get(
+                    "exponents.surface_uniform", bool, default=False),
+                surface_positive_near_s=self._get(
+                    "exponents.surface_near_s", bool, default=False))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def probe(self):
+        """``(levels, theta, p, seed)`` of the embedding probe."""
+        levels = self._get("probe.levels", int, default=3)
+        theta = self._get("probe.theta", float, default=0.5)
+        p = self._get("probe.p", int, default=2)
+        try:
+            _check_probe_arguments(levels, p)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        return levels, theta, p, self.seed
+
+    def scan(self):
+        """The scan's ``(WeightSpec, l_max, window)``."""
         target = self._submanifold("scan.s", required=True)
         weight = self._weight(
             target, self._get("scan.gamma", float, default=0.0), "scan.gamma")
@@ -258,23 +365,27 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         return weight, l_max, window
 
-    def initial_data(self, pencil):
-        rng = np.random.default_rng(self.seed)
 
-        def component(key, verts):
-            raw = self._get(key, str, default="0.0")
-            if raw == "random":
-                return rng.uniform(0.0, 1.0, size=len(verts))
-            try:
-                return np.full(len(verts), float(raw))
-            except ValueError:
-                raise ConfigError(f"expected a number or 'random'",
-                                  key=key, line=self._line(key)) from None
+def prepare(cfg, diagnostics=None):
+    """Build every input of the configured pipeline, in order.
 
-        dofmap = pencil.dofmap
-        return BlockField(component("init.bulk", dofmap.free_vertices),
-                          component("init.gd", dofmap.gd_vertices),
-                          component("init.sigma", dofmap.sigma_vertices))
+    Returns ``{section: input}``.  Without ``diagnostics`` the first
+    failing builder raises; with a list, each failure is appended to it
+    as ``"<section>: <message>"``, that section is left out, and the
+    remaining builders still run.
+    """
+    inputs = {}
+    for section in _PIPELINES[cfg.pipeline][0]:
+        try:
+            inputs[section] = getattr(cfg, section)()
+        except (OSError, FormheatError) as exc:
+            if diagnostics is None:
+                raise
+            text = str(exc)
+            if not text.startswith(f"{section}:"):
+                text = f"{section}: {text}"
+            diagnostics.append(text)
+    return inputs
 
 
 # -- artifact writers ---------------------------------------------------------
@@ -326,22 +437,15 @@ class _Manifest:
 
 
 # -- pipelines ------------------------------------------------------------------
+#
+# Each pipeline computes from the inputs ``prepare`` built; none reads the
+# config.
 
-def _load_mesh_checked(cfg):
-    if cfg.mesh_path is None:
-        raise ConfigError("missing required key", key="mesh")
-    if not cfg.mesh_path.exists():
-        raise FileNotFoundError(f"mesh: file not found ({cfg.mesh_path})")
-    return load_mesh(cfg.mesh_path)
-
-
-def _pipeline_evolve(cfg, outdir, manifest):
-    tcfg = cfg.time_config()
-    mesh = _load_mesh_checked(cfg)
-    coeff = cfg.coefficients()
-    lumped = cfg._get("mass.lumped", bool, default=False)
-    pencil = build_pencil(mesh, coeff, lumped=lumped)
-    report = evolve(pencil, cfg.initial_data(pencil), None, tcfg)
+def _pipeline_evolve(inputs, outdir, manifest):
+    mesh, coeff = inputs["mesh"], inputs["coefficients"]
+    pencil = build_pencil(mesh, coeff, lumped=inputs["mass"])
+    report = evolve(pencil, inputs["init"](pencil.dofmap), None,
+                    inputs["time"])
     monitors = outdir / "monitors.csv"
     report.to_csv(monitors)
     manifest.add_output(monitors)
@@ -359,11 +463,9 @@ def _pipeline_evolve(cfg, outdir, manifest):
         manifest.add(f"observed.{key}", value)
 
 
-def _pipeline_eigs(cfg, outdir, manifest):
-    mesh = _load_mesh_checked(cfg)
-    coeff = cfg.coefficients()
-    pencil = build_pencil(mesh, coeff)
-    count = cfg._get("eigs.count", int, default=6)
+def _pipeline_eigs(inputs, outdir, manifest):
+    mesh, count = inputs["mesh"], inputs["eigs"]
+    pencil = build_pencil(mesh, inputs["coefficients"])
     vals, vecs = generalized_eigs(pencil, count)
     mt = pencil.mtilde()
     rows = []
@@ -379,46 +481,23 @@ def _pipeline_eigs(cfg, outdir, manifest):
         manifest.add(f"mesh.{key}", value)
 
 
-def _pipeline_exponents(cfg, outdir, manifest):
-    d = cfg._get("exponents.d", int, default=2)
-    gamma = cfg._get("exponents.gamma", float, default=0.0)
-    case = cfg._get("exponents.case", str, default=None)
-    if case is None or case == "auto":
-        if gamma == 0.0:
-            case = "nondegenerate"
-        else:
-            mesh = _load_mesh_checked(cfg)
-            weight = cfg.bulk_weight()
-            if weight is None:
-                raise ConfigError("exponents.case = auto needs coeff.weight.*",
-                                  key="exponents.case")
-            case = classify_case(weight, mesh).case
-    report = embedding_exponents(
-        d, gamma, case=case,
-        surface_uniformly_positive=cfg._get("exponents.surface_uniform", bool,
-                                            default=False),
-        surface_positive_near_s=cfg._get("exponents.surface_near_s", bool,
-                                         default=False))
+def _pipeline_exponents(inputs, outdir, manifest):
+    row = inputs["exponents"].csv_row()
     path = outdir / "exponents.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("d,gamma,case,r_omega,r_tr,r_tr_gamma,r_tr_star,r0\n")
-        fh.write(report.csv_row() + "\n")
+        fh.write(row + "\n")
     manifest.add_output(path)
-    manifest.add("exponents.r0", report.csv_row().rsplit(",", 1)[1])
+    manifest.add("exponents.r0", row.rsplit(",", 1)[1])
 
 
-def _pipeline_probe(cfg, outdir, manifest):
-    mesh = _load_mesh_checked(cfg)
-    coeff = cfg.coefficients()
-    levels = cfg._get("probe.levels", int, default=3)
-    pencils = []
-    current = mesh
-    for _ in range(levels):
-        pencils.append(build_pencil(current, coeff))
-        current = refine_uniform(current)
-    rows = fractional_embedding_probe(
-        pencils, cfg._get("probe.theta", float, default=0.5),
-        cfg._get("probe.p", int, default=2), seed=cfg.seed)
+def _pipeline_probe(inputs, outdir, manifest):
+    levels, theta, p, seed = inputs["probe"]
+    meshes = [inputs["mesh"]]
+    while len(meshes) < levels:
+        meshes.append(refine_uniform(meshes[-1]))
+    pencils = [build_pencil(mesh, inputs["coefficients"]) for mesh in meshes]
+    rows = fractional_embedding_probe(pencils, theta, p, seed=seed)
     path = outdir / "probe.csv"
     _write_csv(path, "level,h,ratio",
                [(r.level, _fmt(r.h), _fmt(r.ratio)) for r in rows])
@@ -426,8 +505,8 @@ def _pipeline_probe(cfg, outdir, manifest):
     manifest.add("probe.trend", probe_trend(rows))
 
 
-def _pipeline_scan(cfg, outdir, manifest):
-    result = muckenhoupt_lower_bound_scan(*cfg.scan_config())
+def _pipeline_scan(inputs, outdir, manifest):
+    result = muckenhoupt_lower_bound_scan(*inputs["scan"])
     path = outdir / "scan.csv"
     _write_csv(path, "level,m_x,m_y,normalized",
                [(lvl, mx, my, _fmt(val)) for lvl, mx, my, val, _ in result.rows])
@@ -445,11 +524,24 @@ def _pipeline_scan(cfg, outdir, manifest):
         manifest.add("scan.warning", result.warning)
 
 
+# pipeline -> (its sections, in the order ``run`` builds them; the
+# function that computes from the built inputs)
+_PIPELINES = {
+    "evolve": (("time", "mesh", "coefficients", "mass", "init"),
+               _pipeline_evolve),
+    "eigs": (("mesh", "coefficients", "eigs"), _pipeline_eigs),
+    "exponents": (("exponents",), _pipeline_exponents),
+    "probe": (("mesh", "coefficients", "probe"), _pipeline_probe),
+    "scan": (("scan",), _pipeline_scan),
+}
+
+
 def run(config_path, output_override=None):
     """Execute the pipeline selected by a config file.
 
-    Returns the process exit code; artifacts and a manifest (or an
-    ``error.json`` record) are written to the output directory.
+    Every input is built and checked before any compute.  Returns the
+    process exit code; artifacts and a manifest (or an ``error.json``
+    record) are written to the output directory.
     """
     t_start = time.perf_counter()
     outdir = Path(output_override) if output_override else None
@@ -459,10 +551,8 @@ def run(config_path, output_override=None):
         outdir = Path(output_override) if output_override else cfg.output
         outdir.mkdir(parents=True, exist_ok=True)
         manifest = _Manifest(cfg)
-        dispatch = {"evolve": _pipeline_evolve, "eigs": _pipeline_eigs,
-                    "exponents": _pipeline_exponents,
-                    "probe": _pipeline_probe, "scan": _pipeline_scan}
-        dispatch[cfg.pipeline](cfg, outdir, manifest)
+        inputs = prepare(cfg)
+        _PIPELINES[cfg.pipeline][1](inputs, outdir, manifest)
         manifest.write(outdir, time.perf_counter() - t_start)
         return 0
     except (OSError, ConfigError) as exc:
@@ -487,74 +577,47 @@ def _write_error(outdir, exc):
 
 
 def validate(config_path):
-    """Dry-run a config: returns a list of diagnostics, writes nothing."""
-    diags = []
+    """Dry-run a config: returns a list of diagnostics, writes nothing.
+
+    Builds the inputs ``run`` builds, reporting each failing section,
+    then adds the theory diagnostics ``run`` does not reject.
+    """
     try:
-        entries = parse_config(config_path)
-        cfg = RunConfig(entries, Path(config_path).resolve().parent)
+        cfg = RunConfig(parse_config(config_path),
+                        Path(config_path).resolve().parent)
     except (OSError, ConfigError) as exc:
         return [f"config: {exc}"]
+    diags = []
+    inputs = prepare(cfg, diags)
+    if "coefficients" in inputs:
+        diags += _theory_diagnostics(inputs["coefficients"],
+                                     inputs.get("mesh"))
+    return diags
 
-    mesh = None
-    if cfg.mesh_path is not None:
-        if not cfg.mesh_path.exists():
-            diags.append(f"mesh: file not found ({cfg.mesh_path})")
-        else:
-            try:
-                mesh = load_mesh(cfg.mesh_path)
-            except FormheatError as exc:
-                diags.append(f"mesh: {exc}")
-    elif cfg.pipeline in ("evolve", "eigs", "probe"):
-        diags.append(f"mesh: required for pipeline '{cfg.pipeline}'")
 
+def _theory_diagnostics(coeff, mesh):
+    """Advisory checks against the well-posedness range of the theory: a
+    bulk weight exponent at or above the codimension of its set, a case B
+    weight with gamma >= 1, and the sampled envelope bounds."""
+    diags = []
+    weight = coeff.bulk_weight
+    if weight is not None and weight.outside_theory:
+        diags.append(
+            f"bulk weight exponent gamma = {weight.gamma} is not below "
+            f"the codimension {weight.codimension} of the degeneracy set")
+    if mesh is None:
+        return diags
+    if weight is not None:
+        case = classify_case(weight, mesh)
+        if case.outside_theory:
+            diags.append(
+                f"degenerate bulk weight reaches the dynamic surfaces (case "
+                f"{case.case} (separation {case.separation:.3e})) with "
+                f"gamma = {weight.gamma}: well-posedness requires gamma < 1")
     try:
-        coeff = cfg.coefficients()
-    except ConfigError as exc:
+        diags += validate_envelopes(mesh, coeff)[0]
+    except FormheatError as exc:
         diags.append(f"coefficients: {exc}")
-        coeff = None
-
-    weight = None
-    if coeff is not None:
-        weight = coeff.bulk_weight
-        if weight is not None and weight.outside_theory:
-            diags.append(
-                f"bulk weight exponent gamma = {weight.gamma} is not below "
-                f"the codimension {weight.codimension} of the degeneracy set")
-        if mesh is not None:
-            if weight is not None:
-                case = classify_case(weight, mesh)
-                diags_case = f"case {case.case} (separation {case.separation:.3e})"
-                if case.outside_theory:
-                    diags.append(
-                        f"degenerate bulk weight reaches the dynamic surfaces "
-                        f"({diags_case}) with gamma = {weight.gamma}: "
-                        f"well-posedness requires gamma < 1")
-            try:
-                env_diags, _ = validate_envelopes(mesh, coeff)
-                diags.extend(env_diags)
-            except FormheatError as exc:
-                diags.append(f"coefficients: {exc}")
-
-    if cfg.pipeline == "evolve":
-        try:
-            tcfg = cfg.time_config()
-            for t in tcfg.snapshot_times:
-                if t > tcfg.t_end + 1e-12:
-                    diags.append(f"snapshot time {t} beyond t_end")
-        except ConfigError as exc:
-            diags.append(f"time: {exc}")
-    if cfg.pipeline == "scan":
-        try:
-            cfg.scan_config()
-        except ConfigError as exc:
-            diags.append(f"scan: {exc}")
-    if cfg.pipeline == "exponents":
-        gamma = cfg._get("exponents.gamma", float, default=0.0)
-        case = cfg._get("exponents.case", str, default="nondegenerate")
-        if case == "B" and gamma >= 1.0:
-            diags.append(
-                f"exponents: case B with gamma = {gamma} is outside the "
-                f"supported range (needs gamma < 1)")
     return diags
 
 
@@ -578,11 +641,9 @@ def main(argv=None):
         return 0
     if args.command == "validate":
         diags = validate(args.config)
-        if not diags:
-            print("ok")
-        for d in diags:
+        for d in diags or ["ok"]:
             print(d)
-        return 0
+        return 2 if diags else 0
     return run(args.config, args.output)
 
 

@@ -34,8 +34,10 @@ class TimeSteppingConfig:
     two triangular solves with the sparse LU factorization of the step
     matrix, computed once and reused.  ``solver`` accepts ``auto``,
     ``cg`` and ``direct`` so that older configurations parse; every
-    value selects that prefactored direct solve.  ``solver_tol`` bounds
-    the per-step normwise backward error by ``10 * solver_tol``.
+    value selects that prefactored direct solve.  ``solver_tol`` (positive)
+    bounds the per-step normwise backward error by ``10 * solver_tol``.
+    Each of the ``snapshot_times``, which lie in [0, t_end], records the
+    state at the nearest time level (the earlier one on a tie).
     """
 
     dt: float
@@ -44,10 +46,6 @@ class TimeSteppingConfig:
     solver: str = "auto"
     solver_tol: float = 1e-12
     snapshot_times: tuple = ()
-    monitor_mass: bool = True
-    monitor_energy: bool = True
-    monitor_supnorm: bool = True
-    monitor_positivity: bool = True
 
     def __post_init__(self):
         if not 0.5 <= self.theta <= 1.0:
@@ -56,6 +54,11 @@ class TimeSteppingConfig:
             raise ValueError("dt and t_end must be positive")
         if self.solver not in ("auto", "cg", "direct"):
             raise ValueError("solver must be auto, cg, or direct")
+        if not self.solver_tol > 0:
+            raise ValueError("solver_tol must be positive")
+        if not all(-1e-12 <= t <= self.t_end + 1e-12
+                   for t in self.snapshot_times):
+            raise ValueError("snapshot times must lie in [0, t_end]")
 
     @property
     def n_steps(self):
@@ -176,27 +179,22 @@ def evolve(pencil, u0_raw, forcing, cfg):
     minval = np.zeros(n_steps + 1)
     iters = np.zeros(n_steps + 1, dtype=int)
 
-    def record(k, t, vec):
-        # disabled monitors stay NaN so the CSV schema is unchanged
-        times[k] = t
-        block = np.asarray(pencil.J @ vec).ravel()
-        mass[k] = np.nan
-        energy[k] = np.nan
-        supnorm[k] = np.nan
-        minval[k] = np.nan
-        if cfg.monitor_mass:
-            mass[k] = float(np.sum(pencil.M_blk @ block))
-        if cfg.monitor_energy:
-            energy[k] = float(block @ (pencil.M_blk @ block))
-        if cfg.monitor_supnorm:
-            supnorm[k] = float(np.abs(block).max()) if block.size else 0.0
-        if cfg.monitor_positivity:
-            minval[k] = float(block.min()) if block.size else 0.0
-
-    record(0, 0.0, u)
     snapshots = []
     snap_left = sorted(float(t) for t in cfg.snapshot_times)
 
+    def record(k, t, vec):
+        times[k] = t
+        block = np.asarray(pencil.J @ vec).ravel()
+        m_block = pencil.M_blk @ block
+        mass[k] = float(np.sum(m_block))
+        energy[k] = float(block @ m_block)
+        supnorm[k] = float(np.abs(block).max()) if block.size else 0.0
+        minval[k] = float(block.min()) if block.size else 0.0
+        while snap_left and snap_left[0] <= t + 0.5 * cfg.dt:
+            snapshots.append((snap_left.pop(0),
+                              BlockField.split(pencil.dofmap, block)))
+
+    record(0, 0.0, u)
     for n in range(n_steps):
         t_mid = (n + cfg.theta) * cfg.dt
         try:
@@ -207,9 +205,6 @@ def evolve(pencil, u0_raw, forcing, cfg):
         t_next = (n + 1) * cfg.dt
         record(n + 1, t_next, u)
         iters[n + 1] = it
-        while snap_left and snap_left[0] <= t_next + 0.5 * cfg.dt:
-            snapshots.append((snap_left.pop(0),
-                              BlockField.split(pencil.dofmap, pencil.J @ u)))
 
     final = BlockField.split(pencil.dofmap, pencil.J @ u)
     solver = {"method": stepper.method, "factor_nnz": stepper.lu.nnz,

@@ -215,7 +215,8 @@ def generalized_eigs(pencil, count, *, tol=1e-8, dense_limit=250):
                               "use numerical_range_check instead")
     n = pencil.n_free
     if count > n:
-        raise ValueError("requested more eigenpairs than dofs")
+        raise EigenSolveError(f"requested {count} eigenpairs of a pencil "
+                              f"with {n} dofs")
     mt = pencil.mtilde()
     if n <= dense_limit or count >= n - 1:
         sym_t = 0.5 * (pencil.T + pencil.T.T)
@@ -325,6 +326,15 @@ class ProbeRow:
     ratio: float
 
 
+def _check_probe_arguments(levels, p_proxy):
+    """``ValueError`` unless the probe has 3 or more levels and a
+    ``p_proxy`` of 2, 4 or 8."""
+    if p_proxy not in (2, 4, 8):
+        raise ValueError("p_proxy must be one of 2, 4, 8")
+    if levels < 3:
+        raise ValueError("probe needs at least 3 refinement levels")
+
+
 def fractional_embedding_probe(pencils, theta, p_proxy, *, n_samples=64,
                                seed=0, dense_limit=2000):
     """Worst sup-norm-to-smoothed-norm ratios across refinement levels.
@@ -336,10 +346,7 @@ def fractional_embedding_probe(pencils, theta, p_proxy, *, n_samples=64,
     an embedding; growing ones witness its failure.  The trend is
     qualitative, never a certified constant.
     """
-    if p_proxy not in (2, 4, 8):
-        raise ValueError("p_proxy must be one of 2, 4, 8")
-    if len(pencils) < 3:
-        raise ValueError("probe needs at least 3 refinement levels")
+    _check_probe_arguments(len(pencils), p_proxy)
     rows = []
     for level, pencil in enumerate(pencils):
         rng = np.random.default_rng(seed + level)

@@ -1,11 +1,13 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from formheat import __version__, save_mesh
-from formheat.cli import main, parse_config, run, validate
+from formheat.cli import _KNOWN_KEYS, main, parse_config, run, validate
 from formheat.errors import ConfigError
 from formheat.model_problems import unit_square_mesh
 
@@ -212,6 +214,20 @@ time.t_end = 0.1
     assert capsys.readouterr().out.strip() == "ok"
 
 
+def test_main_validate_exits_2_on_diagnostics(workdir, capsys):
+    cfg = write_cfg(workdir / "v.cfg", f"""
+pipeline = evolve
+mesh = square.mesh
+time.dt = 0.01
+time.t_end = 0.1
+eigs.count = 3
+init.bulk = foo
+""")
+    assert main(["validate", cfg]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("init:")
+
+
 def test_nonmultiple_dt_is_a_config_error(workdir, capsys):
     cfg = write_cfg(workdir / "dt.cfg", f"""
 pipeline = evolve
@@ -284,3 +300,87 @@ init.bulk = random
     assert 0.0 <= float(rows["solver.backward_error_max"]) <= 1e-11
     monitors = (workdir / "solver" / "monitors.csv").read_text().splitlines()
     assert all(line.endswith(",0") for line in monitors[1:])
+
+
+_AGREE_BASE = {
+    "evolve": {"pipeline": "evolve", "mesh": "square.mesh",
+               "time.dt": "0.01", "time.t_end": "0.05"},
+    "eigs": {"pipeline": "eigs", "mesh": "mixed.mesh", "eigs.count": "3"},
+    "probe": {"pipeline": "probe", "mesh": "square.mesh"},
+    "exponents": {"pipeline": "exponents", "exponents.d": "3",
+                  "exponents.gamma": "0.5", "exponents.case": "A"},
+    "scan": _BASE_KEYS["scan"],
+}
+
+
+# (pipeline, changed keys (None deletes one), run's exit code, the section
+# of validate's diagnostic, a fragment of the message); exit 2 rows are
+# configuration errors both paths report, exit 0 rows inputs both accept,
+# and exit 1 rows failures only the run can see
+_AGREE_ROWS = [
+    ("eigs", {"eigs.count": "0"}, 2, "eigs", "positive count"),
+    ("eigs", {"eigs.count": "-2"}, 2, "eigs", "positive count"),
+    ("eigs", {"eigs.count": "abc"}, 2, "eigs", "malformed value"),
+    ("probe", {"probe.levels": "1"}, 2, "probe", "at least 3"),
+    ("probe", {"probe.p": "3"}, 2, "probe", "one of 2, 4, 8"),
+    ("exponents", {"exponents.d": "1"}, 2, "exponents", "at least 2"),
+    ("exponents", {"exponents.gamma": "-1"}, 2, "exponents", "nonnegative"),
+    ("exponents", {"exponents.case": "Z"}, 2, "exponents",
+     "expected nondegenerate, A, B or auto"),
+    ("exponents", {"exponents.case": None}, 2, "exponents",
+     "key 'mesh': missing required key"),
+    ("evolve", {"mass.lumped": "maybe"}, 2, "mass", "malformed value"),
+    ("evolve", {"init.bulk": "foo"}, 2, "init", "a number or 'random'"),
+    ("evolve", {"solver.tol": "-1"}, 2, "time", "solver_tol must be positive"),
+    ("evolve", {"coeff.mu_omega": "abc"}, 2, "coefficients",
+     "malformed coefficient"),
+    ("evolve", {"coeff.mu_omega.region.1": "1 x 2 3"}, 2, "coefficients",
+     "malformed coefficient"),
+    ("evolve", {"coeff.mu_omega.region.top": "2"}, 2, "coefficients",
+     "region id must be an integer"),
+    ("evolve", {"coeff.zeta.gd": "-1"}, 2, "coefficients", "must be positive"),
+    ("evolve", {"time.snapshots": "0.2"}, 2, "time",
+     "snapshot times must lie in [0, t_end]"),
+    ("scan", {"mesh": "nosuch.mesh"}, 0, None, None),
+    ("scan", {"coeff.mu_omega": "abc"}, 0, None, None),
+    ("eigs", {"eigs.count": "1000"}, 1, None, "1000 eigenpairs"),
+]
+
+
+@pytest.mark.parametrize(
+    "pipeline, changes, code, section, message", _AGREE_ROWS,
+    ids=[f"{row[0]}-" + ",".join(f"{k}={v}" for k, v in row[1].items())
+         for row in _AGREE_ROWS])
+def test_run_and_validate_agree(workdir, pipeline, changes, code, section,
+                                message):
+    keys = dict(_AGREE_BASE[pipeline], output=f"{workdir}/out")
+    keys.update(changes)
+    cfg = write_cfg(workdir / "agree.cfg", "".join(
+        f"{k} = {v}\n" for k, v in keys.items() if v is not None))
+    assert run(cfg) == code
+    out = workdir / "out"
+    diags = validate(cfg)
+    if code == 0:
+        assert (out / "manifest.csv").is_file()
+        assert diags == []
+        return
+    record = json.loads((out / "error.json").read_text())
+    assert message in record["error"]
+    if code == 1:
+        assert record["kind"] == "EigenSolveError"
+        assert diags == []
+        return
+    assert record["kind"] == "ConfigError"
+    assert sorted(os.listdir(out)) == ["error.json"]
+    assert [d for d in diags if d.startswith(f"{section}:")
+            and message in d], diags
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = set(re.findall(r"^([\w.]+) *=", block, flags=re.MULTILINE))
+    regions = {k for k in keys
+               if re.fullmatch(r"coeff\.mu_omega\.region\.\d+", k)}
+    assert len(regions) == 1
+    assert keys - regions == _KNOWN_KEYS

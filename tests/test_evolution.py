@@ -175,18 +175,6 @@ def test_solver_failure_carries_residual(conserving_pencil_8):
         evolve(pencil, raw, None, cfg)
 
 
-def test_monitor_toggles(conserving_pencil_8):
-    pencil = conserving_pencil_8
-    cfg = TimeSteppingConfig(dt=0.05, t_end=0.1, theta=1.0,
-                             monitor_mass=False, monitor_supnorm=False)
-    u0 = BlockField.from_functions(pencil.mesh, pencil.dofmap, 1.0, 1.0, 1.0)
-    report = evolve(pencil, u0, None, cfg)
-    assert np.all(np.isnan(report.mass))
-    assert np.all(np.isnan(report.supnorm))
-    assert np.all(np.isfinite(report.energy))
-    assert np.all(np.isfinite(report.minval))
-
-
 def test_snapshots_collected(conserving_pencil_8):
     pencil = conserving_pencil_8
     cfg = TimeSteppingConfig(dt=0.05, t_end=0.2, theta=1.0,
@@ -194,6 +182,25 @@ def test_snapshots_collected(conserving_pencil_8):
     u0 = BlockField.from_functions(pencil.mesh, pencil.dofmap, 1.0, 1.0, 1.0)
     report = evolve(pencil, u0, None, cfg)
     assert [t for t, _ in report.snapshots] == [0.1, 0.2]
+
+
+def test_snapshot_at_zero_is_the_projected_initial_state(conserving_pencil_8):
+    pencil = conserving_pencil_8
+    raw = _random_block(pencil, 4)
+    cfg = TimeSteppingConfig(dt=0.1, t_end=0.2, snapshot_times=(0.0, 0.2))
+    report = evolve(pencil, raw, None, cfg)
+    (t0, first), (t1, last) = report.snapshots
+    assert (t0, t1) == (0.0, 0.2)
+    start = BlockField.split(pencil.dofmap,
+                             pencil.J @ project_initial_data(raw, pencil))
+    for got, want in ((first, start), (last, report.final)):
+        np.testing.assert_array_equal(got.stacked(), want.stacked())
+
+
+@pytest.mark.parametrize("times", [(0.3,), (-0.1, 0.1), (float("nan"),)])
+def test_snapshot_outside_the_run_is_rejected(times):
+    with pytest.raises(ValueError, match="snapshot times"):
+        TimeSteppingConfig(dt=0.1, t_end=0.2, snapshot_times=times)
 
 
 def _random_block(pencil, seed):

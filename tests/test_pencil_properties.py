@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import jittered_mesh
-from formheat.assembly import CoefficientSet, build_pencil
+from formheat.assembly import BlockField, CoefficientSet, build_pencil
+from formheat.evolution import TimeSteppingConfig, evolve
 from formheat.geometry import refine_uniform
 from formheat.model_problems import unit_square_mesh
 
@@ -49,3 +50,34 @@ def test_pencil_properties_on_perturbed_meshes(n, refine, seed, mu_bulk,
     # |Omega| + |Gamma_d| + |Sigma|
     assert pencil.M_blk.sum() == pytest.approx(3.0, rel=1e-13)
     assert pencil.M_blk_plain.sum() == pytest.approx(3.0, rel=1e-13)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 4]), refine=st.booleans(),
+       seed=st.integers(0, 2 ** 16), mu_bulk=_bulk_coefficients(),
+       zeta=st.tuples(_positive, _positive, _positive),
+       theta=st.sampled_from([0.5, 1.0]))
+def test_evolve_conserves_mass_and_dissipates_energy(n, refine, seed, mu_bulk,
+                                                     zeta, theta):
+    """C02's mass bound and, for theta = 1, C04's energy bound on meshes
+    without a Dirichlet part, from random initial data."""
+    mesh = unit_square_mesh(n, bottom="neumann", top="dynamic",
+                            interface_y=0.5)
+    if refine:
+        mesh = refine_uniform(mesh)
+    mesh = jittered_mesh(mesh, seed)
+    pencil = build_pencil(mesh, CoefficientSet(
+        mu_bulk=mu_bulk, zeta_bulk=zeta[0], zeta_gd=zeta[1],
+        zeta_sigma=zeta[2]))
+    rng = np.random.default_rng(seed)
+    dofmap = pencil.dofmap
+    raw = BlockField(rng.uniform(0, 1, dofmap.n_free),
+                     rng.uniform(0, 1, dofmap.n_gd),
+                     rng.uniform(0, 1, dofmap.n_sigma))
+    tol = 1e-12
+    report = evolve(pencil, raw, None, TimeSteppingConfig(
+        dt=0.01, t_end=0.2, theta=theta, solver_tol=tol))
+    drift = np.abs(report.mass - report.mass[0]).max() / abs(report.mass[0])
+    assert drift <= 1e-10
+    if theta == 1.0:
+        assert np.all(np.diff(np.sqrt(report.energy)) <= 10 * tol)
