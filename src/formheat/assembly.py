@@ -17,8 +17,11 @@ explicitly constrained surface endpoints).
 There is one batched element path: the P1 gradients and areas of all
 triangles come from one array pass, coefficients are evaluated once over
 all quadrature points of a region, and each matrix is one ``einsum``
-over element values summed onto the free dofs by one sparse
-constructor; surface matrices are built the same way from edge arrays.
+over element values summed onto its dofs by one sparse constructor.
+Surface matrices are built the same way from edge arrays and summed
+straight onto the dofs they act on: the surface stiffness onto the free
+bulk dofs of the edge ends, the surface masses onto each surface's block
+of free nodes.  No surface-local numbering survives into the pencil.
 Coefficient callables therefore receive (n, 2) point arrays and must
 return one value per point.  Only the weight integrals over cells stay
 per cell, in :mod:`formheat.weights`.  Assembled operators are
@@ -321,13 +324,12 @@ def _p1_geometry(mesh):
     return grads / (2.0 * area)[:, None, None], area
 
 
-def _scatter(mesh, dofmap, elem):
-    """Sum element matrices (nt, 3, 3) onto the free dofs (CSR)."""
-    free = dofmap.vertex_free[mesh.triangles]
-    rows = np.broadcast_to(free[:, :, None], elem.shape)
-    cols = np.broadcast_to(free[:, None, :], elem.shape)
+def _scatter(dofs, elem, n):
+    """Sum element matrices (cells, k, k) onto the dofs (cells, k) of an
+    n x n CSR matrix; a dof of -1 drops its rows and columns."""
+    rows = np.broadcast_to(dofs[:, :, None], elem.shape)
+    cols = np.broadcast_to(dofs[:, None, :], elem.shape)
     keep = (rows >= 0) & (cols >= 0)
-    n = dofmap.n_free
     return sp.csr_matrix((elem[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
@@ -384,7 +386,7 @@ def _stiffness(mesh, dofmap, grads, cell_mats):
     """Stiffness with element matrices ``grad^T C grad`` for the cell
     coefficient integrals ``C``."""
     elem = np.einsum("nia,nij,njb->nab", grads, cell_mats, grads)
-    return _scatter(mesh, dofmap, elem)
+    return _scatter(dofmap.vertex_free[mesh.triangles], elem, dofmap.n_free)
 
 
 def assemble_bulk_stiffness(mesh, coeff, quad_order=2, *, dofmap=None,
@@ -436,57 +438,22 @@ def _edge_coefficient_integral(smesh, coeff, which, k, envelope, tol=1e-12):
     return value
 
 
-def _edge_matrix(smesh, vals):
-    """Sum per-edge entries onto the surface nodes (CSR).  The columns of
-    ``vals`` are ``(aa, bb)`` or ``(aa, bb, ab, ba)`` for edge nodes
-    ``(a, b)``."""
-    a, b = smesh.edge_nodes.T
-    k = vals.shape[1]
-    rows = np.stack([a, b, a, b][:k], axis=1)
-    cols = np.stack([a, b, b, a][:k], axis=1)
-    n = smesh.num_nodes
-    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(n, n))
-
-
-def assemble_surface_stiffness(smesh, coeff=None, which=None, *,
-                               mu_s=None, mu_s_star=None, envelope=False,
-                               tol=1e-12):
-    """Tangential P1 stiffness on all nodes of a surface mesh.
-
-    Each edge contributes ``(integral of mu_t / L^2) [[1,-1],[-1,1]]``;
-    nodes all of whose incident edges carry a vanishing coefficient get
-    zero rows, so arbitrarily supported (degenerate) surface diffusion
-    assembles naturally.
-
-    Either pass a :class:`CoefficientSet` plus ``which`` (``dynamic`` or
-    ``interface``), or a standalone coefficient ``mu_s`` (scalar, 2x2 or
-    callable) with optional envelope ``mu_s_star``.
-    """
-    if coeff is not None and not isinstance(coeff, CoefficientSet):
-        mu_s, coeff = coeff, None
-    if coeff is None:
-        coeff = CoefficientSet(mu_gd=mu_s if mu_s is not None else 1.0,
-                               mu_sigma=mu_s if mu_s is not None else 1.0,
-                               mu_gd_star=mu_s_star, mu_sigma_star=mu_s_star)
-        which = which or DYNAMIC
+def _surface_stiffness(smesh, coeff, which, dofs, n, *, envelope=False,
+                       tol=1e-12):
+    """Tangential P1 stiffness of the surface edges, scattered onto the
+    edge dofs ``dofs`` (ne, 2) of an n x n matrix."""
     s_e = np.array([_edge_coefficient_integral(smesh, coeff, which, k,
                                                envelope, tol)
                     for k in range(len(smesh.edges))])
     w = s_e / smesh.edge_lengths ** 2
-    return _edge_matrix(smesh, np.stack([w, w, -w, -w], axis=1))
+    elem = w[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return _scatter(dofs, elem, n)
 
 
-def assemble_surface_mass(smesh, coeff=None, which=None, *, lumped=False,
-                          weighted=True, order=2):
-    """Edge P1 mass on all nodes of a surface mesh.
-
-    ``weighted`` applies the relaxation coefficient; lumping row-sums
-    the consistent matrix.
-    """
-    if coeff is None:
-        coeff = CoefficientSet()
-        which = which or DYNAMIC
+def _surface_mass(smesh, coeff, which, dofs, n, *, lumped=False,
+                  weighted=True):
+    """Edge P1 mass, scattered onto the edge dofs ``dofs`` (ne, 2) of an
+    n x n matrix."""
     xg = np.array([0.5 - 0.5 / np.sqrt(3), 0.5 + 0.5 / np.sqrt(3)])
     wg = np.array([0.5, 0.5])
     ends = smesh.mesh.vertices[smesh.edges]
@@ -502,10 +469,50 @@ def assemble_surface_mass(smesh, coeff=None, which=None, *, lumped=False,
     m01 = length * np.sum(wg * z * phi0 * phi1, axis=1)
     m11 = length * np.sum(wg * z * phi1 * phi1, axis=1)
     if lumped:
-        vals = np.stack([m00 + m01, m11 + m01], axis=1)
-    else:
-        vals = np.stack([m00, m11, m01, m01], axis=1)
-    return _edge_matrix(smesh, vals)
+        # one 1x1 element per edge end, so that no off-diagonal is stored
+        diag = np.stack([m00 + m01, m11 + m01], axis=1)
+        return _scatter(dofs.reshape(-1, 1), diag.reshape(-1, 1, 1), n)
+    elem = np.stack([np.stack([m00, m01], axis=1),
+                     np.stack([m01, m11], axis=1)], axis=1)
+    return _scatter(dofs, elem, n)
+
+
+def _surface_block_dofs(dofmap, smesh, which):
+    """Index of each surface edge end within the surface's block of free
+    nodes, (ne, 2); -1 for a constrained node."""
+    verts = dofmap.surface_vertices(which)
+    index = np.full(dofmap.n_vertices, -1, dtype=int)
+    index[verts] = np.arange(len(verts))
+    return index[smesh.edges]
+
+
+def assemble_surface_stiffness(smesh, coeff, which, *, envelope=False,
+                               tol=1e-12):
+    """Tangential P1 stiffness on all nodes of a surface mesh.
+
+    Each edge contributes ``(integral of mu_t / L^2) [[1,-1],[-1,1]]``
+    for the tangential coefficient of ``coeff`` on ``which``
+    (``dynamic`` or ``interface``), or its envelope with ``envelope``;
+    nodes all of whose incident edges carry a vanishing coefficient get
+    zero rows, so arbitrarily supported (degenerate) surface diffusion
+    assembles naturally.
+    """
+    return _surface_stiffness(smesh, coeff, which, smesh.edge_nodes,
+                              smesh.num_nodes, envelope=envelope, tol=tol)
+
+
+def assemble_surface_mass(smesh, coeff=None, which=None, *, lumped=False,
+                          weighted=True):
+    """Edge P1 mass on all nodes of a surface mesh.
+
+    ``weighted`` applies the relaxation coefficient; lumping row-sums
+    the consistent matrix.
+    """
+    if coeff is None:
+        coeff = CoefficientSet()
+        which = which or DYNAMIC
+    return _surface_mass(smesh, coeff, which, smesh.edge_nodes,
+                         smesh.num_nodes, lumped=lumped, weighted=weighted)
 
 
 def assemble_bulk_mass(mesh, coeff=None, *, dofmap=None, lumped=False,
@@ -526,27 +533,7 @@ def assemble_bulk_mass(mesh, coeff=None, *, dofmap=None, lumped=False,
                                            bary)
     if lumped:
         elem = elem.sum(axis=2)[:, :, None] * np.eye(3)
-    return _scatter(mesh, dofmap, elem)
-
-
-def _surface_selection(smesh, dofmap, which):
-    """Selection matrices P (free surface nodes <- all smesh nodes) and
-    R (free surface nodes <- free bulk dofs)."""
-    verts = dofmap.surface_vertices(which)
-    n_all = smesh.num_nodes
-    n_freesurf = len(verts)
-    p_rows, p_cols = [], []
-    r_rows, r_cols = [], []
-    for out, v in enumerate(verts):
-        p_rows.append(out)
-        p_cols.append(smesh.local_index(v))
-        r_rows.append(out)
-        r_cols.append(dofmap.vertex_free[v])
-    ones = np.ones(n_freesurf)
-    p_mat = sp.csr_matrix((ones, (p_rows, p_cols)), shape=(n_freesurf, n_all))
-    r_mat = sp.csr_matrix((ones, (r_rows, r_cols)),
-                          shape=(n_freesurf, dofmap.n_free))
-    return p_mat, r_mat
+    return _scatter(dofmap.vertex_free[mesh.triangles], elem, dofmap.n_free)
 
 
 def assemble_trace_map(dofmap):
@@ -579,13 +566,12 @@ def assemble_block_mass(mesh, smeshes, coeff, lumped=False, *, dofmap=None,
                                  weighted=weighted)]
     for which, smesh in ((DYNAMIC, smesh_gd), (INTERFACE, smesh_sigma)):
         n_surf = len(dofmap.surface_vertices(which))
-        if smesh is None or smesh.num_nodes == 0 or n_surf == 0:
+        if smesh is None or n_surf == 0:
             blocks.append(sp.csr_matrix((n_surf, n_surf)))
             continue
-        m_all = assemble_surface_mass(smesh, coeff, which, lumped=lumped,
-                                      weighted=weighted)
-        p_mat, _ = _surface_selection(smesh, dofmap, which)
-        blocks.append(p_mat @ m_all @ p_mat.T)
+        blocks.append(_surface_mass(
+            smesh, coeff, which, _surface_block_dofs(dofmap, smesh, which),
+            n_surf, lumped=lumped, weighted=weighted))
     return sp.block_diag(blocks, format="csr")
 
 
@@ -645,19 +631,25 @@ class DiscreteOperator:
     Attributes
     ----------
     T : csr_matrix
-        Stiffness on free bulk dofs (bulk + pulled-back surface terms).
+        Stiffness on free bulk dofs: the bulk term plus the surface terms
+        scattered onto the free bulk dofs of their edges.
     M_blk : csr_matrix
         Relaxation-weighted block mass.
+    M_blk_plain : csr_matrix
+        Unweighted block mass, lumped when ``lumped``.
     J : csr_matrix
-        Trace map, free bulk dofs -> block space.
+        Trace map, free bulk dofs -> block space; its rows past the bulk
+        identity select the dynamic-boundary, then the interface nodes.
     M_form : csr_matrix
         Gram matrix of the form-domain inner product.
     K_bulk : csr_matrix
         Bulk-only part of the stiffness (used for flux recovery).
+    smeshes : dict
+        The ``dynamic`` and ``interface`` SurfaceMesh of the mesh.
     """
 
     def __init__(self, mesh, coeff, dofmap, smeshes, T, K_bulk, M_blk,
-                 M_blk_plain, J, M_form, surface_parts, lumped):
+                 M_blk_plain, J, M_form, lumped):
         self.mesh = mesh
         self.coeff = coeff
         self.dofmap = dofmap
@@ -668,10 +660,8 @@ class DiscreteOperator:
         self.M_blk_plain = M_blk_plain
         self.J = J
         self.M_form = M_form
-        self.surface_parts = surface_parts
         self.lumped = lumped
         self._mtilde = None
-        self._mtilde_plain = None
         self._eig_cache = None
         self._factors = {}
 
@@ -684,12 +674,6 @@ class DiscreteOperator:
         if self._mtilde is None:
             self._mtilde = (self.J.T @ self.M_blk @ self.J).tocsr()
         return self._mtilde
-
-    def mtilde_plain(self):
-        """Same without the relaxation weight."""
-        if self._mtilde_plain is None:
-            self._mtilde_plain = (self.J.T @ self.M_blk_plain @ self.J).tocsr()
-        return self._mtilde_plain
 
     def factorization(self, key, build):
         """Sparse LU of the matrix ``build()`` returns, computed on the
@@ -710,14 +694,6 @@ class DiscreteOperator:
         scale = max(abs(self.T).max(), 1e-300)
         return diff.max() <= tol * scale
 
-    def form_value(self, u, v):
-        """Energy pairing t(u, v) evaluated through the stiffness."""
-        return float(v @ (self.T @ u))
-
-    def block_l2_norm(self, u):
-        """Relaxation-weighted block L2 norm of a bulk-dof vector."""
-        return float(np.sqrt(max(u @ (self.mtilde() @ u), 0.0)))
-
     def lumped_block_weights(self):
         """Positive block measure weights (lumped M_blk diagonal)."""
         ones = np.ones(self.M_blk.shape[0])
@@ -730,10 +706,6 @@ class DiscreteOperator:
             return float(v.max()) if v.size else 0.0
         w = self.lumped_block_weights()
         return float((w @ v ** p) ** (1.0 / p))
-
-    def total_mass(self, u):
-        """Relaxation-weighted total mass <M_blk J u, 1>."""
-        return float(np.sum(self.M_blk @ (self.J @ u)))
 
     def j_ellipticity_constant(self, dense_limit=2500):
         """Smallest generalized eigenvalue of (sym(T) + Mtilde, M_form).
@@ -762,8 +734,9 @@ def build_pencil(mesh, coeff, *, lumped=False, quad_order=2, weight_tol=1e-8,
     """Assemble the full discrete operator pencil for a labeled mesh.
 
     The weight integrals over the triangles are computed once and serve
-    both the coefficient and the envelope stiffness; the unweighted masses
-    of ``M_form`` and ``surface_parts`` are blocks of the plain block mass.
+    both the coefficient and the envelope stiffness; the unweighted bulk
+    mass of ``M_form`` is a block of the plain block mass.  The surface
+    stiffness goes straight onto the free bulk dofs of its edges.
     """
     smesh_gd = SurfaceMesh.from_mesh(mesh, DYNAMIC)
     smesh_sigma = SurfaceMesh.from_mesh(mesh, INTERFACE)
@@ -787,45 +760,26 @@ def build_pencil(mesh, coeff, *, lumped=False, quad_order=2, weight_tol=1e-8,
     n = dofmap.n_free
     t_mat = k_bulk
     m_form = m_consistent[:n, :n] + k_env
-
-    surface_parts = {}
-    start = n
     for which, smesh in smeshes.items():
-        n_surf = len(dofmap.surface_vertices(which))
-        block = slice(start, start + n_surf)
-        start += n_surf
-        if smesh.num_nodes == 0 or n_surf == 0:
-            surface_parts[which] = None
+        if len(dofmap.surface_vertices(which)) == 0:
             continue
-        p_mat, r_mat = _surface_selection(smesh, dofmap, which)
-
-        def restrict(mat):
-            return (p_mat @ mat @ p_mat.T).tocsr()
-
-        k_free = restrict(assemble_surface_stiffness(smesh, coeff, which,
-                                                     tol=surface_tol))
+        dofs = dofmap.vertex_free[smesh.edges]
+        k_surf = _surface_stiffness(smesh, coeff, which, dofs, n,
+                                    tol=surface_tol)
         star = coeff.mu_gd_star if which == DYNAMIC else coeff.mu_sigma_star
         if star is None:
-            k_env_free = k_free     # the envelope is the coefficient itself
+            k_surf_env = k_surf     # the envelope is the coefficient itself
         else:
-            k_env_free = restrict(assemble_surface_stiffness(
-                smesh, coeff, which, envelope=True, tol=surface_tol))
-        t_mat = t_mat + (r_mat.T @ k_free @ r_mat)
-        m_form = m_form + (r_mat.T @ k_env_free @ r_mat)
-        surface_parts[which] = {
-            "smesh": smesh,
-            "P": p_mat,
-            "R": r_mat,
-            "K": k_free,
-            "M": m_blk[block, block],
-            "M_plain": m_consistent[block, block],
-        }
+            k_surf_env = _surface_stiffness(smesh, coeff, which, dofs, n,
+                                            envelope=True, tol=surface_tol)
+        t_mat = t_mat + k_surf
+        m_form = m_form + k_surf_env
 
     j_mat = assemble_trace_map(dofmap)
 
     return DiscreteOperator(mesh, coeff, dofmap, smeshes, t_mat.tocsr(),
                             k_bulk, m_blk, m_blk_plain, j_mat,
-                            m_form.tocsr(), surface_parts, lumped)
+                            m_form.tocsr(), lumped)
 
 
 def project_initial_data(raw, pencil):

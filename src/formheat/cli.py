@@ -187,10 +187,14 @@ class RunConfig:
             spec = self._weight(Points((x, y)), gamma, key)
             return (lambda pts: spec.eval(pts)), spec
         try:
-            return float(tokens[0]), None
+            value = float(tokens[0])
         except ValueError:
             raise ConfigError(f"malformed coefficient '{raw}'", key=key,
                               line=self._line(key)) from None
+        if not value >= 0:
+            raise ConfigError("surface diffusion coefficient violates "
+                              "nonnegativity", key=key, line=self._line(key))
+        return value, None
 
     def bulk_weight(self):
         target = self._submanifold("coeff.weight.s")

@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BlockField, Factorization
+from .assembly import (BlockField, Factorization, _surface_block_dofs,
+                       _surface_mass)
 from .errors import SolveError
+from .geometry.surface import INTERFACE
 
 
 @dataclass
@@ -249,15 +251,21 @@ def recover_interface_flux(pencil, mesh, u, f=None):
 
     Returns per-interface-node scalars (empty when there is none).
     """
-    part = pencil.surface_parts.get("interface")
-    if part is None:
+    dofmap = pencil.dofmap
+    if dofmap.n_sigma == 0:
         return np.zeros(0)
     n = pencil.n_free
     residual = pencil.K_bulk @ np.asarray(u, dtype=float)
     if f is not None:
         m_bulk_plain = pencil.M_blk_plain[:n, :n]
         residual = residual - m_bulk_plain @ f.bulk
-    r_sigma = part["R"] @ residual
-    lu = pencil.factorization(("M_plain", "interface"),
-                              lambda: part["M_plain"])
+    r_sigma = pencil.J[n + dofmap.n_gd:] @ residual
+
+    def interface_mass():
+        smesh = pencil.smeshes[INTERFACE]
+        return _surface_mass(smesh, pencil.coeff, INTERFACE,
+                             _surface_block_dofs(dofmap, smesh, INTERFACE),
+                             dofmap.n_sigma, weighted=False)
+
+    lu = pencil.factorization(("M_plain", INTERFACE), interface_mass)
     return lu.solve(r_sigma)

@@ -80,10 +80,6 @@ class SurfaceChart:
         """Parameter interval (open) of the chart."""
         return float(self.param_nodes[0]), float(self.param_nodes[-1])
 
-    @property
-    def lipschitz_constant(self):
-        return float(np.abs(self.slopes).max())
-
     def _segment(self, y):
         lo, hi = self.interval
         if not (lo <= y <= hi):

@@ -165,10 +165,9 @@ def block_l2_error(pencil, u, exact_bulk, exact_gd=None, exact_sigma=None,
     xg, wg = _gauss(5)
     tg = 0.5 * (xg + 1.0)
     for which, exact in (("dynamic", exact_gd), ("interface", exact_sigma)):
-        part = pencil.surface_parts.get(which)
-        if part is None:
+        if len(pencil.dofmap.surface_vertices(which)) == 0:
             continue
-        smesh = part["smesh"]
+        smesh = pencil.smeshes[which]
         i, j = smesh.edges.T
         p0, p1 = mesh.vertices[i], mesh.vertices[j]
         pts = p0[:, None] + tg[:, None] * (p1 - p0)[:, None]  # (ne, 5, 2)

@@ -22,9 +22,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .assembly import (CoefficientSet, assemble_bulk_mass,
-                       assemble_bulk_stiffness, assemble_surface_mass,
-                       build_dofmap, lanczos_start, _surface_selection)
+from .assembly import (assemble_bulk_mass, assemble_bulk_stiffness,
+                       build_dofmap, lanczos_start, _surface_mass)
 from .errors import (EigenSolveError, OutsideTheoryError, SizeLimitError,
                      UnsupportedScenarioError)
 from .geometry.surface import INTERFACE, SurfaceMesh
@@ -407,10 +406,9 @@ def trace_norm_probe(mesh, coeff, *, n_samples=200, seed=0, dense_limit=2500):
     dofmap = build_dofmap(mesh, None, smesh_sigma)
     if dofmap.n_free > dense_limit:
         raise SizeLimitError("trace probe limited to dense scale")
-    numer_sigma = assemble_surface_mass(smesh_sigma, CoefficientSet(),
-                                        INTERFACE, weighted=False)
-    p_mat, r_mat = _surface_selection(smesh_sigma, dofmap, INTERFACE)
-    numer = (r_mat.T @ (p_mat @ numer_sigma @ p_mat.T) @ r_mat).toarray()
+    numer = _surface_mass(smesh_sigma, coeff, INTERFACE,
+                          dofmap.vertex_free[smesh_sigma.edges],
+                          dofmap.n_free, weighted=False).toarray()
     denom = (assemble_bulk_mass(mesh, coeff, dofmap=dofmap, weighted=False)
              + assemble_bulk_stiffness(mesh, coeff, dofmap=dofmap,
                                        use_envelope=True)).toarray()

@@ -105,10 +105,9 @@ class FormOracle:
                 _oracle_coefficient_integral(mesh, coeff, k, weight_tol))
         self.edge_terms = []
         for which in (DYNAMIC, INTERFACE):
-            part = pencil.surface_parts.get(which)
-            if part is None:
+            if len(pencil.dofmap.surface_vertices(which)) == 0:
                 continue
-            smesh = part["smesh"]
+            smesh = pencil.smeshes[which]
             for e in range(len(smesh.edges)):
                 i, j = smesh.edges[e]
                 p0, p1 = mesh.vertices[i], mesh.vertices[j]

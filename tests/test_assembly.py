@@ -58,14 +58,16 @@ def test_surface_stiffness_single_edge():
     mesh = Mesh(verts, [(0, 1, 2)], [(0, 1), (1, 2), (2, 0)],
                 ["dynamic", "neumann", "neumann"])
     smesh = SurfaceMesh.from_mesh(mesh, "dynamic")
-    mat = assemble_surface_stiffness(smesh, mu_s=1.0).toarray()
+    mat = assemble_surface_stiffness(smesh, CoefficientSet(mu_gd=1.0),
+                                     "dynamic").toarray()
     assert np.allclose(mat, 0.5 * np.array([[1, -1], [-1, 1]]), atol=1e-15)
 
 
 def test_surface_stiffness_zero_coefficient():
     mesh = standard_fixture_mesh(4)
     smesh = SurfaceMesh.from_mesh(mesh, "interface")
-    mat = assemble_surface_stiffness(smesh, mu_s=0.0)
+    mat = assemble_surface_stiffness(smesh, CoefficientSet(mu_sigma=0.0),
+                                     "interface")
     assert mat.nnz == 0 or abs(mat).max() == 0.0
 
 
@@ -73,7 +75,8 @@ def test_surface_stiffness_negative_coefficient():
     mesh = standard_fixture_mesh(4)
     smesh = SurfaceMesh.from_mesh(mesh, "interface")
     with pytest.raises(EnvelopeViolationError):
-        assemble_surface_stiffness(smesh, mu_s=-1.0)
+        assemble_surface_stiffness(smesh, CoefficientSet(mu_sigma=-1.0),
+                                   "interface")
 
 
 def test_surface_stiffness_degenerate_at_midpoint():
@@ -86,7 +89,8 @@ def test_surface_stiffness_degenerate_at_midpoint():
     def mu(points):
         return np.linalg.norm(points - mid, axis=1)
 
-    mat = assemble_surface_stiffness(smesh, mu_s=mu).toarray()
+    mat = assemble_surface_stiffness(smesh, CoefficientSet(mu_sigma=mu),
+                                     "interface").toarray()
     assert np.abs(mat.sum(axis=1)).max() <= 1e-12
 
     expected = np.zeros_like(mat)

@@ -339,6 +339,10 @@ _AGREE_ROWS = [
     ("evolve", {"coeff.mu_omega.region.top": "2"}, 2, "coefficients",
      "region id must be an integer"),
     ("evolve", {"coeff.zeta.gd": "-1"}, 2, "coefficients", "must be positive"),
+    ("evolve", {"coeff.mu_sigma": "-1.0"}, 2, "coefficients",
+     "violates nonnegativity"),
+    ("evolve", {"coeff.mu_gd": "-0.5"}, 2, "coefficients",
+     "violates nonnegativity"),
     ("evolve", {"time.snapshots": "0.2"}, 2, "time",
      "snapshot times must lie in [0, t_end]"),
     ("scan", {"mesh": "nosuch.mesh"}, 0, None, None),

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import jittered_mesh
+from conftest import jittered_mesh, ramp_half
+from oracles import FormOracle
 from formheat.assembly import BlockField, CoefficientSet, build_pencil
 from formheat.evolution import TimeSteppingConfig, evolve
-from formheat.geometry import refine_uniform
+from formheat.geometry import SurfaceMesh, refine_uniform
 from formheat.model_problems import unit_square_mesh
 
 _positive = st.floats(0.2, 5.0)
@@ -50,6 +51,57 @@ def test_pencil_properties_on_perturbed_meshes(n, refine, seed, mu_bulk,
     # |Omega| + |Gamma_d| + |Sigma|
     assert pencil.M_blk.sum() == pytest.approx(3.0, rel=1e-13)
     assert pencil.M_blk_plain.sum() == pytest.approx(3.0, rel=1e-13)
+
+
+_sides = st.tuples(*[st.sampled_from(["dirichlet", "dynamic", "neumann"])] * 4
+                   ).filter(lambda sides: set(sides) != {"dirichlet"})
+_surface_coefficient = st.one_of(st.floats(0.0, 5.0), st.just(ramp_half))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 4, 6]), sides=_sides, interface=st.booleans(),
+       constrain=st.one_of(st.none(), st.integers(0, 2 ** 8)),
+       seed=st.integers(0, 2 ** 16), mu_bulk=_positive,
+       mu_gd=_surface_coefficient, mu_sigma=_surface_coefficient,
+       lumped=st.booleans())
+def test_pencil_properties_on_relabeled_meshes(n, sides, interface, constrain,
+                                               seed, mu_bulk, mu_gd, mu_sigma,
+                                               lumped):
+    """Any side may be Dirichlet, dynamic or Neumann, the interface may be
+    absent and a surface endpoint may carry an extra Dirichlet
+    constraint: the pencil must still realize the form."""
+    bottom, top, left, right = sides
+    mesh = jittered_mesh(unit_square_mesh(
+        n, bottom=bottom, top=top, left=left, right=right,
+        interface_y=0.5 if interface else None), seed)
+    ends = sorted({v for which in ("dynamic", "interface")
+                   for chain in SurfaceMesh.from_mesh(mesh, which).chains
+                   for v in (chain[0], chain[-1])})
+    extra = () if constrain is None or not ends else (
+        ends[constrain % len(ends)],)
+    pencil = build_pencil(mesh, CoefficientSet(
+        mu_bulk=mu_bulk, mu_gd=mu_gd, mu_sigma=mu_sigma), lumped=lumped,
+        extra_constrained=extra)
+
+    oracle = FormOracle(pencil)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        u = rng.standard_normal(pencil.n_free)
+        v = rng.standard_normal(pencil.n_free)
+        reference = oracle.value(u, v)
+        scale = max(abs(reference),
+                    1e-12 * np.linalg.norm(u) * np.linalg.norm(v))
+        assert abs(float(v @ (pencil.T @ u)) - reference) <= 1e-10 * scale
+
+    t_mat = pencil.T.toarray()
+    scale = np.abs(t_mat).max()
+    assert np.abs(t_mat - t_mat.T).max() <= 1e-12 * scale
+    assert np.linalg.eigvalsh(t_mat).min() >= -1e-12 * scale
+    if "dirichlet" not in sides and not extra:
+        assert np.abs(t_mat @ np.ones(pencil.n_free)).max() <= 1e-12 * scale
+        # |Omega| + |Gamma_d| + |Sigma|
+        measure = 1.0 + sides.count("dynamic") + (1.0 if interface else 0.0)
+        assert pencil.M_blk.sum() == pytest.approx(measure, rel=1e-13)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
