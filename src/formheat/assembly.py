@@ -338,8 +338,7 @@ def _weight_integrals(tris, weight, area, weight_tol):
     (nt, 3, 2); the areas when there is no weight."""
     if weight is None:
         return area
-    return np.array([weighted_cell_integral(weight, tri, tol_rel=weight_tol)
-                     for tri in tris])
+    return weighted_cell_integral(weight, tris, tol_rel=weight_tol)
 
 
 def _envelope_integrals(coeff, area, cell_w):
@@ -350,19 +349,16 @@ def _envelope_integrals(coeff, area, cell_w):
 
 def _coefficient_integrals(mesh, coeff, area, cell_w, quad_order, weight_tol):
     """Integral of the full bulk coefficient over every triangle,
-    (nt, 2, 2).  Constant bases scale the weight integrals ``cell_w``
-    (computed here for their regions alone when None); callables are
-    evaluated once per region over all its quadrature points, or, under
-    a weight, integrated adaptively cell by cell."""
+    (nt, 2, 2).  Constant bases scale the weight integrals ``cell_w``;
+    callables are evaluated once per region over all its quadrature
+    points, or, under a weight, integrated adaptively cell by cell."""
     tris = mesh.vertices[mesh.triangles]
     out = np.empty((mesh.num_triangles, 2, 2))
     for region in np.unique(mesh.tri_regions):
         sel = mesh.tri_regions == region
         base = coeff.bulk_base_matrix(region)
         if base is not None:
-            w = (cell_w[sel] if cell_w is not None else _weight_integrals(
-                tris[sel], coeff.bulk_weight, area[sel], weight_tol))
-            out[sel] = w[:, None, None] * base
+            out[sel] = cell_w[sel, None, None] * base
             continue
 
         def f(points):
@@ -401,12 +397,12 @@ def assemble_bulk_stiffness(mesh, coeff, quad_order=2, *, dofmap=None,
     if dofmap is None:
         dofmap = build_dofmap(mesh)
     grads, area = _p1_geometry(mesh)
+    cell_w = _weight_integrals(mesh.vertices[mesh.triangles],
+                               coeff.bulk_weight, area, weight_tol)
     if use_envelope:
-        cell_mats = _envelope_integrals(coeff, area, _weight_integrals(
-            mesh.vertices[mesh.triangles], coeff.bulk_weight, area,
-            weight_tol))
+        cell_mats = _envelope_integrals(coeff, area, cell_w)
     else:
-        cell_mats = _coefficient_integrals(mesh, coeff, area, None,
+        cell_mats = _coefficient_integrals(mesh, coeff, area, cell_w,
                                            quad_order, weight_tol)
     return _stiffness(mesh, dofmap, grads, cell_mats)
 

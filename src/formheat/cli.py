@@ -187,10 +187,11 @@ class RunConfig:
             spec = self._weight(Points((x, y)), gamma, key)
             return (lambda pts: spec.eval(pts)), spec
         try:
-            value = float(tokens[0])
-        except ValueError:
-            raise ConfigError(f"malformed coefficient '{raw}'", key=key,
-                              line=self._line(key)) from None
+            (value,) = map(float, tokens)
+        except ValueError:                 # not exactly one number
+            raise ConfigError(f"malformed coefficient '{raw}' (expected one "
+                              "number or 'dist_to_point x y gamma')",
+                              key=key, line=self._line(key)) from None
         if not value >= 0:
             raise ConfigError("surface diffusion coefficient violates "
                               "nonnegativity", key=key, line=self._line(key))

@@ -13,9 +13,12 @@ and classifies whether the weight degenerates away from (case A) or at
 Cell integrals use exact decompositions wherever the geometry allows it
 (single segment, point sets): the cell is clipped into pieces on which
 the distance is either a linear function (closed-form power integrals)
-or a radial one (smooth 1-D angular profiles).  Other targets fall back
-to an error-driven adaptive subdivision, which also splits any cell
-whose sampled weight ratio exceeds 4.
+or a radial one (smooth 1-D angular profiles).  A stack of cells is one
+array pass: the clips, the power integrals and the Gauss panels of all
+radial wedges run over every cell at once, and round as one cell at a
+time would.  Other targets fall back to an error-driven adaptive
+subdivision, cell by cell, which also splits any cell whose sampled
+weight ratio exceeds 4.
 
 Everything here is a pure function of immutable inputs and safe to
 evaluate concurrently; the scan minimum is a commutative reduction over
@@ -75,80 +78,113 @@ class WeightSpec:
         return f"WeightSpec({self.s!r}, gamma={self.gamma})"
 
 
-# -- polygon helpers -----------------------------------------------------------
+# -- polygon stacks -------------------------------------------------------------
+#
+# The exact kernels work on a stack of convex CCW polygons: an (m, k, 2)
+# array and a vertex count per row.  A row with fewer than k vertices
+# repeats its last one; an empty row (count 0) is all zeros.  The Python
+# loops below run over vertex slots, target points or panel steps; only
+# ``_pow`` visits the cells' values one by one.
 
-def polygon_area(poly):
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def clip_halfplane(poly, normal, offset):
-    """Clip a convex CCW polygon against ``{x : normal . x <= offset}``."""
-    if len(poly) == 0:
-        return poly
-    vals = poly @ normal - offset
-    out = []
-    n = len(poly)
-    for k in range(n):
-        a, va = poly[k], vals[k]
-        b, vb = poly[(k + 1) % n], vals[(k + 1) % n]
-        if va <= _EPS:
-            out.append(a)
-            if vb > _EPS and va < -_EPS:
-                t = va / (va - vb)
-                out.append(a + t * (b - a))
-        elif vb < -_EPS:
-            t = va / (va - vb)
-            out.append(a + t * (b - a))
-    if len(out) < 3:
-        return np.zeros((0, 2))
-    return np.array(out)
+def _signed_areas(polys):
+    """Shoelace areas of polygons (..., k, 2), positive when CCW.
+    ``np.vecdot`` is the BLAS dot ``np.dot`` uses, so a stack rounds as a
+    loop over single polygons would."""
+    x, y = polys[..., 0], polys[..., 1]
+    return 0.5 * (np.vecdot(x, np.roll(y, -1, axis=-1))
+                  - np.vecdot(y, np.roll(x, -1, axis=-1)))
 
 
-def _fan_triangles(poly):
-    return [(poly[0], poly[k], poly[k + 1]) for k in range(1, len(poly) - 1)]
+def _norms(vecs):
+    """Euclidean norms of (n, 2) rows, rounded as ``np.linalg.norm``."""
+    return np.sqrt(np.vecdot(vecs, vecs))
+
+
+def _next_vertex(counts, k):
+    """Index (m, k) of the vertex after slot j of each row: j + 1, or 0
+    at the row's last vertex."""
+    return np.arange(1, k + 1) % np.maximum(counts, 1)[:, None]
+
+
+def _clip(polys, counts, normal, offset):
+    """Sutherland-Hodgman clip of a polygon stack against the half-plane
+    ``{x : normal . x <= offset}``.
+
+    A vertex within ``_EPS`` of the line is kept, an edge is cut only
+    where it runs from below ``-_EPS`` to above ``_EPS`` or back, and a
+    row left with fewer than three vertices is empty.  Returns the
+    clipped stack and its counts.
+    """
+    m, k = polys.shape[:2]
+    rows = np.arange(m)[:, None]
+    vals = polys @ normal - offset
+    nxt = _next_vertex(counts, k)
+    ends, v_ends = polys[rows, nxt], vals[rows, nxt]
+    edge = np.arange(k) < counts[:, None]
+    keep = edge & (vals <= _EPS)
+    cut = edge & (((vals < -_EPS) & (v_ends > _EPS))
+                  | ((vals > _EPS) & (v_ends < -_EPS)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = vals / (vals - v_ends)
+        cuts = polys + t[..., None] * (ends - polys)
+    # each edge emits its start vertex, then its cut point
+    points = np.stack([polys, cuts], axis=2).reshape(m, 2 * k, 2)
+    emit = np.stack([keep, cut], axis=2).reshape(m, 2 * k)
+    new_counts = emit.sum(axis=1)
+    new_counts[new_counts < 3] = 0
+    width = int(new_counts.max(initial=0))
+    order = np.argsort(~emit, axis=1, kind="stable")
+    last = np.maximum(new_counts - 1, 0)[:, None]
+    out = points[rows, order[rows, np.minimum(np.arange(width), last)]]
+    out[new_counts == 0] = 0.0
+    return out, new_counts
 
 
 # -- exact pieces ----------------------------------------------------------------
 
-def _power_primitive(p, x0, x1):
-    # integral of t^p from x0 to x1, x >= 0
-    return (x1 ** (p + 1) - x0 ** (p + 1)) / (p + 1)
+def _pow(values, exponent):
+    """``values ** exponent`` with libm's ``pow`` (Python floats).  Power
+    primitives such as ``x1^(p+1) - x0^(p+1)`` cancel, so they keep the
+    rounding of a scalar loop; numpy's vectorized power may differ."""
+    return np.array([x ** exponent for x in values.tolist()])
 
 
-def _tri_linear_power(tri, lin_a, lin_b, gamma):
-    """Exact integral of (lin_a . x + lin_b)^gamma over a triangle.
-
-    The linear functional must be nonnegative on the triangle up to
-    rounding; small negative vertex values are clamped.
+def _linear_power(area, vals, gamma):
+    """Exact integrals of ``l^gamma`` over triangles of area ``area`` (t,)
+    on which the linear function ``l`` takes the vertex values ``vals``
+    (t, 3).  ``l`` must be nonnegative up to rounding; small negative
+    values are clamped.  The cross-section density of ``l`` rises on
+    ``[l1, l2]`` and falls on ``[l2, l3]`` (sorted values), which gives
+    closed-form power integrals.
     """
-    tri = np.asarray(tri, dtype=float)
-    area = abs(polygon_area(tri))
-    if area <= 0.0:
-        return 0.0
-    vals = tri @ lin_a + lin_b
-    scale = max(1.0, float(np.abs(vals).max()))
-    vals = np.clip(vals, 0.0, None) if vals.min() > -1e-9 * scale else vals
-    if vals.min() < 0:
+    scale = np.maximum(1.0, np.abs(vals).max(axis=1))
+    small = vals.min(axis=1) > -1e-9 * scale
+    vals = np.where(small[:, None], np.clip(vals, 0.0, None), vals)
+    l1, l2, l3 = np.sort(vals, axis=1).T
+    if ((area > 0.0) & (l1 < 0.0)).any():
         raise ValueError("linear functional changes sign on triangle")
-    l1, l2, l3 = np.sort(vals)
-    if l3 <= 0.0:
-        return 0.0
-    if l3 - l1 <= 1e-14 * l3:
-        return area * ((l1 + l2 + l3) / 3.0) ** gamma
+    live = (area > 0.0) & (l3 > 0.0)
+    out = np.zeros(len(area))
+    flat = live & (l3 - l1 <= 1e-14 * l3)
+    out[flat] = area[flat] * _pow((l1 + l2 + l3)[flat] / 3.0, gamma)
+    sel = live & ~flat
+    area, l1, l2, l3 = area[sel], l1[sel], l2[sel], l3[sel]
+    # integrals of t^p from x0 to x1 for p = gamma and gamma + 1, written
+    # as the scalar power primitive (p + 1) rounds
+    g1 = gamma + 1.0
+    g2 = g1 + 1.0
+    p1 = [_pow(x, g1) for x in (l1, l2, l3)]
+    p2 = [_pow(x, g2) for x in (l1, l2, l3)]
     den = l3 - l1
-    total = 0.0
-    # rising piece of the cross-section density on [l1, l2]
-    if l2 - l1 > 1e-15 * l3:
-        c1 = 2.0 * area / ((l2 - l1) * den)
-        total += c1 * (_power_primitive(gamma + 1, l1, l2)
-                       - l1 * _power_primitive(gamma, l1, l2))
-    # falling piece on [l2, l3]
-    if l3 - l2 > 1e-15 * l3:
-        c1 = 2.0 * area / ((l3 - l2) * den)
-        total += c1 * (l3 * _power_primitive(gamma, l2, l3)
-                       - _power_primitive(gamma + 1, l2, l3))
-    return total
+    rise = l2 - l1 > 1e-15 * l3
+    fall = l3 - l2 > 1e-15 * l3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up = 2.0 * area / ((l2 - l1) * den) * (
+            (p2[1] - p2[0]) / g2 - l1 * ((p1[1] - p1[0]) / g1))
+        down = 2.0 * area / ((l3 - l2) * den) * (
+            l3 * ((p1[2] - p1[1]) / g1) - (p2[2] - p2[1]) / g2)
+    out[sel] = np.where(rise, up, 0.0) + np.where(fall, down, 0.0)
+    return out
 
 
 _GAUSS_CACHE = {}
@@ -162,134 +198,182 @@ def _gauss(n):
 
 
 def _panel_edges(lo, hi):
-    """Ascending panel edges on ``[lo, hi]``, which does not contain 0 in
-    its interior.  Widths are 2 near ``t = 0`` and grow geometrically
-    away from it (``next = x + max(2, x)`` in ``|t|``), matching the
-    profile ``(1 + t^2)^(gamma/2)``, which is smooth on the scale of
-    ``|t|``.  A near-collinear wedge can reach ``|t| ~ 1e14``; the panel
-    count is O(log |t|) and never above that of uniform width-2 panels.
+    """Panels covering each interval ``[lo[i], hi[i]]`` of ``t``, none of
+    which holds 0 in its interior, as ``(start, end, owner)`` arrays in
+    ascending ``t`` per interval, intervals in order.
+
+    Widths are 2 near ``t = 0`` and grow geometrically away from it
+    (``next = x + max(2, x)`` in ``|t|``), matching the profile
+    ``(1 + t^2)^(gamma/2)``, which is smooth on the scale of ``|t|``.  A
+    near-collinear wedge can reach ``|t| ~ 1e14``; its panel count is
+    O(log |t|) and never above that of uniform width-2 panels.
     """
-    near, far = sorted((abs(lo), abs(hi)))
-    edges = [near]
-    while edges[-1] + max(2.0, edges[-1]) < far:
-        edges.append(edges[-1] + max(2.0, edges[-1]))
-    edges.append(far)
-    if hi <= 0.0:
-        return [-x for x in reversed(edges)]
-    return edges
+    near = np.minimum(np.abs(lo), np.abs(hi))
+    far = np.maximum(np.abs(lo), np.abs(hi))
+    start, end, owner = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, int)]
+    x, idx = near, np.arange(len(near))
+    while len(idx):
+        step = x + np.maximum(2.0, x)
+        more = step < far[idx]
+        start.append(x)
+        end.append(np.where(more, step, far[idx]))
+        owner.append(idx)
+        x, idx = step[more], idx[more]
+    start, end, owner = map(np.concatenate, (start, end, owner))
+    mirror = hi[owner] <= 0.0
+    start, end = np.where(mirror, -end, start), np.where(mirror, -start, end)
+    order = np.lexsort((start, owner))
+    return start[order], end[order], owner[order]
 
 
-def _radial_wedge(p, a, b, gamma):
-    """Signed integral of |x - p|^gamma over the triangle (p, a, b).
+# Gauss panels per array pass of the wedge profile: a few MB of temporaries
+_PANEL_BLOCK = 1 << 13
 
-    Positive when (p, a, b) is counter-clockwise.  Uses the substitution
-    t = tan of the angle from the foot direction, which turns the
-    angular profile into the smooth function (1 + t^2)^(gamma/2).
+
+def _wedges(p, a, b, gamma):
+    """Signed integrals of ``|x - p|^gamma`` over the triangles (p, a, b),
+    rows of (n, 2) arrays; positive when counter-clockwise.
+
+    The substitution t = tan of the angle from the foot of ``p`` on the
+    line ``ab`` turns the angular profile into the smooth function
+    ``(1 + t^2)^(gamma/2)``, integrated by 32-point Gauss on the panels
+    of :func:`_panel_edges`, one array over every wedge.
     """
-    u = a - p
-    v = b - p
-    cross = u[0] * v[1] - u[1] * v[0]
-    scale = max(np.linalg.norm(u), np.linalg.norm(v))
-    if abs(cross) <= 1e-15 * scale * scale:
-        return 0.0
-    seg = b - a
-    seg_len = np.linalg.norm(seg)
-    direction = seg / seg_len
-    foot = a + np.dot(p - a, direction) * direction
-    dvec = foot - p
-    d = np.linalg.norm(dvec)
-    if d <= 1e-15 * scale:
-        return 0.0
-    e_hat = dvec / d
-    e_perp = np.array([-e_hat[1], e_hat[0]])
-    ta = float(np.dot(u, e_perp) / d)
-    tb = float(np.dot(v, e_perp) / d)
-    # panel-composite Gauss on the smooth profile
-    breaks = [ta, tb] if ta <= tb else [tb, ta]
-    if breaks[0] < 0.0 < breaks[1]:
-        breaks = [breaks[0], 0.0, breaks[1]]
+    out = np.zeros(len(p))
+    u, v = a - p, b - p
+    scale = np.maximum(_norms(u), _norms(v))
+    live = np.flatnonzero(np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+                          > 1e-15 * scale * scale)
+    p, a, u, v, scale = p[live], a[live], u[live], v[live], scale[live]
+    seg = b[live] - a
+    direction = seg / _norms(seg)[:, None]
+    dvec = a + np.vecdot(p - a, direction)[:, None] * direction - p
+    d = _norms(dvec)
+    keep = d > 1e-15 * scale
+    live, u, v, dvec, d = live[keep], u[keep], v[keep], dvec[keep], d[keep]
+    e_perp = np.stack([-dvec[:, 1], dvec[:, 0]], axis=1) / d[:, None]
+    ta = np.vecdot(u, e_perp) / d
+    tb = np.vecdot(v, e_perp) / d
+    lo, hi = np.minimum(ta, tb), np.maximum(ta, tb)
+    # split at t = 0, where the panels are narrowest
+    neg, pos = np.flatnonzero(lo < 0.0), np.flatnonzero(hi > 0.0)
+    start, end, owner = _panel_edges(
+        np.concatenate([lo[neg], np.maximum(lo[pos], 0.0)]),
+        np.concatenate([np.minimum(hi[neg], 0.0), hi[pos]]))
     xg, wg = _gauss(32)
-    total = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        edges = _panel_edges(lo, hi)
-        for p0, p1 in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (p1 - p0)
-            mid = 0.5 * (p1 + p0)
-            t = mid + half * xg
-            total += half * float(np.dot(wg, (1.0 + t * t) ** (0.5 * gamma)))
-    if ta > tb:
-        total = -total
-    return d ** (gamma + 2.0) / (gamma + 2.0) * total
+    half = 0.5 * (end - start)
+    mid = 0.5 * (end + start)
+    panels = np.empty(len(half))
+    for s in range(0, len(half), _PANEL_BLOCK):
+        t = mid[s:s + _PANEL_BLOCK, None] + half[s:s + _PANEL_BLOCK, None] * xg
+        panels[s:s + _PANEL_BLOCK] = half[s:s + _PANEL_BLOCK] * np.vecdot(
+            (1.0 + t * t) ** (0.5 * gamma), wg)
+    total = np.bincount(np.concatenate([neg, pos])[owner], panels,
+                        minlength=len(d))
+    total = np.where(ta > tb, -total, total)
+    out[live] = _pow(d, gamma + 2.0) / (gamma + 2.0) * total
+    return out
 
 
-def _radial_polygon(p, poly, gamma):
-    """Integral of |x - p|^gamma over a convex CCW polygon (signed fan)."""
-    total = 0.0
-    n = len(poly)
-    for k in range(n):
-        total += _radial_wedge(p, poly[k], poly[(k + 1) % n], gamma)
-    return total
+def _radial_sums(m, pieces, gamma):
+    """Integral of ``|x - apex|^gamma`` over each piece, one (m,) array per
+    piece: the sum of the wedges on its edges, all wedges in one array.
+    ``pieces`` lists ``(apex, (polys, counts))`` of stacks of m rows."""
+    which, rows = [np.zeros(0, int)], [np.zeros(0, int)]
+    apex, a, b = [np.zeros((0, 2))], [np.zeros((0, 2))], [np.zeros((0, 2))]
+    for k, (p, (polys, counts)) in enumerate(pieces):
+        nxt = _next_vertex(counts, polys.shape[1])
+        for j in range(polys.shape[1]):
+            r = np.flatnonzero(j < counts)
+            which.append(np.full(len(r), k))
+            rows.append(r)
+            apex.append(np.broadcast_to(p, (len(r), 2)))
+            a.append(polys[r, j])
+            b.append(polys[r, nxt[r, j]])
+    which, rows = np.concatenate(which), np.concatenate(rows)
+    values = _wedges(np.concatenate(apex), np.concatenate(a),
+                     np.concatenate(b), gamma)
+    return [np.bincount(rows[which == k], values[which == k], minlength=m)
+            for k in range(len(pieces))]
 
 
-def _segment_weight_polygon(a, b, poly, gamma):
-    """Exact integral of dist(x, segment ab)^gamma over a convex polygon."""
+def _linear_terms(pieces, gamma):
+    """``(rows, values)``: the integrals of ``(lin_a . x + lin_b)^gamma``
+    over the fan triangles (0, j, j + 1) of every piece, and the rows
+    they belong to.  ``pieces`` lists ``((polys, counts), lin_a, lin_b)``."""
+    rows, area, vals = [np.zeros(0, dtype=int)], [np.zeros(0)], \
+        [np.zeros((0, 3))]
+    for (polys, counts), lin_a, lin_b in pieces:
+        for j in range(1, polys.shape[1] - 1):
+            r = np.flatnonzero(j + 1 < counts)
+            tris = polys[r[:, None], [0, j, j + 1]]
+            rows.append(r)
+            area.append(np.abs(_signed_areas(tris)))
+            vals.append(tris @ lin_a + lin_b)
+    return np.concatenate(rows), _linear_power(
+        np.concatenate(area), np.concatenate(vals), gamma)
+
+
+def _segment_integrals(a, b, polys, gamma):
+    """Exact integrals of dist(x, segment ab)^gamma over a polygon stack.
+
+    The end caps, where the nearest point is an endpoint, are radial about
+    it.  In the strip between them the distance is ``|n . (x - a)|``,
+    linear on either side of the segment's line.
+    """
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    length = np.linalg.norm(b - a)
-    e_hat = (b - a) / length
+    e_hat = (b - a) / np.linalg.norm(b - a)
     n_hat = np.array([-e_hat[1], e_hat[0]])
-    total = 0.0
-    # end caps: nearest point is an endpoint
-    left = clip_halfplane(poly, e_hat, float(np.dot(e_hat, a)))
-    if len(left):
-        total += _radial_polygon(a, left, gamma)
-    right = clip_halfplane(poly, -e_hat, float(-np.dot(e_hat, b)))
-    if len(right):
-        total += _radial_polygon(b, right, gamma)
-    # strip: distance is |(x - a) . n|
-    strip = clip_halfplane(poly, -e_hat, float(-np.dot(e_hat, a)))
-    strip = clip_halfplane(strip, e_hat, float(np.dot(e_hat, b)))
-    if len(strip):
-        offset = float(np.dot(n_hat, a))
-        for sign in (1.0, -1.0):
-            piece = clip_halfplane(strip, -sign * n_hat, -sign * offset)
-            for tri in _fan_triangles(piece):
-                total += _tri_linear_power(np.array(tri), sign * n_hat,
-                                           -sign * offset, gamma)
+    whole = (polys, np.full(len(polys), polys.shape[1]))
+    caps = [(a, _clip(*whole, e_hat, float(np.dot(e_hat, a)))),
+            (b, _clip(*whole, -e_hat, float(-np.dot(e_hat, b))))]
+    strip = _clip(*_clip(*whole, -e_hat, float(-np.dot(e_hat, a))),
+                  e_hat, float(np.dot(e_hat, b)))
+    offset = float(np.dot(n_hat, a))
+    sides = [(_clip(*strip, -sign * n_hat, -sign * offset), sign * n_hat,
+              -sign * offset) for sign in (1.0, -1.0)]
+    # add in the order of one cell at a time: each cap's sum, then every
+    # fan triangle (np.add.at adds one by one)
+    total = sum(_radial_sums(len(polys), caps, gamma), np.zeros(len(polys)))
+    np.add.at(total, *_linear_terms(sides, gamma))
     return total
 
 
-def _points_weight_polygon(points, poly, gamma):
-    """Exact integral of dist(x, point set)^gamma via Voronoi clipping."""
-    total = 0.0
+def _points_integrals(points, polys, gamma):
+    """Exact integrals of dist(x, point set)^gamma over a polygon stack:
+    the part of a cell nearer to one point than to the others (clipped
+    by their bisectors) is radial about it."""
+    whole = (polys, np.full(len(polys), polys.shape[1]))
+    pieces = []
     for k, p in enumerate(points):
-        piece = poly
+        piece = whole
         for j, q in enumerate(points):
-            if j == k:
-                continue
-            # keep the side closer to p
-            normal = q - p
-            offset = float(np.dot(normal, 0.5 * (p + q)))
-            piece = clip_halfplane(piece, normal, offset)
-            if len(piece) == 0:
-                break
-        if len(piece):
-            total += _radial_polygon(p, piece, gamma)
-    return total
+            if j != k:
+                # keep the side closer to p
+                normal = q - p
+                piece = _clip(*piece, normal,
+                              float(np.dot(normal, 0.5 * (p + q))))
+        pieces.append((p, piece))
+    return sum(_radial_sums(len(polys), pieces, gamma), np.zeros(len(polys)))
 
 
-def _exact_weight_polygon(w, poly):
-    """Exact weighted area of a convex polygon, or None if unsupported."""
+def _exact_integrals(w, polys):
+    """Exact weighted areas of a polygon stack, or None if unsupported."""
     if w.gamma == 0.0:
-        return abs(polygon_area(poly))
+        return np.abs(_signed_areas(polys))
     target = w.s
     if isinstance(target, Points):
-        return _points_weight_polygon(target.points, poly, w.gamma)
+        return _points_integrals(target.points, polys, w.gamma)
     merged = target.merged_collinear()
     if len(merged.vertices) == 2:
-        return _segment_weight_polygon(merged.vertices[0], merged.vertices[1],
-                                       poly, w.gamma)
+        return _segment_integrals(merged.vertices[0], merged.vertices[1],
+                                  polys, w.gamma)
     return None
+
+
+def _fan_triangles(poly):
+    return [(poly[0], poly[k], poly[k + 1]) for k in range(1, len(poly) - 1)]
 
 
 # -- adaptive fallback -----------------------------------------------------------
@@ -481,29 +565,44 @@ class DyadicCube:
         return (np.array([self.mx, self.my]) + _CORNERS) * self.edge
 
 
-def _cell_polygon(cell):
+def _cell_polygons(cell):
+    """The cell as a stack of CCW polygons (m, k, 2), and whether it was a
+    single cell."""
     if isinstance(cell, DyadicCube):
-        return cell.polygon()
-    poly = np.asarray(cell, dtype=float)
-    if poly.ndim != 2 or poly.shape[0] < 3 or poly.shape[1] != 2:
-        raise ValueError("cell must be a DyadicCube or an (n, 2) polygon")
-    if polygon_area(poly) < 0:
-        poly = poly[::-1]
-    return poly
+        return cell.polygon()[None], True
+    polys = np.asarray(cell, dtype=float)
+    single = polys.ndim == 2
+    if single:
+        polys = polys[None]
+    if polys.ndim != 3 or polys.shape[1] < 3 or polys.shape[2] != 2:
+        raise ValueError("cell must be a DyadicCube, an (n, 2) polygon or "
+                         "an (m, n, 2) stack of polygons")
+    clockwise = _signed_areas(polys) < 0
+    if clockwise.any():
+        polys = polys.copy()
+        polys[clockwise] = polys[clockwise, ::-1]
+    return polys, single
 
 
 def weighted_cell_integral(w, cell, order=2, tol_rel=1e-6):
-    """Integral of the weight over a triangle, dyadic cube, or polygon.
+    """Integral of the weight over a triangle, dyadic cube, or polygon, or
+    over each polygon of a stack.
 
     Uses the exact decomposition when the degeneracy set is a point set
-    or a single segment; otherwise adaptive subdivision to ``tol_rel``.
+    or a single segment, one array pass over the whole stack; otherwise
+    adaptive subdivision to ``tol_rel``, cell by cell.
 
     Parameters
     ----------
     w : WeightSpec
-    cell : DyadicCube or array_like (n, 2)
+    cell : DyadicCube, array_like (n, 2), or array_like (m, n, 2)
+        One cell, or a stack of m convex polygons with n vertices each.
     order : int
         Base quadrature order for the adaptive fallback (>= 1).
+
+    Returns
+    -------
+    float, or ndarray (m,) for a stack
 
     Raises
     ------
@@ -513,14 +612,13 @@ def weighted_cell_integral(w, cell, order=2, tol_rel=1e-6):
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    poly = _cell_polygon(cell)
-    exact = _exact_weight_polygon(w, poly)
-    if exact is not None:
-        return exact
-    tris = np.array(_fan_triangles(poly))
-    value, _ = adaptive_triangles_integral(
-        w.eval, tris, tol_rel=tol_rel, order=order, weight_fn=w.eval)
-    return value
+    polys, single = _cell_polygons(cell)
+    values = _exact_integrals(w, polys)
+    if values is None:
+        values = np.array([adaptive_triangles_integral(
+            w.eval, np.array(_fan_triangles(poly)), tol_rel=tol_rel,
+            order=order, weight_fn=w.eval)[0] for poly in polys])
+    return float(values[0]) if single else values
 
 
 # -- dyadic scan -------------------------------------------------------------------
@@ -587,7 +685,7 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
     argmin = None
     rows = []
     level_stats = []
-    deferred = []
+    deferred = []           # per level: (level, mx, my, bounds) of far cubes
 
     for level in range(l_max + 1):
         edge = 2.0 ** (-level)
@@ -598,14 +696,14 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
         dist = set_polygon_distance(w.s, polygons)
         far = dist >= edge
         # Python's float pow: numpy's vectorized power may round differently
-        bounds = [(2.0 ** level * r) ** w.gamma for r in dist[far].tolist()]
-        deferred.extend(zip([level] * len(bounds), mx[far].tolist(),
-                            my[far].tolist(), bounds))
+        bounds = _pow(2.0 ** level * dist[far], w.gamma)
+        deferred.append((level, mx[far], my[far], bounds))
         norm_factor = 2.0 ** (level * (d + w.gamma))
-        lvl_min = min(bounds, default=np.inf)
+        lvl_min = float(bounds.min(initial=np.inf))
         lvl_min_on_s = np.inf
-        for i in np.flatnonzero(~far):
-            value = norm_factor * weighted_cell_integral(w, polygons[i])
+        near = np.flatnonzero(~far)
+        values = norm_factor * weighted_cell_integral(w, polygons[near])
+        for i, value in zip(near.tolist(), values.tolist()):
             on_s = bool(dist[i] == 0.0)
             rows.append((level, int(mx[i]), int(my[i]), value, on_s))
             lvl_min = min(lvl_min, value)
@@ -620,16 +718,26 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
             "min_on_s": None if np.isinf(lvl_min_on_s) else lvl_min_on_s,
         })
 
-    # a far cube can only matter if its analytic bound undercuts the minimum
-    for level, mx, my, bound in deferred:
-        if bound < c_min:
-            cube = DyadicCube(level, mx, my)
-            value = (2.0 ** (level * (d + w.gamma))
-                     * weighted_cell_integral(w, cube))
-            rows.append((level, mx, my, value, False))
-            if value < c_min:
-                c_min = value
-                argmin = cube
+    # a far cube can only matter if its analytic bound undercuts the
+    # minimum; that minimum only falls from here on, so one call integrates
+    # every cube that undercuts it now, and the loop replays the pass
+    candidates = []
+    for level, mx, my, bounds in deferred:
+        keep = bounds < c_min
+        candidates.append((level, mx[keep], my[keep], bounds[keep]))
+    integrals = iter(weighted_cell_integral(w, np.concatenate(
+        [(np.stack([mx, my], axis=-1)[:, None] + _CORNERS) * 2.0 ** (-level)
+         for level, mx, my, _ in candidates])).tolist())
+    for level, mxs, mys, bounds in candidates:
+        norm_factor = 2.0 ** (level * (d + w.gamma))
+        for mx, my, bound in zip(mxs.tolist(), mys.tolist(), bounds.tolist()):
+            integral = next(integrals)
+            if bound < c_min:
+                value = norm_factor * integral
+                rows.append((level, mx, my, value, False))
+                if value < c_min:
+                    c_min = value
+                    argmin = DyadicCube(level, mx, my)
 
     return ScanResult(c_min=float(c_min), argmin_cube=argmin,
                       level_stats=level_stats, rows=rows,

@@ -227,19 +227,19 @@ def test_form_consistency_with_oracle(std_mesh_8):
 
 def test_weighted_pencil_integrates_each_cell_once(std_mesh_8, monkeypatch):
     # the coefficient and envelope stiffness share one weight integral
-    # per triangle
-    calls = []
+    # per triangle, all computed in one call over the stack of triangles
+    cells = []
     integral = assembly.weighted_cell_integral
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return integral(*args, **kwargs)
+    def counting(w, cell, *args, **kwargs):
+        cells.append(len(cell))
+        return integral(w, cell, *args, **kwargs)
 
     monkeypatch.setattr(assembly, "weighted_cell_integral", counting)
     coeff = CoefficientSet(
         bulk_weight=WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]), 0.5))
     build_pencil(std_mesh_8, coeff)
-    assert len(calls) == std_mesh_8.num_triangles
+    assert cells == [std_mesh_8.num_triangles]
 
 
 def test_bulk_coefficient_error_propagates(std_mesh_8):

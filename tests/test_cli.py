@@ -341,6 +341,10 @@ _AGREE_ROWS = [
     ("evolve", {"coeff.zeta.gd": "-1"}, 2, "coefficients", "must be positive"),
     ("evolve", {"coeff.mu_sigma": "-1.0"}, 2, "coefficients",
      "violates nonnegativity"),
+    ("evolve", {"coeff.mu_sigma": "2.0 junk 7"}, 2, "coefficients",
+     "malformed coefficient"),
+    ("evolve", {"coeff.mu_gd": "2 0.5 0.5 1"}, 2, "coefficients",
+     "malformed coefficient"),
     ("evolve", {"coeff.mu_gd": "-0.5"}, 2, "coefficients",
      "violates nonnegativity"),
     ("evolve", {"time.snapshots": "0.2"}, 2, "time",

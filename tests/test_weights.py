@@ -11,7 +11,7 @@ from formheat.weights import (DyadicCube, WeightSpec,
                               adaptive_triangles_integral, classify_case,
                               muckenhoupt_lower_bound_scan,
                               weighted_cell_integral)
-from formheat.weights import _radial_wedge
+from formheat.weights import _wedges
 
 SQRT2_THIRD = np.sqrt(2.0) / 3.0
 # frozen from the Richardson-extrapolated midpoint-grid oracle (n0 = 200)
@@ -198,12 +198,38 @@ def test_near_collinear_wedge():
                                                tol_rel=1e-6)
     assert value == pytest.approx(reference, rel=1e-6)
 
-    apex = np.array([0.9, 0.7])
-    a = np.array([0.8711538461538462, 0.7461538461538462])
-    b = np.array([0.875, 0.7399999999999999])
-    sliver = _radial_wedge(apex, a, b, 0.5)
-    assert sliver == -_radial_wedge(apex, b, a, 0.5)
-    u, v = a - apex, b - apex
+    apex = np.array([[0.9, 0.7]])
+    a = np.array([[0.8711538461538462, 0.7461538461538462]])
+    b = np.array([[0.875, 0.7399999999999999]])
+    sliver, backwards = _wedges(np.vstack([apex, apex]), np.vstack([a, b]),
+                                np.vstack([b, a]), 0.5)
+    assert sliver == -backwards
+    u, v = a[0] - apex[0], b[0] - apex[0]
     area = 0.5 * abs(u[0] * v[1] - u[1] * v[0])
     reach = max(np.linalg.norm(u), np.linalg.norm(v))
     assert 0.0 < sliver <= area * reach ** 0.5 * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("target", [
+    Polyline([(0.0, 0.5), (1.0, 0.5)]), Polyline([(0.1, 0.2), (0.9, 0.7)]),
+    Points((0.3, 0.6)), Points([(0.3, 0.6), (0.71, 0.45)])])
+def test_stack_matches_single_cells(target):
+    # one call over a stack rounds as one call per cell does, for cells
+    # of either orientation, and for triangles and cubes alike
+    mesh = standard_fixture_mesh(8)
+    tris = mesh.vertices[mesh.triangles]
+    tris[::3] = tris[::3, ::-1]
+    cubes = np.array([DyadicCube(3, mx, my).polygon()
+                      for mx in range(-1, 9) for my in range(-1, 9)])
+    for gamma in (0.0, 0.5, 1.5):
+        w = WeightSpec(target, gamma)
+        for cells in (tris, cubes):
+            stacked = weighted_cell_integral(w, cells)
+            single = [weighted_cell_integral(w, cell) for cell in cells]
+            assert stacked.shape == (len(cells),)
+            assert np.array_equal(stacked, single)
+
+
+def test_stack_of_no_cells():
+    w = WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]), 0.5)
+    assert weighted_cell_integral(w, np.zeros((0, 3, 2))).shape == (0,)
