@@ -349,14 +349,23 @@ def _envelope_integrals(coeff, area, cell_w):
 
 def _coefficient_integrals(mesh, coeff, area, cell_w, quad_order, weight_tol):
     """Integral of the full bulk coefficient over every triangle,
-    (nt, 2, 2).  Constant bases scale the weight integrals ``cell_w``;
+    (nt, 2, 2).  Constant bases scale the weight integrals ``cell_w``
+    (computed here in one call over their triangles alone when None);
     callables are evaluated once per region over all its quadrature
     points, or, under a weight, integrated adaptively cell by cell."""
     tris = mesh.vertices[mesh.triangles]
     out = np.empty((mesh.num_triangles, 2, 2))
-    for region in np.unique(mesh.tri_regions):
+    regions = np.unique(mesh.tri_regions)
+    bases = [coeff.bulk_base_matrix(region) for region in regions]
+    if cell_w is None:
+        const = np.isin(mesh.tri_regions, [
+            region for region, base in zip(regions, bases)
+            if base is not None])
+        cell_w = np.zeros(mesh.num_triangles)
+        cell_w[const] = _weight_integrals(tris[const], coeff.bulk_weight,
+                                          area[const], weight_tol)
+    for region, base in zip(regions, bases):
         sel = mesh.tri_regions == region
-        base = coeff.bulk_base_matrix(region)
         if base is not None:
             out[sel] = cell_w[sel, None, None] * base
             continue
@@ -397,12 +406,12 @@ def assemble_bulk_stiffness(mesh, coeff, quad_order=2, *, dofmap=None,
     if dofmap is None:
         dofmap = build_dofmap(mesh)
     grads, area = _p1_geometry(mesh)
-    cell_w = _weight_integrals(mesh.vertices[mesh.triangles],
-                               coeff.bulk_weight, area, weight_tol)
     if use_envelope:
-        cell_mats = _envelope_integrals(coeff, area, cell_w)
+        cell_mats = _envelope_integrals(coeff, area, _weight_integrals(
+            mesh.vertices[mesh.triangles], coeff.bulk_weight, area,
+            weight_tol))
     else:
-        cell_mats = _coefficient_integrals(mesh, coeff, area, cell_w,
+        cell_mats = _coefficient_integrals(mesh, coeff, area, None,
                                            quad_order, weight_tol)
     return _stiffness(mesh, dofmap, grads, cell_mats)
 

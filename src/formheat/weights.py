@@ -718,26 +718,17 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
             "min_on_s": None if np.isinf(lvl_min_on_s) else lvl_min_on_s,
         })
 
-    # a far cube can only matter if its analytic bound undercuts the
-    # minimum; that minimum only falls from here on, so one call integrates
-    # every cube that undercuts it now, and the loop replays the pass
-    candidates = []
-    for level, mx, my, bounds in deferred:
-        keep = bounds < c_min
-        candidates.append((level, mx[keep], my[keep], bounds[keep]))
-    integrals = iter(weighted_cell_integral(w, np.concatenate(
-        [(np.stack([mx, my], axis=-1)[:, None] + _CORNERS) * 2.0 ** (-level)
-         for level, mx, my, _ in candidates])).tolist())
-    for level, mxs, mys, bounds in candidates:
+    # a far cube can only matter if its analytic bound undercuts the minimum
+    for level, mxs, mys, bounds in deferred:
         norm_factor = 2.0 ** (level * (d + w.gamma))
         for mx, my, bound in zip(mxs.tolist(), mys.tolist(), bounds.tolist()):
-            integral = next(integrals)
             if bound < c_min:
-                value = norm_factor * integral
+                cube = DyadicCube(level, mx, my)
+                value = norm_factor * weighted_cell_integral(w, cube)
                 rows.append((level, mx, my, value, False))
                 if value < c_min:
                     c_min = value
-                    argmin = DyadicCube(level, mx, my)
+                    argmin = cube
 
     return ScanResult(c_min=float(c_min), argmin_cube=argmin,
                       level_stats=level_stats, rows=rows,

@@ -242,6 +242,26 @@ def test_weighted_pencil_integrates_each_cell_once(std_mesh_8, monkeypatch):
     assert cells == [std_mesh_8.num_triangles]
 
 
+def test_bulk_stiffness_integrates_weight_where_read(std_mesh_8, monkeypatch):
+    # a callable region integrates its full coefficient adaptively, so
+    # the weight is integrated over the constant region's triangles alone
+    cells = []
+    integral = assembly.weighted_cell_integral
+
+    def counting(w, cell, *args, **kwargs):
+        cells.append(len(cell))
+        return integral(w, cell, *args, **kwargs)
+
+    monkeypatch.setattr(assembly, "weighted_cell_integral", counting)
+    coeff = CoefficientSet(
+        mu_bulk={0: 1.0, 1: lambda points: np.ones(len(points))},
+        bulk_weight=WeightSpec(Points((0.3, 0.6)), 0.5))
+    assemble_bulk_stiffness(std_mesh_8, coeff)
+    assert cells == [np.count_nonzero(std_mesh_8.tri_regions == 0)]
+    cells.clear()
+    assemble_bulk_stiffness(std_mesh_8, coeff, use_envelope=True)
+    assert cells == [std_mesh_8.num_triangles]
+
 def test_bulk_coefficient_error_propagates(std_mesh_8):
     # callables take (n, 2) point arrays; an error they raise is not
     # retried point by point

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import formheat.weights as weights
 from oracles import grid_richardson_box
 from formheat.errors import QuadratureAccuracyError
 from formheat.geometry import Points, Polyline
@@ -153,6 +154,23 @@ def test_scan_window_warning():
     assert not result.window_covers_s
     assert result.warning is not None
 
+
+def test_scan_integrates_only_the_cubes_it_reports(monkeypatch):
+    # with the window far from the set every cube is deferred; a deferred
+    # cube is integrated only while its bound undercuts the running
+    # minimum, and every integrated cube is a row
+    cells = []
+    integral = weights.weighted_cell_integral
+
+    def counting(w, cell, *args, **kwargs):
+        cells.append(1 if isinstance(cell, DyadicCube) else len(cell))
+        return integral(w, cell, *args, **kwargs)
+
+    monkeypatch.setattr(weights, "weighted_cell_integral", counting)
+    w = WeightSpec(Points((5.0, 5.0)), 1.0)
+    result = muckenhoupt_lower_bound_scan(w, 2, (-1, -1, 1, 1))
+    assert sum(cells) == len(result.rows)
+    assert 0 < len(result.rows) < 9 + 25 + 81
 
 def test_dyadic_cube_fields():
     cube = DyadicCube(3, -2, 5)
