@@ -3,7 +3,7 @@
 A mesh carries a 2-D triangulation together with boundary edges labeled
 ``dirichlet``, ``neumann`` or ``dynamic``, and interior interface edges on
 which dynamic interface conditions live.  The text file format is line
-based (``#`` starts a comment)::
+based (``#`` starts a comment; fields after those shown are ignored)::
 
     nv nt nbe nie
     x y                 (nv vertex lines)
@@ -14,6 +14,14 @@ based (``#`` starts a comment)::
 All indices are 0-based.  Interface edges are oriented: the stored vertex
 order (i, j) defines the edge tangent, and the edge normal is the tangent
 rotated by +90 degrees.
+
+:func:`load_mesh` names the first bad line (MeshFormatError) for a header
+that is not four nonnegative integers, a line count other than the
+header's, too few fields, a malformed or non-finite number, an index
+outside ``[0, nv)`` or an unknown label.  :class:`Mesh` checks that
+coordinates are finite, areas positive, triangles disjoint, boundary edges
+distinct and covering the boundary, interface edges distinct, interior and
+forming simple polylines, and every vertex used (MeshInvariantError).
 
 Meshes are immutable after construction (construction itself is
 single-threaded) and safe for concurrent read access.
@@ -72,25 +80,13 @@ class Mesh:
         else:
             self.tri_regions = np.asarray(tri_regions, dtype=int).reshape(-1)
 
-        self._fix_orientation()
         self._validate()
-        self._build_adjacency()
 
     # -- construction helpers -------------------------------------------------
 
-    def _fix_orientation(self):
-        v = self.vertices
-        t = self.triangles
-        if len(t) == 0:
-            return
-        a = v[t[:, 1]] - v[t[:, 0]]
-        b = v[t[:, 2]] - v[t[:, 0]]
-        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-        flip = cross < 0
-        if np.any(flip):
-            t[flip] = t[flip][:, [0, 2, 1]]
-
     def _validate(self):
+        """Check the invariants in array passes, turn every triangle
+        counter-clockwise, and record the triangles beside each edge listed."""
         nv = len(self.vertices)
         for name, arr in (("triangle", self.triangles),
                           ("boundary edge", self.boundary_edges),
@@ -104,70 +100,59 @@ class Mesh:
             if lab not in BOUNDARY_LABELS:
                 raise MeshInvariantError(f"unknown boundary label '{lab}'")
 
+        if not np.isfinite(self.vertices).all():
+            raise MeshInvariantError("non-finite vertex coordinate")
+        flip = self.triangle_areas() < 0
+        self.triangles[flip] = self.triangles[flip][:, [0, 2, 1]]
         if np.any(self.triangle_areas() <= 0.0):
             raise MeshInvariantError("degenerate triangle (area <= 0)")
 
-        # Directed edges of CCW triangles: each may appear at most once, and
-        # each undirected edge in at most two triangles.  This catches
-        # duplicated and overlapping triangles at desk scale.
-        directed = set()
-        undirected = {}
-        for k, (a, b, c) in enumerate(self.triangles):
-            for i, j in ((a, b), (b, c), (c, a)):
-                if i == j:
-                    raise MeshInvariantError("triangle with repeated vertex")
-                if (i, j) in directed:
-                    raise MeshInvariantError("duplicate directed edge (overlapping triangles)")
-                directed.add((i, j))
-                key = (min(i, j), max(i, j))
-                undirected.setdefault(key, []).append(k)
-        for key, tris in undirected.items():
-            if len(tris) > 2:
-                raise MeshInvariantError("edge shared by more than two triangles")
+        # Edge i -> j is keyed i * nv + j.  A triangle with a repeated vertex
+        # has area 0, so the directed edges of the CCW triangles must now be
+        # distinct, or triangles overlap; an undirected edge then lies in at
+        # most two triangles, one per direction.
+        t = self.triangles
+        i, j = t.ravel(), t[:, [1, 2, 0]].ravel()
+        order = np.argsort(i * nv + j)
+        keys = (i * nv + j)[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise MeshInvariantError("duplicate directed edge (overlapping triangles)")
+        # triangle(a, b) holds the directed edge a -> b, or is -1; a sentinel
+        # above every key keeps each lookup inside the arrays
+        keys, owner = np.append(keys, nv * nv), np.append(order // 3, -1)
 
-        topo_boundary = {key for key, tris in undirected.items() if len(tris) == 1}
-        declared = set()
-        for i, j in self.boundary_edges:
-            key = (min(i, j), max(i, j))
-            if key in declared:
-                raise MeshInvariantError("boundary edge listed twice")
-            declared.add(key)
-            if key not in undirected:
-                raise MeshInvariantError("boundary edge is not an edge of any triangle")
-            if len(undirected[key]) != 1:
-                raise MeshInvariantError("boundary edge belongs to more than one triangle")
-        if declared != topo_boundary:
+        def triangle(a, b):
+            pos = np.searchsorted(keys, a * nv + b)
+            return np.where(keys[pos] == a * nv + b, owner[pos], -1)
+
+        b = self.boundary_edges
+        b_fwd, b_bwd = triangle(b[:, 0], b[:, 1]), triangle(b[:, 1], b[:, 0])
+        b_keys = _edge_keys(*b.T, nv)
+        _raise_first(None, (_repeats(b_keys), "boundary edge listed twice"),
+                     ((b_fwd < 0) & (b_bwd < 0),
+                      "boundary edge is not an edge of any triangle"),
+                     ((b_fwd >= 0) & (b_bwd >= 0),
+                      "boundary edge belongs to more than one triangle"))
+        # the listed edges are distinct edges of one triangle each, so they
+        # cover the boundary iff as many edges as them lie in one triangle
+        if len(b) != np.count_nonzero(triangle(j, i) < 0):
             raise MeshInvariantError("boundary labels do not cover the topological boundary")
 
-        iface_seen = set()
-        degree = {}
-        for i, j in self.interface_edges:
-            key = (min(i, j), max(i, j))
-            if key in iface_seen:
-                raise MeshInvariantError("interface edge listed twice")
-            iface_seen.add(key)
-            if key in declared:
-                raise MeshInvariantError("edge labeled both boundary and interface")
-            if key not in undirected or len(undirected[key]) != 2:
-                raise MeshInvariantError("interface edge must be adjacent to exactly two triangles")
-            for v in key:
-                degree[v] = degree.get(v, 0) + 1
-        for v, deg in degree.items():
-            if deg > 2:
-                raise MeshInvariantError("interface edges do not form simple polylines")
+        e = self.interface_edges
+        e_fwd, e_bwd = triangle(e[:, 0], e[:, 1]), triangle(e[:, 1], e[:, 0])
+        e_keys = _edge_keys(*e.T, nv)
+        _raise_first(None, (_repeats(e_keys), "interface edge listed twice"),
+                     (np.isin(e_keys, b_keys), "edge labeled both boundary and interface"),
+                     ((e_fwd < 0) | (e_bwd < 0),
+                      "interface edge must be adjacent to exactly two triangles"))
+        if np.any(np.bincount(e.ravel(), minlength=nv) > 2):
+            raise MeshInvariantError("interface edges do not form simple polylines")
 
-        self._undirected = undirected
+        if np.any(np.bincount(t.ravel(), minlength=nv) == 0):
+            raise MeshInvariantError("vertex used by no triangle")
 
-    def _build_adjacency(self):
-        und = self._undirected
-        self._boundary_tri = []
-        for i, j in self.boundary_edges:
-            key = (min(i, j), max(i, j))
-            self._boundary_tri.append(und[key][0])
-        self._interface_tris = []
-        for i, j in self.interface_edges:
-            key = (min(i, j), max(i, j))
-            self._interface_tris.append(tuple(und[key]))
+        self._boundary_tri = np.maximum(b_fwd, b_bwd)
+        self._interface_tris = np.sort(np.stack([e_fwd, e_bwd], axis=1), axis=1)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -282,6 +267,9 @@ class Mesh:
 def load_mesh(path):
     """Read a mesh from the line-based text format.
 
+    Each section is parsed in one array pass; lines are parsed one by one
+    only after a pass has failed, to name the first bad line.
+
     Parameters
     ----------
     path : str or Path
@@ -298,86 +286,110 @@ def load_mesh(path):
     MeshInvariantError
         If the parsed data violates a mesh invariant.
     """
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                rows.append((lineno, text))
-
+        text = [raw.split("#", 1)[0].strip() for raw in fh.read().split("\n")]
+    linenos = [k for k, line in enumerate(text, start=1) if line]
+    rows = [line for line in text if line]
     if not rows:
         raise MeshFormatError("empty mesh file")
 
-    def _ints(parts, n, lineno, what):
-        if len(parts) < n:
-            raise MeshFormatError(f"expected {n} fields for {what}", line=lineno)
-        try:
-            return [int(p) for p in parts[:n]]
-        except ValueError:
-            raise MeshFormatError(f"malformed integer in {what}", line=lineno) from None
-
-    lineno, header = rows[0]
-    nv, nt, nbe, nie = _ints(header.split(), 4, lineno, "header")
+    header, error = _read(rows[:1], linenos, 4, int,
+                          "expected 4 fields for header", "malformed integer in header")
+    _raise_first(linenos, (header.min(axis=1) < 0, "negative count in header"),
+                 pending=error)
+    nv, nt, nbe, nie = header[0].tolist()
     expected = 1 + nv + nt + nbe + nie
     if len(rows) != expected:
         raise MeshFormatError(
-            f"expected {expected} data lines, found {len(rows)}", line=rows[-1][0])
+            f"expected {expected} data lines, found {len(rows)}", line=linenos[-1])
 
-    pos = 1
-    vertices = np.zeros((nv, 2))
-    for k in range(nv):
-        lineno, text = rows[pos + k]
-        parts = text.split()
-        if len(parts) < 2:
-            raise MeshFormatError("expected 'x y' vertex line", line=lineno)
+    lines, nos = rows[1:1 + nv], linenos[1:1 + nv]
+    vertices, error = _read(lines, nos, 2, float,
+                            "expected 'x y' vertex line", "malformed vertex coordinate")
+    _raise_first(nos, (~np.isfinite(vertices).all(axis=1), "non-finite vertex coordinate"),
+                 pending=error)
+
+    lines, nos = rows[1 + nv:1 + nv + nt], linenos[1 + nv:1 + nv + nt]
+    triangles, error = _read(lines, nos, 4, int,
+                             "expected 4 fields for triangle", "malformed integer in triangle")
+    _raise_first(nos, _index_check(triangles[:, :3], nv), pending=error)
+
+    start = 1 + nv + nt
+    lines, nos = rows[start:start + nbe], linenos[start:start + nbe]
+    no_label = "expected 'i j label' boundary edge line"
+    fields, error = _read(lines, nos, 3, str, no_label, no_label)
+    bedges, bad_int = _read(lines[:len(fields)], nos, 2, int,
+                            no_label, "malformed integer in boundary edge")
+    labels = fields[:len(bedges), 2].tolist()
+    _raise_first(nos, _index_check(bedges, nv),
+                 (np.isin(labels, BOUNDARY_LABELS, invert=True),
+                  lambda row: f"unknown boundary label '{labels[row]}' "
+                              f"(expected one of {BOUNDARY_LABELS})"),
+                 pending=bad_int or error)
+
+    lines, nos = rows[start + nbe:], linenos[start + nbe:]
+    iedges, error = _read(lines, nos, 2, int, "expected 2 fields for interface edge",
+                          "malformed integer in interface edge")
+    _raise_first(nos, _index_check(iedges, nv), pending=error)
+
+    return Mesh(vertices, triangles[:, :3].copy(), bedges, labels, iedges,
+                triangles[:, 3].copy())
+
+
+def _read(lines, linenos, ncols, dtype, short, malformed):
+    """The first ``ncols`` fields of each line, parsed in one call, and None;
+    or, if a line does not parse, the rows before it and the error naming
+    it (``short`` if it has fewer than ``ncols`` fields, else ``malformed``)."""
+    def table(lines):
+        if not lines:
+            return np.zeros((0, ncols), dtype=dtype)
+        return np.loadtxt(lines, dtype=dtype, usecols=range(ncols), ndmin=2, comments=None)
+
+    try:
+        return table(lines), None
+    except ValueError:
+        pass
+    for k, line in enumerate(lines):
         try:
-            vertices[k] = (float(parts[0]), float(parts[1]))
+            table([line])
         except ValueError:
-            raise MeshFormatError("malformed vertex coordinate", line=lineno) from None
-    pos += nv
-
-    triangles = np.zeros((nt, 3), dtype=int)
-    regions = np.zeros(nt, dtype=int)
-    for k in range(nt):
-        lineno, text = rows[pos + k]
-        i, j, m, r = _ints(text.split(), 4, lineno, "triangle")
-        _check_index((i, j, m), nv, lineno)
-        triangles[k] = (i, j, m)
-        regions[k] = r
-    pos += nt
-
-    bedges = np.zeros((nbe, 2), dtype=int)
-    labels = []
-    for k in range(nbe):
-        lineno, text = rows[pos + k]
-        parts = text.split()
-        if len(parts) < 3:
-            raise MeshFormatError("expected 'i j label' boundary edge line", line=lineno)
-        i, j = _ints(parts, 2, lineno, "boundary edge")
-        _check_index((i, j), nv, lineno)
-        label = parts[2]
-        if label not in BOUNDARY_LABELS:
-            raise MeshFormatError(
-                f"unknown boundary label '{label}' (expected one of {BOUNDARY_LABELS})",
-                line=lineno)
-        bedges[k] = (i, j)
-        labels.append(label)
-    pos += nbe
-
-    iedges = np.zeros((nie, 2), dtype=int)
-    for k in range(nie):
-        lineno, text = rows[pos + k]
-        i, j = _ints(text.split(), 2, lineno, "interface edge")
-        _check_index((i, j), nv, lineno)
-        iedges[k] = (i, j)
-
-    return Mesh(vertices, triangles, bedges, labels, iedges, regions)
+            message = short if len(line.split()) < ncols else malformed
+            return table(lines[:k]), MeshFormatError(message, line=linenos[k])
 
 
-def _check_index(indices, nv, lineno):
-    for idx in indices:
-        if idx < 0 or idx >= nv:
-            raise MeshFormatError(f"vertex index out of range: {idx} of {nv}", line=lineno)
+def _index_check(indices, nv):
+    """Check of each row's vertex indices against ``[0, nv)``."""
+    bad = (indices < 0) | (indices >= nv)
+    return (bad.any(axis=1),
+            lambda row: f"vertex index out of range: {indices[row][bad[row]][0]} of {nv}")
+
+
+def _raise_first(linenos, *checks, pending=None):
+    """Raise for the first row failing a ``(mask, message)`` check, taken in
+    order within a row (``message`` may be a function of the row), else
+    raise ``pending``: a MeshFormatError at line ``linenos[row]``, or a
+    MeshInvariantError if ``linenos`` is None."""
+    bad = np.any([mask for mask, _ in checks], axis=0)
+    if bad.any():
+        row = int(bad.argmax())
+        message = next(message for mask, message in checks if mask[row])
+        message = message(row) if callable(message) else message
+        if linenos is None:
+            raise MeshInvariantError(message)
+        raise MeshFormatError(message, line=linenos[row])
+    if pending:
+        raise pending
+
+
+def _repeats(keys):
+    """True where a key already appeared in an earlier row."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first[inverse] != np.arange(len(keys))
+
+
+def _edge_keys(i, j, nv):
+    """Key ``lo * nv + hi`` of each undirected edge {i, j}."""
+    return np.minimum(i, j) * nv + np.maximum(i, j)
 
 
 def save_mesh(mesh, path):
@@ -399,39 +411,26 @@ def refine_uniform(mesh):
     """One level of red refinement (each triangle split into four).
 
     Boundary and interface edges are split in two and inherit label and
-    orientation; triangle region ids are inherited.
+    orientation; triangle region ids are inherited.  Midpoints are
+    numbered after the old vertices, in the order their edges first
+    appear in the triangles (edges ab, bc, ca of each).
     """
-    v = mesh.vertices
-    verts = list(map(tuple, v))
-    midpoint = {}
+    v, t, nv = mesh.vertices, mesh.triangles, mesh.num_vertices
+    i, j = t.ravel(), t[:, [1, 2, 0]].ravel()
+    edges, first, inverse = np.unique(_edge_keys(i, j, nv), return_index=True,
+                                      return_inverse=True)
+    number = nv + np.argsort(np.argsort(first))
+    first = np.sort(first)
+    verts = np.concatenate([v, 0.5 * (v[i[first]] + v[j[first]])])
 
-    def mid(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in midpoint:
-            verts.append(tuple(0.5 * (v[i] + v[j])))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
+    a, b, c = t.T
+    ab, bc, ca = number[inverse].reshape(-1, 3).T
+    tris = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
 
-    tris = []
-    regions = []
-    for (a, b, c), r in zip(mesh.triangles, mesh.tri_regions):
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        tris.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-        regions.extend([r, r, r, r])
+    def split(pairs):
+        m = number[np.searchsorted(edges, _edge_keys(*pairs.T, nv))]
+        return np.stack([pairs[:, 0], m, m, pairs[:, 1]], axis=1).reshape(-1, 2)
 
-    bedges = []
-    labels = []
-    for (i, j), lab in zip(mesh.boundary_edges, mesh.boundary_labels):
-        m = mid(i, j)
-        bedges.extend([(i, m), (m, j)])
-        labels.extend([lab, lab])
-
-    iedges = []
-    for i, j in mesh.interface_edges:
-        m = mid(i, j)
-        iedges.extend([(i, m), (m, j)])
-
-    return Mesh(np.array(verts), np.array(tris, dtype=int),
-                np.array(bedges, dtype=int), labels,
-                np.array(iedges, dtype=int) if iedges else None,
-                np.array(regions, dtype=int))
+    labels = [lab for lab in mesh.boundary_labels for _ in (0, 1)]
+    return Mesh(verts, tris, split(mesh.boundary_edges), labels,
+                split(mesh.interface_edges), np.repeat(mesh.tri_regions, 4))

@@ -9,7 +9,7 @@ from Richardson-extrapolated midpoint grids.
 
 import numpy as np
 
-from formheat.geometry.mesh import DIRICHLET, DYNAMIC
+from formheat.geometry.mesh import DIRICHLET, DYNAMIC, Mesh
 from formheat.geometry.surface import INTERFACE
 from formheat.weights import adaptive_line_integral, weighted_cell_integral
 
@@ -81,6 +81,45 @@ def edge_linear_coefficient_integral(p0, p1, a, b):
     length = np.linalg.norm(p1 - p0)
     mid = 0.5 * (p0 + p1)
     return (float(np.dot(a, mid)) + b) * length
+
+
+def refine_uniform_loop(mesh):
+    """Red refinement by a loop over triangles, numbering each midpoint
+    when its edge is first met (the reference for ``refine_uniform``)."""
+    v = mesh.vertices
+    verts = list(map(tuple, v))
+    midpoint = {}
+
+    def mid(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in midpoint:
+            verts.append(tuple(0.5 * (v[i] + v[j])))
+            midpoint[key] = len(verts) - 1
+        return midpoint[key]
+
+    tris = []
+    regions = []
+    for (a, b, c), r in zip(mesh.triangles, mesh.tri_regions):
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        tris.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+        regions.extend([r, r, r, r])
+
+    bedges = []
+    labels = []
+    for (i, j), lab in zip(mesh.boundary_edges, mesh.boundary_labels):
+        m = mid(i, j)
+        bedges.extend([(i, m), (m, j)])
+        labels.extend([lab, lab])
+
+    iedges = []
+    for i, j in mesh.interface_edges:
+        m = mid(i, j)
+        iedges.extend([(i, m), (m, j)])
+
+    return Mesh(np.array(verts), np.array(tris, dtype=int),
+                np.array(bedges, dtype=int), labels,
+                np.array(iedges, dtype=int) if iedges else None,
+                np.array(regions, dtype=int))
 
 
 class FormOracle:

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from formheat.errors import MeshFormatError, MeshInvariantError
+from formheat import cli
+from formheat.errors import FormheatError, MeshFormatError, MeshInvariantError
 from formheat.geometry import (Mesh, Points, Polyline,
                                distance_to_submanifold, load_mesh,
                                refine_uniform, save_mesh)
@@ -55,6 +58,209 @@ INTERFACE_SQUARE_TEXT = """\
 3 4
 4 5
 """
+
+
+
+def _edit(text, *pairs):
+    """``text`` with each ``(old, new)`` line replacement made once."""
+    for old, new in pairs:
+        assert old in text, old
+        text = text.replace(old, new, 1)
+    return text
+
+
+# Malformed files, one per rejection of the loader and the invariants,
+# then a few with two faults in one section: (id, text, exception class,
+# message, line).  UNIT_SQUARE_TEXT has its header on line 2, vertices on
+# 3-6, triangles on 7-8 and boundary edges on 9-12; INTERFACE_SQUARE_TEXT
+# has its header on line 1, vertices on 2-10, triangles on 11-18,
+# boundary edges on 19-26 and interface edges on 27-28.
+_LABELS = "('dirichlet', 'neumann', 'dynamic')"
+ERROR_CORPUS = [
+    ("empty", "# nothing here\n\n", MeshFormatError, "empty mesh file", None),
+    ("header-fields", _edit(UNIT_SQUARE_TEXT, ("4 2 4 0", "4 2 4")),
+     MeshFormatError, "expected 4 fields for header", 2),
+    ("header-integer", _edit(UNIT_SQUARE_TEXT, ("4 2 4 0", "4 2 4 x")),
+     MeshFormatError, "malformed integer in header", 2),
+    ("header-negative", "3 -1 0 0\n0 0\n1 0\n",
+     MeshFormatError, "negative count in header", 1),
+    ("line-count", _edit(UNIT_SQUARE_TEXT, ("1 1\n", "")),
+     MeshFormatError, "expected 11 data lines, found 10", 11),
+    ("vertex-fields", _edit(UNIT_SQUARE_TEXT, ("1 0\n", "1\n")),
+     MeshFormatError, "expected 'x y' vertex line", 4),
+    ("vertex-number", _edit(UNIT_SQUARE_TEXT, ("1 0\n", "1 zero\n")),
+     MeshFormatError, "malformed vertex coordinate", 4),
+    ("vertex-nan", _edit(UNIT_SQUARE_TEXT, ("0 1\n", "nan 1\n")),
+     MeshFormatError, "non-finite vertex coordinate", 6),
+    ("triangle-fields", _edit(UNIT_SQUARE_TEXT, ("0 2 3 0", "0 2 3")),
+     MeshFormatError, "expected 4 fields for triangle", 8),
+    ("triangle-integer", _edit(UNIT_SQUARE_TEXT, ("0 2 3 0", "0 2 3 top")),
+     MeshFormatError, "malformed integer in triangle", 8),
+    ("triangle-index", _edit(UNIT_SQUARE_TEXT, ("0 2 3 0", "0 2 7 0")),
+     MeshFormatError, "vertex index out of range: 7 of 4", 8),
+    ("boundary-fields", _edit(UNIT_SQUARE_TEXT, ("1 2 dirichlet", "1 2")),
+     MeshFormatError, "expected 'i j label' boundary edge line", 10),
+    ("boundary-integer",
+     _edit(UNIT_SQUARE_TEXT, ("1 2 dirichlet", "1 b dirichlet")),
+     MeshFormatError, "malformed integer in boundary edge", 10),
+    ("boundary-index",
+     _edit(UNIT_SQUARE_TEXT, ("3 0 dirichlet", "99 0 dirichlet")),
+     MeshFormatError, "vertex index out of range: 99 of 4", 12),
+    ("boundary-label", _edit(UNIT_SQUARE_TEXT, ("2 3 dirichlet", "2 3 robin")),
+     MeshFormatError, f"unknown boundary label 'robin' (expected one of "
+     f"{_LABELS})", 11),
+    ("interface-fields", _edit(INTERFACE_SQUARE_TEXT, ("4 5\n", "4\n")),
+     MeshFormatError, "expected 2 fields for interface edge", 28),
+    ("interface-integer", _edit(INTERFACE_SQUARE_TEXT, ("4 5\n", "4 five\n")),
+     MeshFormatError, "malformed integer in interface edge", 28),
+    ("interface-index", _edit(INTERFACE_SQUARE_TEXT, ("4 5\n", "4 -5\n")),
+     MeshFormatError, "vertex index out of range: -5 of 9", 28),
+    ("degenerate", _edit(UNIT_SQUARE_TEXT, ("1 1\n", "2 0\n")),
+     MeshInvariantError, "degenerate triangle (area <= 0)", None),
+    ("overlapping", _edit(UNIT_SQUARE_TEXT, ("4 2 4 0", "4 3 4 0"),
+                          ("0 2 3 0\n", "0 2 3 0\n2 3 0 0\n")),
+     MeshInvariantError, "duplicate directed edge (overlapping triangles)",
+     None),
+    ("boundary-twice", _edit(UNIT_SQUARE_TEXT, ("4 2 4 0", "4 2 5 0"),
+                             ("3 0 dirichlet", "3 0 dirichlet\n0 3 neumann")),
+     MeshInvariantError, "boundary edge listed twice", None),
+    ("boundary-not-an-edge",
+     _edit(UNIT_SQUARE_TEXT, ("3 0 dirichlet", "1 3 dirichlet")),
+     MeshInvariantError, "boundary edge is not an edge of any triangle", None),
+    ("boundary-interior",
+     _edit(UNIT_SQUARE_TEXT, ("3 0 dirichlet", "2 0 dirichlet")),
+     MeshInvariantError, "boundary edge belongs to more than one triangle",
+     None),
+    ("boundary-cover", _edit(UNIT_SQUARE_TEXT, ("4 2 4 0", "4 2 3 0"),
+                             ("3 0 dirichlet\n", "")),
+     MeshInvariantError,
+     "boundary labels do not cover the topological boundary", None),
+    ("interface-twice", _edit(INTERFACE_SQUARE_TEXT, ("9 8 8 2", "9 8 8 3"),
+                              ("4 5\n", "4 5\n5 4\n")),
+     MeshInvariantError, "interface edge listed twice", None),
+    ("interface-on-boundary", _edit(INTERFACE_SQUARE_TEXT, ("4 5\n", "8 5\n")),
+     MeshInvariantError, "edge labeled both boundary and interface", None),
+    ("interface-not-interior",
+     _edit(INTERFACE_SQUARE_TEXT, ("4 5\n", "4 6\n")),
+     MeshInvariantError,
+     "interface edge must be adjacent to exactly two triangles", None),
+    ("interface-branch", _edit(INTERFACE_SQUARE_TEXT, ("9 8 8 2", "9 8 8 3"),
+                               ("4 5\n", "4 5\n1 4\n")),
+     MeshInvariantError, "interface edges do not form simple polylines",
+     None),
+    ("unused-vertex", _edit(UNIT_SQUARE_TEXT, ("4 2 4 0", "5 2 4 0"),
+                            ("0 1\n", "0 1\n2 2\n")),
+     MeshInvariantError, "vertex used by no triangle", None),
+    # two faults in one section: the earlier line wins, and within one
+    # line the field count, then the numbers, then the indices, then the
+    # label
+    ("two-vertex-lines", _edit(UNIT_SQUARE_TEXT, ("1 0\n", "1 x\n"),
+                               ("0 1\n", "0\n")),
+     MeshFormatError, "malformed vertex coordinate", 4),
+    ("index-before-integer",
+     _edit(UNIT_SQUARE_TEXT, ("0 1 2 0", "0 1 -2 0"), ("0 2 3 0", "0 2 3 r")),
+     MeshFormatError, "vertex index out of range: -2 of 4", 7),
+    ("integer-before-index",
+     _edit(UNIT_SQUARE_TEXT, ("0 1 2 0", "0 1 2.0 0"), ("0 2 3 0", "0 2 9 0")),
+     MeshFormatError, "malformed integer in triangle", 7),
+    ("first-index-in-line", _edit(UNIT_SQUARE_TEXT, ("0 2 3 0", "0 8 9 0")),
+     MeshFormatError, "vertex index out of range: 8 of 4", 8),
+    ("index-before-label",
+     _edit(UNIT_SQUARE_TEXT, ("1 2 dirichlet", "1 5 robin")),
+     MeshFormatError, "vertex index out of range: 5 of 4", 10),
+    ("label-before-index",
+     _edit(UNIT_SQUARE_TEXT, ("1 2 dirichlet", "1 2 robin"),
+           ("2 3 dirichlet", "2 6 dirichlet")),
+     MeshFormatError, f"unknown boundary label 'robin' (expected one of "
+     f"{_LABELS})", 10),
+    ("integer-before-short",
+     _edit(UNIT_SQUARE_TEXT, ("1 2 dirichlet", "1 z dirichlet"),
+           ("2 3 dirichlet", "2 3")),
+     MeshFormatError, "malformed integer in boundary edge", 10),
+    ("short-before-integer",
+     _edit(UNIT_SQUARE_TEXT, ("1 2 dirichlet", "1 2"),
+           ("2 3 dirichlet", "2 z dirichlet")),
+     MeshFormatError, "expected 'i j label' boundary edge line", 10),
+    ("twice-before-not-an-edge",
+     _edit(UNIT_SQUARE_TEXT, ("2 3 dirichlet", "1 0 dirichlet"),
+           ("3 0 dirichlet", "1 3 dirichlet")),
+     MeshInvariantError, "boundary edge listed twice", None),
+    ("interface-on-boundary-twice",
+     _edit(INTERFACE_SQUARE_TEXT, ("3 4\n", "0 1\n"), ("4 5\n", "1 0\n")),
+     MeshInvariantError, "edge labeled both boundary and interface", None),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, line",
+                         [row[1:] for row in ERROR_CORPUS],
+                         ids=[row[0] for row in ERROR_CORPUS])
+def test_error_corpus(tmp_path, text, kind, message, line):
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    with pytest.raises(FormheatError) as info:
+        load_mesh(path)
+    assert type(info.value) is kind
+    prefix = "" if line is None else f"line {line}: "
+    assert str(info.value) == prefix + message
+    assert getattr(info.value, "line", None) == line
+
+
+_SQUARE = ([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)],
+           [(0, 1), (1, 2), (2, 3), (3, 0)], ["neumann"] * 4)
+
+# Rejections only the constructor can meet, since the loader rejects the
+# same input first: (id, changes to _SQUARE's arguments, message).
+MESH_ERRORS = [
+    ("triangle-index", {"triangles": [(0, 1, 2), (0, 2, 4)]},
+     "triangle vertex index out of range"),
+    ("boundary-index", {"boundary_edges": [(0, 1), (1, 2), (2, 3), (3, -1)]},
+     "boundary edge vertex index out of range"),
+    ("interface-index", {"interface_edges": [(0, 7)]},
+     "interface edge vertex index out of range"),
+    ("label-count", {"boundary_labels": ["neumann"] * 3},
+     "boundary label count does not match edge count"),
+    ("label", {"boundary_labels": ["neumann", "robin", "neumann", "wall"]},
+     "unknown boundary label 'robin'"),
+    ("non-finite", {"vertices": [(0, 0), (1, 0), (1, 1), (np.inf, 1)]},
+     "non-finite vertex coordinate"),
+    ("non-finite-before-area",
+     {"vertices": [(0, 0), (1, 0), (2, 0), (np.nan, 1)]},
+     "non-finite vertex coordinate"),
+]
+
+
+@pytest.mark.parametrize("changes, message", [row[1:] for row in MESH_ERRORS],
+                         ids=[row[0] for row in MESH_ERRORS])
+def test_mesh_constructor_errors(changes, message):
+    verts, tris, edges, labels = _SQUARE
+    kwargs = dict(vertices=verts, triangles=tris, boundary_edges=edges,
+                  boundary_labels=labels)
+    kwargs.update(changes)
+    with pytest.raises(MeshInvariantError) as info:
+        Mesh(**kwargs)
+    assert str(info.value) == message
+
+
+# The rejections the loader gained, through the command line: exit 1, an
+# error.json record, and a "mesh:" diagnostic from validate.
+_NEW_REJECTIONS = {row[0]: row[1:] for row in ERROR_CORPUS
+                   if row[0] in ("header-negative", "vertex-nan", "unused-vertex")}
+
+
+@pytest.mark.parametrize("name", sorted(_NEW_REJECTIONS))
+def test_new_rejections_through_cli(tmp_path, capsys, name):
+    text, kind, message, line = _NEW_REJECTIONS[name]
+    (tmp_path / "bad.mesh").write_text(text)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"pipeline = eigs\nmesh = bad.mesh\neigs.count = 2\n"
+                   f"output = {tmp_path / 'out'}\n")
+    assert cli.run(cfg) == 1
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["kind"] == kind.__name__
+    assert record["error"].endswith(message)
+    assert cli.main(["validate", str(cfg)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert [d for d in out if d.startswith("mesh:") and message in d], out
 
 
 def test_load_unit_square(tmp_path):
