@@ -31,8 +31,7 @@ for n in (4, 8, 16, 32):
     mesh = standard_fixture_mesh(n)
     pencil = build_pencil(mesh, CoefficientSet())
     n_steps = int(round(t_end / (0.2 / n ** 2)))
-    cfg = TimeSteppingConfig(dt=t_end / n_steps, t_end=t_end, theta=1.0,
-                             solver="direct")
+    cfg = TimeSteppingConfig(dt=t_end / n_steps, t_end=t_end, theta=1.0)
     report = evolve(pencil, ms.initial(pencil), ms.forcing(pencil), cfg)
     err = block_l2_error(pencil, report.final_vector, ms.u, ms.u, ms.u,
                          t=t_end)

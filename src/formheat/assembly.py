@@ -22,15 +22,14 @@ Surface matrices are built the same way from edge arrays and summed
 straight onto the dofs they act on: the surface stiffness onto the free
 bulk dofs of the edge ends, the surface masses onto each surface's block
 of free nodes.  No surface-local numbering survives into the pencil.
-Coefficient callables therefore receive (n, 2) point arrays and must
-return one value per point.  Only the weight integrals over cells stay
-per cell, in :mod:`formheat.weights`.  Assembled operators are
-immutable.
+Nonconstant surface coefficients share one adaptive line integral over
+all edges.  Coefficient callables therefore receive (n, 2) point arrays
+and must return one value per point.  Only a callable bulk coefficient
+under a weight is integrated cell by cell.  Operators are immutable.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,23 +69,6 @@ def _eval_matrix_callable(fn, points):
                      f"for {len(points)} points; expected (n,) or (n, 2, 2)")
 
 
-def _eval_scalar_callable(fn, points, tau=None):
-    """Evaluate a surface coefficient at (n, 2) points, reduced to its
-    tangential scalar action when matrix-valued; ``fn(points, tau)`` if
-    its signature accepts both, else ``fn(points)``."""
-    args = (points,)
-    if tau is not None:
-        try:
-            inspect.signature(fn).bind(points, tau)
-            args = (points, tau)
-        except (TypeError, ValueError):  # points only, or no signature
-            pass
-    vals = np.asarray(fn(*args), dtype=float)
-    if vals.ndim == 3 and vals.shape[1:] == (2, 2):
-        return np.einsum("i,nij,j->n", tau, vals, tau)
-    return vals.reshape(len(points))
-
-
 class CoefficientSet:
     """Diffusion and relaxation coefficients with their envelopes.
 
@@ -98,15 +80,14 @@ class CoefficientSet:
         (n, 2) and return (n, 2, 2) matrices or (n,) scalars; they are
         evaluated once over all quadrature points of a region.
     mu_gd, mu_sigma : scalar, 2x2 array, or callable
-        Surface diffusion on the dynamic boundary / interface.  Only the
-        tangential scalar action (mu tau, tau) enters in 2-D.
+        Surface diffusion on the dynamic boundary / interface, and its own
+        envelope.  Callables map points (n, 2) to (n,) or (n, 2, 2); only
+        (mu tau, tau) enters, tau the unit tangent of each point's edge.
     bulk_weight : WeightSpec, optional
         Degenerate scalar envelope multiplying ``mu_bulk``; when given,
         ``mu_bulk_star`` is this weight.
     mu_bulk_star : scalar, optional
         Constant envelope for the nondegenerate case (default 1).
-    mu_gd_star, mu_sigma_star : scalar or callable, optional
-        Surface envelopes; default to the tangential coefficient itself.
     zeta_bulk, zeta_gd, zeta_sigma : scalar or callable
         Relaxation coefficient per block, bounded away from zero.
     c1, c2 : float
@@ -117,7 +98,6 @@ class CoefficientSet:
 
     def __init__(self, mu_bulk=1.0, mu_gd=1.0, mu_sigma=1.0, *,
                  bulk_weight=None, mu_bulk_star=None,
-                 mu_gd_star=None, mu_sigma_star=None,
                  zeta_bulk=1.0, zeta_gd=1.0, zeta_sigma=1.0,
                  c1=1.0, c2=1.0, zeta_lower=None):
         self.mu_bulk = mu_bulk
@@ -127,8 +107,6 @@ class CoefficientSet:
         if bulk_weight is not None and not isinstance(bulk_weight, WeightSpec):
             raise TypeError("bulk_weight must be a WeightSpec")
         self.mu_bulk_star = 1.0 if mu_bulk_star is None else float(mu_bulk_star)
-        self.mu_gd_star = mu_gd_star
-        self.mu_sigma_star = mu_sigma_star
         self.zeta_bulk = zeta_bulk
         self.zeta_gd = zeta_gd
         self.zeta_sigma = zeta_sigma
@@ -172,24 +150,20 @@ class CoefficientSet:
 
     # surfaces -----------------------------------------------------------
 
-    def surface_values(self, which, points, tau):
+    def surface_values(self, which, points, tangents):
+        """Tangential action (mu tau, tau) of the surface coefficient at
+        (n, 2) points with unit tangents ``tangents`` (n, 2)."""
         mu = self.mu_gd if which == DYNAMIC else self.mu_sigma
         if callable(mu):
-            return _eval_scalar_callable(mu, points, tau)
+            vals = np.asarray(mu(points), dtype=float)
+            if vals.ndim == 3 and vals.shape[1:] == (2, 2):
+                return np.vecdot(np.einsum("ni,nij->nj", tangents, vals),
+                                 tangents)
+            return vals.reshape(len(points))
         arr = np.asarray(mu, dtype=float)
         if arr.ndim == 2:
-            return np.full(len(points), float(tau @ arr @ tau))
+            return np.vecdot(tangents @ arr, tangents)
         return np.full(len(points), float(arr))
-
-    def surface_envelope_values(self, which, points, tau):
-        star = self.mu_gd_star if which == DYNAMIC else self.mu_sigma_star
-        if star is None:
-            return self.surface_values(which, points, tau)
-        if isinstance(star, WeightSpec):
-            return star.eval(points)
-        if callable(star):
-            return _eval_scalar_callable(star, points, tau)
-        return np.full(len(points), float(star))
 
     # relaxation -----------------------------------------------------------
 
@@ -311,6 +285,13 @@ class BlockField:
 
 # -- element kernels --------------------------------------------------------------
 
+_QUAD_ORDER = 2          # triangle rule for callable bulk coefficients
+_WEIGHT_TOL = 1e-8       # relative tolerance of the weighted cell integrals
+_SURFACE_TOL = 1e-12     # relative tolerance of the surface edge integrals
+# edge parameters of the probe that finds constant surface coefficients;
+# asymmetric, so that symmetric nonconstant profiles cannot pass for one
+_PROBE_TS = np.array([0.0, 0.31, 0.5, 0.77, 1.0])
+
 def _p1_geometry(mesh):
     """Constant P1 basis gradients (nt, 2, 3) and areas (nt,) of every
     triangle."""
@@ -333,12 +314,12 @@ def _scatter(dofs, elem, n):
     return sp.csr_matrix((elem[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
-def _weight_integrals(tris, weight, area, weight_tol):
+def _weight_integrals(tris, weight, area):
     """Integral of the bulk weight over each triangle of ``tris``
     (nt, 3, 2); the areas when there is no weight."""
     if weight is None:
         return area
-    return weighted_cell_integral(weight, tris, tol_rel=weight_tol)
+    return weighted_cell_integral(weight, tris, tol_rel=_WEIGHT_TOL)
 
 
 def _envelope_integrals(coeff, area, cell_w):
@@ -347,7 +328,7 @@ def _envelope_integrals(coeff, area, cell_w):
     return scale[:, None, None] * np.eye(2)
 
 
-def _coefficient_integrals(mesh, coeff, area, cell_w, quad_order, weight_tol):
+def _coefficient_integrals(mesh, coeff, area, cell_w):
     """Integral of the full bulk coefficient over every triangle,
     (nt, 2, 2).  Constant bases scale the weight integrals ``cell_w``
     (computed here in one call over their triangles alone when None);
@@ -363,7 +344,7 @@ def _coefficient_integrals(mesh, coeff, area, cell_w, quad_order, weight_tol):
             if base is not None])
         cell_w = np.zeros(mesh.num_triangles)
         cell_w[const] = _weight_integrals(tris[const], coeff.bulk_weight,
-                                          area[const], weight_tol)
+                                          area[const])
     for region, base in zip(regions, bases):
         sel = mesh.tri_regions == region
         if base is not None:
@@ -374,14 +355,14 @@ def _coefficient_integrals(mesh, coeff, area, cell_w, quad_order, weight_tol):
             return coeff.bulk_values(points, region).reshape(len(points), 4)
 
         if coeff.bulk_weight is None:
-            bary, wts = triangle_rule(quad_order)
+            bary, wts = triangle_rule(_QUAD_ORDER)
             pts = bary @ tris[sel]
             vals = f(pts.reshape(-1, 2)).reshape(len(pts), len(wts), 4)
             out[sel] = (wts @ vals).reshape(-1, 2, 2) * area[sel, None, None]
             continue
         for k in np.flatnonzero(sel):
             value, _ = adaptive_triangles_integral(
-                f, tris[k][None], tol_rel=weight_tol, order=quad_order,
+                f, tris[k][None], tol_rel=_WEIGHT_TOL, order=_QUAD_ORDER,
                 weight_fn=coeff.bulk_weight.eval)
             out[k] = np.asarray(value).reshape(2, 2)
     return out
@@ -394,8 +375,7 @@ def _stiffness(mesh, dofmap, grads, cell_mats):
     return _scatter(dofmap.vertex_free[mesh.triangles], elem, dofmap.n_free)
 
 
-def assemble_bulk_stiffness(mesh, coeff, quad_order=2, *, dofmap=None,
-                            weight_tol=1e-8, use_envelope=False):
+def assemble_bulk_stiffness(mesh, coeff, *, dofmap=None, use_envelope=False):
     """P1 bulk stiffness with Dirichlet dofs eliminated symmetrically.
 
     Entry (i, j) carries the bulk energy pairing of trial function j
@@ -408,49 +388,49 @@ def assemble_bulk_stiffness(mesh, coeff, quad_order=2, *, dofmap=None,
     grads, area = _p1_geometry(mesh)
     if use_envelope:
         cell_mats = _envelope_integrals(coeff, area, _weight_integrals(
-            mesh.vertices[mesh.triangles], coeff.bulk_weight, area,
-            weight_tol))
+            mesh.vertices[mesh.triangles], coeff.bulk_weight, area))
     else:
-        cell_mats = _coefficient_integrals(mesh, coeff, area, None,
-                                           quad_order, weight_tol)
+        cell_mats = _coefficient_integrals(mesh, coeff, area, None)
     return _stiffness(mesh, dofmap, grads, cell_mats)
 
 
-def _edge_coefficient_integral(smesh, coeff, which, k, envelope, tol=1e-12):
-    """Integral of the tangential (or envelope) coefficient over edge k."""
-    i, j = smesh.edges[k]
-    p0, p1 = smesh.mesh.vertices[i], smesh.mesh.vertices[j]
-    tau = smesh.edge_tangent(k)
-
-    if envelope:
-        fn = lambda pts: coeff.surface_envelope_values(which, pts, tau)
-    else:
-        fn = lambda pts: coeff.surface_values(which, pts, tau)
-
-    # constants integrate exactly (asymmetric probe points so symmetric
-    # nonconstant profiles cannot masquerade as constants)
-    ts = np.array([0.0, 0.31, 0.5, 0.77, 1.0])
-    probe = fn(p0 + np.outer(ts, p1 - p0))
-    if np.min(probe) < -1e-12 * max(1.0, float(np.max(np.abs(probe)))):
-        raise EnvelopeViolationError(
-            f"negative tangential coefficient sampled on {which} edge {k}")
-    if np.ptp(probe) == 0.0:
-        return float(probe[0]) * smesh.edge_lengths[k]
-    value, _ = adaptive_line_integral(fn, p0, p1, tol_rel=tol)
-    if value < -1e-12 * smesh.edge_lengths[k] * max(1.0, abs(value)):
-        raise EnvelopeViolationError(
-            f"negative tangential coefficient integral on {which} edge {k}")
-    return value
+def _surface_samples(smesh, coeff, which, ts):
+    """The points (ne * q, 2) at the parameters ``ts`` (q,) of every edge
+    and the tangential surface coefficient there, (ne, q)."""
+    ends = smesh.mesh.vertices[smesh.edges]
+    pts = ends[:, None, 0] + ts[:, None] * (ends[:, None, 1] - ends[:, None, 0])
+    pts = pts.reshape(-1, 2)
+    tangents = np.repeat(smesh.tangents, len(ts), axis=0)
+    return pts, coeff.surface_values(which, pts, tangents).reshape(-1, len(ts))
 
 
-def _surface_stiffness(smesh, coeff, which, dofs, n, *, envelope=False,
-                       tol=1e-12):
+def _surface_stiffness(smesh, coeff, which, dofs, n):
     """Tangential P1 stiffness of the surface edges, scattered onto the
-    edge dofs ``dofs`` (ne, 2) of an n x n matrix."""
-    s_e = np.array([_edge_coefficient_integral(smesh, coeff, which, k,
-                                               envelope, tol)
-                    for k in range(len(smesh.edges))])
-    w = s_e / smesh.edge_lengths ** 2
+    edge dofs ``dofs`` (ne, 2) of an n x n matrix.  Edges whose probe
+    samples agree take that value times their length."""
+    length = smesh.edge_lengths
+    _, probe = _surface_samples(smesh, coeff, which, _PROBE_TS)
+    negative = probe.min(axis=1) < -1e-12 * np.maximum(
+        1.0, np.abs(probe).max(axis=1))
+    if negative.any():
+        raise EnvelopeViolationError(
+            f"negative tangential coefficient sampled on {which} edge "
+            f"{np.argmax(negative)}")
+    s_e = probe[:, 0] * length
+    vary = np.flatnonzero(np.ptp(probe, axis=1) != 0.0)
+    if len(vary):
+        ends = smesh.mesh.vertices[smesh.edges[vary]]
+        tangents = smesh.tangents[vary]
+        s_e[vary], _ = adaptive_line_integral(
+            lambda pts, rows: coeff.surface_values(which, pts, tangents[rows]),
+            ends[:, 0], ends[:, 1], tol_rel=_SURFACE_TOL)
+        negative = s_e[vary] < -1e-12 * length[vary] * np.maximum(
+            1.0, np.abs(s_e[vary]))
+        if negative.any():
+            raise EnvelopeViolationError(
+                f"negative tangential coefficient integral on {which} edge "
+                f"{vary[np.argmax(negative)]}")
+    w = s_e / length ** 2
     elem = w[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
     return _scatter(dofs, elem, n)
 
@@ -491,19 +471,17 @@ def _surface_block_dofs(dofmap, smesh, which):
     return index[smesh.edges]
 
 
-def assemble_surface_stiffness(smesh, coeff, which, *, envelope=False,
-                               tol=1e-12):
+def assemble_surface_stiffness(smesh, coeff, which):
     """Tangential P1 stiffness on all nodes of a surface mesh.
 
     Each edge contributes ``(integral of mu_t / L^2) [[1,-1],[-1,1]]``
     for the tangential coefficient of ``coeff`` on ``which``
-    (``dynamic`` or ``interface``), or its envelope with ``envelope``;
-    nodes all of whose incident edges carry a vanishing coefficient get
-    zero rows, so arbitrarily supported (degenerate) surface diffusion
-    assembles naturally.
+    (``dynamic`` or ``interface``); nodes all of whose incident edges
+    carry a vanishing coefficient get zero rows, so arbitrarily supported
+    (degenerate) surface diffusion assembles naturally.
     """
     return _surface_stiffness(smesh, coeff, which, smesh.edge_nodes,
-                              smesh.num_nodes, envelope=envelope, tol=tol)
+                              smesh.num_nodes)
 
 
 def assemble_surface_mass(smesh, coeff=None, which=None, *, lumped=False,
@@ -734,14 +712,14 @@ class DiscreteOperator:
         return float(lam[0])
 
 
-def build_pencil(mesh, coeff, *, lumped=False, quad_order=2, weight_tol=1e-8,
-                 extra_constrained=(), surface_tol=1e-12):
+def build_pencil(mesh, coeff, *, lumped=False, extra_constrained=()):
     """Assemble the full discrete operator pencil for a labeled mesh.
 
     The weight integrals over the triangles are computed once and serve
     both the coefficient and the envelope stiffness; the unweighted bulk
     mass of ``M_form`` is a block of the plain block mass.  The surface
-    stiffness goes straight onto the free bulk dofs of its edges.
+    stiffness, its own envelope, goes straight onto the free bulk dofs
+    of its edges in both ``T`` and ``M_form``.
     """
     smesh_gd = SurfaceMesh.from_mesh(mesh, DYNAMIC)
     smesh_sigma = SurfaceMesh.from_mesh(mesh, INTERFACE)
@@ -750,9 +728,9 @@ def build_pencil(mesh, coeff, *, lumped=False, quad_order=2, weight_tol=1e-8,
 
     grads, area = _p1_geometry(mesh)
     cell_w = _weight_integrals(mesh.vertices[mesh.triangles], coeff.bulk_weight,
-                               area, weight_tol)
+                               area)
     k_bulk = _stiffness(mesh, dofmap, grads, _coefficient_integrals(
-        mesh, coeff, area, cell_w, quad_order, weight_tol))
+        mesh, coeff, area, cell_w))
     k_env = _stiffness(mesh, dofmap, grads,
                        _envelope_integrals(coeff, area, cell_w))
     m_blk = assemble_block_mass(mesh, smeshes, coeff, lumped=lumped,
@@ -768,17 +746,10 @@ def build_pencil(mesh, coeff, *, lumped=False, quad_order=2, weight_tol=1e-8,
     for which, smesh in smeshes.items():
         if len(dofmap.surface_vertices(which)) == 0:
             continue
-        dofs = dofmap.vertex_free[smesh.edges]
-        k_surf = _surface_stiffness(smesh, coeff, which, dofs, n,
-                                    tol=surface_tol)
-        star = coeff.mu_gd_star if which == DYNAMIC else coeff.mu_sigma_star
-        if star is None:
-            k_surf_env = k_surf     # the envelope is the coefficient itself
-        else:
-            k_surf_env = _surface_stiffness(smesh, coeff, which, dofs, n,
-                                            envelope=True, tol=surface_tol)
+        k_surf = _surface_stiffness(smesh, coeff, which,
+                                    dofmap.vertex_free[smesh.edges], n)
         t_mat = t_mat + k_surf
-        m_form = m_form + k_surf_env
+        m_form = m_form + k_surf
 
     j_mat = assemble_trace_map(dofmap)
 
@@ -843,22 +814,20 @@ def validate_envelopes(mesh, coeff, order=4):
               for k in np.flatnonzero(above.any(axis=1))]
     zeta_min = float(np.min(coeff.zeta_values("bulk", flat)))
 
+    ts = np.linspace(0.1, 0.9, 5)
     for which in (DYNAMIC, INTERFACE):
         smesh = SurfaceMesh.from_mesh(mesh, which)
-        for k in range(len(smesh.edges)):
-            i, j = smesh.edges[k]
-            p0, p1 = mesh.vertices[i], mesh.vertices[j]
-            pts = p0 + np.outer(np.linspace(0.1, 0.9, 5), p1 - p0)
-            tau = smesh.edge_tangent(k)
-            mu_t = coeff.surface_values(which, pts, tau)
-            env = coeff.surface_envelope_values(which, pts, tau)
-            if np.any(mu_t < -1e-13):
-                diags.append(f"surface coefficient violates nonnegativity "
-                             f"({which} edge {k})")
-            if np.any(mu_t + 1e-13 < coeff.c1 * env - 1e-13):
-                diags.append(f"surface coefficient below c1 * envelope "
-                             f"({which} edge {k})")
-            zeta_min = min(zeta_min, float(np.min(coeff.zeta_values(which, pts))))
+        if len(smesh.edges) == 0:
+            continue
+        pts, mu_t = _surface_samples(smesh, coeff, which, ts)
+        diags += [f"surface coefficient violates nonnegativity "
+                  f"({which} edge {k})"
+                  for k in np.flatnonzero((mu_t < -1e-13).any(axis=1))]
+        # the surface envelope is the coefficient itself
+        below = mu_t + 1e-13 < coeff.c1 * mu_t - 1e-13
+        diags += [f"surface coefficient below c1 * envelope ({which} edge {k})"
+                  for k in np.flatnonzero(below.any(axis=1))]
+        zeta_min = min(zeta_min, float(np.min(coeff.zeta_values(which, pts))))
 
     lower = coeff.zeta_lower
     if lower is not None and zeta_min < lower:

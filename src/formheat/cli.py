@@ -51,7 +51,7 @@ _KNOWN_KEYS = {
     "coeff.mu_gd", "coeff.mu_sigma", "coeff.c1", "coeff.c2",
     "coeff.zeta.bulk", "coeff.zeta.gd", "coeff.zeta.sigma",
     "time.theta", "time.dt", "time.t_end", "time.snapshots",
-    "solver.type", "solver.tol", "mass.lumped",
+    "solver.tol", "mass.lumped",
     "init.bulk", "init.gd", "init.sigma",
     "eigs.count",
     "exponents.d", "exponents.gamma", "exponents.case",
@@ -64,27 +64,34 @@ _KNOWN_KEYS = {
 def parse_config(path):
     """Parse a flat key = value config; returns {key: (value, line)}.
 
-    Raises :class:`ConfigError` with key and line information on
-    malformed lines, unknown keys, or duplicates.  Per-region bulk
-    coefficients use keys of the form ``coeff.mu_omega.region.<id>``.
+    Raises :class:`ConfigError` with key and line information on text
+    that is not UTF-8, malformed lines, unknown keys, or duplicates.
+    Per-region bulk coefficients use keys of the form
+    ``coeff.mu_omega.region.<id>``.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            "not UTF-8 text",
+            line=exc.object.count(b"\n", 0, exc.start) + 1) from None
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError("expected 'key = value'", line=lineno)
-            key, value = text.split("=", 1)
-            key = key.strip()
-            value = value.strip()
-            known = key in _KNOWN_KEYS or key.startswith("coeff.mu_omega.region.")
-            if not known:
-                raise ConfigError("unknown key", key=key, line=lineno)
-            if key in entries:
-                raise ConfigError("duplicate key", key=key, line=lineno)
-            entries[key] = (value, lineno)
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError("expected 'key = value'", line=lineno)
+        key, value = text.split("=", 1)
+        key = key.strip()
+        value = value.strip()
+        known = key in _KNOWN_KEYS or key.startswith("coeff.mu_omega.region.")
+        if not known:
+            raise ConfigError("unknown key", key=key, line=lineno)
+        if key in entries:
+            raise ConfigError("duplicate key", key=key, line=lineno)
+        entries[key] = (value, lineno)
     return entries
 
 
@@ -176,7 +183,7 @@ class RunConfig:
     def _surface_coefficient(self, key):
         raw = self._get(key, str, default=None)
         if raw is None:
-            return 1.0, None
+            return 1.0
         tokens = raw.split() or [raw]
         if tokens[0] == "dist_to_point":
             try:
@@ -184,8 +191,7 @@ class RunConfig:
             except ValueError:                 # not three numbers
                 raise ConfigError("expected 'dist_to_point x y gamma'",
                                   key=key, line=self._line(key)) from None
-            spec = self._weight(Points((x, y)), gamma, key)
-            return (lambda pts: spec.eval(pts)), spec
+            return self._weight(Points((x, y)), gamma, key).eval
         try:
             (value,) = map(float, tokens)
         except ValueError:                 # not exactly one number
@@ -195,7 +201,7 @@ class RunConfig:
         if not value >= 0:
             raise ConfigError("surface diffusion coefficient violates "
                               "nonnegativity", key=key, line=self._line(key))
-        return value, None
+        return value
 
     def bulk_weight(self):
         target = self._submanifold("coeff.weight.s")
@@ -243,8 +249,8 @@ class RunConfig:
         else:
             mu_bulk = matrix(mu_omega_raw, "coeff.mu_omega")
 
-        mu_gd, mu_gd_star = self._surface_coefficient("coeff.mu_gd")
-        mu_sigma, mu_sigma_star = self._surface_coefficient("coeff.mu_sigma")
+        mu_gd = self._surface_coefficient("coeff.mu_gd")
+        mu_sigma = self._surface_coefficient("coeff.mu_sigma")
         bulk_weight = self.bulk_weight()
         zeta = {}
         for block in ("bulk", "gd", "sigma"):
@@ -256,7 +262,6 @@ class RunConfig:
         return CoefficientSet(
             mu_bulk=mu_bulk, mu_gd=mu_gd, mu_sigma=mu_sigma,
             bulk_weight=bulk_weight,
-            mu_gd_star=mu_gd_star, mu_sigma_star=mu_sigma_star,
             zeta_bulk=zeta["bulk"], zeta_gd=zeta["gd"],
             zeta_sigma=zeta["sigma"],
             c1=self._get("coeff.c1", float, default=1.0),
@@ -268,7 +273,6 @@ class RunConfig:
             dt=self._get("time.dt", float, required=True),
             t_end=self._get("time.t_end", float, required=True),
             theta=self._get("time.theta", float, default=1.0),
-            solver=self._get("solver.type", str, default="auto"),
             solver_tol=self._get("solver.tol", float, default=1e-12),
             snapshot_times=self.floats("time.snapshots"))
         try:

@@ -34,10 +34,8 @@ class TimeSteppingConfig:
 
     ``theta`` must lie in [1/2, 1] (the A-stable range).  Each step is
     two triangular solves with the sparse LU factorization of the step
-    matrix, computed once and reused.  ``solver`` accepts ``auto``,
-    ``cg`` and ``direct`` so that older configurations parse; every
-    value selects that prefactored direct solve.  ``solver_tol`` (positive)
-    bounds the per-step normwise backward error by ``10 * solver_tol``.
+    matrix, computed once and reused.  ``solver_tol`` (positive) bounds
+    the per-step normwise backward error by ``10 * solver_tol``.
     Each of the ``snapshot_times``, which lie in [0, t_end], records the
     state at the nearest time level (the earlier one on a tie).
     """
@@ -45,7 +43,6 @@ class TimeSteppingConfig:
     dt: float
     t_end: float
     theta: float = 1.0
-    solver: str = "auto"
     solver_tol: float = 1e-12
     snapshot_times: tuple = ()
 
@@ -54,8 +51,6 @@ class TimeSteppingConfig:
             raise ValueError("theta must lie in [1/2, 1]")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
-        if self.solver not in ("auto", "cg", "direct"):
-            raise ValueError("solver must be auto, cg, or direct")
         if not self.solver_tol > 0:
             raise ValueError("solver_tol must be positive")
         if not all(-1e-12 <= t <= self.t_end + 1e-12
@@ -126,8 +121,7 @@ class ThetaStepper:
         self.backward_error_max = 0.0
 
     def step(self, u, fbar=None):
-        """Advance one step; returns (u_next, solver_iterations), with 0
-        iterations for the direct solve."""
+        """Advance one step; returns the new state."""
         rhs = self.b_mat @ u
         if fbar is not None:
             rhs = rhs + self.cfg.dt * (self.pencil.J.T
@@ -138,7 +132,7 @@ class ThetaStepper:
             raise SolveError("backward error of the step solve above "
                              "10 * solver_tol", residual=error)
         self.backward_error_max = max(self.backward_error_max, error)
-        return u_new, 0
+        return u_new
 
 
 def theta_step(pencil, u, f, cfg):
@@ -146,8 +140,7 @@ def theta_step(pencil, u, f, cfg):
     sampled at the intermediate time level, or None).  Reuses the
     pencil's factorization for ``(cfg.theta, cfg.dt)``."""
     stepper = ThetaStepper(pencil, cfg)
-    u_new, _ = stepper.step(np.asarray(u, dtype=float), f)
-    return u_new
+    return stepper.step(np.asarray(u, dtype=float), f)
 
 
 def _resolve_forcing(forcing):
@@ -179,7 +172,6 @@ def evolve(pencil, u0_raw, forcing, cfg):
     energy = np.zeros(n_steps + 1)
     supnorm = np.zeros(n_steps + 1)
     minval = np.zeros(n_steps + 1)
-    iters = np.zeros(n_steps + 1, dtype=int)
 
     snapshots = []
     snap_left = sorted(float(t) for t in cfg.snapshot_times)
@@ -200,19 +192,19 @@ def evolve(pencil, u0_raw, forcing, cfg):
     for n in range(n_steps):
         t_mid = (n + cfg.theta) * cfg.dt
         try:
-            u, it = stepper.step(u, get_f(t_mid))
+            u = stepper.step(u, get_f(t_mid))
         except SolveError as exc:
             raise SolveError(f"step {n + 1} failed: {exc}",
                              residual=exc.residual) from exc
         t_next = (n + 1) * cfg.dt
         record(n + 1, t_next, u)
-        iters[n + 1] = it
 
     final = BlockField.split(pencil.dofmap, pencil.J @ u)
     solver = {"method": stepper.method, "factor_nnz": stepper.lu.nnz,
               "backward_error_max": stepper.backward_error_max}
     return EvolutionReport(times=times, mass=mass, energy=energy,
-                           supnorm=supnorm, minval=minval, cg_iters=iters,
+                           supnorm=supnorm, minval=minval,
+                           cg_iters=np.zeros(n_steps + 1, dtype=int),
                            final=final, final_vector=u, snapshots=snapshots,
                            solver=solver)
 

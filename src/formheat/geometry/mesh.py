@@ -68,7 +68,8 @@ class Mesh:
     def __init__(self, vertices, triangles, boundary_edges, boundary_labels,
                  interface_edges=None, tri_regions=None):
         self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
-        self.triangles = np.asarray(triangles, dtype=int).reshape(-1, 3)
+        # a copy: the triangles are turned counter-clockwise in place
+        self.triangles = np.array(triangles, dtype=int).reshape(-1, 3)
         self.boundary_edges = np.asarray(boundary_edges, dtype=int).reshape(-1, 2)
         self.boundary_labels = list(boundary_labels)
         if interface_edges is None or len(np.atleast_1d(interface_edges)) == 0:
@@ -282,12 +283,19 @@ def load_mesh(path):
     Raises
     ------
     MeshFormatError
-        On malformed content, with the offending line number.
+        On malformed content or text that is not UTF-8, with the
+        offending line number.
     MeshInvariantError
         If the parsed data violates a mesh invariant.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = [raw.split("#", 1)[0].strip() for raw in fh.read().split("\n")]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            content = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(
+            "not UTF-8 text",
+            line=exc.object.count(b"\n", 0, exc.start) + 1) from None
+    text = [raw.split("#", 1)[0].strip() for raw in content.split("\n")]
     linenos = [k for k, line in enumerate(text, start=1) if line]
     rows = [line for line in text if line]
     if not rows:

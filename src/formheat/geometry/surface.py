@@ -39,6 +39,7 @@ class SurfaceMesh:
             self.node_vertices = np.zeros(0, dtype=int)
             self.edge_nodes = np.zeros((0, 2), dtype=int)
             self.edge_lengths = np.zeros(0)
+            self.tangents = np.zeros((0, 2))
             self.chains = []
             self.arc_coords = {}
             return
@@ -53,6 +54,8 @@ class SurfaceMesh:
         if np.any(lengths <= 0):
             raise DegenerateGeometryError("zero-length surface edge")
         self.edge_lengths = lengths
+        d = mesh.vertices[self.edges[:, 1]] - mesh.vertices[self.edges[:, 0]]
+        self.tangents = d / np.sqrt(np.vecdot(d, d))[:, None]   # (k, 2), unit
         self.chains = self._build_chains()
         self.arc_coords = self._arc_coordinates()
 
@@ -141,12 +144,6 @@ class SurfaceMesh:
     def local_index(self, vertex):
         return self._local[int(vertex)]
 
-    def edge_tangent(self, k):
-        """Unit tangent of edge ``k`` in stored orientation."""
-        i, j = self.edges[k]
-        t = self.mesh.vertices[j] - self.mesh.vertices[i]
-        return t / np.linalg.norm(t)
-
     def edge_midpoint(self, k):
         i, j = self.edges[k]
         return 0.5 * (self.mesh.vertices[i] + self.mesh.vertices[j])
@@ -204,4 +201,4 @@ def surface_gradient_p1(smesh, nodal_values, edge):
     length = smesh.edge_lengths[edge]
     if length <= 0:
         raise DegenerateGeometryError("zero-length surface edge")
-    return (vals[b] - vals[a]) / length * smesh.edge_tangent(edge)
+    return (vals[b] - vals[a]) / length * smesh.tangents[edge]

@@ -501,41 +501,53 @@ def adaptive_triangles_integral(f, tris, *, tol_rel=1e-8, order=2,
 
 
 def adaptive_line_integral(f, p0, p1, *, tol_rel=1e-10, max_depth=40):
-    """Adaptive Gauss integration of ``f`` along the segment p0-p1.
+    """Adaptive Gauss integration of ``f`` along the segments p0-p1.
 
-    ``f`` maps point arrays (m, 2) to values (m,).  Deterministic
-    bisection on the Gauss-7 vs two-half-Gauss-7 difference.
+    ``p0``, ``p1`` are points (2,) or stacks (m, 2); ``f(points, rows)``
+    maps points (n, 2) on the segments of stack rows ``rows`` (n,) to
+    values (n,).  Deterministic bisection on the Gauss-7 vs two-half-
+    Gauss-7 difference, accepted below ``tol_rel`` times the segment's
+    whole Gauss-7 value or at ``max_depth``.  Each round calls ``f`` once
+    for the live pieces of all segments; each segment sums its accepted
+    pieces from its end backwards, so a stack rounds as one segment at a
+    time does.  Returns values and error estimates, floats for a point.
     """
     p0 = np.asarray(p0, float)
-    p1 = np.asarray(p1, float)
+    a, b = p0.reshape(-1, 2), np.asarray(p1, float).reshape(-1, 2)
+    total, total_err = np.zeros(len(a)), np.zeros(len(a))
     xg, wg = _gauss(7)
-
-    def gauss_piece(a, b):
+    t = 0.5 * (xg + 1.0)
+    row = np.arange(len(a))
+    start = np.zeros(len(a))            # where each piece starts on its segment
+    scale = None
+    leaves = [(row[:0], start[:0], start[:0], start[:0])]   # for m = 0
+    for depth in range(max_depth + 1):
+        if not len(row):
+            break
         mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        t = 0.5 * (xg + 1.0)
-        pts = a + np.outer(t, b - a)
-        return float(np.dot(wg, f(pts))) * 0.5 * np.linalg.norm(b - a), mid, half
-
-    total = 0.0
-    total_err = 0.0
-    stack = [(p0, p1, 0)]
-    ref_scale = None
-    while stack:
-        a, b, depth = stack.pop()
-        whole, mid, _ = gauss_piece(a, b)
-        left, _, _ = gauss_piece(a, mid)
-        right, _, _ = gauss_piece(mid, b)
+        lo, hi = np.concatenate([a, a, mid]), np.concatenate([b, mid, b])
+        pts = lo[:, None] + t[:, None] * (hi - lo)[:, None]
+        vals = f(pts.reshape(-1, 2), np.repeat(np.tile(row, 3), len(t)))
+        piece = (np.vecdot(np.reshape(vals, (-1, len(t))), wg) * 0.5
+                 * np.sqrt(np.vecdot(hi - lo, hi - lo)))
+        whole, left, right = piece.reshape(3, -1)
         refined = left + right
-        err = abs(refined - whole)
-        if ref_scale is None:
-            ref_scale = max(abs(whole), 1e-300)
-        if err <= tol_rel * ref_scale or depth >= max_depth:
-            total += refined
-            total_err += err
-        else:
-            stack.append((a, mid, depth + 1))
-            stack.append((mid, b, depth + 1))
+        err = np.abs(refined - whole)
+        if scale is None:
+            scale = np.maximum(np.abs(whole), 1e-300)
+        done = (err <= tol_rel * scale[row]) | (depth >= max_depth)
+        leaves.append((row[done], start[done], refined[done], err[done]))
+        live = ~done
+        a, mid, b = a[live], mid[live], b[live]
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        start = np.concatenate([start[live], start[live] + 0.5 ** (depth + 1)])
+        row = np.tile(row[live], 2)
+    rows, starts, refined, err = (np.concatenate(x) for x in zip(*leaves))
+    order = np.lexsort((-starts, rows))
+    np.add.at(total, rows[order], refined[order])
+    np.add.at(total_err, rows[order], err[order])
+    if p0.ndim == 1:
+        return float(total[0]), float(total_err[0])
     return total, total_err
 
 

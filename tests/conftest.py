@@ -47,7 +47,7 @@ def jittered_mesh(mesh, seed, amount=0.2):
     angle = rng.uniform(0.0, 2.0 * np.pi, mesh.num_vertices)
     shift = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
     shift[fixed] = 0.0
-    return Mesh(mesh.vertices + shift, tri.copy(), mesh.boundary_edges,
+    return Mesh(mesh.vertices + shift, tri, mesh.boundary_edges,
                 mesh.boundary_labels, mesh.interface_edges, mesh.tri_regions)
 
 

@@ -83,6 +83,35 @@ def edge_linear_coefficient_integral(p0, p1, a, b):
     return (float(np.dot(a, mid)) + b) * length
 
 
+def adaptive_line_integral_loop(f, p0, p1, tol_rel, max_depth=40):
+    """Adaptive Gauss-7 integration of ``f(points)`` along one segment by
+    a depth-first stack of pieces, right half first (the reference for
+    ``adaptive_line_integral``)."""
+    xg, wg = np.polynomial.legendre.leggauss(7)
+    t = 0.5 * (xg + 1.0)
+
+    def gauss(a, b):
+        return float(np.dot(wg, f(a + np.outer(t, b - a)))) * 0.5 \
+            * np.linalg.norm(b - a)
+
+    total = total_err = 0.0
+    scale = None
+    stack = [(np.asarray(p0, float), np.asarray(p1, float), 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        mid = 0.5 * (a + b)
+        whole = gauss(a, b)
+        refined = gauss(a, mid) + gauss(mid, b)
+        if scale is None:
+            scale = max(abs(whole), 1e-300)
+        if abs(refined - whole) <= tol_rel * scale or depth >= max_depth:
+            total += refined
+            total_err += abs(refined - whole)
+        else:
+            stack += [(a, mid, depth + 1), (mid, b, depth + 1)]
+    return total, total_err
+
+
 def refine_uniform_loop(mesh):
     """Red refinement by a loop over triangles, numbering each midpoint
     when its edge is first met (the reference for ``refine_uniform``)."""
@@ -152,7 +181,8 @@ class FormOracle:
                 p0, p1 = mesh.vertices[i], mesh.vertices[j]
                 tau = (p1 - p0) / np.linalg.norm(p1 - p0)
                 length = float(np.linalg.norm(p1 - p0))
-                fn = lambda pts: coeff.surface_values(which, pts, tau)
+                fn = lambda pts, rows=None: coeff.surface_values(
+                    which, pts, np.tile(tau, (len(pts), 1)))
                 probe = fn(np.array([0.5 * (p0 + p1), p0, p1]))
                 if np.ptp(probe) == 0.0:
                     s_e = float(probe[0]) * length

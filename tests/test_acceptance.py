@@ -41,8 +41,7 @@ def test_c01_manufactured_convergence():
         pencil = build_pencil(mesh, CoefficientSet())
         h2 = (1.0 / n) ** 2
         n_steps = int(round(t_end / (0.2 * h2)))
-        cfg = TimeSteppingConfig(dt=t_end / n_steps, t_end=t_end, theta=1.0,
-                                 solver="direct")
+        cfg = TimeSteppingConfig(dt=t_end / n_steps, t_end=t_end, theta=1.0)
         report = evolve(pencil, ms.initial(pencil), ms.forcing(pencil), cfg)
         errors.append(block_l2_error(pencil, report.final_vector,
                                      ms.u, ms.u, ms.u, t=t_end))
@@ -65,8 +64,7 @@ def test_c02_mass_conservation():
                      rng.uniform(0, 1, pencil.dofmap.n_sigma))
     worst = 0.0
     for theta in (0.5, 0.75, 1.0):
-        cfg = TimeSteppingConfig(dt=0.01, t_end=2.0, theta=theta,
-                                 solver="direct")
+        cfg = TimeSteppingConfig(dt=0.01, t_end=2.0, theta=theta)
         report = evolve(pencil, raw, None, cfg)
         assert len(report.times) == 201
         drift = np.abs(report.mass - report.mass[0]).max() / abs(report.mass[0])
@@ -79,7 +77,7 @@ def test_c03_contractivity_and_positivity():
     mesh = unit_square_mesh(8, bottom="neumann", top="dynamic",
                             interface_y=0.5)
     pencil = build_pencil(mesh, CoefficientSet(), lumped=True)
-    cfg = TimeSteppingConfig(dt=0.005, t_end=1.0, theta=1.0, solver="direct")
+    cfg = TimeSteppingConfig(dt=0.005, t_end=1.0, theta=1.0)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         raw = BlockField(rng.uniform(0, 1, pencil.dofmap.n_free),
@@ -95,19 +93,18 @@ def test_c03_contractivity_and_positivity():
 def test_c04_energy_dissipation():
     mesh = standard_fixture_mesh(8)
     fixtures = [
-        ("symmetric", CoefficientSet(), "cg"),
+        ("symmetric", CoefficientSet()),
         ("nonsymmetric", CoefficientSet(
-            mu_bulk=np.array([[1.0, 0.4], [-0.4, 1.0]])), "direct"),
+            mu_bulk=np.array([[1.0, 0.4], [-0.4, 1.0]]))),
     ]
     tol = 1e-12
-    for name, coeff, solver in fixtures:
+    for name, coeff in fixtures:
         pencil = build_pencil(mesh, coeff)
         rng = np.random.default_rng(5)
         raw = BlockField(rng.uniform(0, 1, pencil.dofmap.n_free),
                          rng.uniform(0, 1, pencil.dofmap.n_gd),
                          rng.uniform(0, 1, pencil.dofmap.n_sigma))
-        cfg = TimeSteppingConfig(dt=0.01, t_end=1.0, theta=1.0,
-                                 solver=solver, solver_tol=tol)
+        cfg = TimeSteppingConfig(dt=0.01, t_end=1.0, theta=1.0, solver_tol=tol)
         report = evolve(pencil, raw, None, cfg)
         norms = np.sqrt(report.energy)
         assert np.all(np.diff(norms) <= 10 * tol), name

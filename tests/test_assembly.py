@@ -274,22 +274,50 @@ def test_bulk_coefficient_error_propagates(std_mesh_8):
         build_pencil(std_mesh_8, CoefficientSet(mu_bulk=mu))
 
 
-def test_tau_aware_surface_coefficient(std_mesh_8):
-    # a callable of (points, tau) receives the edge tangent; a TypeError
-    # it raises reaches the caller instead of a retry without tau
-    def mu_sigma(points, tau):
-        assert np.isclose(np.linalg.norm(tau), 1.0)
-        return np.full(len(points), 2.0)
+def test_matrix_valued_surface_callable(std_mesh_8):
+    # (n, 2, 2) matrices from a callable are reduced with the tangent of
+    # each point's edge, as a constant matrix is; the rotated mesh makes
+    # both surfaces oblique
+    c, s = np.cos(0.4), np.sin(0.4)
+    m = std_mesh_8
+    mesh = Mesh(m.vertices @ np.array([[c, s], [-s, c]]), m.triangles,
+                m.boundary_edges, m.boundary_labels, m.interface_edges,
+                m.tri_regions)
+    mat = np.array([[2.0, 0.3], [-0.1, 1.5]])
 
-    T = build_pencil(std_mesh_8, CoefficientSet(mu_sigma=mu_sigma)).T
-    T_const = build_pencil(std_mesh_8, CoefficientSet(mu_sigma=2.0)).T
-    assert abs(T - T_const).max() <= 1e-14 * abs(T_const).max()
+    def mu(points):
+        return np.broadcast_to(mat, (len(points), 2, 2))
 
-    def broken(points, tau):
-        return 2.0 * "tau"
+    T = build_pencil(mesh, CoefficientSet(mu_gd=mu, mu_sigma=mu)).T
+    T_const = build_pencil(mesh, CoefficientSet(mu_gd=mat, mu_sigma=mat)).T
+    assert abs(T - T_const).max() <= 1e-15 * abs(T_const).max()
+
+
+def test_surface_callable_error_propagates(std_mesh_8):
+    # a surface callable takes points only, and a TypeError it raises
+    # reaches the caller
+    def broken(points):
+        return 2.0 * "mu"
 
     with pytest.raises(TypeError, match="can't multiply sequence"):
         build_pencil(std_mesh_8, CoefficientSet(mu_sigma=broken))
+
+
+def test_surface_callable_calls_independent_of_edge_count():
+    # one call for the probe and one per bisection round over all edges,
+    # so refining the mesh does not add calls
+    spec = WeightSpec(Points((0.5, 1.0)), 0.5)
+    counts = []
+    for n in (8, 32):
+        calls = []
+
+        def mu(points):
+            calls.append(len(points))
+            return spec.eval(points)
+
+        build_pencil(standard_fixture_mesh(n), CoefficientSet(mu_gd=mu))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 1 + 41
 
 
 def test_j_ellipticity_positive_and_stable(std_mesh_8):

@@ -289,7 +289,6 @@ output = {workdir}/solver
 mesh = mixed.mesh
 time.dt = 0.01
 time.t_end = 0.05
-solver.type = cg
 init.bulk = random
 """)
     assert run(cfg) == 0
@@ -392,3 +391,29 @@ def test_readme_lists_every_config_key():
                if re.fullmatch(r"coeff\.mu_omega\.region\.\d+", k)}
     assert len(regions) == 1
     assert keys - regions == _KNOWN_KEYS
+
+
+# A 0xff byte in the config (exit 2) or in a mesh vertex line (exit 1):
+# (file, exit code of run, error kind, validate's section)
+_NOT_UTF8_ROWS = [
+    ("config", 2, "ConfigError", "config"),
+    ("mesh", 1, "MeshFormatError", "mesh"),
+]
+
+
+@pytest.mark.parametrize("target, code, kind, section", _NOT_UTF8_ROWS,
+                         ids=[row[0] for row in _NOT_UTF8_ROWS])
+def test_input_files_that_are_not_utf8(workdir, target, code, kind, section):
+    mesh = (workdir / "square.mesh").read_bytes().split(b"\n")
+    config = [b"pipeline = eigs", b"mesh = bad.mesh", b"eigs.count = 2", b""]
+    bad = config if target == "config" else mesh
+    bad[1] += b" \xff"
+    (workdir / "bad.mesh").write_bytes(b"\n".join(mesh))
+    cfg = workdir / "bad.cfg"
+    cfg.write_bytes(b"\n".join(config))
+    out = workdir / "out"
+    assert run(cfg, output_override=out) == code
+    record = json.loads((out / "error.json").read_text())
+    assert record == {"kind": kind, "error": "line 2: not UTF-8 text"}
+    assert sorted(os.listdir(out)) == ["error.json"]
+    assert validate(cfg) == [f"{section}: line 2: not UTF-8 text"]

@@ -33,7 +33,7 @@ class ScalarPencil:
 def test_scalar_implicit_euler():
     zeta, a, dt = 2.0, 3.0, 0.1
     pencil = ScalarPencil(zeta, a)
-    cfg = TimeSteppingConfig(dt=dt, t_end=dt, theta=1.0, solver="direct")
+    cfg = TimeSteppingConfig(dt=dt, t_end=dt, theta=1.0)
     u1 = theta_step(pencil, np.array([1.0]), None, cfg)
     assert u1[0] == pytest.approx(1.0 / (1.0 + dt * a / zeta), rel=1e-14)
 
@@ -41,7 +41,7 @@ def test_scalar_implicit_euler():
 def test_scalar_trapezoidal():
     zeta, a, dt = 1.5, 2.0, 0.05
     pencil = ScalarPencil(zeta, a)
-    cfg = TimeSteppingConfig(dt=dt, t_end=dt, theta=0.5, solver="direct")
+    cfg = TimeSteppingConfig(dt=dt, t_end=dt, theta=0.5)
     u1 = theta_step(pencil, np.array([1.0]), None, cfg)
     expected = (1.0 - 0.5 * dt * a / zeta) / (1.0 + 0.5 * dt * a / zeta)
     assert u1[0] == pytest.approx(expected, rel=1e-14)
@@ -73,7 +73,7 @@ def test_energy_monotone_backward_euler(conserving_pencil_8):
     raw = BlockField(rng.uniform(0, 1, pencil.dofmap.n_free),
                      rng.uniform(0, 1, pencil.dofmap.n_gd),
                      rng.uniform(0, 1, pencil.dofmap.n_sigma))
-    cfg = TimeSteppingConfig(dt=0.01, t_end=0.5, theta=1.0, solver="direct")
+    cfg = TimeSteppingConfig(dt=0.01, t_end=0.5, theta=1.0)
     report = evolve(pencil, raw, None, cfg)
     energies = np.sqrt(report.energy)
     assert np.all(np.diff(energies) <= 1e-12)
@@ -82,13 +82,13 @@ def test_energy_monotone_backward_euler(conserving_pencil_8):
 def test_forcing_sampled_at_intermediate_level():
     # du/dt = f(t) on one dof: theta sampling reproduces the midpoint rule
     pencil = ScalarPencil(1.0, 0.0)
-    cfg = TimeSteppingConfig(dt=0.2, t_end=1.0, theta=0.5, solver="direct")
+    cfg = TimeSteppingConfig(dt=0.2, t_end=1.0, theta=0.5)
     forcing = lambda t: BlockField(np.array([np.cos(t)]), np.zeros(0),
                                    np.zeros(0))
     stepper = ThetaStepper(pencil, cfg)
     u = np.array([0.0])
     for n in range(cfg.n_steps):
-        u, _ = stepper.step(u, forcing((n + cfg.theta) * cfg.dt))
+        u = stepper.step(u, forcing((n + cfg.theta) * cfg.dt))
     midpoint = sum(np.cos((n + 0.5) * cfg.dt) * cfg.dt for n in range(5))
     assert u[0] == pytest.approx(midpoint, rel=1e-13)
 
@@ -100,8 +100,7 @@ def test_time_order_theta_one_and_half():
     t_end = 0.4
 
     def run(theta, dt):
-        cfg = TimeSteppingConfig(dt=dt, t_end=t_end, theta=theta,
-                                 solver="direct")
+        cfg = TimeSteppingConfig(dt=dt, t_end=t_end, theta=theta)
         return evolve(pencil, ms.initial(pencil), ms.forcing(pencil),
                       cfg).final_vector
 
@@ -165,8 +164,7 @@ def test_empty_interface_gives_empty_flux():
 
 def test_solver_failure_carries_residual(conserving_pencil_8):
     pencil = conserving_pencil_8
-    cfg = TimeSteppingConfig(dt=1e6, t_end=2e6, theta=1.0, solver="cg",
-                             solver_tol=1e-300)
+    cfg = TimeSteppingConfig(dt=1e6, t_end=2e6, theta=1.0, solver_tol=1e-300)
     rng = np.random.default_rng(0)
     raw = BlockField(rng.uniform(0, 1, pencil.dofmap.n_free),
                      rng.uniform(0, 1, pencil.dofmap.n_gd),

@@ -241,6 +241,14 @@ def test_mesh_constructor_errors(changes, message):
     assert str(info.value) == message
 
 
+def test_mesh_leaves_the_callers_triangles_alone():
+    verts, _, edges, labels = _SQUARE
+    tris = np.array([(0, 2, 1), (0, 3, 2)])
+    mesh = Mesh(verts, tris, edges, labels)
+    assert tris.tolist() == [[0, 2, 1], [0, 3, 2]]
+    assert mesh.triangles.tolist() == [[0, 1, 2], [0, 2, 3]]
+
+
 # The rejections the loader gained, through the command line: exit 1, an
 # error.json record, and a "mesh:" diagnostic from validate.
 _NEW_REJECTIONS = {row[0]: row[1:] for row in ERROR_CORPUS

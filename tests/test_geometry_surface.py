@@ -59,7 +59,7 @@ def test_tangency_of_surface_gradient():
     vals = rng.standard_normal(smesh.num_nodes)
     for e in range(len(smesh.edges)):
         grad = surface_gradient_p1(smesh, vals, e)
-        tangent = smesh.edge_tangent(e)
+        tangent = smesh.tangents[e]
         normal = np.array([-tangent[1], tangent[0]])
         assert abs(grad @ normal) <= 1e-14 * max(1.0, np.linalg.norm(grad))
 

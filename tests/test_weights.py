@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import formheat.weights as weights
-from oracles import grid_richardson_box
+from oracles import adaptive_line_integral_loop, grid_richardson_box
 from formheat.errors import QuadratureAccuracyError
 from formheat.geometry import Points, Polyline
 from formheat.model_problems import standard_fixture_mesh
-from formheat.weights import (DyadicCube, WeightSpec,
+from formheat.weights import (DyadicCube, WeightSpec, adaptive_line_integral,
                               adaptive_triangles_integral, classify_case,
                               muckenhoupt_lower_bound_scan,
                               weighted_cell_integral)
@@ -251,3 +251,55 @@ def test_stack_matches_single_cells(target):
 def test_stack_of_no_cells():
     w = WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]), 0.5)
     assert weighted_cell_integral(w, np.zeros((0, 3, 2))).shape == (0,)
+
+
+def _distance_power(p, gamma):
+    return lambda x, rows: np.sqrt(np.vecdot(x - p, x - p)) ** gamma
+
+
+def test_line_stack_matches_single_segments():
+    # one call over a stack of segments rounds as one call per segment,
+    # and as the depth-first loop, for segments that start at, end at,
+    # pass through or miss the point
+    rng = np.random.default_rng(3)
+    p = np.array([0.3, 0.6])
+    p0 = rng.uniform(-1.0, 1.0, (60, 2))
+    p1 = rng.uniform(-1.0, 1.0, (60, 2))
+    p0[:10] = p
+    p1[10:20] = p
+    p1[20:30] = 2.0 * p - p0[20:30]
+    for gamma in (0.25, 0.5, 0.7, 1.0, 1.5):
+        f = _distance_power(p, gamma)
+        values, errors = adaptive_line_integral(f, p0, p1, tol_rel=1e-12)
+        single = [adaptive_line_integral(f, a, b, tol_rel=1e-12)
+                  for a, b in zip(p0, p1)]
+        assert values.shape == errors.shape == (60,)
+        assert all(type(v) is float for v in single[0])
+        assert np.array_equal(values, [v for v, _ in single])
+        assert np.array_equal(errors, [e for _, e in single])
+        loop = [adaptive_line_integral_loop(lambda x: f(x, None), a, b, 1e-12)
+                for a, b in zip(p0, p1)]
+        assert single == loop
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_line_integral_closed_forms(gamma):
+    # |x - p|^gamma along a line at distance d from p, with s the signed
+    # arc length from the foot of the perpendicular
+    p = np.array([0.3, 0.6])
+    p0 = np.array([[0.0, 0.0], [1.0, 1.0], [-0.5, 0.6], [0.3, 0.0]])
+    p1 = np.array([[1.0, 0.2], [0.0, 1.0], [1.5, 0.9], [0.9, 0.55]])
+    values, _ = adaptive_line_integral(_distance_power(p, gamma), p0, p1,
+                                       tol_rel=1e-12)
+    tangent = (p1 - p0) / np.linalg.norm(p1 - p0, axis=1)[:, None]
+    s0 = np.vecdot(p0 - p, tangent)
+    s1 = np.vecdot(p1 - p, tangent)
+    d = np.abs(tangent[:, 0] * (p0 - p)[:, 1] - tangent[:, 1] * (p0 - p)[:, 0])
+    if gamma == 1.0:
+        def primitive(s):
+            return 0.5 * (s * np.sqrt(d * d + s * s) + d * d * np.arcsinh(s / d))
+    else:
+        def primitive(s):
+            return d * d * s + s ** 3 / 3.0
+    exact = primitive(s1) - primitive(s0)
+    assert np.all(np.abs(values - exact) <= 1e-12 * np.abs(exact))
