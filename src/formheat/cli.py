@@ -65,8 +65,9 @@ def parse_config(path):
     """Parse a flat key = value config; returns {key: (value, line)}.
 
     Raises :class:`ConfigError` with key and line information on text
-    that is not UTF-8, malformed lines, unknown keys, or duplicates.
-    Per-region bulk coefficients use keys of the form
+    that is not UTF-8, malformed lines, unknown keys, or duplicates; the
+    error names the first bad line and carries the well-formed entries
+    as ``entries``.  Per-region bulk coefficients use keys of the form
     ``coeff.mu_omega.region.<id>``.
     """
     try:
@@ -77,22 +78,36 @@ def parse_config(path):
             "not UTF-8 text",
             line=exc.object.count(b"\n", 0, exc.start) + 1) from None
     entries = {}
+    problems = []
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
         if "=" not in text:
-            raise ConfigError("expected 'key = value'", line=lineno)
+            problems.append(("expected 'key = value'", None, lineno))
+            continue
         key, value = text.split("=", 1)
         key = key.strip()
         value = value.strip()
         known = key in _KNOWN_KEYS or key.startswith("coeff.mu_omega.region.")
         if not known:
-            raise ConfigError("unknown key", key=key, line=lineno)
-        if key in entries:
-            raise ConfigError("duplicate key", key=key, line=lineno)
-        entries[key] = (value, lineno)
+            problems.append(("unknown key", key, lineno))
+        elif key in entries:
+            problems.append(("duplicate key", key, lineno))
+        else:
+            entries[key] = (value, lineno)
+    if problems:
+        message, key, lineno = problems[0]
+        error = ConfigError(message, key=key, line=lineno)
+        error.entries = entries
+        raise error
     return entries
+
+
+def _named_output(entries):
+    """The output directory a config's ``output`` entry names, read as
+    :class:`RunConfig` reads it; ``None`` when there is no such entry."""
+    return Path(entries["output"][0]) if "output" in entries else None
 
 
 class RunConfig:
@@ -113,7 +128,7 @@ class RunConfig:
             raise ConfigError(
                 f"unknown pipeline (expected one of {tuple(_PIPELINES)})",
                 key="pipeline", line=self._line("pipeline"))
-        self.output = Path(self._get("output", str, default="out"))
+        self.output = _named_output(entries) or Path("out")
         self.seed = self._get("seed", int, default=0)
         mesh = self._get("mesh", str, default=None)
         self.mesh_path = (self.base_dir / mesh) if mesh else None
@@ -554,10 +569,11 @@ def run(config_path, output_override=None):
     """
     t_start = time.perf_counter()
     outdir = Path(output_override) if output_override else None
+    entries = {}
     try:
         entries = parse_config(config_path)
         cfg = RunConfig(entries, Path(config_path).resolve().parent)
-        outdir = Path(output_override) if output_override else cfg.output
+        outdir = outdir or cfg.output
         outdir.mkdir(parents=True, exist_ok=True)
         manifest = _Manifest(cfg)
         inputs = prepare(cfg)
@@ -565,6 +581,9 @@ def run(config_path, output_override=None):
         manifest.write(outdir, time.perf_counter() - t_start)
         return 0
     except (OSError, ConfigError) as exc:
+        # a config that fails to parse or to build still names its output
+        if outdir is None:
+            outdir = _named_output(getattr(exc, "entries", entries))
         _write_error(outdir, exc)
         return 2
     except FormheatError as exc:

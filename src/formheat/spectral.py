@@ -8,8 +8,10 @@ trace-norm boundedness.  Symbolic ones compute the critical
 integrability exponents of the trace and embedding catalogue in exact
 rational arithmetic for general dimension.
 
-Eigen-decompositions run single-threaded per pencil; refinement levels
-in the probes are independent and merged by level index.
+The fractional powers go through one block helper that applies
+``(I + Mt^-1 T)^theta`` to an ``(n, k)`` block with two dense products
+in the pencil's cached eigenbasis; every probe draws its random samples
+as one block and evaluates their quotients column by column.
 """
 
 from __future__ import annotations
@@ -263,31 +265,36 @@ class NumericalRangeReport:
     samples: int
 
 
+def _column_dots(a, b):
+    """``a[:, j] @ b[:, j]`` for every column ``j``."""
+    return np.einsum("ij,ij->j", a, b)
+
+
 def numerical_range_check(pencil, samples=1000, seed=0):
     """Sample Rayleigh quotients of random complex vectors.
 
     Reports the minimal real part and the maximal ratio ``|Im|/Re``,
     whose finiteness witnesses a numerical-range angle strictly inside
-    the right half plane.
+    the right half plane.  The samples ``z = x + i y`` form one block,
+    drawn in the order of one ``x`` then one ``y`` per sample; the real
+    matrices act on the real and imaginary parts separately.
     """
     rng = np.random.default_rng(seed)
     n = pencil.n_free
+    draws = rng.standard_normal((samples, 2, n))
+    x, y = draws[:, 0].T, draws[:, 1].T
+    tx, ty = pencil.T @ x, pencil.T @ y
     mt = pencil.mtilde()
-    min_re = np.inf
-    max_tan = 0.0
-    for _ in range(samples):
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        num = np.vdot(z, pencil.T @ z)
-        den = float(np.real(np.vdot(z, mt @ z)))
-        re = float(np.real(num)) / den
-        im = abs(float(np.imag(num))) / den
-        min_re = min(min_re, re)
-        if re > 1e-14:
-            max_tan = max(max_tan, im / re)
-        elif im > 1e-14:
-            max_tan = np.inf
-    return NumericalRangeReport(min_real=float(min_re),
-                                max_tangent=float(max_tan), samples=samples)
+    den = _column_dots(x, mt @ x) + _column_dots(y, mt @ y)
+    re = (_column_dots(x, tx) + _column_dots(y, ty)) / den
+    im = np.abs(_column_dots(x, ty) - _column_dots(y, tx)) / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tangent = np.where(re > 1e-14, im / re,
+                           np.where(im > 1e-14, np.inf, 0.0))
+    return NumericalRangeReport(min_real=float(np.min(re, initial=np.inf)),
+                                max_tangent=float(np.max(tangent,
+                                                         initial=0.0)),
+                                samples=samples)
 
 
 def _pencil_eigendecomposition(pencil, dense_limit):
@@ -308,14 +315,29 @@ def _pencil_eigendecomposition(pencil, dense_limit):
     return pencil._eig_cache
 
 
+def _power_eigenbasis(pencil, theta, dense_limit):
+    """The cached Mt-orthonormal eigenbasis ``V`` of the pencil and the
+    diagonal of ``D^theta``, ``D = I + Lambda``, so that
+    ``(I + Mt^-1 T)^theta = V D^theta V^T Mt``."""
+    vals, vecs = _pencil_eigendecomposition(pencil, dense_limit)
+    return vecs, (1.0 + np.clip(vals, 0.0, None)) ** theta
+
+
+def _fractional_power_block(pencil, theta, block, dense_limit):
+    """``(I + Mt^-1 T)^theta`` applied to every column of an ``(n, k)``
+    block: two dense products for the whole block."""
+    vecs, scale = _power_eigenbasis(pencil, theta, dense_limit)
+    coeff = vecs.T @ (pencil.mtilde() @ block)
+    coeff *= scale[:, None]
+    return vecs @ coeff
+
+
 def fractional_power_apply(pencil, theta, u, *, dense_limit=2000):
     """Apply ``(I + Mt^-1 T)^theta`` through the pencil eigenbasis."""
     if not 0.0 < theta <= 1.0:
         raise ValueError("fractional exponent must lie in (0, 1]")
-    vals, vecs = _pencil_eigendecomposition(pencil, dense_limit)
-    coeff = vecs.T @ (pencil.mtilde() @ np.asarray(u, dtype=float))
-    scaled = (1.0 + np.clip(vals, 0.0, None)) ** theta * coeff
-    return vecs @ scaled
+    u = np.asarray(u, dtype=float)
+    return _fractional_power_block(pencil, theta, u[:, None], dense_limit)[:, 0]
 
 
 @dataclass
@@ -344,34 +366,49 @@ def fractional_embedding_probe(pencils, theta, p_proxy, *, n_samples=64,
     computed as well and included.  Bounded ratios across levels witness
     an embedding; growing ones witness its failure.  The trend is
     qualitative, never a certified constant.
+
+    Each level costs one dense eigendecomposition of its pencil (cached
+    on the pencil), one ``(n, n_samples)`` block of samples put through
+    the fractional power at once, and for ``p = 2`` one ``n x n``
+    product.  Level ``l`` draws its samples from seed ``seed + l``.
     """
     _check_probe_arguments(len(pencils), p_proxy)
     rows = []
     for level, pencil in enumerate(pencils):
         rng = np.random.default_rng(seed + level)
-        vals, vecs = _pencil_eigendecomposition(pencil, dense_limit)
-        mt = pencil.mtilde()
-        scale = (1.0 + np.clip(vals, 0.0, None)) ** theta
-        worst = 0.0
-        for _ in range(n_samples):
-            u = rng.standard_normal(pencil.n_free)
-            coeff = vecs.T @ (mt @ u)
-            bu = vecs @ (scale * coeff)
-            denom = pencil.block_lp_norm(bu, p_proxy)
-            worst = max(worst, pencil.block_lp_norm(u, np.inf) / denom)
+        # one row per sample: the stream of n_samples single draws
+        u = rng.standard_normal((n_samples, pencil.n_free)).T
+        bu = _fractional_power_block(pencil, theta, u, dense_limit)
+        w = pencil.lumped_block_weights()
+        sup_u = np.abs(pencil.J @ u).max(axis=0, initial=0.0)
+        ju = np.abs(pencil.J @ bu)
+        ju **= p_proxy
+        ratios = sup_u / (w @ ju) ** (1.0 / p_proxy)
+        worst = float(np.max(ratios, initial=0.0))
         if p_proxy == 2:
-            # exact supremum over all u: with B = (I + Mt^-1 T)^theta and
-            # Wt the diagonal lumped-measure Gram, the worst ratio is the
-            # largest diagonal entry of (B^T Wt B)^-1, i.e. the largest
-            # column norm of Wt^-1/2 Mt V D^-1 V^T.
-            # lumped block measure pulled back to the bulk dofs
-            wt = np.asarray(pencil.J.T @ pencil.lumped_block_weights()).ravel()
-            a_mat = (mt.toarray() @ (vecs / scale[None, :])) @ vecs.T
-            a_mat /= np.sqrt(wt)[:, None]
-            sup = float(np.sqrt((a_mat ** 2).sum(axis=0).max()))
-            worst = max(worst, sup)
+            worst = max(worst,
+                        _exact_l2_supremum(pencil, theta, w, dense_limit))
         rows.append(ProbeRow(level=level, h=pencil.mesh.h_max(), ratio=worst))
     return rows
+
+
+def _exact_l2_supremum(pencil, theta, w, dense_limit):
+    """Exact ``sup_u ||u||_inf / ||(I + Mt^-1 T)^theta u||_{l2}``.
+
+    With ``B = (I + Mt^-1 T)^theta`` and ``Wt`` the diagonal lumped block
+    measure ``w`` pulled back to the bulk dofs, the supremum is the root
+    of the largest diagonal entry of ``(B^T Wt B)^-1``, i.e. the largest
+    column norm of ``Wt^-1/2 Mt V D^-theta V^T``.  The eigenbasis ``V``
+    is already dense, so ``Mt V`` is a sparse-dense product and the only
+    ``n x n`` GEMM is the one with ``V^T``.
+    """
+    vecs, scale = _power_eigenbasis(pencil, theta, dense_limit)
+    wt = np.asarray(pencil.J.T @ w).ravel()
+    x = pencil.mtilde() @ vecs
+    x /= np.sqrt(wt)[:, None]
+    x /= scale[None, :]
+    a_mat = x @ vecs.T
+    return float(np.sqrt(_column_dots(a_mat, a_mat).max()))
 
 
 def probe_trend(rows, growth_factor=1.5):
@@ -416,10 +453,8 @@ def trace_norm_probe(mesh, coeff, *, n_samples=200, seed=0, dense_limit=2500):
     lam = scipy.linalg.eigh(numer, denom, eigvals_only=True,
                             subset_by_index=[n - 1, n - 1])
     sup_ratio = float(np.sqrt(max(lam[0], 0.0)))
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        u = rng.standard_normal(n)
-        worst = max(worst, np.sqrt((u @ numer @ u) / (u @ denom @ u)))
+    u = np.random.default_rng(seed).standard_normal((n_samples, n)).T
+    quotients = _column_dots(u, numer @ u) / _column_dots(u, denom @ u)
+    worst = np.sqrt(np.max(quotients, initial=0.0))
     return TraceProbeResult(sup_ratio=sup_ratio, max_sampled_ratio=float(worst),
                             n_dofs=n)

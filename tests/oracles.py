@@ -11,6 +11,7 @@ import numpy as np
 
 from formheat.geometry.mesh import DIRICHLET, DYNAMIC, Mesh
 from formheat.geometry.surface import INTERFACE
+from formheat.spectral import _pencil_eigendecomposition
 from formheat.weights import adaptive_line_integral, weighted_cell_integral
 
 
@@ -228,3 +229,51 @@ def _oracle_coefficient_integral(mesh, coeff, k, weight_tol):
         return triangle_area(tri) * base
     scale = weighted_cell_integral(coeff.bulk_weight, tri, tol_rel=weight_tol)
     return scale * base
+
+
+def probe_sample_ratios_loop(pencil, theta, p_proxy, n_samples, seed):
+    """The embedding probe's sampled ratios ``||u||_inf / ||B u||_lp``,
+    one matrix-vector product chain per sample (the reference for the
+    batched samples of ``fractional_embedding_probe``).  It shares the
+    pencil's cached eigenbasis with the library."""
+    vals, vecs = _pencil_eigendecomposition(pencil, dense_limit=2000)
+    mt = pencil.mtilde()
+    scale = (1.0 + np.clip(vals, 0.0, None)) ** theta
+    w = pencil.lumped_block_weights()
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(n_samples):
+        u = rng.standard_normal(pencil.n_free)
+        bu = vecs @ (scale * (vecs.T @ (mt @ u)))
+        denom = float((w @ np.abs(pencil.J @ bu) ** p_proxy)
+                      ** (1.0 / p_proxy))
+        ratios.append(float(np.abs(pencil.J @ u).max()) / denom)
+    return ratios
+
+
+def exact_l2_supremum_gemm(pencil, theta):
+    """Exact ``sup_u ||u||_inf / ||B u||_l2`` as the largest column norm
+    of ``Wt^-1/2 Mt V D^-theta V^T``, from the dense ``Mt`` and two
+    GEMMs."""
+    vals, vecs = _pencil_eigendecomposition(pencil, dense_limit=2000)
+    scale = (1.0 + np.clip(vals, 0.0, None)) ** theta
+    wt = np.asarray(pencil.J.T @ pencil.lumped_block_weights()).ravel()
+    a_mat = (pencil.mtilde().toarray() @ (vecs / scale[None, :])) @ vecs.T
+    a_mat /= np.sqrt(wt)[:, None]
+    return float(np.sqrt((a_mat ** 2).sum(axis=0).max()))
+
+
+def fractional_embedding_probe_loop(pencils, theta, p_proxy, n_samples=64,
+                                    seed=0):
+    """``fractional_embedding_probe``'s ratios, sample by sample: level
+    ``l`` keeps the worst of its samples from seed ``seed + l`` and, for
+    ``p = 2``, the exact supremum."""
+    ratios = []
+    for level, pencil in enumerate(pencils):
+        worst = max(probe_sample_ratios_loop(pencil, theta, p_proxy,
+                                             n_samples, seed + level),
+                    default=0.0)
+        if p_proxy == 2:
+            worst = max(worst, exact_l2_supremum_gemm(pencil, theta))
+        ratios.append(worst)
+    return ratios

@@ -359,3 +359,19 @@ def test_envelope_validation_flags_bad_constants():
     ok_diags, observed = validate_envelopes(mesh, CoefficientSet())
     assert ok_diags == []
     assert observed["zeta_min"] == pytest.approx(1.0)
+
+
+def test_envelope_constants_bound_only_the_bulk():
+    # a surface coefficient is its own envelope: c1 > 1 flags no edge
+    mesh = standard_fixture_mesh(8)
+    diags, observed = validate_envelopes(
+        mesh, CoefficientSet(mu_bulk=2.0, c1=1.5, c2=2.0))
+    assert diags == []
+    assert observed["c1_obs"] == pytest.approx(2.0, rel=1e-12)
+    # while a negative surface coefficient is still flagged on every edge
+    diags, _ = validate_envelopes(
+        mesh, CoefficientSet(mu_bulk=2.0, mu_sigma=-1.0, c1=1.5, c2=2.0))
+    smesh = SurfaceMesh.from_mesh(mesh, "interface")
+    assert diags == sorted(f"surface coefficient violates nonnegativity "
+                           f"(interface edge {k})"
+                           for k in range(len(smesh.edges)))

@@ -246,6 +246,24 @@ time.t_end = 0.1
                for d in diags)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("pipeline = eigs\noutput = {out}\nbogus = 1\n", "unknown key"),
+    ("bogus = 1\npipeline = eigs\noutput = {out}\n", "unknown key"),
+    ("pipeline = eigs\noutput = {out}\noutput = elsewhere\n",
+     "duplicate key"),
+    ("pipeline = nope\noutput = {out}\n", "unknown pipeline"),
+], ids=["unknown-key", "unknown-key-first", "duplicate", "pipeline"])
+def test_unparsed_config_writes_error_to_named_output(workdir, text, message):
+    out = workdir / "outdir_bad"
+    cfg = write_cfg(workdir / "bad.cfg", text.format(out=out))
+    assert run(cfg) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["kind"] == "ConfigError"
+    assert message in record["error"]
+    assert sorted(os.listdir(out)) == ["error.json"]
+    assert not (workdir / "elsewhere").exists()
+
+
 _BASE_KEYS = {
     "scan": {"pipeline": "scan", "scan.s": "segment -1 0 1 0",
              "scan.gamma": "0.5", "scan.l_max": "2"},

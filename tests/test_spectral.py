@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from formheat.assembly import CoefficientSet, build_pencil
 from formheat.errors import (EigenSolveError, OutsideTheoryError,
@@ -14,6 +15,8 @@ from formheat.spectral import (count_eigenvalues_below, embedding_exponents,
                                fractional_power_apply, generalized_eigs,
                                numerical_range_check, trace_norm_probe)
 from formheat.weights import WeightSpec
+from oracles import (exact_l2_supremum_gemm, fractional_embedding_probe_loop,
+                     probe_sample_ratios_loop)
 
 INF = math.inf
 
@@ -279,6 +282,71 @@ def test_probe_validates_inputs():
         fractional_embedding_probe(pencils, 0.5, 2)
     with pytest.raises(ValueError):
         fractional_embedding_probe(probe_pencils(), 0.5, 3)
+
+
+@pytest.fixture(scope="module")
+def probe_families():
+    """Three-level-or-more pencil families for the batched probe: the
+    Neumann/dynamic square, a lumped pencil and a weighted one (segment,
+    gamma = 0.5)."""
+    weight = WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]), 0.5)
+
+    def levels(coeff, **kw):
+        mesh, out = standard_fixture_mesh(4), []
+        for _ in range(3):
+            out.append(build_pencil(mesh, coeff, **kw))
+            mesh = refine_uniform(mesh)
+        return out
+
+    return {"probe": probe_pencils(),
+            "lumped": levels(CoefficientSet(), lumped=True),
+            "weighted": levels(CoefficientSet(bulk_weight=weight))}
+
+
+@pytest.mark.parametrize("family", ["probe", "lumped", "weighted"])
+@pytest.mark.parametrize("p", [2, 4, 8])
+@pytest.mark.parametrize("theta", [0.05, 0.5, 1.0])
+def test_batched_probe_matches_loop(probe_families, family, p, theta):
+    pencils = probe_families[family]
+    rows = fractional_embedding_probe(pencils, theta, p, n_samples=16,
+                                      seed=3)
+    loop = fractional_embedding_probe_loop(pencils, theta, p, n_samples=16,
+                                           seed=3)
+    got = np.array([r.ratio for r in rows])
+    assert np.abs(got - loop).max() <= 1e-13 * np.abs(loop).max()
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.5, 1.0])
+def test_probe_samples_below_exact_supremum(probe_families, theta):
+    for pencil in probe_families["weighted"]:
+        sup = fractional_embedding_probe([pencil] * 3, theta, 2,
+                                         n_samples=0)[0].ratio
+        assert sup == pytest.approx(exact_l2_supremum_gemm(pencil, theta),
+                                    rel=1e-13)
+        samples = probe_sample_ratios_loop(pencil, theta, 2, 200, seed=5)
+        assert max(samples) <= sup * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.5, 1.0])
+def test_exact_supremum_bruteforce(theta):
+    # sup_u ||u||_inf / ||B u||_l2 = sqrt(max_i (B^-1 G^-1 B^-T)_ii) with
+    # B = (I + Mt^-1 T)^theta and G = J^T W J the lumped block Gram
+    mesh = unit_square_mesh(2, bottom="neumann", top="dynamic")
+    pencils = [build_pencil(mesh, CoefficientSet())]
+    for _ in range(2):
+        mesh = refine_uniform(mesh)
+        pencils.append(build_pencil(mesh, CoefficientSet()))
+    rows = fractional_embedding_probe(pencils, theta, 2, n_samples=0)
+    for pencil, row in zip(pencils, rows):
+        mt = pencil.mtilde().toarray()
+        gen = np.eye(pencil.n_free) + np.linalg.solve(mt, pencil.T.toarray())
+        b_inv = np.linalg.inv(
+            np.real(scipy.linalg.fractional_matrix_power(gen, theta)))
+        w = pencil.lumped_block_weights()
+        jay = pencil.J.toarray()
+        gram = jay.T @ (w[:, None] * jay)
+        diag = np.einsum("ij,ij->i", b_inv, np.linalg.solve(gram, b_inv.T).T)
+        assert row.ratio == pytest.approx(np.sqrt(diag.max()), rel=1e-11)
 
 
 def test_trace_probe_bounded_case_b():
