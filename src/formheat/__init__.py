@@ -19,9 +19,7 @@ from .geometry import (Mesh, load_mesh, save_mesh, refine_uniform,
 from .weights import (WeightSpec, DyadicCube, weighted_cell_integral,
                       muckenhoupt_lower_bound_scan, classify_case)
 from .assembly import (CoefficientSet, DofMap, BlockField, DiscreteOperator,
-                       build_dofmap, build_pencil,
-                       assemble_bulk_stiffness, assemble_surface_stiffness,
-                       assemble_block_mass, assemble_trace_map,
+                       build_dofmap, build_pencil, assemble_trace_map,
                        project_initial_data, validate_envelopes)
 from .evolution import (TimeSteppingConfig, EvolutionReport, ThetaStepper,
                         theta_step, evolve, steady_solve,
@@ -43,8 +41,7 @@ __all__ = [
     "WeightSpec", "DyadicCube", "weighted_cell_integral",
     "muckenhoupt_lower_bound_scan", "classify_case",
     "CoefficientSet", "DofMap", "BlockField", "DiscreteOperator",
-    "build_dofmap", "build_pencil", "assemble_bulk_stiffness",
-    "assemble_surface_stiffness", "assemble_block_mass", "assemble_trace_map",
+    "build_dofmap", "build_pencil", "assemble_trace_map",
     "project_initial_data", "validate_envelopes",
     "TimeSteppingConfig", "EvolutionReport", "ThetaStepper", "theta_step",
     "evolve", "steady_solve", "recover_interface_flux",

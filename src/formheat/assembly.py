@@ -14,18 +14,21 @@ Dirichlet conditions are imposed by eliminating the dofs of the closed
 Dirichlet boundary part (vertices of Dirichlet edges, plus any
 explicitly constrained surface endpoints).
 
-There is one batched element path: the P1 gradients and areas of all
-triangles come from one array pass, coefficients are evaluated once over
-all quadrature points of a region, and each matrix is one ``einsum``
-over element values summed onto its dofs by one sparse constructor.
-Surface matrices are built the same way from edge arrays and summed
-straight onto the dofs they act on: the surface stiffness onto the free
-bulk dofs of the edge ends, the surface masses onto each surface's block
-of free nodes.  No surface-local numbering survives into the pencil.
-Nonconstant surface coefficients share one adaptive line integral over
-all edges.  Coefficient callables therefore receive (n, 2) point arrays
-and must return one value per point.  Only a callable bulk coefficient
-under a weight is integrated cell by cell.  Operators are immutable.
+``build_pencil`` is the only assembler, with one batched element path:
+coefficients are evaluated once over all quadrature points of a region,
+and each matrix is one ``einsum`` over element values summed onto its
+dofs by one sparse constructor.  Each block of the block space (bulk,
+dynamic boundary, interface) gets its element masses from one pass: the
+plain masses are a reference matrix times the area or length, the
+weighted ones take one evaluation of the relaxation coefficient, and
+lumping is one rule for every block (element row sums, scattered as 1x1
+elements).  Surface matrices go straight onto the dofs they act on: the
+surface stiffness onto the free bulk dofs of the edge ends, the surface
+masses onto each surface's block of free nodes.  Nonconstant surface
+coefficients share one adaptive line integral over all edges.
+Coefficient callables therefore receive (n, 2) point arrays and must
+return one value per point.  Only a callable bulk coefficient under a
+weight is integrated cell by cell.  Operators are immutable.
 """
 
 from __future__ import annotations
@@ -288,13 +291,45 @@ class BlockField:
 _QUAD_ORDER = 2          # triangle rule for callable bulk coefficients
 _WEIGHT_TOL = 1e-8       # relative tolerance of the weighted cell integrals
 _SURFACE_TOL = 1e-12     # relative tolerance of the surface edge integrals
+_ENVELOPE_ORDER = 4      # triangle rule that samples the bulk envelope bounds
 # edge parameters of the probe that finds constant surface coefficients;
 # asymmetric, so that symmetric nonconstant profiles cannot pass for one
 _PROBE_TS = np.array([0.0, 0.31, 0.5, 0.77, 1.0])
+# barycentric mass rules (points (q, k), weights (q,)), exact for the
+# plain P1 masses: order 2 on triangles, two-point Gauss on edges
+_TRIANGLE_RULE = triangle_rule(2)
+_EDGE_TS = np.array([0.5 - 0.5 / np.sqrt(3), 0.5 + 0.5 / np.sqrt(3)])
+_EDGE_RULE = (np.stack([1.0 - _EDGE_TS, _EDGE_TS], axis=1),
+              np.array([0.5, 0.5]))
 
-def _p1_geometry(mesh):
-    """Constant P1 basis gradients (nt, 2, 3) and areas (nt,) of every
-    triangle."""
+
+def _plain_masses(size, rule):
+    """P1 element masses (cells, k, k) of simplices of measure ``size``:
+    the rule's reference matrix times the measure."""
+    bary, wts = rule
+    return size[:, None, None] * np.einsum("q,qa,qb->ab", wts, bary, bary)
+
+
+def _weighted_masses(coeff, which, points, size, rule):
+    """Relaxation-weighted P1 element masses (cells, k, k) of simplices of
+    measure ``size`` whose ``rule`` points are ``points`` (cells, q, 2).
+    The relaxation coefficient of block ``which`` is evaluated once, over
+    all points; each mass is integrated on its upper triangle and
+    mirrored, so that it is symmetric to the last bit."""
+    bary, wts = rule
+    z = coeff.zeta_values(which, points.reshape(-1, 2)).reshape(
+        points.shape[:2])
+    a, b = np.triu_indices(bary.shape[1])
+    masses = np.empty((len(size),) + (bary.shape[1],) * 2)
+    masses[:, a, b] = masses[:, b, a] = size[:, None] * np.einsum(
+        "q,nq,qp,qp->np", wts, z, bary[:, a], bary[:, b])
+    return masses
+
+
+def _triangle_elements(mesh, coeff):
+    """Element data every bulk term shares: constant P1 basis gradients
+    (nt, 2, 3), areas (nt,), bulk-weight integrals (nt,) (the areas
+    when there is no weight) and plain element masses (nt, 3, 3)."""
     tri = mesh.vertices[mesh.triangles]
     e0 = tri[:, 2] - tri[:, 1]
     e1 = tri[:, 0] - tri[:, 2]
@@ -302,7 +337,10 @@ def _p1_geometry(mesh):
     area = mesh.triangle_areas()
     grads = np.stack([np.stack([-e0[:, 1], -e1[:, 1], -e2[:, 1]], axis=1),
                       np.stack([e0[:, 0], e1[:, 0], e2[:, 0]], axis=1)], axis=1)
-    return grads / (2.0 * area)[:, None, None], area
+    cell_w = area if coeff.bulk_weight is None else weighted_cell_integral(
+        coeff.bulk_weight, tri, tol_rel=_WEIGHT_TOL)
+    return (grads / (2.0 * area)[:, None, None], area, cell_w,
+            _plain_masses(area, _TRIANGLE_RULE))
 
 
 def _scatter(dofs, elem, n):
@@ -314,14 +352,6 @@ def _scatter(dofs, elem, n):
     return sp.csr_matrix((elem[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
-def _weight_integrals(tris, weight, area):
-    """Integral of the bulk weight over each triangle of ``tris``
-    (nt, 3, 2); the areas when there is no weight."""
-    if weight is None:
-        return area
-    return weighted_cell_integral(weight, tris, tol_rel=_WEIGHT_TOL)
-
-
 def _envelope_integrals(coeff, area, cell_w):
     """Integral of the scalar bulk envelope times identity, (nt, 2, 2)."""
     scale = coeff.mu_bulk_star * area if coeff.bulk_weight is None else cell_w
@@ -330,23 +360,14 @@ def _envelope_integrals(coeff, area, cell_w):
 
 def _coefficient_integrals(mesh, coeff, area, cell_w):
     """Integral of the full bulk coefficient over every triangle,
-    (nt, 2, 2).  Constant bases scale the weight integrals ``cell_w``
-    (computed here in one call over their triangles alone when None);
+    (nt, 2, 2).  Constant bases scale the weight integrals ``cell_w``;
     callables are evaluated once per region over all its quadrature
     points, or, under a weight, integrated adaptively cell by cell."""
     tris = mesh.vertices[mesh.triangles]
     out = np.empty((mesh.num_triangles, 2, 2))
-    regions = np.unique(mesh.tri_regions)
-    bases = [coeff.bulk_base_matrix(region) for region in regions]
-    if cell_w is None:
-        const = np.isin(mesh.tri_regions, [
-            region for region, base in zip(regions, bases)
-            if base is not None])
-        cell_w = np.zeros(mesh.num_triangles)
-        cell_w[const] = _weight_integrals(tris[const], coeff.bulk_weight,
-                                          area[const])
-    for region, base in zip(regions, bases):
+    for region in np.unique(mesh.tri_regions):
         sel = mesh.tri_regions == region
+        base = coeff.bulk_base_matrix(region)
         if base is not None:
             out[sel] = cell_w[sel, None, None] * base
             continue
@@ -375,39 +396,40 @@ def _stiffness(mesh, dofmap, grads, cell_mats):
     return _scatter(dofmap.vertex_free[mesh.triangles], elem, dofmap.n_free)
 
 
-def assemble_bulk_stiffness(mesh, coeff, *, dofmap=None, use_envelope=False):
-    """P1 bulk stiffness with Dirichlet dofs eliminated symmetrically.
+def _form_gram_bulk(mesh, coeff, dofmap, elements):
+    """Bulk part of the form-domain Gram matrix ``M_form``: the plain
+    consistent bulk mass plus the envelope stiffness, from the
+    ``_triangle_elements`` of the mesh."""
+    grads, area, cell_w, plain = elements
+    mass = _scatter(dofmap.vertex_free[mesh.triangles], plain, dofmap.n_free)
+    return mass + _stiffness(mesh, dofmap, grads,
+                             _envelope_integrals(coeff, area, cell_w))
 
-    Entry (i, j) carries the bulk energy pairing of trial function j
-    against test function i.  With ``use_envelope`` the scalar envelope
-    (times identity) is integrated instead of the full coefficient,
-    which yields the gradient part of the form-domain Gram matrix.
-    """
-    if dofmap is None:
-        dofmap = build_dofmap(mesh)
-    grads, area = _p1_geometry(mesh)
-    if use_envelope:
-        cell_mats = _envelope_integrals(coeff, area, _weight_integrals(
-            mesh.vertices[mesh.triangles], coeff.bulk_weight, area))
-    else:
-        cell_mats = _coefficient_integrals(mesh, coeff, area, None)
-    return _stiffness(mesh, dofmap, grads, cell_mats)
+
+def _edge_points(smesh, ts):
+    """The points (ne, q, 2) at the parameters ``ts`` (q,) of every
+    edge."""
+    ends = smesh.mesh.vertices[smesh.edges]
+    return ends[:, None, 0] + ts[:, None] * (ends[:, None, 1] - ends[:, None, 0])
 
 
 def _surface_samples(smesh, coeff, which, ts):
     """The points (ne * q, 2) at the parameters ``ts`` (q,) of every edge
     and the tangential surface coefficient there, (ne, q)."""
-    ends = smesh.mesh.vertices[smesh.edges]
-    pts = ends[:, None, 0] + ts[:, None] * (ends[:, None, 1] - ends[:, None, 0])
-    pts = pts.reshape(-1, 2)
+    pts = _edge_points(smesh, ts).reshape(-1, 2)
     tangents = np.repeat(smesh.tangents, len(ts), axis=0)
     return pts, coeff.surface_values(which, pts, tangents).reshape(-1, len(ts))
 
 
 def _surface_stiffness(smesh, coeff, which, dofs, n):
     """Tangential P1 stiffness of the surface edges, scattered onto the
-    edge dofs ``dofs`` (ne, 2) of an n x n matrix.  Edges whose probe
-    samples agree take that value times their length."""
+    edge dofs ``dofs`` (ne, 2) of an n x n matrix.
+
+    Each edge contributes ``(integral of mu_t / L^2) [[1,-1],[-1,1]]``;
+    edges whose probe samples agree take that value times their length,
+    and a vanishing coefficient gives zero rows, so arbitrarily supported
+    (degenerate) surface diffusion assembles naturally.
+    """
     length = smesh.edge_lengths
     _, probe = _surface_samples(smesh, coeff, which, _PROBE_TS)
     negative = probe.min(axis=1) < -1e-12 * np.maximum(
@@ -435,31 +457,10 @@ def _surface_stiffness(smesh, coeff, which, dofs, n):
     return _scatter(dofs, elem, n)
 
 
-def _surface_mass(smesh, coeff, which, dofs, n, *, lumped=False,
-                  weighted=True):
-    """Edge P1 mass, scattered onto the edge dofs ``dofs`` (ne, 2) of an
-    n x n matrix."""
-    xg = np.array([0.5 - 0.5 / np.sqrt(3), 0.5 + 0.5 / np.sqrt(3)])
-    wg = np.array([0.5, 0.5])
-    ends = smesh.mesh.vertices[smesh.edges]
-    pts = ends[:, None, 0] + xg[None, :, None] * (ends[:, None, 1]
-                                                   - ends[:, None, 0])
-    if weighted:
-        z = coeff.zeta_values(which, pts.reshape(-1, 2)).reshape(-1, 2)
-    else:
-        z = np.ones((len(ends), 2))
-    phi0, phi1 = 1.0 - xg, xg
-    length = smesh.edge_lengths
-    m00 = length * np.sum(wg * z * phi0 * phi0, axis=1)
-    m01 = length * np.sum(wg * z * phi0 * phi1, axis=1)
-    m11 = length * np.sum(wg * z * phi1 * phi1, axis=1)
-    if lumped:
-        # one 1x1 element per edge end, so that no off-diagonal is stored
-        diag = np.stack([m00 + m01, m11 + m01], axis=1)
-        return _scatter(dofs.reshape(-1, 1), diag.reshape(-1, 1, 1), n)
-    elem = np.stack([np.stack([m00, m01], axis=1),
-                     np.stack([m01, m11], axis=1)], axis=1)
-    return _scatter(dofs, elem, n)
+def _surface_plain_mass(smesh, dofs, n):
+    """Plain consistent edge P1 mass, scattered onto the edge dofs
+    ``dofs`` (ne, 2) of an n x n matrix."""
+    return _scatter(dofs, _plain_masses(smesh.edge_lengths, _EDGE_RULE), n)
 
 
 def _surface_block_dofs(dofmap, smesh, which):
@@ -469,54 +470,6 @@ def _surface_block_dofs(dofmap, smesh, which):
     index = np.full(dofmap.n_vertices, -1, dtype=int)
     index[verts] = np.arange(len(verts))
     return index[smesh.edges]
-
-
-def assemble_surface_stiffness(smesh, coeff, which):
-    """Tangential P1 stiffness on all nodes of a surface mesh.
-
-    Each edge contributes ``(integral of mu_t / L^2) [[1,-1],[-1,1]]``
-    for the tangential coefficient of ``coeff`` on ``which``
-    (``dynamic`` or ``interface``); nodes all of whose incident edges
-    carry a vanishing coefficient get zero rows, so arbitrarily supported
-    (degenerate) surface diffusion assembles naturally.
-    """
-    return _surface_stiffness(smesh, coeff, which, smesh.edge_nodes,
-                              smesh.num_nodes)
-
-
-def assemble_surface_mass(smesh, coeff=None, which=None, *, lumped=False,
-                          weighted=True):
-    """Edge P1 mass on all nodes of a surface mesh.
-
-    ``weighted`` applies the relaxation coefficient; lumping row-sums
-    the consistent matrix.
-    """
-    if coeff is None:
-        coeff = CoefficientSet()
-        which = which or DYNAMIC
-    return _surface_mass(smesh, coeff, which, smesh.edge_nodes,
-                         smesh.num_nodes, lumped=lumped, weighted=weighted)
-
-
-def assemble_bulk_mass(mesh, coeff=None, *, dofmap=None, lumped=False,
-                       weighted=True, order=2):
-    """P1 bulk mass on free dofs, optionally relaxation-weighted/lumped."""
-    if coeff is None:
-        coeff = CoefficientSet()
-    if dofmap is None:
-        dofmap = build_dofmap(mesh)
-    bary, wts = triangle_rule(max(order, 2))
-    area = mesh.triangle_areas()
-    if weighted:
-        pts = bary @ mesh.vertices[mesh.triangles]
-        z = coeff.zeta_values("bulk", pts.reshape(-1, 2)).reshape(len(pts), -1)
-    else:
-        z = np.ones((mesh.num_triangles, len(wts)))
-    elem = area[:, None, None] * np.einsum("q,nq,qa,qb->nab", wts, z, bary,
-                                           bary)
-    if lumped:
-        elem = elem.sum(axis=2)[:, :, None] * np.eye(3)
-    return _scatter(dofmap.vertex_free[mesh.triangles], elem, dofmap.n_free)
 
 
 def assemble_trace_map(dofmap):
@@ -532,30 +485,6 @@ def assemble_trace_map(dofmap):
         blocks.append(sp.csr_matrix((np.ones(len(verts)), (rows, cols)),
                                     shape=(len(verts), n)))
     return sp.vstack(blocks, format="csr")
-
-
-def assemble_block_mass(mesh, smeshes, coeff, lumped=False, *, dofmap=None,
-                        weighted=True):
-    """Block-diagonal (relaxation-weighted) mass on bulk + surface dofs.
-
-    ``smeshes`` maps ``dynamic``/``interface`` to SurfaceMesh instances
-    (missing surfaces contribute empty blocks).
-    """
-    smesh_gd = smeshes.get(DYNAMIC)
-    smesh_sigma = smeshes.get(INTERFACE)
-    if dofmap is None:
-        dofmap = build_dofmap(mesh, smesh_gd, smesh_sigma)
-    blocks = [assemble_bulk_mass(mesh, coeff, dofmap=dofmap, lumped=lumped,
-                                 weighted=weighted)]
-    for which, smesh in ((DYNAMIC, smesh_gd), (INTERFACE, smesh_sigma)):
-        n_surf = len(dofmap.surface_vertices(which))
-        if smesh is None or n_surf == 0:
-            blocks.append(sp.csr_matrix((n_surf, n_surf)))
-            continue
-        blocks.append(_surface_mass(
-            smesh, coeff, which, _surface_block_dofs(dofmap, smesh, which),
-            n_surf, lumped=lumped, weighted=weighted))
-    return sp.block_diag(blocks, format="csr")
 
 
 # -- the pencil ---------------------------------------------------------------------
@@ -619,7 +548,7 @@ class DiscreteOperator:
     M_blk : csr_matrix
         Relaxation-weighted block mass.
     M_blk_plain : csr_matrix
-        Unweighted block mass, lumped when ``lumped``.
+        Unweighted block mass, lumped when the pencil is.
     J : csr_matrix
         Trace map, free bulk dofs -> block space; its rows past the bulk
         identity select the dynamic-boundary, then the interface nodes.
@@ -632,7 +561,7 @@ class DiscreteOperator:
     """
 
     def __init__(self, mesh, coeff, dofmap, smeshes, T, K_bulk, M_blk,
-                 M_blk_plain, J, M_form, lumped):
+                 M_blk_plain, J, M_form):
         self.mesh = mesh
         self.coeff = coeff
         self.dofmap = dofmap
@@ -643,7 +572,6 @@ class DiscreteOperator:
         self.M_blk_plain = M_blk_plain
         self.J = J
         self.M_form = M_form
-        self.lumped = lumped
         self._mtilde = None
         self._eig_cache = None
         self._factors = {}
@@ -707,47 +635,59 @@ class DiscreteOperator:
 def build_pencil(mesh, coeff, *, lumped=False, extra_constrained=()):
     """Assemble the full discrete operator pencil for a labeled mesh.
 
-    The weight integrals over the triangles are computed once and serve
-    both the coefficient and the envelope stiffness; the unweighted bulk
-    mass of ``M_form`` is a block of the plain block mass.  The surface
-    stiffness, its own envelope, goes straight onto the free bulk dofs
-    of its edges in both ``T`` and ``M_form``.
+    One pass over the triangles gives the P1 gradients, the weight
+    integrals and the plain element masses; the weight integrals serve
+    both the coefficient and the envelope stiffness, and the plain masses
+    both ``M_form`` and ``M_blk_plain``.  Each block of the block space
+    (bulk, dynamic boundary, interface) then gets its weighted element
+    masses from one relaxation-coefficient evaluation.  Lumping is one
+    rule for every block: element row sums, scattered as 1x1 elements.
+    The surface stiffness, its own envelope, goes straight onto the free
+    bulk dofs of its edges in both ``T`` and ``M_form``.
     """
-    smesh_gd = SurfaceMesh.from_mesh(mesh, DYNAMIC)
-    smesh_sigma = SurfaceMesh.from_mesh(mesh, INTERFACE)
-    smeshes = {DYNAMIC: smesh_gd, INTERFACE: smesh_sigma}
-    dofmap = build_dofmap(mesh, smesh_gd, smesh_sigma, extra_constrained)
+    smeshes = {which: SurfaceMesh.from_mesh(mesh, which)
+               for which in (DYNAMIC, INTERFACE)}
+    dofmap = build_dofmap(mesh, smeshes[DYNAMIC], smeshes[INTERFACE],
+                          extra_constrained)
+    n = dofmap.n_free
 
-    grads, area = _p1_geometry(mesh)
-    cell_w = _weight_integrals(mesh.vertices[mesh.triangles], coeff.bulk_weight,
-                               area)
+    elements = _triangle_elements(mesh, coeff)
+    grads, area, cell_w, plain = elements
     k_bulk = _stiffness(mesh, dofmap, grads, _coefficient_integrals(
         mesh, coeff, area, cell_w))
-    k_env = _stiffness(mesh, dofmap, grads,
-                       _envelope_integrals(coeff, area, cell_w))
-    m_blk = assemble_block_mass(mesh, smeshes, coeff, lumped=lumped,
-                                dofmap=dofmap)
-    m_consistent = assemble_block_mass(mesh, smeshes, coeff, dofmap=dofmap,
-                                       weighted=False)
-    m_blk_plain = assemble_block_mass(
-        mesh, smeshes, coeff, lumped=True, dofmap=dofmap,
-        weighted=False) if lumped else m_consistent
-    n = dofmap.n_free
     t_mat = k_bulk
-    m_form = m_consistent[:n, :n] + k_env
+    m_form = _form_gram_bulk(mesh, coeff, dofmap, elements)
+    # (element dofs within the block, block size, plain and weighted
+    # element masses) of each block of the block space
+    blocks = [(dofmap.vertex_free[mesh.triangles], n, plain, _weighted_masses(
+        coeff, "bulk", _TRIANGLE_RULE[0] @ mesh.vertices[mesh.triangles],
+        area, _TRIANGLE_RULE))]
     for which, smesh in smeshes.items():
-        if len(dofmap.surface_vertices(which)) == 0:
+        n_surf = len(dofmap.surface_vertices(which))
+        if n_surf == 0:         # an empty block adds no rows to M_blk
             continue
         k_surf = _surface_stiffness(smesh, coeff, which,
                                     dofmap.vertex_free[smesh.edges], n)
         t_mat = t_mat + k_surf
         m_form = m_form + k_surf
-
-    j_mat = assemble_trace_map(dofmap)
+        length = smesh.edge_lengths
+        blocks.append((_surface_block_dofs(dofmap, smesh, which), n_surf,
+                       _plain_masses(length, _EDGE_RULE), _weighted_masses(
+                           coeff, which, _edge_points(smesh, _EDGE_TS),
+                           length, _EDGE_RULE)))
+    if lumped:          # element row sums, scattered as 1x1 elements
+        blocks = [(dofs.reshape(-1, 1), n_b,
+                   *(m.sum(axis=2).reshape(-1, 1, 1) for m in masses))
+                  for dofs, n_b, *masses in blocks]
+    m_blk = sp.block_diag([_scatter(dofs, mass, n_b)
+                           for dofs, n_b, _, mass in blocks], format="csr")
+    m_blk_plain = sp.block_diag([_scatter(dofs, mass, n_b)
+                                 for dofs, n_b, mass, _ in blocks],
+                                format="csr")
 
     return DiscreteOperator(mesh, coeff, dofmap, smeshes, t_mat.tocsr(),
-                            k_bulk, m_blk, m_blk_plain, j_mat,
-                            m_form.tocsr(), lumped)
+                            k_bulk, m_blk, m_blk_plain,
+                            assemble_trace_map(dofmap), m_form.tocsr())
 
 
 def project_initial_data(raw, pencil):
@@ -770,7 +710,7 @@ def project_initial_data(raw, pencil):
 
 # -- envelope validation ---------------------------------------------------------------
 
-def validate_envelopes(mesh, coeff, order=4):
+def validate_envelopes(mesh, coeff):
     """Sample the coefficient bounds at quadrature points.
 
     Returns ``(diagnostics, observed)`` where observed carries the
@@ -779,7 +719,7 @@ def validate_envelopes(mesh, coeff, order=4):
     minimum relaxation values per block.
     """
     diags = []
-    bary, _ = triangle_rule(order)
+    bary, _ = triangle_rule(_ENVELOPE_ORDER)
     pts = bary @ mesh.vertices[mesh.triangles]            # (nt, q, 2)
     flat = pts.reshape(-1, 2)
     mu = np.empty(pts.shape[:2] + (2, 2))

@@ -34,14 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assembly import (BlockField, CoefficientSet, build_pencil,
-                       validate_envelopes)
+from .assembly import (BlockField, CoefficientSet, build_dofmap,
+                       build_pencil, validate_envelopes)
 from .errors import ConfigError, DegenerateGeometryError, FormheatError
 from .evolution import TimeSteppingConfig, evolve
 from .geometry import Points, Polyline, load_mesh, refine_uniform
-from .spectral import (_check_probe_arguments, embedding_exponents,
-                       fractional_embedding_probe, generalized_eigs,
-                       probe_trend)
+from .spectral import (_check_dense_size, _check_probe_arguments,
+                       embedding_exponents, fractional_embedding_probe,
+                       generalized_eigs, probe_trend)
 from .weights import (WeightSpec, _scan_window, classify_case,
                       muckenhoupt_lower_bound_scan)
 
@@ -132,6 +132,7 @@ class RunConfig:
         self.seed = self._get("seed", int, default=0)
         mesh = self._get("mesh", str, default=None)
         self.mesh_path = (self.base_dir / mesh) if mesh else None
+        self._mesh = None
 
     def _line(self, key):
         return self.entries[key][1] if key in self.entries else None
@@ -228,12 +229,16 @@ class RunConfig:
     # -- section builders ---------------------------------------------------
 
     def mesh(self):
-        """The mesh file named by ``mesh``, relative to the config."""
-        if self.mesh_path is None:
-            raise ConfigError("missing required key", key="mesh")
-        if not self.mesh_path.exists():
-            raise FileNotFoundError(f"mesh: file not found ({self.mesh_path})")
-        return load_mesh(self.mesh_path)
+        """The mesh file named by ``mesh``, relative to the config; read
+        once, however many builders ask for it."""
+        if self._mesh is None:
+            if self.mesh_path is None:
+                raise ConfigError("missing required key", key="mesh")
+            if not self.mesh_path.exists():
+                raise FileNotFoundError(
+                    f"mesh: file not found ({self.mesh_path})")
+            self._mesh = load_mesh(self.mesh_path)
+        return self._mesh
 
     def coefficients(self):
         def matrix(raw, key):
@@ -363,7 +368,11 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
     def probe(self):
-        """``(levels, theta, p, seed)`` of the embedding probe."""
+        """``(meshes, theta, p, seed)`` of the embedding probe, where
+        ``meshes`` is the refinement ladder of the mesh, one mesh per
+        level.  Each level is checked against the size limit of the dense
+        spectral calculus before the next is refined, so a probe too
+        large to run fails here, before any pencil is built."""
         levels = self._get("probe.levels", int, default=3)
         theta = self._get("probe.theta", float, default=0.5)
         p = self._get("probe.p", int, default=2)
@@ -371,7 +380,12 @@ class RunConfig:
             _check_probe_arguments(levels, p)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        return levels, theta, p, self.seed
+        meshes = [self.mesh()]
+        while True:
+            _check_dense_size(build_dofmap(meshes[-1]).n_free)
+            if len(meshes) == levels:
+                return meshes, theta, p, self.seed
+            meshes.append(refine_uniform(meshes[-1]))
 
     def scan(self):
         """The scan's ``(WeightSpec, l_max, window)``."""
@@ -396,9 +410,12 @@ def prepare(cfg, diagnostics=None):
     Returns ``{section: input}``.  Without ``diagnostics`` the first
     failing builder raises; with a list, each failure is appended to it
     as ``"<section>: <message>"``, that section is left out, and the
-    remaining builders still run.
+    remaining builders still run.  A failure an earlier section reported
+    (a builder that reads the mesh meets its error again) is not
+    repeated.
     """
     inputs = {}
+    reported = set()
     for section in _PIPELINES[cfg.pipeline][0]:
         try:
             inputs[section] = getattr(cfg, section)()
@@ -406,6 +423,9 @@ def prepare(cfg, diagnostics=None):
             if diagnostics is None:
                 raise
             text = str(exc)
+            if text in reported:
+                continue
+            reported.add(text)
             if not text.startswith(f"{section}:"):
                 text = f"{section}: {text}"
             diagnostics.append(text)
@@ -490,14 +510,9 @@ def _pipeline_evolve(inputs, outdir, manifest):
 def _pipeline_eigs(inputs, outdir, manifest):
     mesh, count = inputs["mesh"], inputs["eigs"]
     pencil = build_pencil(mesh, inputs["coefficients"])
-    vals, vecs = generalized_eigs(pencil, count)
-    mt = pencil.mtilde()
-    rows = []
-    for k in range(count):
-        v = vecs[:, k]
-        res = np.linalg.norm(pencil.T @ v - vals[k] * (mt @ v))
-        rows.append((k, _fmt(float(vals[k])),
-                     _fmt(float(res / np.linalg.norm(v)))))
+    vals, _, residuals = generalized_eigs(pencil, count)
+    rows = [(k, _fmt(float(lam)), _fmt(float(res)))
+            for k, (lam, res) in enumerate(zip(vals, residuals))]
     path = outdir / "eigs.csv"
     _write_csv(path, "index,lambda,residual", rows)
     manifest.add_output(path)
@@ -516,10 +531,7 @@ def _pipeline_exponents(inputs, outdir, manifest):
 
 
 def _pipeline_probe(inputs, outdir, manifest):
-    levels, theta, p, seed = inputs["probe"]
-    meshes = [inputs["mesh"]]
-    while len(meshes) < levels:
-        meshes.append(refine_uniform(meshes[-1]))
+    meshes, theta, p, seed = inputs["probe"]
     pencils = [build_pencil(mesh, inputs["coefficients"]) for mesh in meshes]
     rows = fractional_embedding_probe(pencils, theta, p, seed=seed)
     path = outdir / "probe.csv"

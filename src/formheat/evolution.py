@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (BlockField, Factorization, _surface_block_dofs,
-                       _surface_mass)
+                       _surface_plain_mass)
 from .errors import SolveError
 from .geometry.surface import INTERFACE
 
@@ -255,9 +255,9 @@ def recover_interface_flux(pencil, mesh, u, f=None):
 
     def interface_mass():
         smesh = pencil.smeshes[INTERFACE]
-        return _surface_mass(smesh, pencil.coeff, INTERFACE,
-                             _surface_block_dofs(dofmap, smesh, INTERFACE),
-                             dofmap.n_sigma, weighted=False)
+        return _surface_plain_mass(
+            smesh, _surface_block_dofs(dofmap, smesh, INTERFACE),
+            dofmap.n_sigma)
 
     lu = pencil.factorization(("M_plain", INTERFACE), interface_mass)
     return lu.solve(r_sigma)

@@ -24,13 +24,15 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .assembly import (assemble_bulk_mass, assemble_bulk_stiffness,
-                       build_dofmap, lanczos_start, _surface_mass)
+from .assembly import (build_dofmap, lanczos_start, _form_gram_bulk,
+                       _surface_plain_mass, _triangle_elements)
 from .errors import (EigenSolveError, OutsideTheoryError, SizeLimitError,
                      UnsupportedScenarioError)
 from .geometry.surface import INTERFACE, SurfaceMesh
 
 INF = math.inf
+# largest pencil, in free dofs, that the dense spectral calculus takes on
+_DENSE_CALCULUS_LIMIT = 2000
 
 
 def _as_fraction(value):
@@ -201,9 +203,10 @@ def embedding_exponents(d, gamma, *, case="nondegenerate",
 def generalized_eigs(pencil, count, *, tol=1e-8, dense_limit=250):
     """Smallest eigenpairs of ``T v = lambda Mt v`` for symmetric pencils.
 
-    Returns ``(values, vectors)`` with ascending real eigenvalues and
-    Mt-orthonormal columns.  Residuals ``||T v - lambda Mt v|| / ||v||``
-    are verified against ``tol``.  Up to ``dense_limit`` dofs, or when
+    Returns ``(values, vectors, residuals)`` with ascending real
+    eigenvalues, Mt-orthonormal columns and the residual
+    ``||T v - lambda Mt v|| / ||v||`` of each pair, which is verified
+    against ``tol``.  Up to ``dense_limit`` dofs, or when
     nearly all pairs are wanted, the pencil is solved densely; otherwise
     by shift-invert Lanczos at ``-0.01`` on the cached factorization of
     ``T + 0.01 Mt``.  The default limit is the measured crossover for
@@ -232,17 +235,16 @@ def generalized_eigs(pencil, count, *, tol=1e-8, dense_limit=250):
                                 v0=lanczos_start(n))
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    worst = 0.0
-    for k in range(count):
-        v = vecs[:, k]
-        res = np.linalg.norm(pencil.T @ v - vals[k] * (mt @ v))
-        worst = max(worst, res / np.linalg.norm(v))
+    residuals = np.array([
+        np.linalg.norm(pencil.T @ v - lam * (mt @ v)) / np.linalg.norm(v)
+        for lam, v in zip(vals, vecs.T)])
+    worst = float(residuals.max())
     if worst > tol:
         raise EigenSolveError("eigen residual above tolerance", residual=worst)
     if vals[0] < -1e-10:
         raise EigenSolveError("negative eigenvalue from a nonnegative form",
                               residual=float(vals[0]))
-    return vals, vecs
+    return vals, vecs, residuals
 
 
 def count_eigenvalues_below(pencil, bound, dense_limit=2500):
@@ -297,13 +299,17 @@ def numerical_range_check(pencil, samples=1000, seed=0):
                                 samples=samples)
 
 
+def _check_dense_size(n, dense_limit=_DENSE_CALCULUS_LIMIT):
+    """:class:`SizeLimitError` when a pencil of ``n`` free dofs is too
+    large for the dense spectral calculus."""
+    if n > dense_limit:
+        raise SizeLimitError(f"dense spectral calculus limited to "
+                             f"{dense_limit} dofs (pencil has {n})")
+
+
 def _pencil_eigendecomposition(pencil, dense_limit):
     if pencil._eig_cache is None:
-        n = pencil.n_free
-        if n > dense_limit:
-            raise SizeLimitError(
-                f"dense spectral calculus limited to {dense_limit} dofs "
-                f"(pencil has {n})")
+        _check_dense_size(pencil.n_free, dense_limit)
         if not pencil.is_symmetric():
             raise EigenSolveError("spectral calculus needs a symmetric pencil")
         # Fortran-ordered temporaries let LAPACK work in place instead of
@@ -332,7 +338,8 @@ def _fractional_power_block(pencil, theta, block, dense_limit):
     return vecs @ coeff
 
 
-def fractional_power_apply(pencil, theta, u, *, dense_limit=2000):
+def fractional_power_apply(pencil, theta, u, *,
+                           dense_limit=_DENSE_CALCULUS_LIMIT):
     """Apply ``(I + Mt^-1 T)^theta`` through the pencil eigenbasis."""
     if not 0.0 < theta <= 1.0:
         raise ValueError("fractional exponent must lie in (0, 1]")
@@ -357,37 +364,40 @@ def _check_probe_arguments(levels, p_proxy):
 
 
 def fractional_embedding_probe(pencils, theta, p_proxy, *, n_samples=64,
-                               seed=0, dense_limit=2000):
+                               seed=0, dense_limit=_DENSE_CALCULUS_LIMIT):
     """Worst sup-norm-to-smoothed-norm ratios across refinement levels.
 
-    For each pencil, samples random bulk vectors ``u`` and reports the
-    worst observed ``||u||_inf / ||(I + Mt^-1 T)^theta u||_{lp}`` (lumped
-    block measure).  For ``p = 2`` the exact supremum over all ``u`` is
-    computed as well and included.  Bounded ratios across levels witness
-    an embedding; growing ones witness its failure.  The trend is
-    qualitative, never a certified constant.
+    For each pencil, reports the worst
+    ``||u||_inf / ||(I + Mt^-1 T)^theta u||_{lp}`` (lumped block measure)
+    over bulk vectors ``u``.  For ``p = 2`` that is the exact supremum
+    over all ``u``; for ``p = 4`` and ``8`` it is the worst of
+    ``n_samples`` random samples, and ``n_samples`` applies only there.
+    Bounded ratios across levels witness an embedding; growing ones
+    witness its failure.  The trend is qualitative, never a certified
+    constant.
 
     Each level costs one dense eigendecomposition of its pencil (cached
-    on the pencil), one ``(n, n_samples)`` block of samples put through
-    the fractional power at once, and for ``p = 2`` one ``n x n``
-    product.  Level ``l`` draws its samples from seed ``seed + l``.
+    on the pencil), and then for ``p = 2`` one ``n x n`` product, for
+    ``p = 4, 8`` one ``(n, n_samples)`` block of samples put through the
+    fractional power at once.  Level ``l`` draws its samples from seed
+    ``seed + l``.
     """
     _check_probe_arguments(len(pencils), p_proxy)
     rows = []
     for level, pencil in enumerate(pencils):
-        rng = np.random.default_rng(seed + level)
-        # one row per sample: the stream of n_samples single draws
-        u = rng.standard_normal((n_samples, pencil.n_free)).T
-        bu = _fractional_power_block(pencil, theta, u, dense_limit)
         w = pencil.lumped_block_weights()
-        sup_u = np.abs(pencil.J @ u).max(axis=0, initial=0.0)
-        ju = np.abs(pencil.J @ bu)
-        ju **= p_proxy
-        ratios = sup_u / (w @ ju) ** (1.0 / p_proxy)
-        worst = float(np.max(ratios, initial=0.0))
         if p_proxy == 2:
-            worst = max(worst,
-                        _exact_l2_supremum(pencil, theta, w, dense_limit))
+            worst = _exact_l2_supremum(pencil, theta, w, dense_limit)
+        else:
+            rng = np.random.default_rng(seed + level)
+            # one row per sample: the stream of n_samples single draws
+            u = rng.standard_normal((n_samples, pencil.n_free)).T
+            bu = _fractional_power_block(pencil, theta, u, dense_limit)
+            sup_u = np.abs(pencil.J @ u).max(axis=0, initial=0.0)
+            ju = np.abs(pencil.J @ bu)
+            ju **= p_proxy
+            ratios = sup_u / (w @ ju) ** (1.0 / p_proxy)
+            worst = float(np.max(ratios, initial=0.0))
         rows.append(ProbeRow(level=level, h=pencil.mesh.h_max(), ratio=worst))
     return rows
 
@@ -443,13 +453,13 @@ def trace_norm_probe(mesh, coeff, *, n_samples=200, seed=0, dense_limit=2500):
     dofmap = build_dofmap(mesh, None, smesh_sigma)
     if dofmap.n_free > dense_limit:
         raise SizeLimitError("trace probe limited to dense scale")
-    numer = _surface_mass(smesh_sigma, coeff, INTERFACE,
-                          dofmap.vertex_free[smesh_sigma.edges],
-                          dofmap.n_free, weighted=False).toarray()
-    denom = (assemble_bulk_mass(mesh, coeff, dofmap=dofmap, weighted=False)
-             + assemble_bulk_stiffness(mesh, coeff, dofmap=dofmap,
-                                       use_envelope=True)).toarray()
     n = dofmap.n_free
+    numer = _surface_plain_mass(smesh_sigma,
+                                dofmap.vertex_free[smesh_sigma.edges],
+                                n).toarray()
+    # the bulk part of the pencil's M_form
+    denom = _form_gram_bulk(mesh, coeff, dofmap,
+                            _triangle_elements(mesh, coeff)).toarray()
     lam = scipy.linalg.eigh(numer, denom, eigvals_only=True,
                             subset_by_index=[n - 1, n - 1])
     sup_ratio = float(np.sqrt(max(lam[0], 0.0)))

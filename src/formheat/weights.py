@@ -762,14 +762,14 @@ class CaseReport:
         return f"{self.case}{flag}"
 
 
-def classify_case(w, mesh, separation_tol=None):
+def classify_case(w, mesh):
     """Classify a weight as nondegenerate, case A, or case B.
 
     Nondegenerate means gamma = 0.  Otherwise the weight is case A when
-    the degeneracy set stays farther than the separation tolerance from
+    the degeneracy set stays farther than one mesh-cell diameter from
     every dynamic-boundary and interface node, and case B when it comes
-    closer.  The tolerance defaults to one mesh-cell diameter: below
-    mesh resolution the discrete solver cannot distinguish the cases.
+    closer: below mesh resolution the discrete solver cannot distinguish
+    the cases.
     In case B with gamma >= 1 the report carries an outside-theory flag.
     """
     if w.gamma == 0.0:
@@ -780,7 +780,6 @@ def classify_case(w, mesh, separation_tol=None):
         return CaseReport("A", False, np.inf)
     pts = mesh.vertices[sorted(nodes)]
     separation = float(np.min(w.s.distance(pts)))
-    tol = mesh.h_max() if separation_tol is None else float(separation_tol)
-    if separation > tol:
+    if separation > mesh.h_max():
         return CaseReport("A", False, separation)
     return CaseReport("B", w.gamma >= 1.0, separation)

@@ -212,7 +212,7 @@ def test_c09_spectrum():
     neumann = build_pencil(unit_square_mesh(8, bottom="neumann",
                                             top="neumann"),
                            CoefficientSet())
-    vals, vecs = generalized_eigs(neumann, 1)
+    vals, vecs, _ = generalized_eigs(neumann, 1)
     assert abs(vals[0]) <= 1e-10
     v0 = vecs[:, 0]
     assert np.abs(v0 / v0[0] - 1.0).max() <= 1e-10

@@ -6,9 +6,7 @@ import formheat.assembly as assembly
 from conftest import form_fixture_coefficients, jittered_mesh
 from oracles import (edge_linear_coefficient_integral, form_value_oracle,
                      grid_richardson_triangle)
-from formheat.assembly import (BlockField, CoefficientSet, assemble_block_mass,
-                               assemble_bulk_stiffness,
-                               assemble_surface_stiffness, assemble_trace_map,
+from formheat.assembly import (BlockField, CoefficientSet, assemble_trace_map,
                                build_dofmap, build_pencil,
                                project_initial_data, validate_envelopes)
 from formheat.errors import EnvelopeViolationError, SizeLimitError
@@ -25,16 +23,47 @@ def reference_triangle_mesh():
                 [(0, 1), (1, 2), (2, 0)], ["neumann"] * 3)
 
 
+def bulk_stiffness(mesh, coeff):
+    """The pencil's bulk stiffness on a mesh without Dirichlet edges,
+    where the free dofs are all vertices in mesh order."""
+    pencil = build_pencil(mesh, coeff)
+    assert pencil.n_free == mesh.num_vertices
+    return pencil.K_bulk.toarray()
+
+
+def surface_stiffness(mesh, coeff, which):
+    """The surface stiffness of ``which`` on its nodes, in SurfaceMesh
+    order: ``T - K_bulk`` of the pencil of a mesh without Dirichlet
+    edges and without the other surface."""
+    pencil = build_pencil(mesh, coeff)
+    assert pencil.n_free == mesh.num_vertices
+    other = "interface" if which == "dynamic" else "dynamic"
+    assert len(SurfaceMesh.from_mesh(mesh, other).edges) == 0
+    surf = (pencil.T - pencil.K_bulk).toarray()
+    nodes = SurfaceMesh.from_mesh(mesh, which).node_vertices
+    off = np.ones(mesh.num_vertices, dtype=bool)
+    off[nodes] = False
+    assert not surf[off].any() and not surf[:, off].any()
+    return surf[np.ix_(nodes, nodes)]
+
+
+def interface_only_mesh(n):
+    """``standard_fixture_mesh(n)``'s interface with Neumann edges all
+    round: no Dirichlet part and no dynamic boundary."""
+    return unit_square_mesh(n, bottom="neumann", top="neumann",
+                            interface_y=0.5)
+
+
 def test_reference_element_matrix():
     mesh = reference_triangle_mesh()
-    mat = assemble_bulk_stiffness(mesh, CoefficientSet()).toarray()
+    mat = bulk_stiffness(mesh, CoefficientSet())
     assert np.allclose(mat, REF_ELEMENT, atol=1e-15)
 
 
 def test_stiffness_linear_in_coefficient():
     mesh = reference_triangle_mesh()
-    one = assemble_bulk_stiffness(mesh, CoefficientSet(mu_bulk=1.0)).toarray()
-    two = assemble_bulk_stiffness(mesh, CoefficientSet(mu_bulk=2.0)).toarray()
+    one = bulk_stiffness(mesh, CoefficientSet(mu_bulk=1.0))
+    two = bulk_stiffness(mesh, CoefficientSet(mu_bulk=2.0))
     assert np.allclose(two, 2.0 * one, atol=1e-15)
 
 
@@ -45,10 +74,10 @@ def test_weighted_stiffness_vs_bruteforce():
                 [(0, 1), (1, 2), (2, 0)], ["neumann"] * 3)
     weight = WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]), 0.5)
     coeff = CoefficientSet(bulk_weight=weight)
-    mat = assemble_bulk_stiffness(mesh, coeff).toarray()
+    mat = bulk_stiffness(mesh, coeff)
     tri = mesh.vertices[mesh.triangles[0]]
     scale = grid_richardson_triangle(weight.eval, tri, n0=200)
-    base = assemble_bulk_stiffness(mesh, CoefficientSet()).toarray()
+    base = bulk_stiffness(mesh, CoefficientSet())
     area = 0.25
     assert np.allclose(mat, base * scale / area, rtol=1e-6)
 
@@ -57,40 +86,32 @@ def test_surface_stiffness_single_edge():
     verts = [(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)]
     mesh = Mesh(verts, [(0, 1, 2)], [(0, 1), (1, 2), (2, 0)],
                 ["dynamic", "neumann", "neumann"])
-    smesh = SurfaceMesh.from_mesh(mesh, "dynamic")
-    mat = assemble_surface_stiffness(smesh, CoefficientSet(mu_gd=1.0),
-                                     "dynamic").toarray()
+    mat = surface_stiffness(mesh, CoefficientSet(mu_gd=1.0), "dynamic")
     assert np.allclose(mat, 0.5 * np.array([[1, -1], [-1, 1]]), atol=1e-15)
 
 
 def test_surface_stiffness_zero_coefficient():
-    mesh = standard_fixture_mesh(4)
-    smesh = SurfaceMesh.from_mesh(mesh, "interface")
-    mat = assemble_surface_stiffness(smesh, CoefficientSet(mu_sigma=0.0),
-                                     "interface")
-    assert mat.nnz == 0 or abs(mat).max() == 0.0
+    mat = surface_stiffness(interface_only_mesh(4),
+                            CoefficientSet(mu_sigma=0.0), "interface")
+    assert abs(mat).max() == 0.0
 
 
 def test_surface_stiffness_negative_coefficient():
-    mesh = standard_fixture_mesh(4)
-    smesh = SurfaceMesh.from_mesh(mesh, "interface")
     with pytest.raises(EnvelopeViolationError):
-        assemble_surface_stiffness(smesh, CoefficientSet(mu_sigma=-1.0),
-                                   "interface")
+        build_pencil(interface_only_mesh(4), CoefficientSet(mu_sigma=-1.0))
 
 
 def test_surface_stiffness_degenerate_at_midpoint():
     # coefficient |x - M| vanishing at the chain midpoint: row sums zero
     # and entries match the exact per-edge linear integrals
-    mesh = standard_fixture_mesh(4)
+    mesh = interface_only_mesh(4)
     smesh = SurfaceMesh.from_mesh(mesh, "interface")
     mid = np.array([0.5, 0.5])
 
     def mu(points):
         return np.linalg.norm(points - mid, axis=1)
 
-    mat = assemble_surface_stiffness(smesh, CoefficientSet(mu_sigma=mu),
-                                     "interface").toarray()
+    mat = surface_stiffness(mesh, CoefficientSet(mu_sigma=mu), "interface")
     assert np.abs(mat.sum(axis=1)).max() <= 1e-12
 
     expected = np.zeros_like(mat)
@@ -114,18 +135,40 @@ def test_block_mass_totals():
     square = unit_square_mesh(6, bottom="neumann", top="dynamic",
                               interface_y=0.5)
     for mesh in (square, jittered_mesh(square, seed=5)):
-        smeshes = {"dynamic": SurfaceMesh.from_mesh(mesh, "dynamic"),
-                   "interface": SurfaceMesh.from_mesh(mesh, "interface")}
-        m_blk = assemble_block_mass(mesh, smeshes, CoefficientSet())
+        m_blk = build_pencil(mesh, CoefficientSet()).M_blk
         n_free = mesh.num_vertices
         bulk_total = m_blk[:n_free, :n_free].sum()
         assert bulk_total == pytest.approx(1.0, rel=1e-13)
         surf_total = m_blk.sum() - bulk_total
         assert surf_total == pytest.approx(2.0, rel=1e-13)  # |Gamma_d| + |Sigma|
 
-        tripled = assemble_block_mass(mesh, smeshes, CoefficientSet(
-            zeta_bulk=3.0, zeta_gd=3.0, zeta_sigma=3.0))
+        tripled = build_pencil(mesh, CoefficientSet(
+            zeta_bulk=3.0, zeta_gd=3.0, zeta_sigma=3.0)).M_blk
         assert abs(tripled - 3.0 * m_blk).max() <= 1e-13
+
+
+@pytest.mark.parametrize("mesh", [
+    standard_fixture_mesh(8),
+    unit_square_mesh(6, bottom="neumann", top="dynamic", interface_y=0.5),
+    unit_square_mesh(4, bottom="dirichlet", top="dirichlet")],
+    ids=["fixture", "no-dirichlet", "no-surfaces"])
+def test_lumped_block_masses_store_one_entry_per_dof(mesh):
+    # lumping scatters element row sums as 1x1 elements: no stored
+    # off-diagonal zeros; without a Dirichlet part (whose columns the
+    # consistent masses drop) the row sums of the consistent masses
+    coeff = CoefficientSet(zeta_bulk=lambda p: 1.0 + p[:, 0] * p[:, 1],
+                           zeta_gd=2.0, zeta_sigma=0.5)
+    lumped = build_pencil(mesh, coeff, lumped=True)
+    consistent = build_pencil(mesh, coeff)
+    n_block = lumped.J.shape[0]
+    for name in ("M_blk", "M_blk_plain"):
+        mat = getattr(lumped, name)
+        assert mat.nnz == n_block
+        assert np.array_equal(mat.indices, np.arange(n_block))
+        if len(lumped.dofmap.constrained_vertices) == 0:
+            row_sums = np.asarray(getattr(consistent, name).sum(axis=1))
+            assert np.allclose(mat.diagonal(), row_sums.ravel(), rtol=1e-14,
+                               atol=0.0)
 
 
 def test_trace_map_examples():
@@ -243,8 +286,9 @@ def test_weighted_pencil_integrates_each_cell_once(std_mesh_8, monkeypatch):
 
 
 def test_bulk_stiffness_integrates_weight_where_read(std_mesh_8, monkeypatch):
-    # a callable region integrates its full coefficient adaptively, so
-    # the weight is integrated over the constant region's triangles alone
+    # a callable region integrates its full coefficient adaptively, and
+    # the envelope stiffness reads the weight integral of every triangle:
+    # one call over all of them
     cells = []
     integral = assembly.weighted_cell_integral
 
@@ -256,11 +300,9 @@ def test_bulk_stiffness_integrates_weight_where_read(std_mesh_8, monkeypatch):
     coeff = CoefficientSet(
         mu_bulk={0: 1.0, 1: lambda points: np.ones(len(points))},
         bulk_weight=WeightSpec(Points((0.3, 0.6)), 0.5))
-    assemble_bulk_stiffness(std_mesh_8, coeff)
-    assert cells == [np.count_nonzero(std_mesh_8.tri_regions == 0)]
-    cells.clear()
-    assemble_bulk_stiffness(std_mesh_8, coeff, use_envelope=True)
+    build_pencil(std_mesh_8, coeff)
     assert cells == [std_mesh_8.num_triangles]
+
 
 def test_bulk_coefficient_error_propagates(std_mesh_8):
     # callables take (n, 2) point arrays; an error they raise is not

@@ -333,7 +333,8 @@ _AGREE_BASE = {
 # (pipeline, changed keys (None deletes one), run's exit code, the section
 # of validate's diagnostic, a fragment of the message); exit 2 rows are
 # configuration errors both paths report, exit 0 rows inputs both accept,
-# and exit 1 rows failures only the run can see
+# exit 1 rows with a section failures both report before any compute, and
+# exit 1 rows without one failures only the run can see
 _AGREE_ROWS = [
     ("eigs", {"eigs.count": "0"}, 2, "eigs", "positive count"),
     ("eigs", {"eigs.count": "-2"}, 2, "eigs", "positive count"),
@@ -369,6 +370,9 @@ _AGREE_ROWS = [
     ("scan", {"mesh": "nosuch.mesh"}, 0, None, None),
     ("scan", {"coeff.mu_omega": "abc"}, 0, None, None),
     ("eigs", {"eigs.count": "1000"}, 1, None, "1000 eigenpairs"),
+    # the fourth level of square.mesh (no Dirichlet part) has 49^2 dofs
+    ("probe", {"probe.levels": "4"}, 1, "probe",
+     "dense spectral calculus limited to 2000 dofs (pencil has 2401)"),
 ]
 
 
@@ -391,14 +395,24 @@ def test_run_and_validate_agree(workdir, pipeline, changes, code, section,
         return
     record = json.loads((out / "error.json").read_text())
     assert message in record["error"]
-    if code == 1:
+    if section is None:
         assert record["kind"] == "EigenSolveError"
         assert diags == []
         return
-    assert record["kind"] == "ConfigError"
+    assert record["kind"] == ("ConfigError" if code == 2 else "SizeLimitError")
     assert sorted(os.listdir(out)) == ["error.json"]
     assert [d for d in diags if d.startswith(f"{section}:")
             and message in d], diags
+
+
+def test_probe_mesh_failure_reported_once(workdir):
+    # the probe's refinement ladder reads the mesh too, but a missing
+    # mesh is one diagnostic, under mesh:
+    cfg = write_cfg(workdir / "probe.cfg",
+                    "pipeline = probe\nmesh = nosuch.mesh\n")
+    assert validate(cfg) == [
+        f"mesh: file not found ({workdir / 'nosuch.mesh'})"]
+    assert run(cfg, output_override=workdir / "out") == 2
 
 
 def test_readme_lists_every_config_key():

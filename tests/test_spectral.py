@@ -131,7 +131,7 @@ def dirichlet_pencil(n):
 def test_pure_neumann_kernel():
     mesh = unit_square_mesh(8, bottom="neumann", top="neumann")
     pencil = build_pencil(mesh, CoefficientSet())
-    vals, vecs = generalized_eigs(pencil, 3)
+    vals, vecs, _ = generalized_eigs(pencil, 3)
     assert abs(vals[0]) <= 1e-10
     v0 = vecs[:, 0]
     assert np.abs(v0 / v0[0] - 1.0).max() <= 1e-10
@@ -148,8 +148,8 @@ def test_dirichlet_eigenvalue_convergence():
 
 def test_generalized_eigs_sparse_path_matches_dense():
     pencil = dirichlet_pencil(10)
-    dense_vals, _ = generalized_eigs(pencil, 3)
-    sparse_vals, _ = generalized_eigs(pencil, 3, dense_limit=10)
+    dense_vals, *_ = generalized_eigs(pencil, 3)
+    sparse_vals, *_ = generalized_eigs(pencil, 3, dense_limit=10)
     assert np.allclose(sparse_vals, dense_vals, rtol=1e-8)
 
 
@@ -158,8 +158,8 @@ def test_zeta_scaling_halves_eigenvalues():
     one = build_pencil(mesh, CoefficientSet())
     two = build_pencil(mesh, CoefficientSet(zeta_bulk=2.0, zeta_gd=2.0,
                                             zeta_sigma=2.0))
-    v1, _ = generalized_eigs(one, 5)
-    v2, _ = generalized_eigs(two, 5)
+    v1, *_ = generalized_eigs(one, 5)
+    v2, *_ = generalized_eigs(two, 5)
     assert np.allclose(v2, 0.5 * v1, rtol=1e-12, atol=1e-12)
 
 
@@ -212,6 +212,19 @@ def test_numerical_range_skew_bound():
     assert report.max_tangent > 0.0
 
 
+@pytest.mark.parametrize("dense_limit", [250, 10], ids=["dense", "sparse"])
+def test_eigs_return_their_checked_residuals(conserving_pencil_8,
+                                             dense_limit):
+    pencil = conserving_pencil_8
+    mt = pencil.mtilde()
+    vals, vecs, residuals = generalized_eigs(pencil, 3,
+                                             dense_limit=dense_limit)
+    assert residuals.shape == (3,) and residuals.max() <= 1e-8
+    for lam, v, res in zip(vals, vecs.T, residuals):
+        assert res == (np.linalg.norm(pencil.T @ v - lam * (mt @ v))
+                       / np.linalg.norm(v))
+
+
 def test_fractional_power_consistency(conserving_pencil_8):
     pencil = conserving_pencil_8
     rng = np.random.default_rng(9)
@@ -232,7 +245,7 @@ def test_fractional_power_consistency(conserving_pencil_8):
 
 def test_fractional_power_commutes_with_pencil(conserving_pencil_8):
     pencil = conserving_pencil_8
-    vals, vecs = generalized_eigs(pencil, 4)
+    vals, vecs, _ = generalized_eigs(pencil, 4)
     for k in range(4):
         v = vecs[:, k]
         image = fractional_power_apply(pencil, 0.5, v)
@@ -325,6 +338,20 @@ def test_probe_samples_below_exact_supremum(probe_families, theta):
                                     rel=1e-13)
         samples = probe_sample_ratios_loop(pencil, theta, 2, 200, seed=5)
         assert max(samples) <= sup * (1 + 1e-12)
+
+
+def test_l2_probe_draws_no_samples(monkeypatch):
+    # for p = 2 the exact supremum is the ratio, so no sample is drawn
+    # and n_samples changes nothing
+    pencils = probe_pencils(levels=3)
+    exact = fractional_embedding_probe(pencils, 0.5, 2, n_samples=0)
+
+    def no_draws(seed):
+        raise AssertionError("p = 2 drew samples")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    rows = fractional_embedding_probe(pencils, 0.5, 2, n_samples=64)
+    assert [r.ratio for r in rows] == [r.ratio for r in exact]
 
 
 @pytest.mark.parametrize("theta", [0.05, 0.5, 1.0])
