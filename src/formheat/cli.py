@@ -448,15 +448,19 @@ def _fmt(x):
 
 
 def _write_snapshot(path, mesh, dofmap, field):
-    rows = []
-    for kind, verts, values in (("bulk", dofmap.free_vertices, field.bulk),
-                                ("gd", dofmap.gd_vertices, field.gd),
-                                ("sigma", dofmap.sigma_vertices, field.sigma)):
-        for k, v in enumerate(verts):
-            x, y = mesh.vertices[v]
-            rows.append((kind, k, _fmt(float(x)), _fmt(float(y)),
-                         _fmt(float(values[k]))))
-    _write_csv(path, "node_kind,node_index,x,y,value", rows)
+    """One row per block node, each float as ``_fmt`` writes it: the
+    columns go to Python floats in one pass and are ``repr``-ed."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("node_kind,node_index,x,y,value\n")
+        for kind, verts, values in (
+                ("bulk", dofmap.free_vertices, field.bulk),
+                ("gd", dofmap.gd_vertices, field.gd),
+                ("sigma", dofmap.sigma_vertices, field.sigma)):
+            xy = mesh.vertices[verts]
+            columns = (xy[:, 0], xy[:, 1], np.asarray(values, dtype=float))
+            fh.writelines(
+                f"{kind},{k},{x},{y},{v}\n" for k, (x, y, v) in enumerate(
+                    zip(*(map(repr, c.tolist()) for c in columns))))
 
 
 class _Manifest:

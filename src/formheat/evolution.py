@@ -11,9 +11,12 @@ block norm, sup norm, and minimum value.  Quasi-steady interface flux
 jumps are recovered variationally from the bulk residual.
 
 Steps are inherently sequential.  The step matrix is factored once per
-pencil and ``(theta, dt)``; within a step there are matrix-vector
-products and the two triangular solves of that sparse LU factorization.
-The report is written by the driver alone.
+pencil and ``(theta, dt)``; a step is the two triangular solves of that
+sparse LU factorization plus one sparse product, of the stacked matrix
+``[Mt; dt T]`` with the new state.  That product gives the next
+right-hand side, the backward error of the solve and the monitors; the
+trace ``J u`` is formed only for snapshots and the final state.  Only
+``evolve`` writes the report.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (BlockField, Factorization, _surface_block_dofs,
                        _surface_plain_mass)
-from .errors import SolveError
+from .errors import ConsistencyError, SolveError
 from .geometry.surface import INTERFACE
 
 
@@ -34,7 +38,8 @@ class TimeSteppingConfig:
 
     ``theta`` must lie in [1/2, 1] (the A-stable range).  Each step is
     two triangular solves with the sparse LU factorization of the step
-    matrix, computed once and reused.  ``solver_tol`` (positive) bounds
+    matrix, computed once and reused, and one sparse product that checks
+    the solve.  ``solver_tol`` (positive) bounds
     the per-step normwise backward error by ``10 * solver_tol``.
     Each of the ``snapshot_times``, which lie in [0, t_end], records the
     state at the nearest time level (the earlier one on a tie).
@@ -81,13 +86,18 @@ class EvolutionReport:
     solver: dict = field(default_factory=dict)   # method, factor_nnz, ...
 
     def to_csv(self, path):
-        """Write the monitor table (one row per time level)."""
+        """Write the monitor table (one row per time level), each float
+        as its ``repr``: the columns go to Python numbers in one pass."""
+        floats = (self.times, self.mass, self.energy, self.supnorm,
+                  self.minval)
+        columns = [map(repr, np.asarray(c, dtype=float).tolist())
+                   for c in floats]
+        columns.append(np.asarray(self.cg_iters, dtype=int).tolist())
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("step,time,mass,energy,supnorm,minval,cg_iters\n")
-            for k in range(len(self.times)):
-                fh.write(f"{k},{float(self.times[k])!r},{float(self.mass[k])!r},"
-                         f"{float(self.energy[k])!r},{float(self.supnorm[k])!r},"
-                         f"{float(self.minval[k])!r},{int(self.cg_iters[k])}\n")
+            fh.writelines(f"{k},{t},{m},{e},{s},{v},{i}\n"
+                          for k, (t, m, e, s, v, i) in enumerate(
+                              zip(*columns)))
 
 
 def _factorization(pencil, key, build):
@@ -99,13 +109,40 @@ def _factorization(pencil, key, build):
     return cached(key, build)
 
 
+def _check_trace_map(j_mat, n):
+    """Raise unless ``j_mat`` is the n x n identity over rows that each
+    hold one 1, so that ``J u`` only repeats entries of ``u``."""
+    j_mat = sp.csr_matrix(j_mat)
+    if not (j_mat.shape[0] >= n and j_mat.shape[1] == n
+            and np.all(np.diff(j_mat.indptr) == 1)
+            and np.all(j_mat.data == 1.0)
+            and np.array_equal(j_mat.indices[:n], np.arange(n))):
+        raise ConsistencyError("trace map is not the bulk identity over "
+                               "0/1 selections of bulk dofs")
+
+
 class ThetaStepper:
     """Theta-step solver for a fixed pencil and step size.
 
     The step matrix ``Mt + theta dt T`` is factored once per pencil and
-    ``(theta, dt)``, and every stepper for that pair shares it.  Each step
-    is checked by one extra matrix-vector product: its normwise backward
-    error must stay within ``10 * solver_tol``.
+    ``(theta, dt)``, and every stepper for that pair shares it.  Each new
+    state ``u`` meets one sparse product, with the stacked matrix
+    ``[Mt; dt T]``, and everything a step reports comes from it:
+
+    - the next right-hand side ``Mt u - (1-theta) dt T u``;
+    - the residual ``Mt u + theta dt T u - rhs`` of the solve that gave
+      ``u``, whose normwise backward error
+      ``||res|| / (||A|| ||u|| + ||rhs||)`` (infinity norms) must stay
+      within ``10 * solver_tol``;
+    - the monitors ``(mass, energy, supnorm, minval)`` of ``J u``: the
+      energy is ``u . Mt u``, the mass ``c . u`` with
+      ``c = J^T M_blk^T 1``, and, since the trace map is checked once to
+      be the bulk identity over 0/1 selections, the sup norm and minimum
+      are those of ``u``.
+
+    The states the stepper keeps (those ``observe`` takes and ``step``
+    returns) are made read-only, so that the next step from one of them
+    can reuse its product.
     """
 
     method = "direct"
@@ -117,21 +154,54 @@ class ThetaStepper:
         theta, dt = cfg.theta, cfg.dt
         self.lu = _factorization(pencil, ("step", theta, dt),
                                  lambda: mt + theta * dt * pencil.T)
-        self.b_mat = (mt - (1.0 - theta) * dt * pencil.T).tocsr()
+        self._n = n = mt.shape[0]
+        _check_trace_map(pencil.J, n)
+        self.stacked = sp.vstack([mt, dt * pencil.T], format="csr")
+        self.mass_row = pencil.J.T @ (pencil.M_blk.T
+                                      @ np.ones(pencil.M_blk.shape[0]))
+        self._explicit = 1.0 - theta     # weight of T u in the right side
         self.backward_error_max = 0.0
+        self.monitors = None
+        self._state = self._rhs = None
+
+    def _apply(self, u):
+        """Apply the stacked matrix to the new state ``u``, keep ``u``, its
+        next right-hand side and its monitors, and return
+        ``Mt u + theta dt T u``."""
+        u.flags.writeable = False
+        product = self.stacked @ u
+        mt_u, dt_tu = product[:self._n], product[self._n:]
+        self._rhs = mt_u - self._explicit * dt_tu if self._explicit else mt_u
+        self._state = u
+        self.monitors = (self.mass_row @ u, u @ mt_u, np.abs(u).max(),
+                         u.min())
+        return self._rhs + dt_tu
+
+    def observe(self, u):
+        """Take ``u`` as the current state and return its monitors
+        ``(mass, energy, supnorm, minval)``; ``u`` becomes read-only."""
+        self._apply(np.asarray(u, dtype=float))
+        return self.monitors
 
     def step(self, u, fbar=None):
-        """Advance one step; returns the new state."""
-        rhs = self.b_mat @ u
+        """Advance one step from ``u``; returns the new state, whose
+        monitors are then in ``monitors``."""
+        if u is not self._state:
+            self._apply(np.array(u, dtype=float))
+        rhs = self._rhs
         if fbar is not None:
             rhs = rhs + self.cfg.dt * (self.pencil.J.T
                                        @ (self.pencil.M_blk @ fbar.stacked()))
         u_new = self.lu.solve(rhs)
-        error = self.lu.backward_error(u_new, rhs)
+        residual = self._apply(u_new)
+        residual -= rhs
+        scale = self.lu.norm * self.monitors[2] + np.abs(rhs).max()
+        error = float(np.abs(residual).max() / max(scale, 1e-300))
         if not error <= 10.0 * self.cfg.solver_tol:
             raise SolveError("backward error of the step solve above "
                              "10 * solver_tol", residual=error)
-        self.backward_error_max = max(self.backward_error_max, error)
+        if error > self.backward_error_max:
+            self.backward_error_max = error
         return u_new
 
 
@@ -139,13 +209,13 @@ def theta_step(pencil, u, f, cfg):
     """Single theta step from state ``u`` with forcing ``f`` (a BlockField
     sampled at the intermediate time level, or None).  Reuses the
     pencil's factorization for ``(cfg.theta, cfg.dt)``."""
-    stepper = ThetaStepper(pencil, cfg)
-    return stepper.step(np.asarray(u, dtype=float), f)
+    return ThetaStepper(pencil, cfg).step(u, f)
 
 
 def _resolve_forcing(forcing):
+    """The forcing as a callable of t, or None when there is none."""
     if forcing is None:
-        return lambda t: None
+        return None
     if isinstance(forcing, BlockField):
         return lambda t: forcing
     if callable(forcing):
@@ -158,47 +228,45 @@ def evolve(pencil, u0_raw, forcing, cfg):
 
     The initial data components need not be related; they are projected
     onto the trace range in the weighted block norm first.  Returns an
-    :class:`EvolutionReport` with monitors at every time level.
+    :class:`EvolutionReport` with monitors at every time level; the
+    trace ``J u`` is formed only at snapshot times and at the end.
     """
     from .assembly import project_initial_data
 
     u = project_initial_data(u0_raw, pencil)
     stepper = ThetaStepper(pencil, cfg)
     get_f = _resolve_forcing(forcing)
-    n_steps = cfg.n_steps
+    n_steps, dt, theta = cfg.n_steps, cfg.dt, cfg.theta
+    times = np.arange(n_steps + 1) * dt
 
-    times = np.zeros(n_steps + 1)
-    mass = np.zeros(n_steps + 1)
-    energy = np.zeros(n_steps + 1)
-    supnorm = np.zeros(n_steps + 1)
-    minval = np.zeros(n_steps + 1)
-
+    # each snapshot time records the first level within half a step
+    snap_times = sorted(float(t) for t in cfg.snapshot_times)
+    snap_levels = np.searchsorted(times + 0.5 * dt, snap_times).tolist()
+    wanted = set(snap_levels)
     snapshots = []
-    snap_left = sorted(float(t) for t in cfg.snapshot_times)
 
-    def record(k, t, vec):
-        times[k] = t
-        block = np.asarray(pencil.J @ vec).ravel()
-        m_block = pencil.M_blk @ block
-        mass[k] = float(np.sum(m_block))
-        energy[k] = float(block @ m_block)
-        supnorm[k] = float(np.abs(block).max()) if block.size else 0.0
-        minval[k] = float(block.min()) if block.size else 0.0
-        while snap_left and snap_left[0] <= t + 0.5 * cfg.dt:
-            snapshots.append((snap_left.pop(0),
-                              BlockField.split(pencil.dofmap, block)))
+    def record_snapshots(k, vec):
+        block = pencil.J @ vec
+        snapshots.extend((t, BlockField.split(pencil.dofmap, block))
+                         for t, level in zip(snap_times, snap_levels)
+                         if level == k)
 
-    record(0, 0.0, u)
+    trail = np.empty((n_steps + 1, 4))
+    trail[0] = stepper.observe(u)
+    if 0 in wanted:
+        record_snapshots(0, u)
     for n in range(n_steps):
-        t_mid = (n + cfg.theta) * cfg.dt
+        f = None if get_f is None else get_f((n + theta) * dt)
         try:
-            u = stepper.step(u, get_f(t_mid))
+            u = stepper.step(u, f)
         except SolveError as exc:
             raise SolveError(f"step {n + 1} failed: {exc}",
                              residual=exc.residual) from exc
-        t_next = (n + 1) * cfg.dt
-        record(n + 1, t_next, u)
+        trail[n + 1] = stepper.monitors
+        if n + 1 in wanted:
+            record_snapshots(n + 1, u)
 
+    mass, energy, supnorm, minval = trail.T.copy()
     final = BlockField.split(pencil.dofmap, pencil.J @ u)
     solver = {"method": stepper.method, "factor_nnz": stepper.lu.nnz,
               "backward_error_max": stepper.backward_error_max}

@@ -458,8 +458,9 @@ def trace_norm_probe(mesh, coeff, *, n_samples=200, seed=0, dense_limit=2500):
                                 dofmap.vertex_free[smesh_sigma.edges],
                                 n).toarray()
     # the bulk part of the pencil's M_form
-    denom = _form_gram_bulk(mesh, coeff, dofmap,
-                            _triangle_elements(mesh, coeff)).toarray()
+    _, denom = _form_gram_bulk(mesh, coeff, dofmap,
+                               _triangle_elements(mesh, coeff))
+    denom = denom.toarray()
     lam = scipy.linalg.eigh(numer, denom, eigvals_only=True,
                             subset_by_index=[n - 1, n - 1])
     sup_ratio = float(np.sqrt(max(lam[0], 0.0)))

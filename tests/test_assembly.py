@@ -249,6 +249,78 @@ def test_extra_constrained_endpoints():
     assert endpoint not in pencil.dofmap.sigma_vertices.tolist()
 
 
+def _dofmap_cases():
+    """(mesh, extra_constrained) pairs with Dirichlet, dynamic and
+    interface parts in several combinations."""
+    fixture = standard_fixture_mesh(6)
+    sides = unit_square_mesh(5, left="dirichlet", top="dynamic",
+                             interface_y=0.4)
+    sigma = SurfaceMesh.from_mesh(sides, "interface")
+    gd = SurfaceMesh.from_mesh(sides, "dynamic")
+    conserving = unit_square_mesh(4, bottom="neumann", top="dynamic",
+                                  interface_y=0.5)
+    return [(fixture, ()), (sides, ()),
+            (sides, (int(sigma.chains[0][-1]), int(gd.node_vertices[2]),
+                     int(sigma.node_vertices[3]))),
+            (conserving, ()), (conserving, (0, 7)),
+            (unit_square_mesh(3, bottom="neumann", top="neumann"), ())]
+
+
+_DOFMAP_IDS = ["fixture", "dirichlet-side", "dirichlet-side-extra",
+               "no-dirichlet", "no-dirichlet-extra", "no-surfaces"]
+
+
+@pytest.mark.parametrize("case", _dofmap_cases(), ids=_DOFMAP_IDS)
+def test_build_dofmap_matches_per_vertex_definition(case):
+    mesh, extra = case
+    smeshes = [SurfaceMesh.from_mesh(mesh, w) for w in ("dynamic",
+                                                         "interface")]
+    dofmap = build_dofmap(mesh, *smeshes, extra_constrained=extra)
+    constrained = set(extra)
+    for k, label in enumerate(mesh.boundary_labels):
+        if label == "dirichlet":
+            constrained.update(int(v) for v in mesh.boundary_edges[k])
+    free = [v for v in range(mesh.num_vertices) if v not in constrained]
+    vertex_free = np.full(mesh.num_vertices, -1, dtype=int)
+    for idx, v in enumerate(free):
+        vertex_free[v] = idx
+    expected = {
+        "free_vertices": free, "vertex_free": vertex_free,
+        "constrained_vertices": sorted(constrained),
+        "gd_vertices": [v for v in smeshes[0].node_vertices if v in free],
+        "sigma_vertices": [v for v in smeshes[1].node_vertices if v in free]}
+    for name, want in expected.items():
+        got = getattr(dofmap, name)
+        assert got.dtype == np.array([0]).dtype, name
+        np.testing.assert_array_equal(got, np.array(want, dtype=int),
+                                      err_msg=name)
+    assert dofmap.n_vertices == mesh.num_vertices
+
+
+def test_build_dofmap_rejects_vertices_outside_the_mesh():
+    mesh = standard_fixture_mesh(2)
+    for bad in ((-1,), (mesh.num_vertices,)):
+        with pytest.raises(ValueError, match="outside the mesh"):
+            build_dofmap(mesh, extra_constrained=bad)
+
+
+@pytest.mark.parametrize("case", _dofmap_cases(), ids=_DOFMAP_IDS)
+def test_trace_map_is_bulk_identity_over_selections(case):
+    mesh, extra = case
+    dofmap = build_dofmap(mesh, *(SurfaceMesh.from_mesh(mesh, w) for w in
+                                  ("dynamic", "interface")),
+                          extra_constrained=extra)
+    j_mat = assemble_trace_map(dofmap).toarray()
+    n = dofmap.n_free
+    np.testing.assert_array_equal(j_mat[:n], np.eye(n))
+    tail = j_mat[n:]
+    assert np.all((tail == 0.0) | (tail == 1.0))
+    np.testing.assert_array_equal(tail.sum(axis=1), 1.0)
+    surface = np.concatenate([dofmap.gd_vertices, dofmap.sigma_vertices])
+    np.testing.assert_array_equal(tail.argmax(axis=1),
+                                  dofmap.vertex_free[surface])
+
+
 def test_form_consistency_with_oracle(std_mesh_8):
     # the jittered mesh has no right triangles, so the batched gradients
     # meet the oracle's Vandermonde ones on general shapes

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from formheat import __version__, save_mesh
-from formheat.cli import _KNOWN_KEYS, main, parse_config, run, validate
+from formheat.assembly import BlockField, build_dofmap
+from formheat.cli import (_KNOWN_KEYS, _fmt, _write_snapshot, main,
+                          parse_config, run, validate)
 from formheat.errors import ConfigError
-from formheat.model_problems import unit_square_mesh
+from formheat.geometry import SurfaceMesh
+from formheat.model_problems import standard_fixture_mesh, unit_square_mesh
 
 
 @pytest.fixture()
@@ -449,3 +452,26 @@ def test_input_files_that_are_not_utf8(workdir, target, code, kind, section):
     assert record == {"kind": kind, "error": "line 2: not UTF-8 text"}
     assert sorted(os.listdir(out)) == ["error.json"]
     assert validate(cfg) == [f"{section}: line 2: not UTF-8 text"]
+
+
+def test_snapshot_writer_matches_per_row_format(tmp_path):
+    mesh = standard_fixture_mesh(2)
+    dofmap = build_dofmap(mesh, SurfaceMesh.from_mesh(mesh, "dynamic"),
+                          SurfaceMesh.from_mesh(mesh, "interface"))
+    awkward = [-0.0, 1.0 / 3.0, 5e-324, 1e16, -1e-300]
+    values = np.resize(awkward, dofmap.n_free + dofmap.n_gd
+                       + dofmap.n_sigma)
+    field = BlockField.split(dofmap, values)
+    _write_snapshot(tmp_path / "snap.csv", mesh, dofmap, field)
+    lines = ["node_kind,node_index,x,y,value"]
+    for kind, verts, vals in (("bulk", dofmap.free_vertices, field.bulk),
+                              ("gd", dofmap.gd_vertices, field.gd),
+                              ("sigma", dofmap.sigma_vertices, field.sigma)):
+        for k, v in enumerate(verts):
+            x, y = mesh.vertices[v]
+            lines.append(",".join(str(c) for c in (
+                kind, k, _fmt(float(x)), _fmt(float(y)),
+                _fmt(float(vals[k])))))
+    assert len(lines) == 1 + len(values) > len(awkward)
+    assert (tmp_path / "snap.csv").read_bytes() == (
+        "\n".join(lines) + "\n").encode()

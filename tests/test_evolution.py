@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse._sparsetools as sparsetools
 import scipy.sparse.linalg as spla
 
 from formheat.assembly import (BlockField, CoefficientSet, build_pencil,
                                project_initial_data)
 from formheat.errors import ConsistencyError, SolveError
-from formheat.evolution import (ThetaStepper, TimeSteppingConfig, evolve,
+from formheat.evolution import (EvolutionReport, ThetaStepper,
+                                TimeSteppingConfig, evolve,
                                 recover_interface_flux, steady_solve,
                                 theta_step)
 from formheat.geometry import refine_uniform
@@ -270,3 +272,92 @@ def test_projection_singular_normal_matrix(conserving_mesh_8):
         zeta_bulk=0.0, zeta_gd=0.0, zeta_sigma=0.0))
     with pytest.raises(ConsistencyError):
         project_initial_data(_random_block(pencil, 3), pencil)
+
+
+@pytest.mark.parametrize("theta, lumped, forced", [
+    (0.5, False, True), (1.0, False, True), (1.0, True, False),
+    (0.5, True, True)])
+def test_monitors_match_their_definitions(theta, lumped, forced):
+    pencil = build_pencil(standard_fixture_mesh(8), CoefficientSet(
+        zeta_bulk=lambda p: 1.0 + p[:, 0], zeta_gd=2.0, zeta_sigma=0.5),
+                          lumped=lumped)
+    ms = ManufacturedSolution()
+    dt, n_steps = 0.01, 12
+    cfg = TimeSteppingConfig(dt=dt, t_end=n_steps * dt, theta=theta,
+                             snapshot_times=tuple(k * dt for k in
+                                                  range(n_steps + 1)))
+    report = evolve(pencil, ms.initial(pencil),
+                    ms.forcing(pencil) if forced else None, cfg)
+    assert len(report.snapshots) == n_steps + 1
+    for k, (t, field) in enumerate(report.snapshots):
+        assert t == report.times[k] == k * dt
+        block = field.stacked()
+        m_block = pencil.M_blk @ block
+        assert report.mass[k] == pytest.approx(m_block.sum(), rel=1e-13)
+        assert report.energy[k] == pytest.approx(block @ m_block, rel=1e-13)
+        assert report.supnorm[k] == np.abs(block).max()
+        assert report.minval[k] == block.min()
+    np.testing.assert_array_equal(report.final.stacked(),
+                                  report.snapshots[-1][1].stacked())
+
+
+def test_one_sparse_product_per_step(monkeypatch):
+    pencil = build_pencil(standard_fixture_mesh(8), CoefficientSet())
+    cfg = TimeSteppingConfig(dt=0.01, t_end=0.05)
+    stepper = ThetaStepper(pencil, cfg)
+    u = project_initial_data(_random_block(pencil, 5), pencil)
+    stepper.observe(u)
+    products = []
+    for name in ("csr_matvec", "csc_matvec"):
+        real = getattr(sparsetools, name)
+        monkeypatch.setattr(sparsetools, name, lambda *a, real=real: (
+            products.append(a[0]), real(*a))[1])
+    for k in range(cfg.n_steps):
+        u = stepper.step(u)
+        assert len(products) == k + 1
+    assert not u.flags.writeable
+
+
+def test_step_from_a_kept_state_equals_a_fresh_step(conserving_pencil_8):
+    pencil = conserving_pencil_8
+    forcing = BlockField.from_functions(pencil.mesh, pencil.dofmap,
+                                        1.0, -2.0, 0.5)
+    for theta in (0.5, 1.0):
+        cfg = TimeSteppingConfig(dt=0.02, t_end=0.1, theta=theta)
+        stepper = ThetaStepper(pencil, cfg)
+        u = project_initial_data(_random_block(pencil, 6), pencil)
+        for _ in range(3):
+            start = u.copy()
+            u = stepper.step(u, forcing)
+            fresh = theta_step(pencil, start, forcing, cfg)
+            np.testing.assert_array_equal(u, fresh)
+            assert start.flags.writeable     # the caller's array is untouched
+
+
+def test_stepper_rejects_a_trace_map_that_mixes_dofs():
+    pencil = ScalarPencil(1.0, 2.0)
+    cfg = TimeSteppingConfig(dt=0.1, t_end=0.1)
+    for j_mat in (2.0 * sp.identity(1, format="csr"),
+                  sp.csr_matrix(np.array([[1.0], [0.5]])),
+                  sp.csr_matrix(np.array([[1.0], [0.0]]))):
+        pencil.J = j_mat
+        pencil.M_blk = sp.identity(j_mat.shape[0], format="csr")
+        with pytest.raises(ConsistencyError, match="trace map"):
+            ThetaStepper(pencil, cfg)
+
+
+def test_monitor_table_matches_per_row_repr(tmp_path):
+    awkward = np.array([-0.0, 1.0 / 3.0, 5e-324, 1e16, -1e-300])
+    report = EvolutionReport(
+        times=awkward[::-1].copy(), mass=awkward,
+        energy=awkward[[1, 0, 3, 2, 4]], supnorm=awkward * 3.0,
+        minval=-awkward, cg_iters=np.array([0, 1, 2, 30, 400]), final=None,
+        final_vector=None)
+    report.to_csv(tmp_path / "monitors.csv")
+    rows = ["step,time,mass,energy,supnorm,minval,cg_iters\n"]
+    for k in range(5):
+        floats = (report.times, report.mass, report.energy, report.supnorm,
+                  report.minval)
+        rows.append(",".join([str(k)] + [repr(float(c[k])) for c in floats]
+                             + [str(int(report.cg_iters[k]))]) + "\n")
+    assert (tmp_path / "monitors.csv").read_bytes() == "".join(rows).encode()
