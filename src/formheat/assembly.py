@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -219,7 +220,9 @@ def build_dofmap(mesh, smesh_gd=None, smesh_sigma=None, extra_constrained=()):
     part is closed, so vertices it shares with Neumann or dynamic edges
     are constrained too).  ``extra_constrained`` adds surface-endpoint
     vertices that should satisfy a Dirichlet condition as well; a
-    vertex id outside the mesh raises ``ValueError``.
+    vertex id outside the mesh raises ``ValueError``.  A mesh left with
+    no free vertex raises :class:`ConsistencyError`: its pencil would be
+    empty.
     """
     extra = np.asarray(extra_constrained, dtype=int).reshape(-1)
     if np.any((extra < 0) | (extra >= mesh.num_vertices)):
@@ -229,6 +232,9 @@ def build_dofmap(mesh, smesh_gd=None, smesh_sigma=None, extra_constrained=()):
     dirichlet = mesh.boundary_edges_with_label(DIRICHLET)
     constrained[mesh.boundary_edges[dirichlet].ravel()] = True
     free = np.flatnonzero(~constrained)
+    if free.size == 0:
+        raise ConsistencyError("no free bulk dofs: every vertex is "
+                               "constrained")
     vertex_free = np.where(constrained, -1, np.cumsum(~constrained) - 1)
 
     def surf_list(smesh):
@@ -498,32 +504,114 @@ def lanczos_start(n):
     return np.random.default_rng(0).standard_normal(n)
 
 
-class Factorization:
-    """Sparse LU factorization of one square matrix.
+# widest RCM band that ``Factorization`` factors by band Cholesky: the
+# measured crossover against SuperLU (see ``Factorization``)
+BAND_LIMIT = 140
 
-    Keeps the matrix's shape and infinity norm, so that a caller that
-    forms ``A u`` anyway can check a solve by its normwise backward
-    error.  The pencil matrices are structurally symmetric, so the
-    columns are ordered by minimum degree on ``A^T + A``: for the step
-    matrix of the n = 64 fixture (4,160 dofs, theta = 1, dt = 0.002) L
-    and U hold 214,642 entries, against 306,956 with SuperLU's default
-    COLAMD ordering (scipy 1.17.1).
+
+def _band_cholesky(matrix, norm):
+    """``(order, inverse, factor)`` of a symmetric positive definite CSR
+    matrix of infinity norm ``norm`` whose reverse Cuthill-McKee
+    bandwidth is at most ``BAND_LIMIT``: the LAPACK upper band Cholesky
+    factor of the matrix with rows and columns taken in ``order``.  None
+    otherwise.  Symmetric means that no entry differs from its mirror by
+    more than ``eps * norm``."""
+    n = matrix.shape[0]
+    if not abs(matrix - matrix.T).max() <= np.finfo(float).eps * norm:
+        return None
+    # imported on first use, so runs that factor nothing do not load it
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    order = reverse_cuthill_mckee(matrix, symmetric_mode=True)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(n, dtype=order.dtype)
+    coo = matrix.tocoo()
+    rows, cols = inverse[coo.row], inverse[coo.col]
+    upper = rows <= cols
+    rows, cols, data = rows[upper], cols[upper], coo.data[upper]
+    width = int((cols - rows).max(initial=0))
+    if width > BAND_LIMIT:
+        return None
+    # LAPACK upper band storage: A[i, j] at ab[width + i - j, j]
+    band = np.bincount(width + rows - cols + (width + 1) * cols,
+                       weights=data, minlength=(width + 1) * n)
+    del coo, rows, cols, data, upper
+    factor, info = scipy.linalg.lapack.dpbtrf(
+        band.reshape((width + 1, n), order="F"), lower=0, overwrite_ab=1)
+    if info != 0:       # not positive definite
+        return None
+    return order, inverse, factor
+
+
+class Factorization:
+    """Factorization of one square matrix, reused by every solve.
+
+    A symmetric matrix (no entry further than ``eps`` times the infinity
+    norm from its mirror: the assembled stiffness of a perturbed mesh
+    differs from its transpose in the last bits) is first reordered by
+    reverse Cuthill-McKee.  If its band is then at most ``BAND_LIMIT``
+    wide and LAPACK's band Cholesky ``dpbtrf`` of the upper triangle
+    succeeds, a solve is two band triangular solves and two permutation
+    gathers (``kind == "band-cholesky"``).  Every other matrix,
+    non-symmetric, too wide or not positive definite, gets SuperLU's
+    sparse LU with the columns ordered by minimum degree on ``A^T + A``
+    (``kind == "lu"``); an exactly singular LU factor raises
+    :class:`SolveError`.  ``nnz`` counts the entries the factor stores:
+    ``(bandwidth + 1) n`` for the band, L plus U for SuperLU.  The shape
+    and infinity norm are kept, so that a caller that forms ``A u``
+    anyway can check a solve by its normwise backward error.
+
+    ``BAND_LIMIT`` is the measured crossover on the step matrices of the
+    unit-square fixture (theta = 1, dt = 0.002; n x n cells, about n^2
+    dofs, RCM bandwidth n + 1).  Medians on a 2-core AMD EPYC with a
+    32 MiB L3 cache, 1 BLAS thread, scipy 1.17.1:
+
+    ====  ======  =====  =======  ==============  ==============
+    n     dofs    width  band MB  factor ms       solve us
+                                  (band, LU)      (band, LU)
+    ====  ======  =====  =======  ==============  ==============
+    64    4,160   65     2.2      2.0, 4.0        74, 136
+    96    9,312   97     7.3      5.9, 10.0       215, 344
+    128   16,512  129    17.2     16.5, 21.0      492, 664
+    136   18,632  137    20.6     17.9, 22.9      694, 734
+    144   20,880  145    24.4     21.1, 24.5      917, 807
+    160   25,760  161    33.4     28.5, 40.8      1934, 1050
+    192   37,056  193    57.5     50.5, 57.9      3709, 2022
+    ====  ======  =====  =======  ==============  ==============
+
+    The band solve loses once the band outgrows the cache.  At n = 64
+    the band holds 274,560 entries, SuperLU's L and U 214,642.
     """
 
     def __init__(self, matrix):
         matrix = sp.csr_matrix(matrix)
-        try:
-            self._lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:     # SuperLU: exactly singular factor
-            raise SolveError(f"sparse LU factorization failed: {exc}") from None
         self.shape = matrix.shape
         self.norm = float(abs(matrix).sum(axis=1).max())
-        # entries SuperLU stores for L and U; reading ``.L``/``.U`` instead
-        # would keep a second, CSC copy of both factors alive
-        self.nnz = int(self._lu.nnz)
+        band = _band_cholesky(matrix, self.norm)
+        if band is None:
+            self.kind = "lu"
+            try:
+                self._lu = spla.splu(matrix.tocsc(),
+                                     permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:     # SuperLU: exactly singular
+                raise SolveError(
+                    f"sparse LU factorization failed: {exc}") from None
+            # entries SuperLU stores for L and U; reading ``.L``/``.U``
+            # instead would keep a second, CSC copy of both factors alive
+            self.nnz = int(self._lu.nnz)
+        else:
+            self.kind = "band-cholesky"
+            self._order, self._inverse, self._band = band
+            self.nnz = int(self._band.size)
 
     def solve(self, rhs):
-        return self._lu.solve(np.asarray(rhs, dtype=float))
+        rhs = np.asarray(rhs, dtype=float)
+        if self.kind == "lu":
+            return self._lu.solve(rhs)
+        x, _ = scipy.linalg.lapack.dpbtrs(
+            self._band, rhs.take(self._order, axis=0), lower=0,
+            overwrite_b=1)
+        return x.take(self._inverse, axis=0)
 
     def operator(self):
         """The inverse as a LinearOperator (shift-invert ``OPinv``)."""
@@ -580,8 +668,9 @@ class DiscreteOperator:
         return self._mtilde
 
     def factorization(self, key, build):
-        """Sparse LU of the matrix ``build()`` returns, computed on the
-        first request for ``key`` and shared by every later one.
+        """The :class:`Factorization` of the matrix ``build()`` returns
+        (band Cholesky or sparse LU), computed on the first request for
+        ``key`` and shared by every later one.
 
         The pencil never changes, so one factorization per matrix serves
         every solve.  Keys name the matrix: ``("step", theta, dt)`` for

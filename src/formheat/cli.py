@@ -226,9 +226,7 @@ class RunConfig:
         gamma = self._get("coeff.weight.gamma", float, default=0.0)
         return self._weight(target, gamma, "coeff.weight.gamma")
 
-    # -- section builders ---------------------------------------------------
-
-    def mesh(self):
+    def _read_mesh(self):
         """The mesh file named by ``mesh``, relative to the config; read
         once, however many builders ask for it."""
         if self._mesh is None:
@@ -239,6 +237,15 @@ class RunConfig:
                     f"mesh: file not found ({self.mesh_path})")
             self._mesh = load_mesh(self.mesh_path)
         return self._mesh
+
+    # -- section builders ---------------------------------------------------
+
+    def mesh(self):
+        """The mesh of a pencil: one that leaves a free bulk dof
+        (``build_dofmap`` raises otherwise)."""
+        mesh = self._read_mesh()
+        build_dofmap(mesh)
+        return mesh
 
     def coefficients(self):
         def matrix(raw, key):
@@ -351,7 +358,7 @@ class RunConfig:
             if gamma == 0.0:
                 case = "nondegenerate"
             else:
-                mesh = self.mesh()
+                mesh = self._read_mesh()
                 weight = self.bulk_weight()
                 if weight is None:
                     raise ConfigError("exponents.case = auto needs "

@@ -11,12 +11,13 @@ block norm, sup norm, and minimum value.  Quasi-steady interface flux
 jumps are recovered variationally from the bulk residual.
 
 Steps are inherently sequential.  The step matrix is factored once per
-pencil and ``(theta, dt)``; a step is the two triangular solves of that
-sparse LU factorization plus one sparse product, of the stacked matrix
-``[Mt; dt T]`` with the new state.  That product gives the next
-right-hand side, the backward error of the solve and the monitors; the
-trace ``J u`` is formed only for snapshots and the final state.  Only
-``evolve`` writes the report.
+pencil and ``(theta, dt)``: by band Cholesky when it is symmetric and
+its reordered band is narrow enough, by sparse LU otherwise.  A step is
+the two triangular solves of that factorization plus one sparse product,
+of the stacked matrix ``[Mt; dt T]`` with the new state.  That product
+gives the next right-hand side, the backward error of the solve and the
+monitors; the trace ``J u`` is formed only for snapshots and the final
+state.  Only ``evolve`` writes the report.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ class TimeSteppingConfig:
     """Parameters of a theta-scheme run.
 
     ``theta`` must lie in [1/2, 1] (the A-stable range).  Each step is
-    two triangular solves with the sparse LU factorization of the step
-    matrix, computed once and reused, and one sparse product that checks
-    the solve.  ``solver_tol`` (positive) bounds
-    the per-step normwise backward error by ``10 * solver_tol``.
+    two triangular solves with the factorization of the step matrix
+    (band Cholesky or sparse LU, see ``assembly.Factorization``),
+    computed once and reused, and one sparse product that checks the
+    solve.  ``solver_tol`` (positive) bounds the per-step normwise
+    backward error by ``10 * solver_tol``.
     Each of the ``snapshot_times``, which lie in [0, t_end], records the
     state at the nearest time level (the earlier one on a tie).
     """
@@ -268,7 +270,8 @@ def evolve(pencil, u0_raw, forcing, cfg):
 
     mass, energy, supnorm, minval = trail.T.copy()
     final = BlockField.split(pencil.dofmap, pencil.J @ u)
-    solver = {"method": stepper.method, "factor_nnz": stepper.lu.nnz,
+    solver = {"method": stepper.method, "factorization": stepper.lu.kind,
+              "factor_nnz": stepper.lu.nnz,
               "backward_error_max": stepper.backward_error_max}
     return EvolutionReport(times=times, mass=mass, energy=energy,
                            supnorm=supnorm, minval=minval,

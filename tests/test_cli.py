@@ -322,6 +322,23 @@ init.bulk = random
     assert all(line.endswith(",0") for line in monitors[1:])
 
 
+@pytest.mark.parametrize("mu_omega, kind", [("1.0", "band-cholesky"),
+                                             ("1 0.5 -0.5 1", "lu")])
+def test_evolve_manifest_names_the_factorization(workdir, mu_omega, kind):
+    cfg = write_cfg(workdir / "factor.cfg", f"""
+pipeline = evolve
+output = {workdir}/factor
+mesh = mixed.mesh
+time.dt = 0.01
+time.t_end = 0.02
+coeff.mu_omega = {mu_omega}
+""")
+    assert run(cfg) == 0
+    rows = dict(line.split(",", 1) for line in
+                (workdir / "factor" / "manifest.csv").read_text().splitlines())
+    assert rows["solver.factorization"] == kind
+
+
 _AGREE_BASE = {
     "evolve": {"pipeline": "evolve", "mesh": "square.mesh",
                "time.dt": "0.01", "time.t_end": "0.05"},
@@ -406,6 +423,42 @@ def test_run_and_validate_agree(workdir, pipeline, changes, code, section,
     assert sorted(os.listdir(out)) == ["error.json"]
     assert [d for d in diags if d.startswith(f"{section}:")
             and message in d], diags
+
+
+@pytest.mark.parametrize("pipeline", ["evolve", "eigs", "probe"])
+def test_mesh_without_free_dofs_rejected_before_any_solve(workdir, pipeline):
+    save_mesh(unit_square_mesh(1, bottom="dirichlet", top="dirichlet",
+                               left="dirichlet", right="dirichlet"),
+              workdir / "clamped.mesh")
+    keys = dict(_AGREE_BASE[pipeline], mesh="clamped.mesh",
+                output=f"{workdir}/out")
+    cfg = write_cfg(workdir / "clamped.cfg", "".join(
+        f"{k} = {v}\n" for k, v in keys.items()))
+    assert run(cfg) == 1
+    out = workdir / "out"
+    record = json.loads((out / "error.json").read_text())
+    assert record == {"error": "no free bulk dofs: every vertex is "
+                      "constrained", "kind": "ConsistencyError"}
+    assert sorted(os.listdir(out)) == ["error.json"]
+    assert validate(cfg) == [
+        "mesh: no free bulk dofs: every vertex is constrained"]
+
+
+def test_exponents_classify_on_a_mesh_without_free_dofs(workdir):
+    # the exponent report reads the mesh only to classify the weight
+    save_mesh(unit_square_mesh(1, bottom="dirichlet", top="dirichlet",
+                               left="dirichlet", right="dirichlet"),
+              workdir / "clamped.mesh")
+    cfg = write_cfg(workdir / "exp.cfg", f"""
+pipeline = exponents
+output = {workdir}/exp
+mesh = clamped.mesh
+exponents.gamma = 0.5
+coeff.weight.s = point 0.5 0.5
+coeff.weight.gamma = 0.5
+""")
+    assert validate(cfg) == []
+    assert run(cfg) == 0
 
 
 def test_probe_mesh_failure_reported_once(workdir):
