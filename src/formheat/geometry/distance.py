@@ -71,7 +71,15 @@ class Polyline:
         self.vertices = verts
 
     def distance(self, x):
-        """Distance from ``x`` (shape (..., 2)) to the polyline."""
+        """Distance from ``x`` (shape (..., 2)) to the polyline.
+
+        Unfused elementwise sums, unlike the scan's
+        :func:`_segment_distance`.  This kernel gives
+        :meth:`WeightSpec.eval <formheat.weights.WeightSpec.eval>` (so the
+        adaptive cell integrals) and ``classify_case`` their values:
+        routing it through ``_segment_distance`` moved 17 of 192 polyline
+        ``scan.csv`` rows by up to 4.4e-16 relative, so the two stay apart.
+        """
         x = np.asarray(x, dtype=float)
         a = self.vertices[:-1]
         d = self.vertices[1:] - a
@@ -150,7 +158,13 @@ def distance_to_submanifold(s_spec, x):
 def _segment_distance(p, a, b):
     """Distance from points ``p`` to segments ``a``-``b`` (broadcast (..., 2)
     arrays).  ``np.vecdot`` is a BLAS dot, fused multiply-add where the host
-    has it, so values may differ from :meth:`Polyline.distance` in the last bit."""
+    has it, so values may differ from :meth:`Polyline.distance` in the last bit.
+
+    The dyadic scan's near/far split and far-cube bounds come from this
+    kernel, and the scan's outputs stay byte-identical, whichever cubes it
+    measures, because each cube gets this kernel's value however the stack
+    is composed.  Merging it with :meth:`Polyline.distance` would move
+    either the scan's outputs or the weight's values, so both stay."""
     d = b - a
     t = np.clip(np.vecdot(p - a, d) / np.vecdot(d, d), 0.0, 1.0)
     diff = p - (a + t[..., None] * d)

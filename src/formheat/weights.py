@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureAccuracyError
+from .errors import QuadratureAccuracyError, SizeLimitError
 from .geometry.distance import (Points, Polyline, as_submanifold,
                                 set_polygon_distance)
 
@@ -652,26 +652,92 @@ class ScanResult:
         return None
 
 
+# Most cubes the finest scan level may hold.  The scan's grid arrays grow
+# with it, and so does its work where every cube is measured (a window
+# that misses the set, or gamma = 0, where every far bound ties): at the
+# limit, a 1025 x 1025 grid (window -2 -2 2 2 at l_max = 8), such a scan
+# took 0.4-1.3 s and 230-240 MB max RSS on a 2-core AMD EPYC host, and
+# one whose window holds a segment 0.04 s and 102 MB.
+_SCAN_CUBE_LIMIT = 1025 ** 2
+# A skipped cube's bound is compared with a threshold times (1 + slack):
+# numpy's power may round an ulp or so away from libm's ``pow``.
+_SCAN_SLACK = 1e-12
+
+
+def _level_grid(level, box):
+    """Least cube index ``(mx, my)`` and grid shape ``(nx, ny)``, as
+    floats, of the level's cubes meeting the window ``box``."""
+    edge = 2.0 ** (-level)
+    lo = np.ceil(np.array(box[:2]) / edge - 0.5)
+    hi = np.floor(np.array(box[2:]) / edge + 0.5)
+    return lo, hi - lo + 1
+
+
 def _scan_window(l_max, window):
     """The scan window as floats; ``ValueError`` unless ``l_max`` is in
-    0..8 and the window is finite and non-empty."""
+    0..8 and the window is finite and non-empty, :class:`SizeLimitError`
+    if level ``l_max`` holds more than ``_SCAN_CUBE_LIMIT`` cubes."""
     if not 0 <= l_max <= 8:
         raise ValueError("scan level must be in 0..8")
     xmin, ymin, xmax, ymax = box = tuple(map(float, window))
     if not (np.isfinite(box).all() and xmin <= xmax and ymin <= ymax):
         raise ValueError("scan window must be finite and non-empty "
                          "(xmin <= xmax, ymin <= ymax)")
+    cubes = float(np.prod(_level_grid(l_max, box)[1]))
+    if cubes > _SCAN_CUBE_LIMIT:
+        raise SizeLimitError(f"dyadic scan limited to {_SCAN_CUBE_LIMIT} "
+                             f"cubes per level (level {l_max} has "
+                             f"{cubes:.0f})")
     return box
+
+
+def _child_lower_bounds(parent, parent_lo, lo, shape):
+    """Least value of ``parent`` (one level up, least index ``parent_lo``)
+    over the at most 2 x 2 parents covering each cube of the grid
+    ``lo``, ``shape``; -inf where a parent lies outside ``parent``.
+
+    Per axis, cube m of a level lies in parent m/2 (m even) or in the
+    union of parents (m-1)/2 and (m+1)/2 (m odd).
+    """
+    padded = np.pad(parent, 1, constant_values=-np.inf)
+
+    def parents(axis):
+        # padded positions of parents floor(m/2) and ceil(m/2)
+        m = np.arange(lo[axis], lo[axis] + shape[axis]) - 2 * parent_lo[axis]
+        return m // 2 + 1, (m + 1) // 2 + 1
+
+    (x0, x1), (y0, y1) = parents(0), parents(1)
+    rows = np.minimum(padded[x0], padded[x1])
+    return np.minimum(rows[:, y0], rows[:, y1])
+
+
+def _cube_polygons(level, lo, ny, flat):
+    """Indices ``mx``, ``my`` and CCW polygons of the grid cubes at the
+    row-major positions ``flat`` of a level's ``(nx, ny)`` grid."""
+    mx, my = lo[0] + flat // ny, lo[1] + flat % ny
+    return mx, my, (np.stack([mx, my], axis=-1)[:, None] + _CORNERS) * (
+        2.0 ** (-level))
 
 
 def muckenhoupt_lower_bound_scan(w, l_max, window):
     """Scan dyadic cubes for the normalized weighted volume lower bound.
 
     For every level ``l <= l_max`` and every cube meeting the window,
-    computes ``2^(l(d+gamma)) * integral_Q w`` with d = 2.  Cubes farther
-    than one edge length from the degeneracy set are handled by the
-    analytic bound ``(2^l dist)^gamma`` and only integrated when that
-    bound could compete with the observed minimum.
+    bounds ``2^(l(d+gamma)) * integral_Q w`` from below, with d = 2.
+    A cube nearer to the degeneracy set than its edge is integrated and
+    reported as a row.  A farther cube has the analytic bound
+    ``(2^l dist)^gamma``; it is integrated, and becomes a row, only when
+    that bound undercuts the minimum observed so far.
+
+    Distances are measured on level 0 in full and, on each finer level,
+    for the cubes with a parent nearer to the set than the parent's edge
+    or a parent outside the previous level's grid.  Every other cube
+    lies in the union of its at most 2 x 2 parents, all far, so it is
+    far, and its distance is at least the least of theirs.  Such a cube
+    is measured only when the bound this gives could set or tie its
+    level's minimum, or undercut the running minimum when the far cubes
+    are visited after the last level.  The outputs are those of
+    measuring every cube; a window that misses the set measures all.
 
     Parameters
     ----------
@@ -687,8 +753,13 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
     ScanResult
         Observed infimum, its cube, per-level minima (including the
         on-set cubes), and per-cube rows for export.
+
+    Raises
+    ------
+    SizeLimitError
+        If level ``l_max`` holds more than ``_SCAN_CUBE_LIMIT`` cubes.
     """
-    xmin, ymin, xmax, ymax = _scan_window(l_max, window)
+    box = xmin, ymin, xmax, ymax = _scan_window(l_max, window)
     sx0, sy0, sx1, sy1 = w.bounding_box()
     covers = (xmin <= sx0 and ymin <= sy0 and xmax >= sx1 and ymax >= sy1)
 
@@ -697,19 +768,32 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
     argmin = None
     rows = []
     level_stats = []
-    deferred = []           # per level: (level, mx, my, bounds) of far cubes
+    # per level: grid, far cubes with their bounds, and the skipped cubes
+    # with lower bounds of theirs (cubes as row-major grid positions)
+    levels = []
+    # per grid cube, row-major: its distance, or a lower bound of it
+    flat_dist = None
 
     for level in range(l_max + 1):
         edge = 2.0 ** (-level)
-        lo = np.ceil(np.array([xmin, ymin]) / edge - 0.5).astype(int)
-        hi = np.floor(np.array([xmax, ymax]) / edge + 0.5).astype(int)
-        mx, my = np.mgrid[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1].reshape(2, -1)
-        polygons = (np.stack([mx, my], axis=-1)[:, None] + _CORNERS) * edge
+        lo, shape = (tuple(int(v) for v in a) for a in _level_grid(level, box))
+        ny = shape[1]
+        if flat_dist is None:
+            flat_dist = np.full(shape[0] * ny, -np.inf)
+        else:
+            flat_dist = _child_lower_bounds(
+                flat_dist.reshape(parent_shape), parent_lo, lo, shape).ravel()
+        parent_lo, parent_shape = lo, shape
+        # a far parent is at least its edge, twice this level's, from the set
+        measured = flat_dist < 2.0 * edge
+        cubes = np.flatnonzero(measured)
+        mx, my, polygons = _cube_polygons(level, lo, ny, cubes)
         dist = set_polygon_distance(w.s, polygons)
+        flat_dist[cubes] = dist
         far = dist >= edge
+        far_cubes = cubes[far]
         # Python's float pow: numpy's vectorized power may round differently
         bounds = _pow(2.0 ** level * dist[far], w.gamma)
-        deferred.append((level, mx[far], my[far], bounds))
         norm_factor = 2.0 ** (level * (d + w.gamma))
         lvl_min = float(bounds.min(initial=np.inf))
         lvl_min_on_s = np.inf
@@ -724,6 +808,20 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
             if value < c_min:
                 c_min = value
                 argmin = DyadicCube(level, int(mx[i]), int(my[i]))
+
+        # A skipped cube lies inside its parents' union with a margin of
+        # half its edge, so its distance exceeds the lower bound by far
+        # more than the distance kernel's rounding
+        skipped = np.flatnonzero(~measured)
+        skipped_bounds = (2.0 ** level * flat_dist[skipped]) ** w.gamma
+        late = skipped_bounds <= lvl_min * (1.0 + _SCAN_SLACK)
+        if late.any():
+            far_cubes, bounds = _with_measured(
+                w, level, lo, ny, far_cubes, bounds, skipped[late])
+            lvl_min = min(lvl_min, float(bounds.min()))
+            skipped, skipped_bounds = skipped[~late], skipped_bounds[~late]
+        levels.append((level, lo, ny, far_cubes, bounds, skipped,
+                       skipped_bounds))
         level_stats.append({
             "level": level,
             "min": lvl_min,
@@ -731,13 +829,17 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
         })
 
     # a far cube can only matter if its analytic bound undercuts the minimum
-    for level, mxs, mys, bounds in deferred:
+    for level, lo, ny, far_cubes, bounds, skipped, skipped_bounds in levels:
+        late = skipped_bounds <= c_min * (1.0 + _SCAN_SLACK)
+        if late.any():
+            far_cubes, bounds = _with_measured(
+                w, level, lo, ny, far_cubes, bounds, skipped[late])
         norm_factor = 2.0 ** (level * (d + w.gamma))
-        for mx, my, bound in zip(mxs.tolist(), mys.tolist(), bounds.tolist()):
+        for k, bound in zip(far_cubes.tolist(), bounds.tolist()):
             if bound < c_min:
-                cube = DyadicCube(level, mx, my)
+                cube = DyadicCube(level, lo[0] + k // ny, lo[1] + k % ny)
                 value = norm_factor * weighted_cell_integral(w, cube)
-                rows.append((level, mx, my, value, False))
+                rows.append((level, cube.mx, cube.my, value, False))
                 if value < c_min:
                     c_min = value
                     argmin = cube
@@ -745,6 +847,16 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
     return ScanResult(c_min=float(c_min), argmin_cube=argmin,
                       level_stats=level_stats, rows=rows,
                       window_covers_s=covers)
+
+
+def _with_measured(w, level, lo, ny, far_cubes, bounds, cubes):
+    """The far cubes and bounds of a level with the skipped ``cubes``
+    measured and merged in, in grid order."""
+    dist = set_polygon_distance(w.s, _cube_polygons(level, lo, ny, cubes)[2])
+    far_cubes = np.concatenate([far_cubes, cubes])
+    order = np.argsort(far_cubes)
+    bounds = np.concatenate([bounds, _pow(2.0 ** level * dist, w.gamma)])
+    return far_cubes[order], bounds[order]
 
 
 # -- case classification --------------------------------------------------------------

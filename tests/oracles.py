@@ -3,8 +3,9 @@
 Everything here recomputes quantities through a different code path
 than the library: P1 gradients come from a 3x3 Vandermonde solve rather
 than edge rotations, the energy form is evaluated by a plain element
-loop instead of sparse matrix algebra, and reference integrals come
-from Richardson-extrapolated midpoint grids.
+loop instead of sparse matrix algebra, reference integrals come from
+Richardson-extrapolated midpoint grids, and the dyadic scan measures the
+distance of every cube.
 """
 
 import numpy as np
@@ -12,7 +13,10 @@ import numpy as np
 from formheat.geometry.mesh import DIRICHLET, DYNAMIC, Mesh
 from formheat.geometry.surface import INTERFACE
 from formheat.spectral import _pencil_eigendecomposition
-from formheat.weights import adaptive_line_integral, weighted_cell_integral
+from formheat.geometry.distance import set_polygon_distance
+from formheat.weights import (_CORNERS, DyadicCube, ScanResult, _pow,
+                              _scan_window, adaptive_line_integral,
+                              weighted_cell_integral)
 
 
 def tri_gradients_vandermonde(tri):
@@ -277,3 +281,64 @@ def fractional_embedding_probe_loop(pencils, theta, p_proxy, n_samples=64,
             worst = max(worst, exact_l2_supremum_gemm(pencil, theta))
         ratios.append(worst)
     return ratios
+
+
+def muckenhoupt_lower_bound_scan_full(w, l_max, window):
+    """The dyadic scan measuring the distance of every cube of every
+    level (reference for :func:`formheat.weights.muckenhoupt_lower_bound_scan`,
+    which measures only where a parent is near the set)."""
+    xmin, ymin, xmax, ymax = _scan_window(l_max, window)
+    sx0, sy0, sx1, sy1 = w.bounding_box()
+    covers = (xmin <= sx0 and ymin <= sy0 and xmax >= sx1 and ymax >= sy1)
+
+    d = 2
+    c_min = np.inf
+    argmin = None
+    rows = []
+    level_stats = []
+    deferred = []           # per level: (level, mx, my, bounds) of far cubes
+
+    for level in range(l_max + 1):
+        edge = 2.0 ** (-level)
+        lo = np.ceil(np.array([xmin, ymin]) / edge - 0.5).astype(int)
+        hi = np.floor(np.array([xmax, ymax]) / edge + 0.5).astype(int)
+        mx, my = np.mgrid[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1].reshape(2, -1)
+        polygons = (np.stack([mx, my], axis=-1)[:, None] + _CORNERS) * edge
+        dist = set_polygon_distance(w.s, polygons)
+        far = dist >= edge
+        bounds = _pow(2.0 ** level * dist[far], w.gamma)
+        deferred.append((level, mx[far], my[far], bounds))
+        norm_factor = 2.0 ** (level * (d + w.gamma))
+        lvl_min = float(bounds.min(initial=np.inf))
+        lvl_min_on_s = np.inf
+        near = np.flatnonzero(~far)
+        values = norm_factor * weighted_cell_integral(w, polygons[near])
+        for i, value in zip(near.tolist(), values.tolist()):
+            on_s = bool(dist[i] == 0.0)
+            rows.append((level, int(mx[i]), int(my[i]), value, on_s))
+            lvl_min = min(lvl_min, value)
+            if on_s:
+                lvl_min_on_s = min(lvl_min_on_s, value)
+            if value < c_min:
+                c_min = value
+                argmin = DyadicCube(level, int(mx[i]), int(my[i]))
+        level_stats.append({
+            "level": level,
+            "min": lvl_min,
+            "min_on_s": None if np.isinf(lvl_min_on_s) else lvl_min_on_s,
+        })
+
+    for level, mxs, mys, bounds in deferred:
+        norm_factor = 2.0 ** (level * (d + w.gamma))
+        for mx, my, bound in zip(mxs.tolist(), mys.tolist(), bounds.tolist()):
+            if bound < c_min:
+                cube = DyadicCube(level, mx, my)
+                value = norm_factor * weighted_cell_integral(w, cube)
+                rows.append((level, mx, my, value, False))
+                if value < c_min:
+                    c_min = value
+                    argmin = cube
+
+    return ScanResult(c_min=float(c_min), argmin_cube=argmin,
+                      level_stats=level_stats, rows=rows,
+                      window_covers_s=covers)

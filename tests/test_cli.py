@@ -393,6 +393,10 @@ _AGREE_ROWS = [
     # the fourth level of square.mesh (no Dirichlet part) has 49^2 dofs
     ("probe", {"probe.levels": "4"}, 1, "probe",
      "dense spectral calculus limited to 2000 dofs (pencil has 2401)"),
+    # (2e7 + 1)^2 cubes on level 0: the scan refuses before allocating
+    ("scan", {"scan.l_max": "0", "scan.window": "-1e7 -1e7 1e7 1e7"}, 1,
+     "scan", "dyadic scan limited to 1050625 cubes per level "
+     "(level 0 has 400000040000001)"),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import formheat.weights as weights
 from oracles import adaptive_line_integral_loop, grid_richardson_box
-from formheat.errors import QuadratureAccuracyError
+from formheat.errors import QuadratureAccuracyError, SizeLimitError
 from formheat.geometry import Points, Polyline
 from formheat.model_problems import standard_fixture_mesh
 from formheat.weights import (DyadicCube, WeightSpec, adaptive_line_integral,
@@ -171,6 +171,37 @@ def test_scan_integrates_only_the_cubes_it_reports(monkeypatch):
     result = muckenhoupt_lower_bound_scan(w, 2, (-1, -1, 1, 1))
     assert sum(cells) == len(result.rows)
     assert 0 < len(result.rows) < 9 + 25 + 81
+
+
+def test_scan_window_limits_the_finest_level():
+    # 1025 x 1025 cubes on level 8 is the limit; one more row is refused
+    assert weights._scan_window(8, (-2, -2, 2, 2)) == (-2.0, -2.0, 2.0, 2.0)
+    with pytest.raises(SizeLimitError, match="level 8 has 1051650"):
+        weights._scan_window(8, (-2, -2, 2, 2.003))
+
+
+@pytest.mark.parametrize("s, gamma, l_max, most", [
+    # every cube of levels 0..8 is 351,577 polygons; about 7,200 have a
+    # parent near the set or a bound that could set a minimum
+    (Polyline([(-1.0, 0.1), (1.0, 0.1)]), 0.5, 8, 8_000),
+    # a window that misses the set measures every cube of levels 0..4
+    (Points((5.0, 5.0)), 1.0, 4, 9 + 25 + 81 + 289 + 1089),
+], ids=["holds-set", "misses-set"])
+def test_scan_measures_each_cube_at_most_once(monkeypatch, s, gamma, l_max,
+                                              most):
+    stacks = []
+    distance = weights.set_polygon_distance
+
+    def counting(target, polygons):
+        stacks.append(np.array(polygons))
+        return distance(target, polygons)
+
+    monkeypatch.setattr(weights, "set_polygon_distance", counting)
+    muckenhoupt_lower_bound_scan(WeightSpec(s, gamma), l_max, (-1, -1, 1, 1))
+    # opposite corners name a cube, whatever its level
+    corners = np.concatenate(stacks)[:, [0, 2]].reshape(-1, 4)
+    assert len(corners) <= most
+    assert len(np.unique(corners, axis=0)) == len(corners)
 
 def test_dyadic_cube_fields():
     cube = DyadicCube(3, -2, 5)
