@@ -737,7 +737,8 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
     is measured only when the bound this gives could set or tie its
     level's minimum, or undercut the running minimum when the far cubes
     are visited after the last level.  The outputs are those of
-    measuring every cube; a window that misses the set measures all.
+    measuring every cube.  A window that misses the set, or gamma = 0
+    (every far bound ties), still measures every cube.
 
     Parameters
     ----------
