@@ -509,13 +509,13 @@ def lanczos_start(n):
 BAND_LIMIT = 140
 
 
-def _band_cholesky(matrix, norm):
+def _band_cholesky(matrix, norm, width_limit=BAND_LIMIT):
     """``(order, inverse, factor)`` of a symmetric positive definite CSR
     matrix of infinity norm ``norm`` whose reverse Cuthill-McKee
-    bandwidth is at most ``BAND_LIMIT``: the LAPACK upper band Cholesky
-    factor of the matrix with rows and columns taken in ``order``.  None
-    otherwise.  Symmetric means that no entry differs from its mirror by
-    more than ``eps * norm``."""
+    bandwidth is at most ``width_limit`` (``None``: any width): the
+    LAPACK upper band Cholesky factor of the matrix with rows and columns
+    taken in ``order``.  None otherwise.  Symmetric means that no entry
+    differs from its mirror by more than ``eps * norm``."""
     n = matrix.shape[0]
     if not abs(matrix - matrix.T).max() <= np.finfo(float).eps * norm:
         return None
@@ -530,7 +530,7 @@ def _band_cholesky(matrix, norm):
     upper = rows <= cols
     rows, cols, data = rows[upper], cols[upper], coo.data[upper]
     width = int((cols - rows).max(initial=0))
-    if width > BAND_LIMIT:
+    if width_limit is not None and width > width_limit:
         return None
     # LAPACK upper band storage: A[i, j] at ab[width + i - j, j]
     band = np.bincount(width + rows - cols + (width + 1) * cols,

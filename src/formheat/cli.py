@@ -384,7 +384,7 @@ class RunConfig:
         theta = self._get("probe.theta", float, default=0.5)
         p = self._get("probe.p", int, default=2)
         try:
-            _check_probe_arguments(levels, p)
+            _check_probe_arguments(levels, p, theta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         meshes = [self.mesh()]

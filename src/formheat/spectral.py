@@ -8,10 +8,16 @@ trace-norm boundedness.  Symbolic ones compute the critical
 integrability exponents of the trace and embedding catalogue in exact
 rational arithmetic for general dimension.
 
-The fractional powers go through one block helper that applies
-``(I + Mt^-1 T)^theta`` to an ``(n, k)`` block with two dense products
-in the pencil's cached eigenbasis; every probe draws its random samples
-as one block and evaluates their quotients column by column.
+The dense spectral calculus rests on the band Cholesky factor
+``P Mt P^T = U^T U`` of the block Gram matrix, ``P`` its reverse
+Cuthill-McKee permutation.  Two band triangular solves turn ``T`` into
+the dense congruence ``C = U^-T P T P^T U^-1``, whose ordinary symmetric
+eigenvalues are the pencil's; a third maps its eigenvectors to the
+Mt-orthonormal eigenbasis ``V = P^T U^-1 Z``, cached on the pencil.  No
+dense copy of ``Mt`` is formed.  The fractional powers go through one
+block helper that applies ``(I + Mt^-1 T)^theta`` to an ``(n, k)`` block
+with two dense products in that eigenbasis; every probe draws its random
+samples as one block and evaluates their quotients column by column.
 """
 
 from __future__ import annotations
@@ -24,14 +30,19 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .assembly import (build_dofmap, lanczos_start, _form_gram_bulk,
-                       _surface_plain_mass, _triangle_elements)
+from .assembly import (build_dofmap, lanczos_start, _band_cholesky,
+                       _form_gram_bulk, _surface_plain_mass,
+                       _triangle_elements)
 from .errors import (EigenSolveError, OutsideTheoryError, SizeLimitError,
                      UnsupportedScenarioError)
 from .geometry.surface import INTERFACE, SurfaceMesh
 
 INF = math.inf
-# largest pencil, in free dofs, that the dense spectral calculus takes on
+# largest pencil, in free dofs, that the dense spectral calculus takes on:
+# its eigenbasis and the p = 2 supremum's products are n x n arrays of
+# 32 MB each at this size.  Below it the band factor of Mt, at most n
+# wide, never holds more than a dense Mt would, so the band Cholesky of
+# the calculus takes Mt at any bandwidth
 _DENSE_CALCULUS_LIMIT = 2000
 
 
@@ -248,13 +259,17 @@ def generalized_eigs(pencil, count, *, tol=1e-8, dense_limit=250):
 
 
 def count_eigenvalues_below(pencil, bound, dense_limit=2500):
-    """Number of pencil eigenvalues strictly below ``bound`` (dense)."""
+    """Number of eigenvalues of ``(sym T, Mt)`` strictly below ``bound``:
+    all eigenvalues of the dense band congruence of ``sym T``, without
+    eigenvectors."""
     n = pencil.n_free
     if n > dense_limit:
         raise SizeLimitError("dense eigenvalue count limited to "
                              f"{dense_limit} dofs")
-    sym_t = 0.5 * (pencil.T + pencil.T.T)
-    vals = scipy.linalg.eigvalsh(sym_t.toarray(), pencil.mtilde().toarray())
+    congruence, _, _ = _band_congruence(pencil, 0.5 * (pencil.T + pencil.T.T))
+    vals, _, info = scipy.linalg.lapack.dsyevd(congruence, compute_v=0,
+                                               overwrite_a=1)
+    _check_info(info, "dsyevd")
     return int(np.sum(vals < bound))
 
 
@@ -307,17 +322,67 @@ def _check_dense_size(n, dense_limit=_DENSE_CALCULUS_LIMIT):
                              f"{dense_limit} dofs (pencil has {n})")
 
 
+def _check_info(info, routine):
+    """:class:`EigenSolveError` unless a LAPACK ``info`` is 0."""
+    if info != 0:
+        raise EigenSolveError(f"LAPACK {routine} failed with info {info}")
+
+
+def _band_congruence(pencil, stiffness):
+    """``(C, inverse, U)``: the band Cholesky factor ``U`` of
+    ``P Mt P^T = U^T U``, with ``P`` the reverse Cuthill-McKee
+    permutation of ``Mt`` and ``inverse`` its inverse as an index array,
+    and the dense Fortran-ordered congruence ``C = U^-T P S P^T U^-1`` of
+    the symmetric sparse ``stiffness`` ``S``.
+
+    ``C`` is two band triangular solves, each on the transpose of the
+    last array: the first gives ``Y = U^-T (P S P^T)^T``, the second
+    ``U^-T Y^T = C``.  The eigenvalues of ``C`` are those of ``(S, Mt)``.
+    Raises :class:`EigenSolveError` when ``Mt`` is not positive definite
+    or a solve reports a nonzero ``info``.
+    """
+    mt = pencil.mtilde()
+    band = _band_cholesky(mt, float(abs(mt).sum(axis=1).max()),
+                          width_limit=None)
+    if band is None:
+        raise EigenSolveError("block Gram matrix Mt is not symmetric "
+                              "positive definite")
+    order, inverse, factor = band
+    congruence = stiffness[order][:, order].toarray()
+    for _ in range(2):
+        # the first solve overwrites the Fortran-ordered transpose of
+        # the C-ordered dense S; the second a Fortran copy of the
+        # first's transpose
+        congruence, info = scipy.linalg.lapack.dtbtrs(
+            factor, congruence.T, trans="T", overwrite_b=1)
+        _check_info(info, "dtbtrs")
+    return congruence, inverse, factor
+
+
 def _pencil_eigendecomposition(pencil, dense_limit):
+    """``(Lambda, V)``: all eigenvalues of ``T v = lambda Mt v``,
+    ascending, and the Mt-orthonormal eigenvectors as the columns of the
+    dense ``V``, computed on the first request and cached on the pencil.
+
+    ``dsyevd`` diagonalizes the band congruence ``C = Z Lambda Z^T`` in
+    place (see :func:`_band_congruence`); a band triangular solve and a
+    row gather give ``V = P^T U^-1 Z``, so that ``V^T Mt V = I`` and
+    ``V^T T V = Lambda``.  Raises :class:`SizeLimitError` above
+    ``dense_limit`` dofs and :class:`EigenSolveError` for a non-symmetric
+    pencil, an ``Mt`` that is not positive definite or a nonzero LAPACK
+    ``info``.
+    """
     if pencil._eig_cache is None:
         _check_dense_size(pencil.n_free, dense_limit)
         if not pencil.is_symmetric():
             raise EigenSolveError("spectral calculus needs a symmetric pencil")
-        # Fortran-ordered temporaries let LAPACK work in place instead of
-        # on two more dense copies
-        vals, vecs = scipy.linalg.eigh(pencil.T.toarray(order="F"),
-                                       pencil.mtilde().toarray(order="F"),
-                                       overwrite_a=True, overwrite_b=True)
-        pencil._eig_cache = (vals, vecs)
+        congruence, inverse, factor = _band_congruence(pencil, pencil.T)
+        vals, vecs, info = scipy.linalg.lapack.dsyevd(congruence,
+                                                      overwrite_a=1)
+        _check_info(info, "dsyevd")
+        vecs, info = scipy.linalg.lapack.dtbtrs(factor, vecs, overwrite_b=1)
+        _check_info(info, "dtbtrs")
+        pencil._eig_cache = (vals, vecs.take(inverse, axis=0))
     return pencil._eig_cache
 
 
@@ -338,11 +403,18 @@ def _fractional_power_block(pencil, theta, block, dense_limit):
     return vecs @ coeff
 
 
+def _check_theta(theta):
+    """``ValueError`` unless ``theta`` lies in ``(0, 1]``; NaN and the
+    infinities fail the comparison."""
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"fractional exponent must lie in (0, 1], "
+                         f"got {theta}")
+
+
 def fractional_power_apply(pencil, theta, u, *,
                            dense_limit=_DENSE_CALCULUS_LIMIT):
     """Apply ``(I + Mt^-1 T)^theta`` through the pencil eigenbasis."""
-    if not 0.0 < theta <= 1.0:
-        raise ValueError("fractional exponent must lie in (0, 1]")
+    _check_theta(theta)
     u = np.asarray(u, dtype=float)
     return _fractional_power_block(pencil, theta, u[:, None], dense_limit)[:, 0]
 
@@ -354,13 +426,14 @@ class ProbeRow:
     ratio: float
 
 
-def _check_probe_arguments(levels, p_proxy):
-    """``ValueError`` unless the probe has 3 or more levels and a
-    ``p_proxy`` of 2, 4 or 8."""
+def _check_probe_arguments(levels, p_proxy, theta):
+    """``ValueError`` unless the probe has 3 or more levels, a
+    ``p_proxy`` of 2, 4 or 8 and a ``theta`` in ``(0, 1]``."""
     if p_proxy not in (2, 4, 8):
         raise ValueError("p_proxy must be one of 2, 4, 8")
     if levels < 3:
         raise ValueError("probe needs at least 3 refinement levels")
+    _check_theta(theta)
 
 
 def fractional_embedding_probe(pencils, theta, p_proxy, *, n_samples=64,
@@ -376,13 +449,16 @@ def fractional_embedding_probe(pencils, theta, p_proxy, *, n_samples=64,
     witness its failure.  The trend is qualitative, never a certified
     constant.
 
-    Each level costs one dense eigendecomposition of its pencil (cached
-    on the pencil), and then for ``p = 2`` one ``n x n`` product, for
-    ``p = 4, 8`` one ``(n, n_samples)`` block of samples put through the
-    fractional power at once.  Level ``l`` draws its samples from seed
-    ``seed + l``.
+    Each level costs one dense eigendecomposition of its pencil on the
+    band Cholesky of ``Mt`` (cached on the pencil), and then for
+    ``p = 2`` one symmetric ``n x n`` product ``H H^T`` and one
+    sparse-dense product, for ``p = 4, 8`` one ``(n, n_samples)`` block
+    of samples put through the fractional power at once.  Level ``l``
+    draws its samples from seed ``seed + l``.  Raises ``ValueError``
+    for fewer than 3 levels, a ``p_proxy`` other than 2, 4 or 8, or a
+    ``theta`` that is not a finite number in ``(0, 1]``.
     """
-    _check_probe_arguments(len(pencils), p_proxy)
+    _check_probe_arguments(len(pencils), p_proxy, theta)
     rows = []
     for level, pencil in enumerate(pencils):
         w = pencil.lumped_block_weights()
@@ -408,16 +484,20 @@ def _exact_l2_supremum(pencil, theta, w, dense_limit):
     With ``B = (I + Mt^-1 T)^theta`` and ``Wt`` the diagonal lumped block
     measure ``w`` pulled back to the bulk dofs, the supremum is the root
     of the largest diagonal entry of ``(B^T Wt B)^-1``, i.e. the largest
-    column norm of ``Wt^-1/2 Mt V D^-theta V^T``.  The eigenbasis ``V``
-    is already dense, so ``Mt V`` is a sparse-dense product and the only
-    ``n x n`` GEMM is the one with ``V^T``.
+    column norm of ``Wt^-1/2 Mt F`` with ``F = V D^-theta V^T``.  ``F``
+    is ``H H^T`` for ``H = V D^(-theta/2)``, one symmetric rank-n update
+    (SYRK, half the flops of a general product), and ``Mt F`` is a
+    sparse-dense product.
     """
     vecs, scale = _power_eigenbasis(pencil, theta, dense_limit)
     wt = np.asarray(pencil.J.T @ w).ravel()
-    x = pencil.mtilde() @ vecs
-    x /= np.sqrt(wt)[:, None]
-    x /= scale[None, :]
-    a_mat = x @ vecs.T
+    half = vecs / np.sqrt(scale)[None, :]
+    # ``a @ a.T`` is one SYRK: numpy forms one triangle and mirrors it
+    power = half @ half.T
+    del half
+    a_mat = pencil.mtilde() @ power
+    del power
+    a_mat /= np.sqrt(wt)[:, None]
     return float(np.sqrt(_column_dots(a_mat, a_mat).max()))
 
 

@@ -4,11 +4,13 @@ Everything here recomputes quantities through a different code path
 than the library: P1 gradients come from a 3x3 Vandermonde solve rather
 than edge rotations, the energy form is evaluated by a plain element
 loop instead of sparse matrix algebra, reference integrals come from
-Richardson-extrapolated midpoint grids, and the dyadic scan measures the
-distance of every cube.
+Richardson-extrapolated midpoint grids, the dyadic scan measures the
+distance of every cube, and pencil spectra come from LAPACK's dense
+generalized solver or, at theta = 1, from no eigensolve at all.
 """
 
 import numpy as np
+import scipy.linalg
 
 from formheat.geometry.mesh import DIRICHLET, DYNAMIC, Mesh
 from formheat.geometry.surface import INTERFACE
@@ -265,6 +267,25 @@ def exact_l2_supremum_gemm(pencil, theta):
     a_mat = (pencil.mtilde().toarray() @ (vecs / scale[None, :])) @ vecs.T
     a_mat /= np.sqrt(wt)[:, None]
     return float(np.sqrt((a_mat ** 2).sum(axis=0).max()))
+
+
+def pencil_eigenvalues_gvd(pencil):
+    """All eigenvalues of ``T v = lambda Mt v``, ascending, from the
+    dense generalized solver on dense copies of both matrices (the
+    reference for the band congruence of the spectral calculus)."""
+    return scipy.linalg.eigh(pencil.T.toarray(), pencil.mtilde().toarray(),
+                             eigvals_only=True)
+
+
+def exact_l2_supremum_theta_one(pencil):
+    """The p = 2 probe ratio at theta = 1 without any eigensolve.  There
+    ``V D^-1 V^T = (Mt + T)^-1``, so the ratio is the largest row norm
+    of ``(Mt + T)^-1 Mt Wt^-1/2``, from a dense Cholesky solve."""
+    mt = pencil.mtilde().toarray()
+    wt = np.asarray(pencil.J.T @ pencil.lumped_block_weights()).ravel()
+    factor = scipy.linalg.cho_factor(mt + pencil.T.toarray())
+    rows = scipy.linalg.cho_solve(factor, mt / np.sqrt(wt)[None, :])
+    return float(np.sqrt((rows ** 2).sum(axis=1).max()))
 
 
 def fractional_embedding_probe_loop(pencils, theta, p_proxy, n_samples=64,

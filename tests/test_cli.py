@@ -361,6 +361,16 @@ _AGREE_ROWS = [
     ("eigs", {"eigs.count": "abc"}, 2, "eigs", "malformed value"),
     ("probe", {"probe.levels": "1"}, 2, "probe", "at least 3"),
     ("probe", {"probe.p": "3"}, 2, "probe", "one of 2, 4, 8"),
+    ("probe", {"probe.theta": "-1"}, 2, "probe",
+     "fractional exponent must lie in (0, 1], got -1.0"),
+    ("probe", {"probe.theta": "0"}, 2, "probe",
+     "fractional exponent must lie in (0, 1], got 0.0"),
+    ("probe", {"probe.theta": "2.5"}, 2, "probe",
+     "fractional exponent must lie in (0, 1], got 2.5"),
+    ("probe", {"probe.theta": "inf"}, 2, "probe",
+     "fractional exponent must lie in (0, 1], got inf"),
+    ("probe", {"probe.theta": "nan"}, 2, "probe",
+     "fractional exponent must lie in (0, 1], got nan"),
     ("exponents", {"exponents.d": "1"}, 2, "exponents", "at least 2"),
     ("exponents", {"exponents.gamma": "-1"}, 2, "exponents", "nonnegative"),
     ("exponents", {"exponents.case": "Z"}, 2, "exponents",

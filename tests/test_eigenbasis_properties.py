@@ -1,0 +1,84 @@
+"""Property tests of the dense spectral calculus's eigenbasis over
+perturbed, refined and relabeled meshes: the pencil's eigenvectors from
+the band congruence of ``Mt`` must be Mt-orthonormal, diagonalize ``T``
+and carry the eigenvalues of a dense generalized solve."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from conftest import jittered_mesh, ramp_half
+from oracles import pencil_eigenvalues_gvd
+from formheat.assembly import CoefficientSet, build_pencil
+from formheat.geometry import Mesh, SurfaceMesh, refine_uniform
+from formheat.model_problems import unit_square_mesh
+from formheat.spectral import _pencil_eigendecomposition
+
+_sides = st.tuples(*[st.sampled_from(["dirichlet", "dynamic", "neumann"])] * 4
+                   ).filter(lambda sides: set(sides) != {"dirichlet"})
+_surface_coefficient = st.one_of(st.floats(0.0, 5.0), st.just(ramp_half))
+
+
+def _check_eigenbasis(pencil):
+    """``V^T Mt V = I`` and ``V^T T V = Lambda`` to 1e-10 (the second
+    relative to ``max(1, lambda_max)``), and eigenvalues within 1e-10 of
+    the dense generalized solve, relative to the largest."""
+    vals, vecs = _pencil_eigendecomposition(pencil, dense_limit=2000)
+    n = pencil.n_free
+    gram = vecs.T @ (pencil.mtilde() @ vecs)
+    assert np.abs(gram - np.eye(n)).max() <= 1e-10
+    scale = max(1.0, vals[-1])
+    diag = vecs.T @ (pencil.T @ vecs)
+    assert np.abs(diag - np.diag(vals)).max() <= 1e-10 * scale
+    reference = pencil_eigenvalues_gvd(pencil)
+    assert np.abs(vals - reference).max() <= 1e-10 * np.abs(reference).max()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 4, 6]), refine=st.booleans(), sides=_sides,
+       interface=st.booleans(),
+       constrain=st.one_of(st.none(), st.integers(0, 2 ** 8)),
+       seed=st.integers(0, 2 ** 16), mu_bulk=st.floats(0.2, 5.0),
+       mu_gd=_surface_coefficient, mu_sigma=_surface_coefficient,
+       lumped=st.booleans())
+def test_eigenbasis_on_perturbed_meshes(n, refine, sides, interface,
+                                        constrain, seed, mu_bulk, mu_gd,
+                                        mu_sigma, lumped):
+    bottom, top, left, right = sides
+    mesh = unit_square_mesh(n, bottom=bottom, top=top, left=left,
+                            right=right,
+                            interface_y=0.5 if interface else None)
+    if refine:
+        mesh = refine_uniform(mesh)
+    mesh = jittered_mesh(mesh, seed)
+    ends = sorted({v for which in ("dynamic", "interface")
+                   for chain in SurfaceMesh.from_mesh(mesh, which).chains
+                   for v in (chain[0], chain[-1])})
+    extra = () if constrain is None or not ends else (
+        ends[constrain % len(ends)],)
+    pencil = build_pencil(mesh, CoefficientSet(
+        mu_bulk=mu_bulk, mu_gd=mu_gd, mu_sigma=mu_sigma), lumped=lumped,
+        extra_constrained=extra)
+    _check_eigenbasis(pencil)
+
+
+def fan_mesh(rim=300):
+    """A hub vertex joined to ``rim`` vertices on the unit circle, the rim
+    edges alternately dynamic and Neumann: every RCM ordering of its
+    ``Mt`` has a band about ``rim / 2`` wide."""
+    angle = 2.0 * np.pi * np.arange(rim) / rim
+    vertices = np.vstack([[0.0, 0.0],
+                          np.column_stack([np.cos(angle), np.sin(angle)])])
+    ring = 1 + np.arange(rim)
+    triangles = np.column_stack([np.zeros(rim, dtype=int), ring,
+                                 np.roll(ring, -1)])
+    edges = np.column_stack([ring, np.roll(ring, -1)])
+    labels = ["dynamic" if k % 2 else "neumann" for k in range(rim)]
+    return Mesh(vertices, triangles, edges, labels)
+
+
+def test_eigenbasis_of_a_band_wider_than_the_step_limit():
+    pencil = build_pencil(fan_mesh(), CoefficientSet())
+    assert pencil.n_free < 2000
+    # wider than BAND_LIMIT: the solves' band Cholesky refuses this Mt
+    assert pencil.factorization("mtilde", pencil.mtilde).kind == "lu"
+    _check_eigenbasis(pencil)

@@ -15,7 +15,8 @@ from formheat.spectral import (count_eigenvalues_below, embedding_exponents,
                                fractional_power_apply, generalized_eigs,
                                numerical_range_check, trace_norm_probe)
 from formheat.weights import WeightSpec
-from oracles import (exact_l2_supremum_gemm, fractional_embedding_probe_loop,
+from oracles import (exact_l2_supremum_gemm, exact_l2_supremum_theta_one,
+                     fractional_embedding_probe_loop, pencil_eigenvalues_gvd,
                      probe_sample_ratios_loop)
 
 INF = math.inf
@@ -193,6 +194,26 @@ def test_compact_resolvent_witness():
     assert counts[0] < counts[1] < counts[2]
 
 
+@pytest.mark.parametrize("lumped", [False, True])
+def test_eigenvalue_count_matches_dense_solve(conserving_mesh_8, lumped):
+    pencil = build_pencil(conserving_mesh_8, CoefficientSet(), lumped=lumped)
+    vals = pencil_eigenvalues_gvd(pencil)
+    # bounds halfway between neighbouring eigenvalues, and one above all
+    for k in (1, 10, 40, pencil.n_free - 1):
+        bound = 0.5 * (vals[k - 1] + vals[k])
+        assert count_eigenvalues_below(pencil, bound) == k
+    assert count_eigenvalues_below(pencil, 2.0 * vals[-1]) == pencil.n_free
+
+
+def test_indefinite_block_gram_refused():
+    pencil = build_pencil(standard_fixture_mesh(4), CoefficientSet())
+    pencil._mtilde = -pencil.mtilde()
+    with pytest.raises(EigenSolveError, match="not symmetric positive"):
+        count_eigenvalues_below(pencil, 1.0)
+    with pytest.raises(EigenSolveError, match="not symmetric positive"):
+        fractional_power_apply(pencil, 0.5, np.ones(pencil.n_free))
+
+
 def test_numerical_range_symmetric():
     mesh = standard_fixture_mesh(6)
     pencil = build_pencil(mesh, CoefficientSet())
@@ -297,6 +318,15 @@ def test_probe_validates_inputs():
         fractional_embedding_probe(probe_pencils(), 0.5, 3)
 
 
+@pytest.mark.parametrize("theta", [-1.0, 0.0, 2.5, math.inf, math.nan])
+def test_probe_rejects_theta_outside_unit_interval(theta):
+    pencils = probe_pencils(levels=3, n0=2)
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+        fractional_embedding_probe(pencils, theta, 2)
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+        fractional_embedding_probe(pencils, theta, 4)
+
+
 @pytest.fixture(scope="module")
 def probe_families():
     """Three-level-or-more pencil families for the batched probe: the
@@ -374,6 +404,19 @@ def test_exact_supremum_bruteforce(theta):
         gram = jay.T @ (w[:, None] * jay)
         diag = np.einsum("ij,ij->i", b_inv, np.linalg.solve(gram, b_inv.T).T)
         assert row.ratio == pytest.approx(np.sqrt(diag.max()), rel=1e-11)
+
+
+def test_theta_one_supremum_without_eigenvectors():
+    # the spectral workload's probe ladder, up to 1,640 dofs
+    mesh, pencils = standard_fixture_mesh(10), []
+    for _ in range(3):
+        pencils.append(build_pencil(mesh, CoefficientSet()))
+        mesh = refine_uniform(mesh)
+    assert pencils[-1].n_free == 1640
+    rows = fractional_embedding_probe(pencils, 1.0, 2, n_samples=0)
+    for pencil, row in zip(pencils, rows):
+        assert row.ratio == pytest.approx(
+            exact_l2_supremum_theta_one(pencil), rel=1e-11)
 
 
 def test_trace_probe_bounded_case_b():
