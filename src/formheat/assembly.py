@@ -120,11 +120,16 @@ class CoefficientSet:
 
     # bulk ---------------------------------------------------------------
 
-    def bulk_base_matrix(self, region):
-        """Constant base matrix for a region, or None if callable."""
+    def _bulk_entry(self, region):
+        """The ``mu_bulk`` entry of a region: scalar, matrix or callable."""
         mu = self.mu_bulk
         if isinstance(mu, dict):
             mu = mu.get(int(region), mu.get("default", 1.0))
+        return mu
+
+    def bulk_base_matrix(self, region):
+        """Constant base matrix for a region, or None if callable."""
+        mu = self._bulk_entry(region)
         if callable(mu):
             return None
         return _matrix_of(mu)
@@ -133,18 +138,12 @@ class CoefficientSet:
         """Full bulk coefficient (weight included) at (n, 2) points."""
         base = self.bulk_base_matrix(region)
         if base is None:
-            vals = _eval_matrix_callable(self._bulk_callable(region), points)
+            vals = _eval_matrix_callable(self._bulk_entry(region), points)
         else:
             vals = np.broadcast_to(base, (len(points), 2, 2)).copy()
         if self.bulk_weight is not None:
             vals = vals * self.bulk_weight.eval(points)[:, None, None]
         return vals
-
-    def _bulk_callable(self, region):
-        mu = self.mu_bulk
-        if isinstance(mu, dict):
-            mu = mu.get(int(region), mu.get("default", 1.0))
-        return mu
 
     def bulk_envelope_values(self, points):
         """Scalar envelope of the bulk coefficient at (n, 2) points."""
@@ -400,8 +399,16 @@ def _coefficient_integrals(mesh, coeff, area, cell_w):
 
 def _stiffness(mesh, dofmap, grads, cell_mats):
     """Stiffness with element matrices ``grad^T C grad`` for the cell
-    coefficient integrals ``C``."""
-    elem = np.einsum("nia,nij,njb->nab", grads, cell_mats, grads)
+    coefficient integrals ``C``.  The entries (a, b), a <= b, and their
+    mirrors (b, a) are one product with one summation order, of ``C`` and
+    of ``C^T``, so a bitwise symmetric ``C`` gives element matrices, and
+    a stiffness, that are symmetric to the last bit."""
+    a, b = np.triu_indices(3)
+    ga, gb = grads[:, :, a], grads[:, :, b]
+    elem = np.empty((len(grads), 3, 3))
+    elem[:, b, a] = np.einsum("nip,nij,njp->np", ga, np.ascontiguousarray(
+        cell_mats.transpose(0, 2, 1)), gb)
+    elem[:, a, b] = np.einsum("nip,nij,njp->np", ga, cell_mats, gb)
     return _scatter(dofmap.vertex_free[mesh.triangles], elem, dofmap.n_free)
 
 
@@ -509,15 +516,21 @@ def lanczos_start(n):
 BAND_LIMIT = 140
 
 
-def _band_cholesky(matrix, norm, width_limit=BAND_LIMIT):
+def _symmetric(matrix):
+    """Whether a sparse matrix equals its transpose bit for bit: the one
+    meaning of symmetric for every pencil matrix."""
+    return (matrix != matrix.T).nnz == 0
+
+
+def _band_cholesky(matrix, width_limit=BAND_LIMIT):
     """``(order, inverse, factor)`` of a symmetric positive definite CSR
-    matrix of infinity norm ``norm`` whose reverse Cuthill-McKee
-    bandwidth is at most ``width_limit`` (``None``: any width): the
-    LAPACK upper band Cholesky factor of the matrix with rows and columns
-    taken in ``order``.  None otherwise.  Symmetric means that no entry
-    differs from its mirror by more than ``eps * norm``."""
+    matrix whose reverse Cuthill-McKee bandwidth is at most
+    ``width_limit`` (``None``: any width): the LAPACK upper band Cholesky
+    factor of the matrix with rows and columns taken in ``order``.  None
+    otherwise.  Symmetric means :func:`_symmetric`: every entry equals
+    its mirror bit for bit."""
     n = matrix.shape[0]
-    if not abs(matrix - matrix.T).max() <= np.finfo(float).eps * norm:
+    if not _symmetric(matrix):
         return None
     # imported on first use, so runs that factor nothing do not load it
     from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -546,16 +559,14 @@ def _band_cholesky(matrix, norm, width_limit=BAND_LIMIT):
 class Factorization:
     """Factorization of one square matrix, reused by every solve.
 
-    A symmetric matrix (no entry further than ``eps`` times the infinity
-    norm from its mirror: the assembled stiffness of a perturbed mesh
-    differs from its transpose in the last bits) is first reordered by
-    reverse Cuthill-McKee.  If its band is then at most ``BAND_LIMIT``
-    wide and LAPACK's band Cholesky ``dpbtrf`` of the upper triangle
-    succeeds, a solve is two band triangular solves and two permutation
-    gathers (``kind == "band-cholesky"``).  Every other matrix,
-    non-symmetric, too wide or not positive definite, gets SuperLU's
-    sparse LU with the columns ordered by minimum degree on ``A^T + A``
-    (``kind == "lu"``); an exactly singular LU factor raises
+    A symmetric matrix (every entry equal to its mirror bit for bit) is
+    first reordered by reverse Cuthill-McKee.  If its band is then at
+    most ``BAND_LIMIT`` wide and LAPACK's band Cholesky ``dpbtrf`` of the
+    upper triangle succeeds, a solve is two band triangular solves and
+    two permutation gathers (``kind == "band-cholesky"``).  Every other
+    matrix, non-symmetric, too wide or not positive definite, gets
+    SuperLU's sparse LU with the columns ordered by minimum degree on
+    ``A^T + A`` (``kind == "lu"``); an exactly singular LU factor raises
     :class:`SolveError`.  ``nnz`` counts the entries the factor stores:
     ``(bandwidth + 1) n`` for the band, L plus U for SuperLU.  The shape
     and infinity norm are kept, so that a caller that forms ``A u``
@@ -587,7 +598,7 @@ class Factorization:
         matrix = sp.csr_matrix(matrix)
         self.shape = matrix.shape
         self.norm = float(abs(matrix).sum(axis=1).max())
-        band = _band_cholesky(matrix, self.norm)
+        band = _band_cholesky(matrix)
         if band is None:
             self.kind = "lu"
             try:
@@ -682,10 +693,12 @@ class DiscreteOperator:
             lu = self._factors[key] = Factorization(build())
         return lu
 
-    def is_symmetric(self, tol=1e-12):
-        diff = abs(self.T - self.T.T)
-        scale = max(abs(self.T).max(), 1e-300)
-        return diff.max() <= tol * scale
+    def is_symmetric(self):
+        """Whether ``T`` equals its transpose bit for bit
+        (:func:`_symmetric`).  It does whenever the bulk coefficient is
+        bitwise symmetric, since the stiffness is assembled symmetric by
+        construction."""
+        return _symmetric(self.T)
 
     def lumped_block_weights(self):
         """Positive block measure weights (lumped M_blk diagonal)."""

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (BlockField, Factorization, _surface_block_dofs,
-                       _surface_plain_mass)
+from .assembly import BlockField, _surface_block_dofs, _surface_plain_mass
 from .errors import ConsistencyError, SolveError
 from .geometry.surface import INTERFACE
 
@@ -102,15 +101,6 @@ class EvolutionReport:
                               zip(*columns)))
 
 
-def _factorization(pencil, key, build):
-    """The pencil's cached factorization of ``build()``; stand-in pencils
-    without a cache get a fresh one."""
-    cached = getattr(pencil, "factorization", None)
-    if cached is None:
-        return Factorization(build())
-    return cached(key, build)
-
-
 def _check_trace_map(j_mat, n):
     """Raise unless ``j_mat`` is the n x n identity over rows that each
     hold one 1, so that ``J u`` only repeats entries of ``u``."""
@@ -154,8 +144,8 @@ class ThetaStepper:
         self.cfg = cfg
         mt = pencil.mtilde()
         theta, dt = cfg.theta, cfg.dt
-        self.lu = _factorization(pencil, ("step", theta, dt),
-                                 lambda: mt + theta * dt * pencil.T)
+        self.lu = pencil.factorization(("step", theta, dt),
+                                       lambda: mt + theta * dt * pencil.T)
         self._n = n = mt.shape[0]
         _check_trace_map(pencil.J, n)
         self.stacked = sp.vstack([mt, dt * pencil.T], format="csr")

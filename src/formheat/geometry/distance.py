@@ -71,25 +71,11 @@ class Polyline:
         self.vertices = verts
 
     def distance(self, x):
-        """Distance from ``x`` (shape (..., 2)) to the polyline.
-
-        Unfused elementwise sums, unlike the scan's
-        :func:`_segment_distance`.  This kernel gives
-        :meth:`WeightSpec.eval <formheat.weights.WeightSpec.eval>` (so the
-        adaptive cell integrals) and ``classify_case`` their values:
-        routing it through ``_segment_distance`` moved 17 of 192 polyline
-        ``scan.csv`` rows by up to 4.4e-16 relative, so the two stay apart.
-        """
+        """Distance from ``x`` (shape (..., 2)) to the polyline: the least
+        of its :func:`_segment_distance` to the segments."""
         x = np.asarray(x, dtype=float)
-        a = self.vertices[:-1]
-        d = self.vertices[1:] - a
-        len2 = (d ** 2).sum(axis=1)
-        diff = x[..., None, :] - a
-        t = (diff * d).sum(axis=-1) / len2
-        t = np.clip(t, 0.0, 1.0)
-        foot = a + t[..., None] * d
-        dist = np.sqrt(((x[..., None, :] - foot) ** 2).sum(axis=-1))
-        return dist.min(axis=-1)
+        return _segment_distance(x[..., None, :], self.vertices[:-1],
+                                 self.vertices[1:]).min(axis=-1)
 
     def total_length(self):
         seg = self.vertices[1:] - self.vertices[:-1]
@@ -157,14 +143,10 @@ def distance_to_submanifold(s_spec, x):
 
 def _segment_distance(p, a, b):
     """Distance from points ``p`` to segments ``a``-``b`` (broadcast (..., 2)
-    arrays).  ``np.vecdot`` is a BLAS dot, fused multiply-add where the host
-    has it, so values may differ from :meth:`Polyline.distance` in the last bit.
-
-    The dyadic scan's near/far split and far-cube bounds come from this
-    kernel, and the scan's outputs stay byte-identical, whichever cubes it
-    measures, because each cube gets this kernel's value however the stack
-    is composed.  Merging it with :meth:`Polyline.distance` would move
-    either the scan's outputs or the weight's values, so both stay."""
+    arrays): the one point-segment kernel, behind :meth:`Polyline.distance`
+    (so the weight's values) and the dyadic scan's distances alike.  Each
+    distance is computed on its own, so a cube gets the same value however
+    the stack around it is composed."""
     d = b - a
     t = np.clip(np.vecdot(p - a, d) / np.vecdot(d, d), 0.0, 1.0)
     diff = p - (a + t[..., None] * d)

@@ -234,8 +234,7 @@ def generalized_eigs(pencil, count, *, tol=1e-8, dense_limit=250):
                               f"with {n} dofs")
     mt = pencil.mtilde()
     if n <= dense_limit or count >= n - 1:
-        sym_t = 0.5 * (pencil.T + pencil.T.T)
-        vals, vecs = scipy.linalg.eigh(sym_t.toarray(), mt.toarray(),
+        vals, vecs = scipy.linalg.eigh(pencil.T.toarray(), mt.toarray(),
                                        subset_by_index=[0, count - 1])
     else:
         sigma = -0.01
@@ -342,8 +341,7 @@ def _band_congruence(pencil, stiffness):
     or a solve reports a nonzero ``info``.
     """
     mt = pencil.mtilde()
-    band = _band_cholesky(mt, float(abs(mt).sum(axis=1).max()),
-                          width_limit=None)
+    band = _band_cholesky(mt, width_limit=None)
     if band is None:
         raise EigenSolveError("block Gram matrix Mt is not symmetric "
                               "positive definite")

@@ -84,7 +84,7 @@ class WeightSpec:
 # array and a vertex count per row.  A row with fewer than k vertices
 # repeats its last one; an empty row (count 0) is all zeros.  The Python
 # loops below run over vertex slots, target points or panel steps; only
-# ``_pow`` visits the cells' values one by one.
+# ``_pow``, for the cancelling power primitives, visits values one by one.
 
 def _signed_areas(polys):
     """Shoelace areas of polygons (..., k, 2), positive when CCW.
@@ -143,9 +143,11 @@ def _clip(polys, counts, normal, offset):
 # -- exact pieces ----------------------------------------------------------------
 
 def _pow(values, exponent):
-    """``values ** exponent`` with libm's ``pow`` (Python floats).  Power
-    primitives such as ``x1^(p+1) - x0^(p+1)`` cancel, so they keep the
-    rounding of a scalar loop; numpy's vectorized power may differ."""
+    """``values ** exponent`` with libm's ``pow`` (Python floats), for the
+    power primitives ``x1^(p+1) - x0^(p+1)`` of :func:`_linear_power`
+    only: they cancel, so they keep libm's rounding, which numpy's
+    vectorized power misses by up to an ulp.  Every other power is
+    numpy's."""
     return np.array([x ** exponent for x in values.tolist()])
 
 
@@ -166,7 +168,7 @@ def _linear_power(area, vals, gamma):
     live = (area > 0.0) & (l3 > 0.0)
     out = np.zeros(len(area))
     flat = live & (l3 - l1 <= 1e-14 * l3)
-    out[flat] = area[flat] * _pow((l1 + l2 + l3)[flat] / 3.0, gamma)
+    out[flat] = area[flat] * ((l1 + l2 + l3)[flat] / 3.0) ** gamma
     sel = live & ~flat
     area, l1, l2, l3 = area[sel], l1[sel], l2[sel], l3[sel]
     # integrals of t^p from x0 to x1 for p = gamma and gamma + 1, written
@@ -271,7 +273,7 @@ def _wedges(p, a, b, gamma):
     total = np.bincount(np.concatenate([neg, pos])[owner], panels,
                         minlength=len(d))
     total = np.where(ta > tb, -total, total)
-    out[live] = _pow(d, gamma + 2.0) / (gamma + 2.0) * total
+    out[live] = d ** (gamma + 2.0) / (gamma + 2.0) * total
     return out
 
 
@@ -659,9 +661,16 @@ class ScanResult:
 # took 0.4-1.3 s and 230-240 MB max RSS on a 2-core AMD EPYC host, and
 # one whose window holds a segment 0.04 s and 102 MB.
 _SCAN_CUBE_LIMIT = 1025 ** 2
-# A skipped cube's bound is compared with a threshold times (1 + slack):
-# numpy's power may round an ulp or so away from libm's ``pow``.
-_SCAN_SLACK = 1e-12
+# A skipped cube's bound is compared with a threshold times (1 + slack).
+# Its distance lower bound ``lb`` is at most its measured distance ``d``
+# (the half-edge margin dwarfs the distance kernel's rounding), and both
+# bounds are numpy's power, k ulp or less from the exact one: then
+# ``lb ** gamma <= d ** gamma (1 + 2 k eps)``, and one more eps rounds the
+# threshold.  Measured, numpy's float64 power is within 1 ulp of libm's
+# ``pow`` (itself within 1) on an AVX-512 host; allowing k = 4, twice
+# that, the slack must exceed (2 k + 1) eps = 9 eps = 2.0e-15, and 1e-14
+# leaves a margin of 5.
+_SCAN_SLACK = 1e-14
 
 
 def _level_grid(level, box):
@@ -793,8 +802,7 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
         flat_dist[cubes] = dist
         far = dist >= edge
         far_cubes = cubes[far]
-        # Python's float pow: numpy's vectorized power may round differently
-        bounds = _pow(2.0 ** level * dist[far], w.gamma)
+        bounds = (2.0 ** level * dist[far]) ** w.gamma
         norm_factor = 2.0 ** (level * (d + w.gamma))
         lvl_min = float(bounds.min(initial=np.inf))
         lvl_min_on_s = np.inf
@@ -856,7 +864,7 @@ def _with_measured(w, level, lo, ny, far_cubes, bounds, cubes):
     dist = set_polygon_distance(w.s, _cube_polygons(level, lo, ny, cubes)[2])
     far_cubes = np.concatenate([far_cubes, cubes])
     order = np.argsort(far_cubes)
-    bounds = np.concatenate([bounds, _pow(2.0 ** level * dist, w.gamma)])
+    bounds = np.concatenate([bounds, (2.0 ** level * dist) ** w.gamma])
     return far_cubes[order], bounds[order]
 
 

@@ -16,9 +16,8 @@ from formheat.geometry.mesh import DIRICHLET, DYNAMIC, Mesh
 from formheat.geometry.surface import INTERFACE
 from formheat.spectral import _pencil_eigendecomposition
 from formheat.geometry.distance import set_polygon_distance
-from formheat.weights import (_CORNERS, DyadicCube, ScanResult, _pow,
-                              _scan_window, adaptive_line_integral,
-                              weighted_cell_integral)
+from formheat.weights import (_CORNERS, DyadicCube, ScanResult, _scan_window,
+                              adaptive_line_integral, weighted_cell_integral)
 
 
 def tri_gradients_vandermonde(tri):
@@ -327,7 +326,7 @@ def muckenhoupt_lower_bound_scan_full(w, l_max, window):
         polygons = (np.stack([mx, my], axis=-1)[:, None] + _CORNERS) * edge
         dist = set_polygon_distance(w.s, polygons)
         far = dist >= edge
-        bounds = _pow(2.0 ** level * dist[far], w.gamma)
+        bounds = (2.0 ** level * dist[far]) ** w.gamma
         deferred.append((level, mx[far], my[far], bounds))
         norm_factor = 2.0 ** (level * (d + w.gamma))
         lvl_min = float(bounds.min(initial=np.inf))

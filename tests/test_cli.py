@@ -322,8 +322,14 @@ init.bulk = random
     assert all(line.endswith(",0") for line in monitors[1:])
 
 
+# off-diagonal entries one ulp apart: symmetric means bitwise symmetric,
+# so its step matrix takes LU, and eigs and probe refuse it
+_ULP_SKEW = "1 0.3 0.30000000000000004 1"
+
+
 @pytest.mark.parametrize("mu_omega, kind", [("1.0", "band-cholesky"),
-                                             ("1 0.5 -0.5 1", "lu")])
+                                             ("1 0.5 -0.5 1", "lu"),
+                                             (_ULP_SKEW, "lu")])
 def test_evolve_manifest_names_the_factorization(workdir, mu_omega, kind):
     cfg = write_cfg(workdir / "factor.cfg", f"""
 pipeline = evolve
@@ -400,6 +406,11 @@ _AGREE_ROWS = [
     ("scan", {"mesh": "nosuch.mesh"}, 0, None, None),
     ("scan", {"coeff.mu_omega": "abc"}, 0, None, None),
     ("eigs", {"eigs.count": "1000"}, 1, None, "1000 eigenpairs"),
+    ("eigs", {"coeff.mu_omega": _ULP_SKEW, "coeff.c1": "0.5",
+              "coeff.c2": "2"}, 1, None, "pencil is not symmetric"),
+    ("probe", {"coeff.mu_omega": _ULP_SKEW, "coeff.c1": "0.5",
+               "coeff.c2": "2"}, 1, None,
+     "spectral calculus needs a symmetric pencil"),
     # the fourth level of square.mesh (no Dirichlet part) has 49^2 dofs
     ("probe", {"probe.levels": "4"}, 1, "probe",
      "dense spectral calculus limited to 2000 dofs (pencil has 2401)"),

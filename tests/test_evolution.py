@@ -27,8 +27,8 @@ class ScalarPencil:
     def mtilde(self):
         return self._mt
 
-    def is_symmetric(self):
-        return True
+    def factorization(self, key, build):
+        return Factorization(build())
 
 
 def test_scalar_implicit_euler():

@@ -128,6 +128,8 @@ def test_band_and_lu_solves_agree(n, refine, sides, interface, seed, mu_bulk,
     matrix = pencil.mtilde() + theta * dt * pencil.T
     lu = Factorization(matrix)
     assert lu.kind == "band-cholesky"
+    # one definition of symmetric: the band path's is the pencil's
+    assert pencil.is_symmetric()
     rhs = np.random.default_rng(seed).standard_normal(pencil.n_free)
     x = lu.solve(rhs)
     reference = _superlu_solve(matrix, rhs)

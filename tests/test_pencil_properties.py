@@ -42,6 +42,9 @@ def test_pencil_properties_on_perturbed_meshes(n, refine, seed, mu_bulk,
     pencil = build_pencil(mesh, CoefficientSet(mu_bulk=mu_bulk, mu_gd=mu_gd,
                                                mu_sigma=mu_sigma),
                           lumped=lumped)
+    # every drawn coefficient is symmetric, so the matrices are, bit for bit
+    assert (pencil.T != pencil.T.T).nnz == 0
+    assert (pencil.M_form != pencil.M_form.T).nnz == 0
     t_mat = pencil.T.toarray()
     scale = np.abs(t_mat).max()
     assert np.abs(t_mat - t_mat.T).max() <= 1e-12 * scale
