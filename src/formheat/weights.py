@@ -656,10 +656,11 @@ class ScanResult:
 
 # Most cubes the finest scan level may hold.  The scan's grid arrays grow
 # with it, and so does its work where every cube is measured (a window
-# that misses the set, or gamma = 0, where every far bound ties): at the
-# limit, a 1025 x 1025 grid (window -2 -2 2 2 at l_max = 8), such a scan
-# took 0.4-1.3 s and 230-240 MB max RSS on a 2-core AMD EPYC host, and
-# one whose window holds a segment 0.04 s and 102 MB.
+# that misses the set, at gamma > 0): at the limit, a 1025 x 1025 grid
+# (window -2 -2 2 2 at l_max = 8), such a scan took 0.3-1.4 s and
+# 220-234 MB max RSS on a 2-core AMD EPYC host, and one whose window
+# holds a segment or a point 0.02-0.06 s and 100-105 MB, at gamma = 0
+# as at gamma = 0.5.
 _SCAN_CUBE_LIMIT = 1025 ** 2
 # A skipped cube's bound is compared with a threshold times (1 + slack).
 # Its distance lower bound ``lb`` is at most its measured distance ``d``
@@ -728,6 +729,52 @@ def _cube_polygons(level, lo, ny, flat):
         2.0 ** (-level))
 
 
+def _split_levels(w, l_max, box):
+    """First pass of the scan: every level's cubes split into near, far
+    and skipped, and the near cubes' polygons of all levels stacked.
+
+    Which cubes are measured, and which of them are near, depends on
+    distances alone, never on an integral.  Per level: grid, near cubes'
+    indices and on-set flags, far cubes with their bounds, and the
+    skipped cubes with lower bounds of theirs (cubes as row-major grid
+    positions).
+    """
+    levels = []
+    near_polygons = []
+    # per grid cube, row-major: its distance, or a lower bound of it
+    flat_dist = None
+
+    for level in range(l_max + 1):
+        edge = 2.0 ** (-level)
+        lo, shape = (tuple(int(v) for v in a) for a in _level_grid(level, box))
+        ny = shape[1]
+        if flat_dist is None:
+            flat_dist = np.full(shape[0] * ny, -np.inf)
+        else:
+            flat_dist = _child_lower_bounds(
+                flat_dist.reshape(parent_shape), parent_lo, lo, shape).ravel()
+        parent_lo, parent_shape = lo, shape
+        # a far parent is at least its edge, twice this level's, from the set
+        measured = flat_dist < 2.0 * edge
+        cubes = np.flatnonzero(measured)
+        mx, my, polygons = _cube_polygons(level, lo, ny, cubes)
+        dist = set_polygon_distance(w.s, polygons)
+        flat_dist[cubes] = dist
+        far = dist >= edge
+        near = ~far
+        near_polygons.append(polygons[near])
+        # A skipped cube lies inside its parents' union with a margin of
+        # half its edge, so its distance exceeds the lower bound by far
+        # more than the distance kernel's rounding
+        skipped = np.flatnonzero(~measured)
+        skipped_bounds = (2.0 ** level * flat_dist[skipped]) ** w.gamma
+        levels.append((level, lo, ny, mx[near], my[near], dist[near] == 0.0,
+                       cubes[far], (2.0 ** level * dist[far]) ** w.gamma,
+                       skipped, skipped_bounds))
+
+    return levels, np.concatenate(near_polygons)
+
+
 def muckenhoupt_lower_bound_scan(w, l_max, window):
     """Scan dyadic cubes for the normalized weighted volume lower bound.
 
@@ -745,9 +792,13 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
     far, and its distance is at least the least of theirs.  Such a cube
     is measured only when the bound this gives could set or tie its
     level's minimum, or undercut the running minimum when the far cubes
-    are visited after the last level.  The outputs are those of
-    measuring every cube.  A window that misses the set, or gamma = 0
-    (every far bound ties), still measures every cube.
+    are visited after the last level.  At gamma = 0 that bound is exactly
+    1, the bound of every far cube, so such a cube is not measured.
+    Which cubes are measured and which are near depends on distances
+    alone: every level is split first, the near cubes of all levels are
+    integrated in one call, and the levels are then replayed from the
+    values.  The outputs are those of measuring every cube.  A window
+    that misses the set, at gamma > 0, still measures every cube.
 
     Parameters
     ----------
@@ -773,73 +824,59 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
     sx0, sy0, sx1, sy1 = w.bounding_box()
     covers = (xmin <= sx0 and ymin <= sy0 and xmax >= sx1 and ymax >= sy1)
 
+    levels, near_polygons = _split_levels(w, l_max, box)
+    values = weighted_cell_integral(w, near_polygons)
+
     d = 2
     c_min = np.inf
     argmin = None
     rows = []
     level_stats = []
-    # per level: grid, far cubes with their bounds, and the skipped cubes
-    # with lower bounds of theirs (cubes as row-major grid positions)
-    levels = []
-    # per grid cube, row-major: its distance, or a lower bound of it
-    flat_dist = None
-
-    for level in range(l_max + 1):
-        edge = 2.0 ** (-level)
-        lo, shape = (tuple(int(v) for v in a) for a in _level_grid(level, box))
-        ny = shape[1]
-        if flat_dist is None:
-            flat_dist = np.full(shape[0] * ny, -np.inf)
-        else:
-            flat_dist = _child_lower_bounds(
-                flat_dist.reshape(parent_shape), parent_lo, lo, shape).ravel()
-        parent_lo, parent_shape = lo, shape
-        # a far parent is at least its edge, twice this level's, from the set
-        measured = flat_dist < 2.0 * edge
-        cubes = np.flatnonzero(measured)
-        mx, my, polygons = _cube_polygons(level, lo, ny, cubes)
-        dist = set_polygon_distance(w.s, polygons)
-        flat_dist[cubes] = dist
-        far = dist >= edge
-        far_cubes = cubes[far]
-        bounds = (2.0 ** level * dist[far]) ** w.gamma
+    # replay the levels in order from the near cubes' values
+    start = 0
+    for k, (level, lo, ny, near_mx, near_my, on_set, far_cubes, bounds,
+            skipped, skipped_bounds) in enumerate(levels):
         norm_factor = 2.0 ** (level * (d + w.gamma))
+        stop = start + len(near_mx)
         lvl_min = float(bounds.min(initial=np.inf))
         lvl_min_on_s = np.inf
-        near = np.flatnonzero(~far)
-        values = norm_factor * weighted_cell_integral(w, polygons[near])
-        for i, value in zip(near.tolist(), values.tolist()):
-            on_s = bool(dist[i] == 0.0)
-            rows.append((level, int(mx[i]), int(my[i]), value, on_s))
+        for x, y, value, on_s in zip(
+                near_mx.tolist(), near_my.tolist(),
+                (norm_factor * values[start:stop]).tolist(), on_set.tolist()):
+            rows.append((level, x, y, value, on_s))
             lvl_min = min(lvl_min, value)
             if on_s:
                 lvl_min_on_s = min(lvl_min_on_s, value)
             if value < c_min:
                 c_min = value
-                argmin = DyadicCube(level, int(mx[i]), int(my[i]))
+                argmin = DyadicCube(level, x, y)
+        start = stop
 
-        # A skipped cube lies inside its parents' union with a margin of
-        # half its edge, so its distance exceeds the lower bound by far
-        # more than the distance kernel's rounding
-        skipped = np.flatnonzero(~measured)
-        skipped_bounds = (2.0 ** level * flat_dist[skipped]) ** w.gamma
-        late = skipped_bounds <= lvl_min * (1.0 + _SCAN_SLACK)
-        if late.any():
-            far_cubes, bounds = _with_measured(
-                w, level, lo, ny, far_cubes, bounds, skipped[late])
-            lvl_min = min(lvl_min, float(bounds.min()))
-            skipped, skipped_bounds = skipped[~late], skipped_bounds[~late]
-        levels.append((level, lo, ny, far_cubes, bounds, skipped,
-                       skipped_bounds))
+        if w.gamma == 0.0:
+            # x ** 0.0 is 1.0 for every float, inf included: a skipped
+            # cube's bound is exact, and it ties the minimum at most
+            if len(skipped):
+                lvl_min = min(lvl_min, 1.0)
+        else:
+            late = skipped_bounds <= lvl_min * (1.0 + _SCAN_SLACK)
+            if late.any():
+                far_cubes, bounds = _with_measured(
+                    w, level, lo, ny, far_cubes, bounds, skipped[late])
+                lvl_min = min(lvl_min, float(bounds.min()))
+                skipped, skipped_bounds = skipped[~late], skipped_bounds[~late]
+        levels[k] = (level, lo, ny, far_cubes, bounds, skipped, skipped_bounds)
         level_stats.append({
             "level": level,
             "min": lvl_min,
             "min_on_s": None if np.isinf(lvl_min_on_s) else lvl_min_on_s,
         })
 
-    # a far cube can only matter if its analytic bound undercuts the minimum
+    # a far cube can only matter if its analytic bound undercuts the
+    # minimum; at gamma = 0 a skipped cube's bound is exact, so it is
+    # measured only where it is integrated
     for level, lo, ny, far_cubes, bounds, skipped, skipped_bounds in levels:
-        late = skipped_bounds <= c_min * (1.0 + _SCAN_SLACK)
+        late = (skipped_bounds < c_min if w.gamma == 0.0
+                else skipped_bounds <= c_min * (1.0 + _SCAN_SLACK))
         if late.any():
             far_cubes, bounds = _with_measured(
                 w, level, lo, ny, far_cubes, bounds, skipped[late])

@@ -124,6 +124,32 @@ def test_evolve_conserves_mass_and_dissipates_energy(n, refine, seed, mu_bulk,
     pencil = build_pencil(mesh, CoefficientSet(
         mu_bulk=mu_bulk, zeta_bulk=zeta[0], zeta_gd=zeta[1],
         zeta_sigma=zeta[2]))
+    _assert_mass_conserved_and_energy_dissipated(pencil, seed, theta)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 4, 6]),
+       sides=st.tuples(*[st.sampled_from(["dynamic", "neumann"])] * 4),
+       interface=st.booleans(), seed=st.integers(0, 2 ** 16),
+       mu_bulk=_bulk_coefficients(),
+       zeta=st.tuples(_positive, _positive, _positive),
+       lumped=st.booleans(), theta=st.sampled_from([0.5, 1.0]))
+def test_evolve_conserves_mass_on_relabeled_meshes(n, sides, interface, seed,
+                                                   mu_bulk, zeta, lumped,
+                                                   theta):
+    """The same bounds whichever sides are dynamic, with or without an
+    interface, and with lumped or consistent masses."""
+    bottom, top, left, right = sides
+    mesh = jittered_mesh(unit_square_mesh(
+        n, bottom=bottom, top=top, left=left, right=right,
+        interface_y=0.5 if interface else None), seed)
+    pencil = build_pencil(mesh, CoefficientSet(
+        mu_bulk=mu_bulk, zeta_bulk=zeta[0], zeta_gd=zeta[1],
+        zeta_sigma=zeta[2]), lumped=lumped)
+    _assert_mass_conserved_and_energy_dissipated(pencil, seed, theta)
+
+
+def _assert_mass_conserved_and_energy_dissipated(pencil, seed, theta):
     rng = np.random.default_rng(seed)
     dofmap = pencil.dofmap
     raw = BlockField(rng.uniform(0, 1, dofmap.n_free),

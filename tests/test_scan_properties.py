@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from formheat import weights
 from formheat.geometry import Points, Polyline
 from formheat.weights import (DyadicCube, WeightSpec,
                               muckenhoupt_lower_bound_scan)
@@ -98,7 +99,9 @@ def test_pruned_scan_matches_full_scan(kind, data, gamma):
     # its nearer parent (1, 0) outside level 0's grid
     (Points([(-0.88, 0.24), (0.76, -0.64)]), 0.5, 1,
      (0.41, 0.53, 1.11, 0.74)),
-], ids=["dyadic-lines", "parent-outside-grid"])
+    # at gamma = 0 every far bound is 1.0 and ties the on-set values
+    (Polyline([(-1.0, 0.1), (1.0, 0.1)]), 0.0, 6, (-2.0, -2.0, 2.0, 2.0)),
+], ids=["dyadic-lines", "parent-outside-grid", "gamma-zero"])
 def test_pruned_scan_matches_full_scan_on(target, gamma, l_max, window):
     _assert_same_scan(WeightSpec(target, gamma), l_max, window)
 
@@ -109,3 +112,47 @@ def _assert_same_scan(w, l_max, window):
     for field in ("rows", "level_stats", "c_min", "argmin_cube",
                   "window_covers_s"):
         assert _exact(getattr(pruned, field)) == _exact(getattr(full, field))
+
+
+def _counted_scan(monkeypatch, w, l_max, window):
+    """The scan's calls of the exact kernel, on a stack or on one cube,
+    and of the distance, each with the number of cells it was given."""
+    calls = {"stack": [], "cube": [], "distance": []}
+    integral = weights.weighted_cell_integral
+    distance = weights.set_polygon_distance
+
+    def counting_integral(w, cell, *args, **kwargs):
+        if isinstance(cell, DyadicCube):
+            calls["cube"].append(1)
+        else:
+            calls["stack"].append(len(cell))
+        return integral(w, cell, *args, **kwargs)
+
+    def counting_distance(target, polygons):
+        calls["distance"].append(len(polygons))
+        return distance(target, polygons)
+
+    monkeypatch.setattr(weights, "weighted_cell_integral", counting_integral)
+    monkeypatch.setattr(weights, "set_polygon_distance", counting_distance)
+    return muckenhoupt_lower_bound_scan(w, l_max, window), calls
+
+
+def test_scan_integrates_every_level_in_one_call(monkeypatch):
+    w = WeightSpec(Polyline([(-1.0, 0.3), (1.0, 0.3)]), 0.5)
+    result, calls = _counted_scan(monkeypatch, w, 5, (-1, -1, 1, 1))
+    assert calls["stack"] == [len(result.rows)]
+    assert calls["cube"] == []
+    # one distance call per level, none for a skipped cube
+    assert len(calls["distance"]) == 6
+
+
+def test_scan_at_gamma_zero_measures_no_skipped_cube(monkeypatch):
+    # every far bound is 1.0, so a skipped cube ties a minimum at most:
+    # of the 1,402,193 cubes, only those with a parent near the set are
+    # measured, one distance call per level
+    w = WeightSpec(Polyline([(-1.0, 0.1), (1.0, 0.1)]), 0.0)
+    result, calls = _counted_scan(monkeypatch, w, 8, (-2, -2, 2, 2))
+    assert len(calls["distance"]) == 9
+    assert sum(calls["distance"]) < 8_000
+    assert calls["cube"] == []
+    assert result.c_min == 1.0

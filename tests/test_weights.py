@@ -270,9 +270,18 @@ def test_stack_matches_single_cells(target):
     tris[::3] = tris[::3, ::-1]
     cubes = np.array([DyadicCube(3, mx, my).polygon()
                       for mx in range(-1, 9) for my in range(-1, 9)])
+    # the scan integrates the near cubes of every level in one stack:
+    # cubes of levels 0..8 holding the targets' vertices, with the
+    # triangles as quadrilaterals whose last vertex repeats
+    vertices = [(0.0, 0.5), (0.1, 0.2), (0.9, 0.7), (0.3, 0.6), (0.71, 0.45)]
+    levels = np.array([
+        DyadicCube(level, *(int(round(c * 2 ** level)) for c in p)).polygon()
+        for level in range(9) for p in vertices])
+    quads = np.concatenate([tris, tris[:, -1:]], axis=1)
+    mixed = np.concatenate([levels, quads])
     for gamma in (0.0, 0.5, 1.5):
         w = WeightSpec(target, gamma)
-        for cells in (tris, cubes):
+        for cells in (tris, cubes, mixed):
             stacked = weighted_cell_integral(w, cells)
             single = [weighted_cell_integral(w, cell) for cell in cells]
             assert stacked.shape == (len(cells),)
