@@ -16,7 +16,9 @@ the distance is either a linear function (closed-form power integrals)
 or a radial one (smooth 1-D angular profiles).  A stack of cells is one
 array pass: the clips, the power integrals and the Gauss panels of all
 radial wedges run over every cell at once, and round as one cell at a
-time would.  Other targets fall back to an error-driven adaptive
+time would.  A clip runs Sutherland-Hodgman only on the cells that cross
+its line; every other cell passes whole or drops out, bit-identical to
+clipping it.  Other targets fall back to an error-driven adaptive
 subdivision, cell by cell, which also splits any cell whose sampled
 weight ratio exceeds 4.
 
@@ -107,17 +109,54 @@ def _next_vertex(counts, k):
 
 
 def _clip(polys, counts, normal, offset):
-    """Sutherland-Hodgman clip of a polygon stack against the half-plane
+    """Clip of a polygon stack against the half-plane
     ``{x : normal . x <= offset}``.
 
     A vertex within ``_EPS`` of the line is kept, an edge is cut only
     where it runs from below ``-_EPS`` to above ``_EPS`` or back, and a
-    row left with fewer than three vertices is empty.  Returns the
-    clipped stack and its counts.
+    row left with fewer than three vertices is empty.  So a row with no
+    vertex on one of those two sides has no cut: it keeps every vertex
+    and passes unchanged, or keeps fewer than three and is empty.  Only
+    the rows crossing the line (and degenerate rows that keep three or
+    more vertices and lose others) go through
+    :func:`_sutherland_hodgman`, and the result is bit-identical to
+    clipping every row.  Returns the
+    clipped stack, each row padded by repeating its last vertex, and its
+    counts.
     """
     m, k = polys.shape[:2]
+    # one BLAS product over all vertices, not one per row: the same
+    # two-term dot for each vertex
+    vals = (polys.reshape(-1, 2) @ normal).reshape(m, k) - offset
+    kept, below = np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
+    for j in range(k):
+        valid = j < counts
+        kept += valid & (vals[:, j] <= _EPS)
+        below |= valid & (vals[:, j] < -_EPS)
+    cross = np.flatnonzero((kept < counts) & (below | (kept >= 3)))
+    cut, cut_counts = _sutherland_hodgman(polys[cross], counts[cross],
+                                          vals[cross])
+    new_counts = np.where((kept == counts) & (counts >= 3), counts, 0)
+    new_counts[cross] = cut_counts
+    # one gather from the unclipped rows, the clipped ones and a zero row
+    source = np.concatenate([polys.reshape(-1, 2), cut.reshape(-1, 2),
+                             np.zeros((1, 2))])
+    first = np.arange(m) * k
+    first[cross] = m * k + np.arange(len(cross)) * cut.shape[1]
+    first[new_counts == 0] = len(source) - 1
+    width = int(new_counts.max(initial=0))
+    last = np.maximum(new_counts - 1, 0)[:, None]
+    slots = np.minimum(np.arange(width), last)
+    return np.take(source, first[:, None] + slots, axis=0), new_counts
+
+
+def _sutherland_hodgman(polys, counts, vals):
+    """Sutherland-Hodgman clip of the rows of a polygon stack against the
+    half-plane where ``vals``, the signed vertex values (m, k), are at
+    most ``_EPS``.  Returns each row's emitted vertices first, in order,
+    as an (m, 2k, 2) array, and their counts, 0 below three."""
+    m, k = polys.shape[:2]
     rows = np.arange(m)[:, None]
-    vals = polys @ normal - offset
     nxt = _next_vertex(counts, k)
     ends, v_ends = polys[rows, nxt], vals[rows, nxt]
     edge = np.arange(k) < counts[:, None]
@@ -132,12 +171,8 @@ def _clip(polys, counts, normal, offset):
     emit = np.stack([keep, cut], axis=2).reshape(m, 2 * k)
     new_counts = emit.sum(axis=1)
     new_counts[new_counts < 3] = 0
-    width = int(new_counts.max(initial=0))
     order = np.argsort(~emit, axis=1, kind="stable")
-    last = np.maximum(new_counts - 1, 0)[:, None]
-    out = points[rows, order[rows, np.minimum(np.arange(width), last)]]
-    out[new_counts == 0] = 0.0
-    return out, new_counts
+    return points[rows, order], new_counts
 
 
 # -- exact pieces ----------------------------------------------------------------

@@ -5,8 +5,9 @@ than the library: P1 gradients come from a 3x3 Vandermonde solve rather
 than edge rotations, the energy form is evaluated by a plain element
 loop instead of sparse matrix algebra, reference integrals come from
 Richardson-extrapolated midpoint grids, the dyadic scan measures the
-distance of every cube, and pencil spectra come from LAPACK's dense
-generalized solver or, at theta = 1, from no eigensolve at all.
+distance of every cube, the polygon clip clips every row, and pencil
+spectra come from LAPACK's dense generalized solver or, at theta = 1,
+from no eigensolve at all.
 """
 
 import numpy as np
@@ -16,7 +17,8 @@ from formheat.geometry.mesh import DIRICHLET, DYNAMIC, Mesh
 from formheat.geometry.surface import INTERFACE
 from formheat.spectral import _pencil_eigendecomposition
 from formheat.geometry.distance import set_polygon_distance
-from formheat.weights import (_CORNERS, DyadicCube, ScanResult, _scan_window,
+from formheat.weights import (_CORNERS, _EPS, DyadicCube, ScanResult,
+                              _next_vertex, _scan_window,
                               adaptive_line_integral, weighted_cell_integral)
 
 
@@ -362,3 +364,33 @@ def muckenhoupt_lower_bound_scan_full(w, l_max, window):
     return ScanResult(c_min=float(c_min), argmin_cube=argmin,
                       level_stats=level_stats, rows=rows,
                       window_covers_s=covers)
+
+
+def clip_every_row(polys, counts, normal, offset):
+    """Sutherland-Hodgman clip of every row of a polygon stack against
+    the half-plane ``{x : normal . x <= offset}`` (reference for
+    :func:`formheat.weights._clip`, which clips only the rows crossing
+    the line)."""
+    m, k = polys.shape[:2]
+    rows = np.arange(m)[:, None]
+    vals = polys @ normal - offset
+    nxt = _next_vertex(counts, k)
+    ends, v_ends = polys[rows, nxt], vals[rows, nxt]
+    edge = np.arange(k) < counts[:, None]
+    keep = edge & (vals <= _EPS)
+    cut = edge & (((vals < -_EPS) & (v_ends > _EPS))
+                  | ((vals > _EPS) & (v_ends < -_EPS)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = vals / (vals - v_ends)
+        cuts = polys + t[..., None] * (ends - polys)
+    # each edge emits its start vertex, then its cut point
+    points = np.stack([polys, cuts], axis=2).reshape(m, 2 * k, 2)
+    emit = np.stack([keep, cut], axis=2).reshape(m, 2 * k)
+    new_counts = emit.sum(axis=1)
+    new_counts[new_counts < 3] = 0
+    width = int(new_counts.max(initial=0))
+    order = np.argsort(~emit, axis=1, kind="stable")
+    last = np.maximum(new_counts - 1, 0)[:, None]
+    out = points[rows, order[rows, np.minimum(np.arange(width), last)]]
+    out[new_counts == 0] = 0.0
+    return out, new_counts

@@ -10,8 +10,10 @@ from conftest import jittered_mesh, ramp_half
 from oracles import FormOracle
 from formheat.assembly import BlockField, CoefficientSet, build_pencil
 from formheat.evolution import TimeSteppingConfig, evolve
-from formheat.geometry import SurfaceMesh, refine_uniform
-from formheat.model_problems import unit_square_mesh
+from formheat.geometry import Points, Polyline, SurfaceMesh, refine_uniform
+from formheat.model_problems import standard_fixture_mesh, unit_square_mesh
+from formheat.spectral import trace_norm_probe
+from formheat.weights import WeightSpec
 
 _positive = st.floats(0.2, 5.0)
 
@@ -162,3 +164,55 @@ def _assert_mass_conserved_and_energy_dissipated(pencil, seed, theta):
     assert drift <= 1e-10
     if theta == 1.0:
         assert np.all(np.diff(np.sqrt(report.energy)) <= 10 * tol)
+
+
+@st.composite
+def _bulk_weight(draw):
+    """None, a segment weight on the interface (case B, gamma < 1) or a
+    point weight inside the square (gamma < 2)."""
+    kind = draw(st.sampled_from(["none", "segment", "point"]))
+    if kind == "none":
+        return None
+    if kind == "segment":
+        return WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]),
+                          draw(st.sampled_from([0.25, 0.5, 0.75])))
+    point = draw(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)))
+    return WeightSpec(Points(point), draw(st.sampled_from([0.5, 1.0, 1.5])))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.sampled_from([4, 8]), seed=st.integers(0, 2 ** 16),
+       mu_bulk=_positive, mu_gd=st.one_of(st.floats(0.0, 5.0),
+                                          st.just(ramp_half)),
+       mu_sigma=st.floats(0.0, 5.0),
+       zeta=st.tuples(_positive, _positive, _positive),
+       weight=_bulk_weight())
+def test_j_ellipticity_on_jittered_meshes(n, seed, mu_bulk, mu_gd, mu_sigma,
+                                          zeta, weight):
+    """C06 on a jittered fixture and its refinement: the J-ellipticity
+    constant is positive and moves by at most the acceptance factors."""
+    mesh = jittered_mesh(standard_fixture_mesh(n), seed)
+    coeff = CoefficientSet(mu_bulk=mu_bulk, mu_gd=mu_gd, mu_sigma=mu_sigma,
+                           bulk_weight=weight, zeta_bulk=zeta[0],
+                           zeta_gd=zeta[1], zeta_sigma=zeta[2])
+    c_coarse = build_pencil(mesh, coeff).j_ellipticity_constant()
+    c_fine = build_pencil(refine_uniform(mesh),
+                          coeff).j_ellipticity_constant()
+    assert c_coarse > 0 and c_fine > 0
+    assert 0.5 * c_coarse <= c_fine <= 1.5 * c_coarse
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16),
+       gamma=st.sampled_from([0.25, 0.5, 0.75]))
+def test_trace_norm_bounded_on_jittered_meshes(seed, gamma):
+    """C10 on independently jittered fixtures at n = 8, 16, 32: the trace
+    supremum under a segment weight on the interface grows by at most
+    the acceptance factor per refinement."""
+    weight = WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]), gamma)
+    sups = [trace_norm_probe(jittered_mesh(standard_fixture_mesh(n), seed),
+                             CoefficientSet(bulk_weight=weight),
+                             n_samples=60).sup_ratio
+            for n in (8, 16, 32)]
+    assert sups[1] <= 1.10 * sups[0], sups
+    assert sups[2] <= 1.10 * sups[1], sups
