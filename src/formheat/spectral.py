@@ -10,11 +10,18 @@ rational arithmetic for general dimension.
 
 The dense spectral calculus rests on the band Cholesky factor
 ``P Mt P^T = U^T U`` of the block Gram matrix, ``P`` its reverse
-Cuthill-McKee permutation.  Two band triangular solves turn ``T`` into
-the dense congruence ``C = U^-T P T P^T U^-1``, whose ordinary symmetric
+Cuthill-McKee permutation.  ``U`` is cut into dense upper triangular
+diagonal tiles at least as wide as its band and the small blocks that
+join neighbouring tiles, so that a triangular solve with ``n``
+right-hand sides is one level-3 DTRSM and one DGEMM per tile (Dongarra,
+Du Croz, Hammarling & Duff, "A set of Level 3 BLAS", ACM TOMS 16, 1990).
+Two such tiled sweeps turn ``T`` into the lower triangle of the dense
+congruence ``C = U^-T P T P^T U^-1``, whose ordinary symmetric
 eigenvalues are the pencil's; a third maps its eigenvectors to the
-Mt-orthonormal eigenbasis ``V = P^T U^-1 Z``, cached on the pencil.  No
-dense copy of ``Mt`` is formed.  The fractional powers go through one
+Mt-orthonormal eigenbasis ``V = P^T U^-1 Z``, cached on the pencil.  At
+1,640 dofs the three sweeps take about 15 ms of a 0.3 s
+eigendecomposition, nearly all of the rest being ``dsyevd``.  No dense
+copy of ``Mt`` is formed.  The fractional powers go through one
 block helper that applies ``(I + Mt^-1 T)^theta`` to an ``(n, k)`` block
 with two dense products in that eigenbasis; every probe draws its random
 samples as one block and evaluates their quotients column by column.
@@ -44,6 +51,14 @@ INF = math.inf
 # wide, never holds more than a dense Mt would, so the band Cholesky of
 # the calculus takes Mt at any bandwidth
 _DENSE_CALCULUS_LIMIT = 2000
+# side of the dense diagonal tiles of the band factor of Mt, raised to
+# its bandwidth b where b is wider, so that only neighbouring tiles
+# couple.  A wider tile solves more zeros, a narrower one makes more
+# calls.  One backward sweep of 1,640 right-hand sides at b = 40 (the
+# spectral workload's finest probe level; AMD EPYC, 1 BLAS thread,
+# OpenBLAS 0.3.31, medians of 15) took 6.1 ms with tiles of 40-56,
+# 6.3 ms with 64, 6.9 ms with 96, 7.8 ms with 128 and 16.0 ms with 384
+_TILE = 64
 
 
 def _as_fraction(value):
@@ -224,7 +239,10 @@ def generalized_eigs(pencil, count, *, tol=1e-8, dense_limit=250):
     8 pairs on the unit-square fixture with single-threaded BLAS: both
     take about 9 ms at 272 dofs; at 1,980 dofs dense takes 1.2 s and
     shift-invert 29 ms, with eigenvalues agreeing to 3e-12 relative.
+    Raises ``ValueError`` for a ``count`` below 1.
     """
+    if count < 1:
+        raise ValueError(f"eigenpair count must be at least 1, got {count}")
     if not pencil.is_symmetric():
         raise EigenSolveError("pencil is not symmetric; "
                               "use numerical_range_check instead")
@@ -260,14 +278,16 @@ def generalized_eigs(pencil, count, *, tol=1e-8, dense_limit=250):
 def count_eigenvalues_below(pencil, bound, dense_limit=2500):
     """Number of eigenvalues of ``(sym T, Mt)`` strictly below ``bound``:
     all eigenvalues of the dense band congruence of ``sym T``, without
-    eigenvectors."""
+    eigenvectors.  Raises ``ValueError`` for a NaN ``bound``."""
+    if math.isnan(bound):
+        raise ValueError(f"eigenvalue bound must be a number, got {bound}")
     n = pencil.n_free
     if n > dense_limit:
         raise SizeLimitError("dense eigenvalue count limited to "
                              f"{dense_limit} dofs")
     congruence, _, _ = _band_congruence(pencil, 0.5 * (pencil.T + pencil.T.T))
     vals, _, info = scipy.linalg.lapack.dsyevd(congruence, compute_v=0,
-                                               overwrite_a=1)
+                                               lower=1, overwrite_a=1)
     _check_info(info, "dsyevd")
     return int(np.sum(vals < bound))
 
@@ -327,18 +347,107 @@ def _check_info(info, routine):
         raise EigenSolveError(f"LAPACK {routine} failed with info {info}")
 
 
-def _band_congruence(pencil, stiffness):
-    """``(C, inverse, U)``: the band Cholesky factor ``U`` of
-    ``P Mt P^T = U^T U``, with ``P`` the reverse Cuthill-McKee
-    permutation of ``Mt`` and ``inverse`` its inverse as an index array,
-    and the dense Fortran-ordered congruence ``C = U^-T P S P^T U^-1`` of
-    the symmetric sparse ``stiffness`` ``S``.
+def _band_tiles(factor):
+    """The upper band factor ``U`` of LAPACK storage (see
+    :func:`assembly._band_cholesky`), of bandwidth ``b``, cut into dense
+    Fortran-ordered tiles: one ``(start, stop, diag, couple)`` per
+    diagonal block ``[start, stop)`` of side ``max(b, _TILE)`` (the last
+    one shorter), with ``diag`` the upper triangular
+    ``U[start:stop, start:stop]`` and ``couple`` the ``b x min(b, stop -
+    start)`` block ``U[start-b:start, start:start+b]`` that joins the
+    tile to the one before (None for the first tile and for b = 0).  A
+    tile is at least ``b`` wide, so no other block of ``U`` is nonzero."""
+    width, n = factor.shape[0] - 1, factor.shape[1]
+    side = max(width, _TILE)
+    tiles = []
+    for start in range(0, n, side):
+        stop = min(start + side, n)
+        couple = (_dense_block(factor, start - width, start, start,
+                               min(start + width, stop))
+                  if start and width else None)
+        tiles.append((start, stop,
+                      _dense_block(factor, start, stop, start, stop), couple))
+    return tiles
 
-    ``C`` is two band triangular solves, each on the transpose of the
-    last array: the first gives ``Y = U^-T (P S P^T)^T``, the second
-    ``U^-T Y^T = C``.  The eigenvalues of ``C`` are those of ``(S, Mt)``.
-    Raises :class:`EigenSolveError` when ``Mt`` is not positive definite
-    or a solve reports a nonzero ``info``.
+
+def _dense_block(factor, row0, row1, col0, col1):
+    """``U[row0:row1, col0:col1]`` of an upper band factor in LAPACK
+    storage, as a dense Fortran-ordered array."""
+    width = factor.shape[0] - 1
+    cols = np.arange(col0, col1)[:, None]
+    band_row = width + np.arange(row0, row1)[None, :] - cols
+    inside = (band_row >= 0) & (band_row <= width)
+    # built transposed, so that its transpose is Fortran-ordered
+    return np.where(inside, factor[band_row.clip(0, width), cols], 0.0).T
+
+
+def _forward_sweep(tiles, blocks):
+    """Solve ``X U = B`` tile column by tile column, yielding ``X``.
+
+    ``blocks`` yields, tile by tile, ``(row0, block)``: the rows from
+    ``row0`` on of ``B``'s tile columns as a Fortran-ordered array, which
+    the sweep overwrites with the same rows of ``X`` and yields back.  A
+    block starts and ends no higher than the one before; rows of ``X``
+    below the one before are taken as zero, and rows above a block are
+    not computed.  Each tile is one DGEMM, the last ``b`` columns of the
+    block before times the coupling block, and one DTRSM with the
+    diagonal block.  Every operand written in place is a whole contiguous
+    array: on a strided view the BLAS wrappers would solve a silent copy.
+    """
+    before = None
+    for (_, _, diag, couple), (row0, block) in zip(tiles, blocks):
+        if couple is not None:
+            prev0, prev = before
+            skip = row0 - prev0
+            rows = len(prev) - skip
+            # the product of whole contiguous columns, kept on the rows
+            # the two blocks share
+            product = scipy.linalg.blas.dgemm(1.0, prev[:, -len(couple):],
+                                              couple)
+            block[:rows, :couple.shape[1]] -= product[skip:skip + rows]
+        scipy.linalg.blas.dtrsm(1.0, diag, block, side=1, overwrite_b=1)
+        before = row0, block
+        yield block
+
+
+def _backward_sweep(tiles, block):
+    """Solve ``X U^T = B`` in place on the Fortran-ordered ``block``
+    holding ``B``: tile columns from the last to the first, each one
+    DGEMM with the coupling block of the tile after it and one DTRSM."""
+    after = None
+    for start, stop, diag, couple in reversed(tiles):
+        if after is not None:
+            next0, next_couple = after
+            scipy.linalg.blas.dgemm(
+                -1.0, block[:, next0:next0 + next_couple.shape[1]],
+                next_couple, 1.0, block[:, next0 - len(next_couple):next0],
+                trans_b=1, overwrite_c=1)
+        scipy.linalg.blas.dtrsm(1.0, diag, block[:, start:stop], side=1,
+                                trans_a=1, overwrite_b=1)
+        after = None if couple is None else (start, couple)
+
+
+def _band_congruence(pencil, stiffness):
+    """``(C, inverse, U)``: the lower triangle of the dense congruence
+    ``C = U^-T P S P^T U^-1`` of the symmetric sparse ``stiffness`` ``S``
+    in a Fortran-ordered array (its upper triangle is not set), the
+    inverse of the reverse Cuthill-McKee permutation ``P`` of ``Mt`` as
+    an index array, and the band Cholesky factor ``P Mt P^T = U^T U`` in
+    LAPACK storage.  The eigenvalues of ``C`` are those of ``(S, Mt)``.
+
+    ``C`` is two tiled forward sweeps (:func:`_forward_sweep`).  The
+    first gives ``W = P S P^T U^-1`` tile column by tile column, built
+    from the sparse ``P S P^T`` and kept to the rows inside its band
+    (below ``stop + b_S`` for tile columns ``[start, stop)``, ``b_S`` the
+    band of ``P S P^T``), where ``W`` is nonzero.  The second solves
+    ``C = W^T U^-1`` for the rows from ``start`` on: the lower triangle
+    and the diagonal tiles.  Each of its tiles is packed contiguously at
+    the start of its own columns of the result, the transposed rows of
+    ``W`` are written straight into it, and at the end it moves to its
+    place in the lower triangle.  At 1,640 dofs and b = 40 the
+    congruence takes about 11 ms, band Cholesky included, and its largest
+    array is ``C`` itself.  Raises :class:`EigenSolveError` when ``Mt``
+    is not positive definite.
     """
     mt = pencil.mtilde()
     band = _band_cholesky(mt, width_limit=None)
@@ -346,14 +455,40 @@ def _band_congruence(pencil, stiffness):
         raise EigenSolveError("block Gram matrix Mt is not symmetric "
                               "positive definite")
     order, inverse, factor = band
-    congruence = stiffness[order][:, order].toarray()
-    for _ in range(2):
-        # the first solve overwrites the Fortran-ordered transpose of
-        # the C-ordered dense S; the second a Fortran copy of the
-        # first's transpose
-        congruence, info = scipy.linalg.lapack.dtbtrs(
-            factor, congruence.T, trans="T", overwrite_b=1)
-        _check_info(info, "dtbtrs")
+    tiles = _band_tiles(factor)
+    n = len(order)
+    permuted = stiffness[order][:, order].tocsc()
+    permuted.sum_duplicates()       # the scatter below assigns entries
+    cols = np.repeat(np.arange(n), np.diff(permuted.indptr))
+    below = int((permuted.indices - cols).max(initial=0))
+    lower = np.empty(n * n)
+    packed = [lower[start * n:start * n + (n - start) * (stop - start)]
+              .reshape((n - start, stop - start), order="F")
+              for start, stop, _, _ in tiles]
+
+    def stiffness_blocks():
+        for start, stop, _, _ in tiles:
+            block = np.zeros((min(n, stop + below), stop - start), order="F")
+            first, last = permuted.indptr[start], permuted.indptr[stop]
+            block[permuted.indices[first:last],
+                  cols[first:last] - start] = permuted.data[first:last]
+            yield 0, block
+
+    for (start, stop, _, _), block in zip(
+            tiles, _forward_sweep(tiles, stiffness_blocks())):
+        # rows [start2, stop2) of these columns of W are rows
+        # [start, stop) of the packed tile [start2, stop2) of W^T
+        for (start2, stop2, _, _), tile in zip(tiles, packed):
+            if start2 == stop:
+                break
+            tile[start - start2:stop - start2] = block[start2:stop2].T
+    for _ in _forward_sweep(tiles, ((start, tile) for (start, *_), tile
+                                    in zip(tiles, packed))):
+        pass
+    congruence = lower.reshape((n, n), order="F")
+    for (start, stop, _, _), tile in zip(tiles, packed):
+        # overlapping memory: numpy copies the source first
+        congruence[start:, start:stop] = tile
     return congruence, inverse, factor
 
 
@@ -362,25 +497,32 @@ def _pencil_eigendecomposition(pencil, dense_limit):
     ascending, and the Mt-orthonormal eigenvectors as the columns of the
     dense ``V``, computed on the first request and cached on the pencil.
 
-    ``dsyevd`` diagonalizes the band congruence ``C = Z Lambda Z^T`` in
-    place (see :func:`_band_congruence`); a band triangular solve and a
-    row gather give ``V = P^T U^-1 Z``, so that ``V^T Mt V = I`` and
-    ``V^T T V = Lambda``.  Raises :class:`SizeLimitError` above
-    ``dense_limit`` dofs and :class:`EigenSolveError` for a non-symmetric
-    pencil, an ``Mt`` that is not positive definite or a nonzero LAPACK
-    ``info``.
+    ``dsyevd`` diagonalizes the lower triangle of the band congruence
+    ``C = Z Lambda Z^T`` in place (see :func:`_band_congruence`).  The
+    back-transform ``V = P^T U^-1 Z`` is one transposed copy of ``Z``, so
+    that its rows are contiguous columns, a tiled backward sweep
+    ``(U^-1 Z)^T = Z^T U^-T`` (:func:`_backward_sweep`) and a gather of
+    contiguous rows: about 11 ms at 1,640 dofs, 6 ms of it the sweep.
+    Then ``V^T Mt V = I`` and ``V^T T V = Lambda``.  Raises
+    :class:`SizeLimitError` above ``dense_limit`` dofs and
+    :class:`EigenSolveError` for a non-symmetric pencil, an ``Mt`` that
+    is not positive definite or a nonzero LAPACK ``info``.
     """
     if pencil._eig_cache is None:
         _check_dense_size(pencil.n_free, dense_limit)
         if not pencil.is_symmetric():
             raise EigenSolveError("spectral calculus needs a symmetric pencil")
         congruence, inverse, factor = _band_congruence(pencil, pencil.T)
-        vals, vecs, info = scipy.linalg.lapack.dsyevd(congruence,
+        vals, vecs, info = scipy.linalg.lapack.dsyevd(congruence, lower=1,
                                                       overwrite_a=1)
+        del congruence
         _check_info(info, "dsyevd")
-        vecs, info = scipy.linalg.lapack.dtbtrs(factor, vecs, overwrite_b=1)
-        _check_info(info, "dtbtrs")
-        pencil._eig_cache = (vals, vecs.take(inverse, axis=0))
+        trans = vecs.T.copy(order="F")
+        del vecs
+        # cut again: the tiles take about twice the memory of the band
+        # factor, which is all that stays alive through dsyevd
+        _backward_sweep(_band_tiles(factor), trans)
+        pencil._eig_cache = (vals, trans.T.take(inverse, axis=0))
     return pencil._eig_cache
 
 
@@ -411,9 +553,14 @@ def _check_theta(theta):
 
 def fractional_power_apply(pencil, theta, u, *,
                            dense_limit=_DENSE_CALCULUS_LIMIT):
-    """Apply ``(I + Mt^-1 T)^theta`` through the pencil eigenbasis."""
+    """Apply ``(I + Mt^-1 T)^theta`` through the pencil eigenbasis.
+    Raises ``ValueError`` unless ``u`` is a vector of ``n_free``
+    entries."""
     _check_theta(theta)
     u = np.asarray(u, dtype=float)
+    if u.shape != (pencil.n_free,):
+        raise ValueError(f"expected a vector of {pencil.n_free} free dofs, "
+                         f"got shape {u.shape}")
     return _fractional_power_block(pencil, theta, u[:, None], dense_limit)[:, 0]
 
 
@@ -448,7 +595,9 @@ def fractional_embedding_probe(pencils, theta, p_proxy, *, n_samples=64,
     constant.
 
     Each level costs one dense eigendecomposition of its pencil on the
-    band Cholesky of ``Mt`` (cached on the pencil), and then for
+    band Cholesky of ``Mt`` (cached on the pencil): at 1,640 dofs about
+    0.3 s, nearly all of it ``dsyevd``, with about 15 ms in the three
+    tiled triangular sweeps (see :func:`_band_congruence`).  Then for
     ``p = 2`` one symmetric ``n x n`` product ``H H^T`` and one
     sparse-dense product, for ``p = 4, 8`` one ``(n, n_samples)`` block
     of samples put through the fractional power at once.  Level ``l``

@@ -5,14 +5,16 @@ than the library: P1 gradients come from a 3x3 Vandermonde solve rather
 than edge rotations, the energy form is evaluated by a plain element
 loop instead of sparse matrix algebra, reference integrals come from
 Richardson-extrapolated midpoint grids, the dyadic scan measures the
-distance of every cube, the polygon clip clips every row, and pencil
+distance of every cube, the polygon clip clips every row, pencil
 spectra come from LAPACK's dense generalized solver or, at theta = 1,
-from no eigensolve at all.
+from no eigensolve at all, and the band congruence from band solves
+that take one right-hand side at a time.
 """
 
 import numpy as np
 import scipy.linalg
 
+from formheat.assembly import _band_cholesky
 from formheat.geometry.mesh import DIRICHLET, DYNAMIC, Mesh
 from formheat.geometry.surface import INTERFACE
 from formheat.spectral import _pencil_eigendecomposition
@@ -276,6 +278,21 @@ def pencil_eigenvalues_gvd(pencil):
     reference for the band congruence of the spectral calculus)."""
     return scipy.linalg.eigh(pencil.T.toarray(), pencil.mtilde().toarray(),
                              eigvals_only=True)
+
+
+def band_congruence_dtbtrs(pencil, stiffness):
+    """The dense congruence ``C = U^-T P S P^T U^-1`` of the sparse
+    ``stiffness`` ``S`` on the band Cholesky factor ``P Mt P^T = U^T U``,
+    both triangles, from two LAPACK band solves ``dtbtrs`` that take one
+    right-hand side column at a time (the reference for the tiled sweeps
+    of the spectral calculus)."""
+    order, _, factor = _band_cholesky(pencil.mtilde(), width_limit=None)
+    congruence = stiffness[order][:, order].toarray()
+    for _ in range(2):
+        congruence, info = scipy.linalg.lapack.dtbtrs(
+            factor, congruence.T, trans="T", overwrite_b=1)
+        assert info == 0
+    return congruence
 
 
 def exact_l2_supremum_theta_one(pencil):

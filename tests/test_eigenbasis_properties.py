@@ -1,17 +1,19 @@
 """Property tests of the dense spectral calculus's eigenbasis over
 perturbed, refined and relabeled meshes: the pencil's eigenvectors from
 the band congruence of ``Mt`` must be Mt-orthonormal, diagonalize ``T``
-and carry the eigenvalues of a dense generalized solve."""
+and carry the eigenvalues of a dense generalized solve, and the tiled
+congruence must match the one from band solves."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import jittered_mesh, ramp_half
-from oracles import pencil_eigenvalues_gvd
+from oracles import band_congruence_dtbtrs, pencil_eigenvalues_gvd
 from formheat.assembly import CoefficientSet, build_pencil
 from formheat.geometry import Mesh, SurfaceMesh, refine_uniform
-from formheat.model_problems import unit_square_mesh
-from formheat.spectral import _pencil_eigendecomposition
+from formheat.model_problems import standard_fixture_mesh, unit_square_mesh
+from formheat.spectral import _band_congruence, _pencil_eigendecomposition
 
 _sides = st.tuples(*[st.sampled_from(["dirichlet", "dynamic", "neumann"])] * 4
                    ).filter(lambda sides: set(sides) != {"dirichlet"})
@@ -82,3 +84,32 @@ def test_eigenbasis_of_a_band_wider_than_the_step_limit():
     # wider than BAND_LIMIT: the solves' band Cholesky refuses this Mt
     assert pencil.factorization("mtilde", pencil.mtilde).kind == "lu"
     _check_eigenbasis(pencil)
+
+
+def congruence_pencil(case):
+    """A fixture pencil, lumped or not, a jittered refined one with an
+    interface and a degenerate surface coefficient, or the fan's, whose
+    band of 297 is wider than a tile."""
+    if case == "fan":
+        return build_pencil(fan_mesh(), CoefficientSet())
+    if case == "jittered":
+        mesh = jittered_mesh(refine_uniform(unit_square_mesh(
+            6, bottom="dirichlet", top="dynamic", interface_y=0.5)), 7)
+        return build_pencil(mesh, CoefficientSet(mu_bulk=2.5,
+                                                 mu_sigma=ramp_half))
+    return build_pencil(standard_fixture_mesh(12), CoefficientSet(),
+                        lumped=case == "lumped")
+
+
+@pytest.mark.parametrize("case", ["fixture", "jittered", "lumped", "fan"])
+def test_tiled_congruence_matches_band_solves(case):
+    """The lower triangle of the tiled congruence, which is all that
+    ``dsyevd`` reads, within 1e-13 of the largest entry of the one from
+    band solves, for ``T`` and for its symmetric part."""
+    pencil = congruence_pencil(case)
+    for stiffness in (pencil.T, 0.5 * (pencil.T + pencil.T.T)):
+        lower, _, _ = _band_congruence(pencil, stiffness)
+        reference = band_congruence_dtbtrs(pencil, stiffness)
+        assert lower.flags.f_contiguous
+        assert (np.abs(np.tril(lower) - np.tril(reference)).max()
+                <= 1e-13 * np.abs(reference).max())

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -244,6 +245,27 @@ def test_eigs_return_their_checked_residuals(conserving_pencil_8,
     for lam, v, res in zip(vals, vecs.T, residuals):
         assert res == (np.linalg.norm(pencil.T @ v - lam * (mt @ v))
                        / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("dense_limit", [250, 10], ids=["dense", "sparse"])
+@pytest.mark.parametrize("count", [0, -3])
+def test_eigs_reject_a_count_below_one(conserving_pencil_8, dense_limit,
+                                       count):
+    with pytest.raises(ValueError, match=f"at least 1, got {count}$"):
+        generalized_eigs(conserving_pencil_8, count, dense_limit=dense_limit)
+
+
+def test_eigenvalue_count_rejects_a_nan_bound(conserving_pencil_8):
+    with pytest.raises(ValueError, match="got nan$"):
+        count_eigenvalues_below(conserving_pencil_8, math.nan)
+
+
+def test_fractional_power_rejects_a_vector_of_another_size(
+        conserving_pencil_8):
+    n = conserving_pencil_8.n_free
+    for shape in [(n - 1,), (n + 1,), (n, 2)]:
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            fractional_power_apply(conserving_pencil_8, 0.5, np.ones(shape))
 
 
 def test_fractional_power_consistency(conserving_pencil_8):
