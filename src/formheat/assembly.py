@@ -36,13 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (ConsistencyError, EnvelopeViolationError, SizeLimitError,
-                     SolveError)
+from .errors import ConsistencyError, EnvelopeViolationError, SolveError
 from .geometry.mesh import DIRICHLET, DYNAMIC
 from .geometry.surface import INTERFACE, SurfaceMesh
 from .weights import (WeightSpec, adaptive_line_integral,
@@ -448,12 +446,13 @@ def _surface_stiffness(smesh, coeff, which, dofs, n):
     """
     length = smesh.edge_lengths
     _, probe = _surface_samples(smesh, coeff, which, _PROBE_TS)
-    negative = probe.min(axis=1) < -1e-12 * np.maximum(
+    bad = probe.min(axis=1) < -1e-12 * np.maximum(
         1.0, np.abs(probe).max(axis=1))
-    if negative.any():
+    bad |= ~np.isfinite(probe).all(axis=1)
+    if bad.any():
         raise EnvelopeViolationError(
-            f"negative tangential coefficient sampled on {which} edge "
-            f"{np.argmax(negative)}")
+            f"negative or non-finite tangential coefficient sampled on "
+            f"{which} edge {np.argmax(bad)}")
     s_e = probe[:, 0] * length
     vary = np.flatnonzero(np.ptp(probe, axis=1) != 0.0)
     if len(vary):
@@ -462,12 +461,13 @@ def _surface_stiffness(smesh, coeff, which, dofs, n):
         s_e[vary], _ = adaptive_line_integral(
             lambda pts, rows: coeff.surface_values(which, pts, tangents[rows]),
             ends[:, 0], ends[:, 1], tol_rel=_SURFACE_TOL)
-        negative = s_e[vary] < -1e-12 * length[vary] * np.maximum(
+        bad = s_e[vary] < -1e-12 * length[vary] * np.maximum(
             1.0, np.abs(s_e[vary]))
-        if negative.any():
+        bad |= ~np.isfinite(s_e[vary])
+        if bad.any():
             raise EnvelopeViolationError(
-                f"negative tangential coefficient integral on {which} edge "
-                f"{vary[np.argmax(negative)]}")
+                f"negative or non-finite tangential coefficient integral on "
+                f"{which} edge {vary[np.argmax(bad)]}")
     w = s_e / length ** 2
     elem = w[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
     return _scatter(dofs, elem, n)
@@ -705,25 +705,22 @@ class DiscreteOperator:
         ones = np.ones(self.M_blk.shape[0])
         return np.asarray(self.M_blk @ ones).ravel()
 
-    def j_ellipticity_constant(self, dense_limit=2500):
+    def j_ellipticity_constant(self):
         """Smallest generalized eigenvalue of (sym(T) + Mtilde, M_form).
 
         A positive value witnesses coercivity of the form plus the block
-        norm against the form-domain norm.  Computed densely; above
-        ``dense_limit`` dofs it raises :class:`SizeLimitError`.  There is
-        no sparse path: the smallest eigenvalue is often highly multiple
-        (sym(T) + Mtilde and M_form differ only on the surfaces), and
-        shift-invert Lanczos at 0 does not converge on the unit-square
-        fixture at 272 or 1,056 dofs.
+        norm against the form-domain norm.  Computed densely, on the band
+        congruence of ``M_form`` (``spectral._dense_eigh``: above 2,500
+        dofs :class:`SizeLimitError`).  There is no sparse path: the
+        smallest eigenvalue is often highly multiple (sym(T) + Mtilde and
+        M_form differ only on the surfaces), and shift-invert Lanczos at 0
+        does not converge on the unit-square fixture at 272 or 1,056 dofs.
         """
-        n = self.n_free
-        if n > dense_limit:
-            raise SizeLimitError(
-                f"J-ellipticity constant limited to {dense_limit} dofs "
-                f"(pencil has {n})")
-        a_mat = 0.5 * (self.T + self.T.T) + self.mtilde()
-        lam = scipy.linalg.eigh(a_mat.toarray(), self.M_form.toarray(),
-                                eigvals_only=True, subset_by_index=[0, 0])
+        from .spectral import _dense_eigh
+
+        lam, _ = _dense_eigh(self.M_form,
+                             0.5 * (self.T + self.T.T) + self.mtilde(),
+                             subset=(0, 0))
         return float(lam[0])
 
 

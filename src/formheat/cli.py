@@ -214,9 +214,10 @@ class RunConfig:
             raise ConfigError(f"malformed coefficient '{raw}' (expected one "
                               "number or 'dist_to_point x y gamma')",
                               key=key, line=self._line(key)) from None
-        if not value >= 0:
+        if not 0 <= value < np.inf:
             raise ConfigError("surface diffusion coefficient violates "
-                              "nonnegativity", key=key, line=self._line(key))
+                              "nonnegativity or is not finite", key=key,
+                              line=self._line(key))
         return value
 
     def bulk_weight(self):
@@ -283,9 +284,9 @@ class RunConfig:
         for block in ("bulk", "gd", "sigma"):
             key = f"coeff.zeta.{block}"
             zeta[block] = self._get(key, float, default=1.0)
-            if not zeta[block] > 0:
-                raise ConfigError("relaxation coefficient must be positive",
-                                  key=key, line=self._line(key))
+            if not 0 < zeta[block] < np.inf:
+                raise ConfigError("relaxation coefficient must be positive "
+                                  "and finite", key=key, line=self._line(key))
         return CoefficientSet(
             mu_bulk=mu_bulk, mu_gd=mu_gd, mu_sigma=mu_sigma,
             bulk_weight=bulk_weight,

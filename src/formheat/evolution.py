@@ -40,8 +40,8 @@ class TimeSteppingConfig:
     two triangular solves with the factorization of the step matrix
     (band Cholesky or sparse LU, see ``assembly.Factorization``),
     computed once and reused, and one sparse product that checks the
-    solve.  ``solver_tol`` (positive) bounds the per-step normwise
-    backward error by ``10 * solver_tol``.
+    solve.  ``solver_tol`` (finite and positive) bounds the per-step
+    normwise backward error by ``10 * solver_tol``.
     Each of the ``snapshot_times``, which lie in [0, t_end], records the
     state at the nearest time level (the earlier one on a tie).
     """
@@ -55,10 +55,10 @@ class TimeSteppingConfig:
     def __post_init__(self):
         if not 0.5 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [1/2, 1]")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
-        if not self.solver_tol > 0:
-            raise ValueError("solver_tol must be positive")
+        for name in ("dt", "t_end", "solver_tol"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
         if not all(-1e-12 <= t <= self.t_end + 1e-12
                    for t in self.snapshot_times):
             raise ValueError("snapshot times must lie in [0, t_end]")

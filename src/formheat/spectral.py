@@ -8,23 +8,25 @@ trace-norm boundedness.  Symbolic ones compute the critical
 integrability exponents of the trace and embedding catalogue in exact
 rational arithmetic for general dimension.
 
-The dense spectral calculus rests on the band Cholesky factor
-``P Mt P^T = U^T U`` of the block Gram matrix, ``P`` its reverse
-Cuthill-McKee permutation.  ``U`` is cut into dense upper triangular
-diagonal tiles at least as wide as its band and the small blocks that
-join neighbouring tiles, so that a triangular solve with ``n``
-right-hand sides is one level-3 DTRSM and one DGEMM per tile (Dongarra,
-Du Croz, Hammarling & Duff, "A set of Level 3 BLAS", ACM TOMS 16, 1990).
-Two such tiled sweeps turn ``T`` into the lower triangle of the dense
-congruence ``C = U^-T P T P^T U^-1``, whose ordinary symmetric
+Every dense eigenproblem here, ``(T, Mt)``, ``(sym T, Mt)``,
+``(sym T + Mt, M_form)`` or the interface mass against the bulk
+``M_form``, goes through :func:`_dense_eigh`, on the band Cholesky
+factor ``P M P^T = U^T U`` of its mass ``M``, ``P`` the reverse
+Cuthill-McKee permutation (Golub & Van Loan, *Matrix Computations*, 4th
+ed., section 8.7).  ``U`` is cut into dense upper triangular diagonal
+tiles at least as wide as its band and the small blocks that join
+neighbouring tiles, so that a triangular solve with ``n`` right-hand
+sides is one level-3 DTRSM and one DGEMM per tile (Dongarra, Du Croz,
+Hammarling & Duff, "A set of Level 3 BLAS", ACM TOMS 16, 1990).  Two
+such tiled sweeps turn the stiffness ``S`` into the lower triangle of
+the congruence ``C = U^-T P S P^T U^-1``, whose ordinary symmetric
 eigenvalues are the pencil's; a third maps its eigenvectors to the
-Mt-orthonormal eigenbasis ``V = P^T U^-1 Z``, cached on the pencil.  At
-1,640 dofs the three sweeps take about 15 ms of a 0.3 s
-eigendecomposition, nearly all of the rest being ``dsyevd``.  No dense
-copy of ``Mt`` is formed.  The fractional powers go through one
-block helper that applies ``(I + Mt^-1 T)^theta`` to an ``(n, k)`` block
-with two dense products in that eigenbasis; every probe draws its random
-samples as one block and evaluates their quotients column by column.
+M-orthonormal ``V = P^T U^-1 Z``.  At 1,640 dofs the three sweeps take
+about 15 ms of a 0.3 s eigendecomposition, nearly all of the rest being
+``dsyevd``.  No dense ``Mt`` or ``M_form`` is formed.  The fractional
+powers apply ``(I + Mt^-1 T)^theta`` to an ``(n, k)`` block with two
+dense products in the eigenbasis of ``(T, Mt)``, cached on the pencil;
+every probe draws its random samples as one block.
 """
 
 from __future__ import annotations
@@ -45,12 +47,13 @@ from .errors import (EigenSolveError, OutsideTheoryError, SizeLimitError,
 from .geometry.surface import INTERFACE, SurfaceMesh
 
 INF = math.inf
-# largest pencil, in free dofs, that the dense spectral calculus takes on:
-# its eigenbasis and the p = 2 supremum's products are n x n arrays of
-# 32 MB each at this size.  Below it the band factor of Mt, at most n
-# wide, never holds more than a dense Mt would, so the band Cholesky of
-# the calculus takes Mt at any bandwidth
+_DENSE_EIGS_CROSSOVER = 250        # see ``generalized_eigs``
+# largest dense eigenproblem, in free dofs, that keeps its eigenvectors:
+# they and the p = 2 supremum's products are n x n arrays of 32 MB each.
+# Below it the band factor of the mass never outgrows a dense mass
 _DENSE_CALCULUS_LIMIT = 2000
+# largest one that computes eigenvalues only: its congruence holds 50 MB
+_DENSE_VALUES_LIMIT = 2500
 # side of the dense diagonal tiles of the band factor of Mt, raised to
 # its bandwidth b where b is wider, so that only neighbouring tiles
 # couple.  A wider tile solves more zeros, a narrower one makes more
@@ -226,20 +229,20 @@ def embedding_exponents(d, gamma, *, case="nondegenerate",
 
 # -- matrix spectra ------------------------------------------------------------------
 
-def generalized_eigs(pencil, count, *, tol=1e-8, dense_limit=250):
+def generalized_eigs(pencil, count, *, tol=1e-8):
     """Smallest eigenpairs of ``T v = lambda Mt v`` for symmetric pencils.
 
     Returns ``(values, vectors, residuals)`` with ascending real
     eigenvalues, Mt-orthonormal columns and the residual
     ``||T v - lambda Mt v|| / ||v||`` of each pair, which is verified
-    against ``tol``.  Up to ``dense_limit`` dofs, or when
-    nearly all pairs are wanted, the pencil is solved densely; otherwise
-    by shift-invert Lanczos at ``-0.01`` on the cached factorization of
-    ``T + 0.01 Mt``.  The default limit is the measured crossover for
-    8 pairs on the unit-square fixture with single-threaded BLAS: both
-    take about 9 ms at 272 dofs; at 1,980 dofs dense takes 1.2 s and
-    shift-invert 29 ms, with eigenvalues agreeing to 3e-12 relative.
-    Raises ``ValueError`` for a ``count`` below 1.
+    against ``tol``.  Up to ``_DENSE_EIGS_CROSSOVER`` dofs, or when
+    nearly all pairs are wanted, the pencil is solved densely
+    (:func:`_dense_eigh`); otherwise by shift-invert Lanczos at ``-0.01``
+    on the cached factorization of ``T + 0.01 Mt``.  The crossover was
+    measured for 8 pairs on the unit-square fixture (AMD EPYC, 1 BLAS
+    thread, medians of 7): dense took 2.5, 4.6 and 35 ms at 272, 420 and
+    1,056 dofs, shift-invert 2.2, 2.5 and 3.2 ms; eigenvalues agree to
+    6e-14.  Raises ``ValueError`` for a ``count`` below 1.
     """
     if count < 1:
         raise ValueError(f"eigenpair count must be at least 1, got {count}")
@@ -251,9 +254,9 @@ def generalized_eigs(pencil, count, *, tol=1e-8, dense_limit=250):
         raise EigenSolveError(f"requested {count} eigenpairs of a pencil "
                               f"with {n} dofs")
     mt = pencil.mtilde()
-    if n <= dense_limit or count >= n - 1:
-        vals, vecs = scipy.linalg.eigh(pencil.T.toarray(), mt.toarray(),
-                                       subset_by_index=[0, count - 1])
+    if n <= _DENSE_EIGS_CROSSOVER or count >= n - 1:
+        vals, vecs = _dense_eigh(mt, pencil.T, subset=(0, count - 1),
+                                 vectors=True)
     else:
         sigma = -0.01
         lu = pencil.factorization(("shift", sigma),
@@ -275,20 +278,13 @@ def generalized_eigs(pencil, count, *, tol=1e-8, dense_limit=250):
     return vals, vecs, residuals
 
 
-def count_eigenvalues_below(pencil, bound, dense_limit=2500):
-    """Number of eigenvalues of ``(sym T, Mt)`` strictly below ``bound``:
-    all eigenvalues of the dense band congruence of ``sym T``, without
-    eigenvectors.  Raises ``ValueError`` for a NaN ``bound``."""
+def count_eigenvalues_below(pencil, bound):
+    """Number of eigenvalues of ``(sym T, Mt)`` strictly below ``bound``,
+    all computed densely without eigenvectors (:func:`_dense_eigh`).
+    Raises ``ValueError`` for a NaN ``bound``."""
     if math.isnan(bound):
         raise ValueError(f"eigenvalue bound must be a number, got {bound}")
-    n = pencil.n_free
-    if n > dense_limit:
-        raise SizeLimitError("dense eigenvalue count limited to "
-                             f"{dense_limit} dofs")
-    congruence, _, _ = _band_congruence(pencil, 0.5 * (pencil.T + pencil.T.T))
-    vals, _, info = scipy.linalg.lapack.dsyevd(congruence, compute_v=0,
-                                               lower=1, overwrite_a=1)
-    _check_info(info, "dsyevd")
+    vals, _ = _dense_eigh(pencil.mtilde(), 0.5 * (pencil.T + pencil.T.T))
     return int(np.sum(vals < bound))
 
 
@@ -333,18 +329,13 @@ def numerical_range_check(pencil, samples=1000, seed=0):
                                 samples=samples)
 
 
-def _check_dense_size(n, dense_limit=_DENSE_CALCULUS_LIMIT):
-    """:class:`SizeLimitError` when a pencil of ``n`` free dofs is too
-    large for the dense spectral calculus."""
-    if n > dense_limit:
+def _check_dense_size(n, vectors=True):
+    """:class:`SizeLimitError` above ``_DENSE_CALCULUS_LIMIT`` dofs when
+    eigenvectors are kept, above ``_DENSE_VALUES_LIMIT`` otherwise."""
+    limit = _DENSE_CALCULUS_LIMIT if vectors else _DENSE_VALUES_LIMIT
+    if n > limit:
         raise SizeLimitError(f"dense spectral calculus limited to "
-                             f"{dense_limit} dofs (pencil has {n})")
-
-
-def _check_info(info, routine):
-    """:class:`EigenSolveError` unless a LAPACK ``info`` is 0."""
-    if info != 0:
-        raise EigenSolveError(f"LAPACK {routine} failed with info {info}")
+                             f"{limit} dofs (pencil has {n})")
 
 
 def _band_tiles(factor):
@@ -427,13 +418,14 @@ def _backward_sweep(tiles, block):
         after = None if couple is None else (start, couple)
 
 
-def _band_congruence(pencil, stiffness):
+def _band_congruence(mass, stiffness):
     """``(C, inverse, U)``: the lower triangle of the dense congruence
     ``C = U^-T P S P^T U^-1`` of the symmetric sparse ``stiffness`` ``S``
     in a Fortran-ordered array (its upper triangle is not set), the
-    inverse of the reverse Cuthill-McKee permutation ``P`` of ``Mt`` as
-    an index array, and the band Cholesky factor ``P Mt P^T = U^T U`` in
-    LAPACK storage.  The eigenvalues of ``C`` are those of ``(S, Mt)``.
+    inverse of the reverse Cuthill-McKee permutation ``P`` of the sparse
+    ``mass`` ``M`` as an index array, and the band Cholesky factor
+    ``P M P^T = U^T U`` in LAPACK storage: ``C`` has the eigenvalues of
+    ``(S, M)``.
 
     ``C`` is two tiled forward sweeps (:func:`_forward_sweep`).  The
     first gives ``W = P S P^T U^-1`` tile column by tile column, built
@@ -446,13 +438,12 @@ def _band_congruence(pencil, stiffness):
     ``W`` are written straight into it, and at the end it moves to its
     place in the lower triangle.  At 1,640 dofs and b = 40 the
     congruence takes about 11 ms, band Cholesky included, and its largest
-    array is ``C`` itself.  Raises :class:`EigenSolveError` when ``Mt``
+    array is ``C`` itself.  Raises :class:`EigenSolveError` when ``M``
     is not positive definite.
     """
-    mt = pencil.mtilde()
-    band = _band_cholesky(mt, width_limit=None)
+    band = _band_cholesky(mass, width_limit=None)
     if band is None:
-        raise EigenSolveError("block Gram matrix Mt is not symmetric "
+        raise EigenSolveError("mass matrix of the pencil is not symmetric "
                               "positive definite")
     order, inverse, factor = band
     tiles = _band_tiles(factor)
@@ -492,52 +483,65 @@ def _band_congruence(pencil, stiffness):
     return congruence, inverse, factor
 
 
-def _pencil_eigendecomposition(pencil, dense_limit):
-    """``(Lambda, V)``: all eigenvalues of ``T v = lambda Mt v``,
-    ascending, and the Mt-orthonormal eigenvectors as the columns of the
-    dense ``V``, computed on the first request and cached on the pencil.
+def _dense_eigh(mass, stiffness, *, subset=None, vectors=False):
+    """``(values, V)`` of the pencil ``S v = lambda M v`` of the sparse
+    ``stiffness`` ``S`` and ``mass`` ``M``: its eigenvalues, ascending,
+    all or those with indices ``subset = (first, last)``, and with
+    ``vectors`` the M-orthonormal eigenvectors as the columns of ``V``.
 
-    ``dsyevd`` diagonalizes the lower triangle of the band congruence
-    ``C = Z Lambda Z^T`` in place (see :func:`_band_congruence`).  The
-    back-transform ``V = P^T U^-1 Z`` is one transposed copy of ``Z``, so
-    that its rows are contiguous columns, a tiled backward sweep
-    ``(U^-1 Z)^T = Z^T U^-T`` (:func:`_backward_sweep`) and a gather of
-    contiguous rows: about 11 ms at 1,640 dofs, 6 ms of it the sweep.
-    Then ``V^T Mt V = I`` and ``V^T T V = Lambda``.  Raises
-    :class:`SizeLimitError` above ``dense_limit`` dofs and
-    :class:`EigenSolveError` for a non-symmetric pencil, an ``Mt`` that
-    is not positive definite or a nonzero LAPACK ``info``.
+    ``scipy.linalg.eigh`` diagonalizes the band congruence
+    (:func:`_band_congruence`) ``C = Z Lambda Z^T`` in place, by
+    ``dsyevd``, or ``dsyevr`` for a subset.  ``V = P^T U^-1 Z`` is a transposed copy of
+    ``Z``, a tiled backward sweep (:func:`_backward_sweep`) and a gather
+    of rows: about 11 ms at 1,640 dofs.  Raises what
+    :func:`_check_dense_size` and :func:`_band_congruence` raise, and
+    :class:`EigenSolveError` for a failed eigensolve.
     """
+    _check_dense_size(mass.shape[0], vectors)
+    congruence, inverse, factor = _band_congruence(mass, stiffness)
+    try:
+        result = scipy.linalg.eigh(
+            congruence, lower=True, eigvals_only=not vectors,
+            overwrite_a=True, check_finite=False, subset_by_index=subset,
+            driver="evd" if subset is None else "evr")
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolveError(f"dense eigensolve failed: {exc}") from None
+    del congruence      # overwritten, and for "evd" Z itself
+    if not vectors:
+        return result, None
+    vals, vecs = result
+    trans = vecs.T.copy(order="F")
+    del vecs, result
+    # cut again: the tiles take about twice the memory of the band
+    # factor, which is all that stays alive through the eigensolve
+    _backward_sweep(_band_tiles(factor), trans)
+    return vals, trans.T.take(inverse, axis=0)
+
+
+def _pencil_eigendecomposition(pencil):
+    """``(Lambda, V)`` of :func:`_dense_eigh` for all of ``(T, Mt)``,
+    computed on the first request and cached on the pencil.  Raises
+    :class:`EigenSolveError` for a non-symmetric pencil."""
     if pencil._eig_cache is None:
-        _check_dense_size(pencil.n_free, dense_limit)
         if not pencil.is_symmetric():
             raise EigenSolveError("spectral calculus needs a symmetric pencil")
-        congruence, inverse, factor = _band_congruence(pencil, pencil.T)
-        vals, vecs, info = scipy.linalg.lapack.dsyevd(congruence, lower=1,
-                                                      overwrite_a=1)
-        del congruence
-        _check_info(info, "dsyevd")
-        trans = vecs.T.copy(order="F")
-        del vecs
-        # cut again: the tiles take about twice the memory of the band
-        # factor, which is all that stays alive through dsyevd
-        _backward_sweep(_band_tiles(factor), trans)
-        pencil._eig_cache = (vals, trans.T.take(inverse, axis=0))
+        pencil._eig_cache = _dense_eigh(pencil.mtilde(), pencil.T,
+                                        vectors=True)
     return pencil._eig_cache
 
 
-def _power_eigenbasis(pencil, theta, dense_limit):
+def _power_eigenbasis(pencil, theta):
     """The cached Mt-orthonormal eigenbasis ``V`` of the pencil and the
     diagonal of ``D^theta``, ``D = I + Lambda``, so that
     ``(I + Mt^-1 T)^theta = V D^theta V^T Mt``."""
-    vals, vecs = _pencil_eigendecomposition(pencil, dense_limit)
+    vals, vecs = _pencil_eigendecomposition(pencil)
     return vecs, (1.0 + np.clip(vals, 0.0, None)) ** theta
 
 
-def _fractional_power_block(pencil, theta, block, dense_limit):
+def _fractional_power_block(pencil, theta, block):
     """``(I + Mt^-1 T)^theta`` applied to every column of an ``(n, k)``
     block: two dense products for the whole block."""
-    vecs, scale = _power_eigenbasis(pencil, theta, dense_limit)
+    vecs, scale = _power_eigenbasis(pencil, theta)
     coeff = vecs.T @ (pencil.mtilde() @ block)
     coeff *= scale[:, None]
     return vecs @ coeff
@@ -551,8 +555,7 @@ def _check_theta(theta):
                          f"got {theta}")
 
 
-def fractional_power_apply(pencil, theta, u, *,
-                           dense_limit=_DENSE_CALCULUS_LIMIT):
+def fractional_power_apply(pencil, theta, u):
     """Apply ``(I + Mt^-1 T)^theta`` through the pencil eigenbasis.
     Raises ``ValueError`` unless ``u`` is a vector of ``n_free``
     entries."""
@@ -561,7 +564,7 @@ def fractional_power_apply(pencil, theta, u, *,
     if u.shape != (pencil.n_free,):
         raise ValueError(f"expected a vector of {pencil.n_free} free dofs, "
                          f"got shape {u.shape}")
-    return _fractional_power_block(pencil, theta, u[:, None], dense_limit)[:, 0]
+    return _fractional_power_block(pencil, theta, u[:, None])[:, 0]
 
 
 @dataclass
@@ -582,7 +585,7 @@ def _check_probe_arguments(levels, p_proxy, theta):
 
 
 def fractional_embedding_probe(pencils, theta, p_proxy, *, n_samples=64,
-                               seed=0, dense_limit=_DENSE_CALCULUS_LIMIT):
+                               seed=0):
     """Worst sup-norm-to-smoothed-norm ratios across refinement levels.
 
     For each pencil, reports the worst
@@ -594,11 +597,9 @@ def fractional_embedding_probe(pencils, theta, p_proxy, *, n_samples=64,
     witness its failure.  The trend is qualitative, never a certified
     constant.
 
-    Each level costs one dense eigendecomposition of its pencil on the
-    band Cholesky of ``Mt`` (cached on the pencil): at 1,640 dofs about
-    0.3 s, nearly all of it ``dsyevd``, with about 15 ms in the three
-    tiled triangular sweeps (see :func:`_band_congruence`).  Then for
-    ``p = 2`` one symmetric ``n x n`` product ``H H^T`` and one
+    Each level costs one dense eigendecomposition of its pencil
+    (:func:`_pencil_eigendecomposition`, about 0.3 s at 1,640 dofs).
+    Then for ``p = 2`` one symmetric ``n x n`` product ``H H^T`` and one
     sparse-dense product, for ``p = 4, 8`` one ``(n, n_samples)`` block
     of samples put through the fractional power at once.  Level ``l``
     draws its samples from seed ``seed + l``.  Raises ``ValueError``
@@ -610,12 +611,12 @@ def fractional_embedding_probe(pencils, theta, p_proxy, *, n_samples=64,
     for level, pencil in enumerate(pencils):
         w = pencil.lumped_block_weights()
         if p_proxy == 2:
-            worst = _exact_l2_supremum(pencil, theta, w, dense_limit)
+            worst = _exact_l2_supremum(pencil, theta, w)
         else:
             rng = np.random.default_rng(seed + level)
             # one row per sample: the stream of n_samples single draws
             u = rng.standard_normal((n_samples, pencil.n_free)).T
-            bu = _fractional_power_block(pencil, theta, u, dense_limit)
+            bu = _fractional_power_block(pencil, theta, u)
             sup_u = np.abs(pencil.J @ u).max(axis=0, initial=0.0)
             ju = np.abs(pencil.J @ bu)
             ju **= p_proxy
@@ -625,7 +626,7 @@ def fractional_embedding_probe(pencils, theta, p_proxy, *, n_samples=64,
     return rows
 
 
-def _exact_l2_supremum(pencil, theta, w, dense_limit):
+def _exact_l2_supremum(pencil, theta, w):
     """Exact ``sup_u ||u||_inf / ||(I + Mt^-1 T)^theta u||_{l2}``.
 
     With ``B = (I + Mt^-1 T)^theta`` and ``Wt`` the diagonal lumped block
@@ -636,7 +637,7 @@ def _exact_l2_supremum(pencil, theta, w, dense_limit):
     (SYRK, half the flops of a general product), and ``Mt F`` is a
     sparse-dense product.
     """
-    vecs, scale = _power_eigenbasis(pencil, theta, dense_limit)
+    vecs, scale = _power_eigenbasis(pencil, theta)
     wt = np.asarray(pencil.J.T @ w).ravel()
     half = vecs / np.sqrt(scale)[None, :]
     # ``a @ a.T`` is one SYRK: numpy forms one triangle and mirrors it
@@ -666,30 +667,26 @@ class TraceProbeResult:
     n_dofs: int
 
 
-def trace_norm_probe(mesh, coeff, *, n_samples=200, seed=0, dense_limit=2500):
+def trace_norm_probe(mesh, coeff, *, n_samples=200, seed=0):
     """Discrete norm of the interface trace against the weighted bulk norm.
 
     Computes the exact supremum of
     ``||u_h|_Sigma||_{L2(Sigma)} / ||u_h||_{W^{1,2}(Omega, mu*)}``
-    over the P1 space (a generalized eigenvalue problem) along with the
-    maximum over random samples.  Bounded suprema under refinement
-    witness trace-norm boundedness; for exponents outside the admissible
-    range the numbers are reported without any claim.
+    over the P1 space (the interface mass against the bulk ``M_form``,
+    :func:`_dense_eigh`) along with the maximum over random samples.
+    Bounded suprema under refinement witness trace-norm boundedness; for
+    exponents outside the admissible range the numbers are reported
+    without any claim.
     """
     smesh_sigma = SurfaceMesh.from_mesh(mesh, INTERFACE)
     dofmap = build_dofmap(mesh, None, smesh_sigma)
-    if dofmap.n_free > dense_limit:
-        raise SizeLimitError("trace probe limited to dense scale")
     n = dofmap.n_free
     numer = _surface_plain_mass(smesh_sigma,
-                                dofmap.vertex_free[smesh_sigma.edges],
-                                n).toarray()
+                                dofmap.vertex_free[smesh_sigma.edges], n)
     # the bulk part of the pencil's M_form
     _, denom = _form_gram_bulk(mesh, coeff, dofmap,
                                _triangle_elements(mesh, coeff))
-    denom = denom.toarray()
-    lam = scipy.linalg.eigh(numer, denom, eigvals_only=True,
-                            subset_by_index=[n - 1, n - 1])
+    lam, _ = _dense_eigh(denom, numer, subset=(n - 1, n - 1))
     sup_ratio = float(np.sqrt(max(lam[0], 0.0)))
     u = np.random.default_rng(seed).standard_normal((n_samples, n)).T
     quotients = _column_dots(u, numer @ u) / _column_dots(u, denom @ u)

@@ -50,7 +50,7 @@ class WeightSpec:
     s : Points | Polyline | (2,) coordinate pair
         The degeneracy set.  Codimension is 2 for points, 1 for polylines.
     gamma : float
-        Nonnegative exponent.  Values with ``gamma >= codim(S)`` are
+        Finite nonnegative exponent.  Values with ``gamma >= codim(S)`` are
         permitted for out-of-range experiments but flagged via
         ``outside_theory``.
     """
@@ -58,8 +58,9 @@ class WeightSpec:
     def __init__(self, s, gamma):
         self.s = as_submanifold(s)
         self.gamma = float(gamma)
-        if self.gamma < 0:
-            raise ValueError("weight exponent must be nonnegative")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"weight exponent must be nonnegative and "
+                             f"finite, got {gamma}")
         self.codimension = self.s.codimension
         self.outside_theory = self.gamma >= self.codimension
 
@@ -544,10 +545,11 @@ def adaptive_line_integral(f, p0, p1, *, tol_rel=1e-10, max_depth=40):
     maps points (n, 2) on the segments of stack rows ``rows`` (n,) to
     values (n,).  Deterministic bisection on the Gauss-7 vs two-half-
     Gauss-7 difference, accepted below ``tol_rel`` times the segment's
-    whole Gauss-7 value or at ``max_depth``.  Each round calls ``f`` once
-    for the live pieces of all segments; each segment sums its accepted
-    pieces from its end backwards, so a stack rounds as one segment at a
-    time does.  Returns values and error estimates, floats for a point.
+    whole Gauss-7 value, when not finite or at ``max_depth``.  Each round
+    calls ``f`` once for the live pieces of all segments; each segment
+    sums its accepted pieces from its end backwards, so a stack rounds as
+    one segment at a time does.  Returns values and error estimates,
+    floats for a point.
     """
     p0 = np.asarray(p0, float)
     a, b = p0.reshape(-1, 2), np.asarray(p1, float).reshape(-1, 2)
@@ -569,10 +571,12 @@ def adaptive_line_integral(f, p0, p1, *, tol_rel=1e-10, max_depth=40):
                  * np.sqrt(np.vecdot(hi - lo, hi - lo)))
         whole, left, right = piece.reshape(3, -1)
         refined = left + right
-        err = np.abs(refined - whole)
+        with np.errstate(invalid="ignore"):     # inf - inf is NaN
+            err = np.abs(refined - whole)
         if scale is None:
             scale = np.maximum(np.abs(whole), 1e-300)
-        done = (err <= tol_rel * scale[row]) | (depth >= max_depth)
+        done = ((err <= tol_rel * scale[row]) | ~np.isfinite(err)
+                | (depth >= max_depth))
         leaves.append((row[done], start[done], refined[done], err[done]))
         live = ~done
         a, mid, b = a[live], mid[live], b[live]

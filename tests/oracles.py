@@ -14,9 +14,11 @@ that take one right-hand side at a time.
 import numpy as np
 import scipy.linalg
 
-from formheat.assembly import _band_cholesky
+from formheat.assembly import (_band_cholesky, _form_gram_bulk,
+                               _surface_plain_mass, _triangle_elements,
+                               build_dofmap)
 from formheat.geometry.mesh import DIRICHLET, DYNAMIC, Mesh
-from formheat.geometry.surface import INTERFACE
+from formheat.geometry.surface import INTERFACE, SurfaceMesh
 from formheat.spectral import _pencil_eigendecomposition
 from formheat.geometry.distance import set_polygon_distance
 from formheat.weights import (_CORNERS, _EPS, DyadicCube, ScanResult,
@@ -245,7 +247,7 @@ def probe_sample_ratios_loop(pencil, theta, p_proxy, n_samples, seed):
     one matrix-vector product chain per sample (the reference for the
     batched samples of ``fractional_embedding_probe``).  It shares the
     pencil's cached eigenbasis with the library."""
-    vals, vecs = _pencil_eigendecomposition(pencil, dense_limit=2000)
+    vals, vecs = _pencil_eigendecomposition(pencil)
     mt = pencil.mtilde()
     scale = (1.0 + np.clip(vals, 0.0, None)) ** theta
     w = pencil.lumped_block_weights()
@@ -264,7 +266,7 @@ def exact_l2_supremum_gemm(pencil, theta):
     """Exact ``sup_u ||u||_inf / ||B u||_l2`` as the largest column norm
     of ``Wt^-1/2 Mt V D^-theta V^T``, from the dense ``Mt`` and two
     GEMMs."""
-    vals, vecs = _pencil_eigendecomposition(pencil, dense_limit=2000)
+    vals, vecs = _pencil_eigendecomposition(pencil)
     scale = (1.0 + np.clip(vals, 0.0, None)) ** theta
     wt = np.asarray(pencil.J.T @ pencil.lumped_block_weights()).ravel()
     a_mat = (pencil.mtilde().toarray() @ (vecs / scale[None, :])) @ vecs.T
@@ -272,12 +274,31 @@ def exact_l2_supremum_gemm(pencil, theta):
     return float(np.sqrt((a_mat ** 2).sum(axis=0).max()))
 
 
-def pencil_eigenvalues_gvd(pencil):
-    """All eigenvalues of ``T v = lambda Mt v``, ascending, from the
-    dense generalized solver on dense copies of both matrices (the
-    reference for the band congruence of the spectral calculus)."""
-    return scipy.linalg.eigh(pencil.T.toarray(), pencil.mtilde().toarray(),
+def eigenvalues_gvd(stiffness, mass):
+    """All eigenvalues of ``stiffness v = lambda mass v``, ascending, from
+    the dense generalized solver on dense copies of both sparse matrices
+    (the reference for the band congruence of every dense eigenproblem)."""
+    return scipy.linalg.eigh(stiffness.toarray(), mass.toarray(),
                              eigvals_only=True)
+
+
+def pencil_eigenvalues_gvd(pencil):
+    """All eigenvalues of ``T v = lambda Mt v`` (:func:`eigenvalues_gvd`)."""
+    return eigenvalues_gvd(pencil.T, pencil.mtilde())
+
+
+def trace_pair(mesh, coeff):
+    """The plain interface mass and the bulk part of ``M_form``, on the
+    free bulk dofs, whose largest generalized eigenvalue is the square of
+    ``trace_norm_probe``'s supremum; assembled as the probe assembles
+    them."""
+    smesh = SurfaceMesh.from_mesh(mesh, INTERFACE)
+    dofmap = build_dofmap(mesh, None, smesh)
+    numer = _surface_plain_mass(smesh, dofmap.vertex_free[smesh.edges],
+                                dofmap.n_free)
+    _, denom = _form_gram_bulk(mesh, coeff, dofmap,
+                               _triangle_elements(mesh, coeff))
+    return numer, denom
 
 
 def band_congruence_dtbtrs(pencil, stiffness):

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import formheat.assembly as assembly
+import formheat.spectral as spectral
 from conftest import form_fixture_coefficients, jittered_mesh
 from oracles import (edge_linear_coefficient_integral, form_value_oracle,
                      grid_richardson_triangle)
@@ -99,6 +100,24 @@ def test_surface_stiffness_zero_coefficient():
 def test_surface_stiffness_negative_coefficient():
     with pytest.raises(EnvelopeViolationError):
         build_pencil(interface_only_mesh(4), CoefficientSet(mu_sigma=-1.0))
+
+
+def _infinite_between_samples(points):
+    # finite at the probe samples of the interface edge from x = 0.25 to
+    # 0.5, whichever way it runs, and infinite on a stretch between them
+    return np.where(np.abs(points[:, 0] - 0.35) < 0.02, np.inf,
+                    1.0 + points[:, 0])
+
+
+@pytest.mark.parametrize("mu_sigma, message", [
+    (np.inf, "non-finite tangential coefficient sampled on interface "
+     "edge 0"),
+    (_infinite_between_samples,
+     r"non-finite tangential coefficient integral on interface edge \d+"),
+])
+def test_surface_stiffness_non_finite_coefficient(mu_sigma, message):
+    with pytest.raises(EnvelopeViolationError, match=message):
+        build_pencil(interface_only_mesh(4), CoefficientSet(mu_sigma=mu_sigma))
 
 
 def test_surface_stiffness_degenerate_at_midpoint():
@@ -445,9 +464,10 @@ def test_j_ellipticity_positive_and_stable(std_mesh_8):
     assert fine <= 1.5 * coarse
 
 
-def test_j_ellipticity_size_limit(std_pencil_8):
+def test_j_ellipticity_size_limit(std_pencil_8, monkeypatch):
+    monkeypatch.setattr(spectral, "_DENSE_VALUES_LIMIT", 10)
     with pytest.raises(SizeLimitError):
-        std_pencil_8.j_ellipticity_constant(dense_limit=10)
+        std_pencil_8.j_ellipticity_constant()
 
 
 def test_envelope_validation_flags_bad_constants():

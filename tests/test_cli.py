@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from formheat import __version__, save_mesh
+import formheat.spectral as spectral
+from formheat import __version__, load_mesh, save_mesh
 from formheat.assembly import BlockField, build_dofmap
 from formheat.cli import (_KNOWN_KEYS, _fmt, _write_snapshot, main,
                           parse_config, run, validate)
@@ -448,6 +449,60 @@ def test_run_and_validate_agree(workdir, pipeline, changes, code, section,
     assert sorted(os.listdir(out)) == ["error.json"]
     assert [d for d in diags if d.startswith(f"{section}:")
             and message in d], diags
+
+
+# every numeric key that must be finite: (pipeline, key, its value with
+# {} for the non-finite number, validate's section); one row per key
+_NON_FINITE_ROWS = [
+    ("evolve", "time.dt", "{}", "time"),
+    ("evolve", "time.t_end", "{}", "time"),
+    ("evolve", "solver.tol", "{}", "time"),
+    ("evolve", "coeff.weight.gamma", "{}", "coefficients"),
+    ("evolve", "coeff.mu_gd", "{}", "coefficients"),
+    ("evolve", "coeff.mu_gd", "dist_to_point 0.5 1 {}", "coefficients"),
+    ("evolve", "coeff.mu_sigma", "{}", "coefficients"),
+    ("eigs", "coeff.zeta.bulk", "{}", "coefficients"),
+    ("evolve", "coeff.zeta.gd", "{}", "coefficients"),
+    ("evolve", "coeff.zeta.sigma", "{}", "coefficients"),
+    ("scan", "scan.gamma", "{}", "scan"),
+]
+
+
+@pytest.mark.parametrize("number", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("pipeline, key, value, section", _NON_FINITE_ROWS,
+                         ids=[f"{row[1]}={row[2]}" for row in _NON_FINITE_ROWS])
+def test_non_finite_values_are_config_errors(workdir, pipeline, key, value,
+                                             section, number):
+    keys = dict(_AGREE_BASE[pipeline], output=f"{workdir}/out",
+                **{"coeff.weight.s": "segment 0 0.5 1 0.5"})
+    keys[key] = value.format(number)
+    cfg = write_cfg(workdir / "nonfinite.cfg",
+                    "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert run(cfg) == 2
+    out = workdir / "out"
+    assert sorted(os.listdir(out)) == ["error.json"]
+    assert json.loads((out / "error.json").read_text())["kind"] == \
+        "ConfigError"
+    assert [d for d in validate(cfg) if d.startswith(f"{section}:")
+            and "finite" in d]
+
+
+def test_dense_eigs_past_the_size_limit(workdir, monkeypatch):
+    # nearly all pairs take the dense branch at any size, so it checks
+    # the size limit for kept eigenvectors
+    n = build_dofmap(load_mesh(workdir / "mixed.mesh")).n_free
+    monkeypatch.setattr(spectral, "_DENSE_CALCULUS_LIMIT", n - 1)
+    keys = dict(_AGREE_BASE["eigs"], output=f"{workdir}/out")
+    keys["eigs.count"] = str(n - 1)
+    cfg = write_cfg(workdir / "eigs.cfg",
+                    "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert run(cfg) == 1
+    out = workdir / "out"
+    assert sorted(os.listdir(out)) == ["error.json"]
+    record = json.loads((out / "error.json").read_text())
+    assert record["kind"] == "SizeLimitError"
+    assert record["error"] == (f"dense spectral calculus limited to {n - 1} "
+                               f"dofs (pencil has {n})")
 
 
 @pytest.mark.parametrize("pipeline", ["evolve", "eigs", "probe"])

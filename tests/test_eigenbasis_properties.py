@@ -2,18 +2,24 @@
 perturbed, refined and relabeled meshes: the pencil's eigenvectors from
 the band congruence of ``Mt`` must be Mt-orthonormal, diagonalize ``T``
 and carry the eigenvalues of a dense generalized solve, and the tiled
-congruence must match the one from band solves."""
+congruence must match the one from band solves.  Every other dense
+eigenproblem on the band congruence must match the dense generalized
+solve too."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import jittered_mesh, ramp_half
-from oracles import band_congruence_dtbtrs, pencil_eigenvalues_gvd
+from oracles import (band_congruence_dtbtrs, eigenvalues_gvd,
+                     pencil_eigenvalues_gvd, trace_pair)
 from formheat.assembly import CoefficientSet, build_pencil
-from formheat.geometry import Mesh, SurfaceMesh, refine_uniform
+from formheat.geometry import Mesh, Polyline, SurfaceMesh, refine_uniform
 from formheat.model_problems import standard_fixture_mesh, unit_square_mesh
-from formheat.spectral import _band_congruence, _pencil_eigendecomposition
+from formheat.spectral import (_band_congruence, _pencil_eigendecomposition,
+                               count_eigenvalues_below, generalized_eigs,
+                               trace_norm_probe)
+from formheat.weights import WeightSpec
 
 _sides = st.tuples(*[st.sampled_from(["dirichlet", "dynamic", "neumann"])] * 4
                    ).filter(lambda sides: set(sides) != {"dirichlet"})
@@ -24,7 +30,7 @@ def _check_eigenbasis(pencil):
     """``V^T Mt V = I`` and ``V^T T V = Lambda`` to 1e-10 (the second
     relative to ``max(1, lambda_max)``), and eigenvalues within 1e-10 of
     the dense generalized solve, relative to the largest."""
-    vals, vecs = _pencil_eigendecomposition(pencil, dense_limit=2000)
+    vals, vecs = _pencil_eigendecomposition(pencil)
     n = pencil.n_free
     gram = vecs.T @ (pencil.mtilde() @ vecs)
     assert np.abs(gram - np.eye(n)).max() <= 1e-10
@@ -108,8 +114,52 @@ def test_tiled_congruence_matches_band_solves(case):
     band solves, for ``T`` and for its symmetric part."""
     pencil = congruence_pencil(case)
     for stiffness in (pencil.T, 0.5 * (pencil.T + pencil.T.T)):
-        lower, _, _ = _band_congruence(pencil, stiffness)
+        lower, _, _ = _band_congruence(pencil.mtilde(), stiffness)
         reference = band_congruence_dtbtrs(pencil, stiffness)
         assert lower.flags.f_contiguous
         assert (np.abs(np.tril(lower) - np.tril(reference)).max()
                 <= 1e-13 * np.abs(reference).max())
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.sampled_from([4, 8, 16]),
+       seed=st.one_of(st.none(), st.integers(0, 2 ** 16)),
+       lumped=st.booleans(), weighted=st.booleans(), few=st.booleans())
+def test_dense_eigenproblems_match_generalized_solves(n, seed, lumped,
+                                                      weighted, few):
+    """The dense eigs, the eigenvalue count, the J-ellipticity constant
+    and the trace supremum, all on a band congruence, against the dense
+    generalized solve of their pencils: eigenvalues within 1e-12 of the
+    largest, the eigs' vectors Mt-orthonormal within 1e-12."""
+    mesh = standard_fixture_mesh(n)
+    if seed is not None:
+        mesh = jittered_mesh(mesh, seed)
+    coeff = CoefficientSet(bulk_weight=WeightSpec(
+        Polyline([(0.0, 0.5), (1.0, 0.5)]), 0.5) if weighted else None)
+    pencil = build_pencil(mesh, coeff, lumped=lumped)
+    mt = pencil.mtilde()
+
+    reference = pencil_eigenvalues_gvd(pencil)
+    scale = np.abs(reference).max()
+    # the dense branch: up to the crossover, or nearly all pairs
+    count = 8 if few and pencil.n_free <= 250 else pencil.n_free - 1
+    vals, vecs, residuals = generalized_eigs(pencil, count)
+    assert np.abs(vals - reference[:count]).max() <= 1e-12 * scale
+    assert np.abs(vecs.T @ (mt @ vecs) - np.eye(count)).max() <= 1e-12
+    assert residuals.max() <= 1e-8
+
+    # T is bitwise symmetric, so sym T is T: count at the midpoints of
+    # clear gaps in the reference spectrum
+    gaps = np.flatnonzero(np.diff(reference) > 1e-9 * scale)
+    for k in gaps[::max(1, len(gaps) // 8)]:
+        bound = 0.5 * (reference[k] + reference[k + 1])
+        assert count_eigenvalues_below(pencil, bound) == k + 1
+
+    j_ref = eigenvalues_gvd(0.5 * (pencil.T + pencil.T.T) + mt,
+                            pencil.M_form)
+    assert (abs(pencil.j_ellipticity_constant() - j_ref[0])
+            <= 1e-12 * np.abs(j_ref).max())
+
+    t_ref = eigenvalues_gvd(*trace_pair(mesh, coeff))
+    sup = trace_norm_probe(mesh, coeff, n_samples=1).sup_ratio
+    assert abs(sup ** 2 - t_ref[-1]) <= 1e-12 * np.abs(t_ref).max()

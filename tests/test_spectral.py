@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import formheat.spectral as spectral
 from formheat.assembly import CoefficientSet, build_pencil
 from formheat.errors import (EigenSolveError, OutsideTheoryError,
                              SizeLimitError, UnsupportedScenarioError)
@@ -148,10 +149,11 @@ def test_dirichlet_eigenvalue_convergence():
     assert lams[2] == pytest.approx(target, rel=0.02)
 
 
-def test_generalized_eigs_sparse_path_matches_dense():
+def test_generalized_eigs_sparse_path_matches_dense(monkeypatch):
     pencil = dirichlet_pencil(10)
     dense_vals, *_ = generalized_eigs(pencil, 3)
-    sparse_vals, *_ = generalized_eigs(pencil, 3, dense_limit=10)
+    monkeypatch.setattr(spectral, "_DENSE_EIGS_CROSSOVER", 10)
+    sparse_vals, *_ = generalized_eigs(pencil, 3)
     assert np.allclose(sparse_vals, dense_vals, rtol=1e-8)
 
 
@@ -234,25 +236,26 @@ def test_numerical_range_skew_bound():
     assert report.max_tangent > 0.0
 
 
-@pytest.mark.parametrize("dense_limit", [250, 10], ids=["dense", "sparse"])
-def test_eigs_return_their_checked_residuals(conserving_pencil_8,
-                                             dense_limit):
+@pytest.mark.parametrize("crossover", [250, 10], ids=["dense", "sparse"])
+def test_eigs_return_their_checked_residuals(conserving_pencil_8, crossover,
+                                             monkeypatch):
+    monkeypatch.setattr(spectral, "_DENSE_EIGS_CROSSOVER", crossover)
     pencil = conserving_pencil_8
     mt = pencil.mtilde()
-    vals, vecs, residuals = generalized_eigs(pencil, 3,
-                                             dense_limit=dense_limit)
+    vals, vecs, residuals = generalized_eigs(pencil, 3)
     assert residuals.shape == (3,) and residuals.max() <= 1e-8
     for lam, v, res in zip(vals, vecs.T, residuals):
         assert res == (np.linalg.norm(pencil.T @ v - lam * (mt @ v))
                        / np.linalg.norm(v))
 
 
-@pytest.mark.parametrize("dense_limit", [250, 10], ids=["dense", "sparse"])
+@pytest.mark.parametrize("crossover", [250, 10], ids=["dense", "sparse"])
 @pytest.mark.parametrize("count", [0, -3])
-def test_eigs_reject_a_count_below_one(conserving_pencil_8, dense_limit,
-                                       count):
+def test_eigs_reject_a_count_below_one(conserving_pencil_8, crossover,
+                                       count, monkeypatch):
+    monkeypatch.setattr(spectral, "_DENSE_EIGS_CROSSOVER", crossover)
     with pytest.raises(ValueError, match=f"at least 1, got {count}$"):
-        generalized_eigs(conserving_pencil_8, count, dense_limit=dense_limit)
+        generalized_eigs(conserving_pencil_8, count)
 
 
 def test_eigenvalue_count_rejects_a_nan_bound(conserving_pencil_8):
@@ -296,12 +299,12 @@ def test_fractional_power_commutes_with_pencil(conserving_pencil_8):
         assert np.linalg.norm(image - expected) <= 1e-8 * np.linalg.norm(v)
 
 
-def test_fractional_power_size_limit():
+def test_fractional_power_size_limit(monkeypatch):
     mesh = standard_fixture_mesh(4)
     pencil = build_pencil(mesh, CoefficientSet())
+    monkeypatch.setattr(spectral, "_DENSE_CALCULUS_LIMIT", 4)
     with pytest.raises(SizeLimitError):
-        fractional_power_apply(pencil, 0.5, np.zeros(pencil.n_free),
-                               dense_limit=4)
+        fractional_power_apply(pencil, 0.5, np.zeros(pencil.n_free))
 
 
 def probe_pencils(levels=4, n0=4):

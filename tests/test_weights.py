@@ -322,6 +322,21 @@ def test_line_stack_matches_single_segments():
         assert single == loop
 
 
+def test_line_integral_keeps_a_non_finite_piece_whole():
+    # infinite on a stretch of the segment: a piece there has a
+    # non-finite estimate however fine it gets, so it is not split
+    calls = []
+
+    def f(points, rows):
+        calls.append(len(points))
+        return np.where(np.abs(points[:, 0] - 0.5) < 0.1, np.inf, 1.0)
+
+    value, _ = adaptive_line_integral(f, np.array([0.0, 0.0]),
+                                      np.array([1.0, 0.0]))
+    assert value == np.inf
+    assert len(calls) <= 3
+
+
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
 def test_line_integral_closed_forms(gamma):
     # |x - p|^gamma along a line at distance d from p, with s the signed
