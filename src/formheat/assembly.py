@@ -94,14 +94,12 @@ class CoefficientSet:
         Relaxation coefficient per block, bounded away from zero.
     c1, c2 : float
         Declared envelope constants of the two-sided coefficient bounds.
-    zeta_lower : float, optional
-        Declared lower bound for the relaxation coefficient.
     """
 
     def __init__(self, mu_bulk=1.0, mu_gd=1.0, mu_sigma=1.0, *,
                  bulk_weight=None, mu_bulk_star=None,
                  zeta_bulk=1.0, zeta_gd=1.0, zeta_sigma=1.0,
-                 c1=1.0, c2=1.0, zeta_lower=None):
+                 c1=1.0, c2=1.0):
         self.mu_bulk = mu_bulk
         self.mu_gd = mu_gd
         self.mu_sigma = mu_sigma
@@ -114,7 +112,6 @@ class CoefficientSet:
         self.zeta_sigma = zeta_sigma
         self.c1 = float(c1)
         self.c2 = float(c2)
-        self.zeta_lower = zeta_lower
 
     # bulk ---------------------------------------------------------------
 
@@ -294,7 +291,7 @@ class BlockField:
 
 # -- element kernels --------------------------------------------------------------
 
-_QUAD_ORDER = 2          # triangle rule for callable bulk coefficients
+_QUAD_ORDER = 2          # triangle rule for callables without a weight
 _WEIGHT_TOL = 1e-8       # relative tolerance of the weighted cell integrals
 _SURFACE_TOL = 1e-12     # relative tolerance of the surface edge integrals
 _ENVELOPE_ORDER = 4      # triangle rule that samples the bulk envelope bounds
@@ -389,7 +386,7 @@ def _coefficient_integrals(mesh, coeff, area, cell_w):
             continue
         for k in np.flatnonzero(sel):
             value, _ = adaptive_triangles_integral(
-                f, tris[k][None], tol_rel=_WEIGHT_TOL, order=_QUAD_ORDER,
+                f, tris[k][None], tol_rel=_WEIGHT_TOL,
                 weight_fn=coeff.bulk_weight.eval)
             out[k] = np.asarray(value).reshape(2, 2)
     return out
@@ -853,10 +850,6 @@ def validate_envelopes(mesh, coeff):
                   for k in np.flatnonzero((mu_t < -1e-13).any(axis=1))]
         zeta_min = min(zeta_min, float(np.min(coeff.zeta_values(which, pts))))
 
-    lower = coeff.zeta_lower
-    if lower is not None and zeta_min < lower:
-        diags.append(f"relaxation coefficient {zeta_min:.3e} below declared "
-                     f"lower bound {lower:.3e}")
     if zeta_min <= 0:
         diags.append("relaxation coefficient is not positive")
 

@@ -110,133 +110,191 @@ def _named_output(entries):
     return Path(entries["output"][0]) if "output" in entries else None
 
 
+# -- value parsers --------------------------------------------------------------
+#
+# Each takes a key's value text and returns what it means, or raises
+# ``ValueError`` (or ``DegenerateGeometryError`` for a set) with the message
+# ``RunConfig._read`` reports under the key and its line.
+
+def _scalar(cast):
+    """Parser of one value of type ``cast``."""
+    def parse(text):
+        try:
+            return cast(text)
+        except (ValueError, KeyError):
+            raise ValueError(f"malformed value '{text}'") from None
+    return parse
+
+
+_int, _float = _scalar(int), _scalar(float)
+_bool = _scalar(lambda text: {"true": True, "1": True, "yes": True,
+                              "false": False, "0": False,
+                              "no": False}[text.lower()])
+
+
+def _checked(parse, accept, message):
+    """``parse``, refusing a value ``accept`` rejects with ``message``."""
+    def parse_checked(text):
+        value = parse(text)
+        if not accept(value):
+            raise ValueError(message)
+        return value
+    return parse_checked
+
+
+def _floats(text):
+    try:
+        return tuple(float(tok) for tok in text.split())
+    except ValueError:
+        raise ValueError("expected numbers") from None
+
+
+_count = _checked(_int, lambda n: n >= 1, "expected a positive count")
+_seed = _checked(_int, lambda n: n >= 0, "expected a nonnegative integer")
+_finite = _checked(_float, np.isfinite, "envelope constant is not finite")
+_relaxation = _checked(_float, lambda z: 0 < z < np.inf,
+                       "relaxation coefficient must be positive and finite")
+_window = _checked(_floats, lambda box: len(box) == 4,
+                   "expected 'xmin ymin xmax ymax'")
+_case = _checked(str, ("nondegenerate", "A", "B", "auto").__contains__,
+                 "expected nondegenerate, A, B or auto")
+
+
+def _initial_value(text):
+    """A finite constant initial value, or ``None`` for ``random``."""
+    if text == "random":
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError("expected a number or 'random'") from None
+    if not np.isfinite(value):
+        raise ValueError("initial value is not finite")
+    return value
+
+
+def _submanifold(text):
+    tokens = text.split()
+    try:
+        kind = tokens[0]
+        pts = np.array([float(t) for t in tokens[1:]]).reshape(-1, 2)
+        if kind == "point":
+            return Points(pts[:1])
+        if kind == "points":
+            return Points(pts)
+        if kind in ("segment", "polyline"):
+            return Polyline(pts)
+    except (ValueError, IndexError):
+        pass
+    raise ValueError("expected 'point x y', 'points ...', "
+                     "'segment x1 y1 x2 y2' or 'polyline ...'")
+
+
+def _weight(target):
+    """Parser of the exponent of the distance weight to ``target``."""
+    return lambda text: WeightSpec(target, _float(text))
+
+
+def _matrix(text):
+    """A bulk coefficient: one number, or the 4 entries of a 2x2 matrix."""
+    try:
+        vals = [float(v) for v in text.split()]
+    except ValueError:
+        raise ValueError(f"malformed coefficient '{text}'") from None
+    if len(vals) not in (1, 4):
+        raise ValueError("expected a scalar or 4 matrix entries")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("bulk diffusion coefficient is not finite")
+    return vals[0] if len(vals) == 1 else np.array(vals).reshape(2, 2)
+
+
+def _region(key):
+    """Parser of a ``coeff.mu_omega.region.<id>`` entry: ``(id, matrix)``."""
+    def parse(text):
+        try:
+            region = int(key.rsplit(".", 1)[1])
+        except ValueError:
+            raise ValueError("region id must be an integer") from None
+        return region, _matrix(text)
+    return parse
+
+
+def _surface_coefficient(text):
+    tokens = text.split() or [text]
+    if tokens[0] == "dist_to_point":
+        try:
+            x, y, gamma = map(float, tokens[1:])
+        except ValueError:                 # not three numbers
+            raise ValueError("expected 'dist_to_point x y gamma'") from None
+        return WeightSpec(Points((x, y)), gamma).eval
+    try:
+        (value,) = map(float, tokens)
+    except ValueError:                 # not exactly one number
+        raise ValueError(f"malformed coefficient '{text}' (expected one "
+                         "number or 'dist_to_point x y gamma')") from None
+    if not 0 <= value < np.inf:
+        raise ValueError("surface diffusion coefficient violates "
+                         "nonnegativity or is not finite")
+    return value
+
+
+_REQUIRED = object()       # the default of a key that must be present
+
+
 class RunConfig:
     """Parsed and type-checked run configuration.
 
     Each pipeline's inputs come from the section builders listed in
-    ``_PIPELINES``: methods named after their section that parse and
-    check every key of that section and build the input from it, raising
-    :class:`ConfigError`, ``OSError`` or another :class:`FormheatError`
-    exactly as ``run`` reports it.  No builder assembles or solves.
+    ``_PIPELINES``: methods named after their section that read every
+    key of that section through :meth:`_read` and build the input from
+    it, raising :class:`ConfigError`, ``OSError``, another
+    :class:`FormheatError`, or a library's ``ValueError`` on several
+    keys, exactly as ``run`` reports it.  No builder assembles or solves.
     """
 
     def __init__(self, entries, base_dir):
         self.entries = entries
         self.base_dir = Path(base_dir)
-        self.pipeline = self._get("pipeline", str, required=True)
-        if self.pipeline not in _PIPELINES:
-            raise ConfigError(
-                f"unknown pipeline (expected one of {tuple(_PIPELINES)})",
-                key="pipeline", line=self._line("pipeline"))
+        self.pipeline = self._read("pipeline", _checked(
+            str, _PIPELINES.__contains__,
+            f"unknown pipeline (expected one of {tuple(_PIPELINES)})"))
         self.output = _named_output(entries) or Path("out")
-        self.seed = self._get("seed", int, default=0)
-        mesh = self._get("mesh", str, default=None)
-        self.mesh_path = (self.base_dir / mesh) if mesh else None
+        self.seed = self._read("seed", _seed, 0)
         self._mesh = None
 
     def _line(self, key):
         return self.entries[key][1] if key in self.entries else None
 
-    def _get(self, key, cast, default=None, required=False):
+    def _read(self, key, parse, default=_REQUIRED):
+        """The value of ``key`` as ``parse`` reads its text, or
+        ``default`` when the key is absent.  A value ``parse`` refuses,
+        or a required key that is absent, is a :class:`ConfigError`
+        naming the key and its line."""
         if key not in self.entries:
-            if required:
+            if default is _REQUIRED:
                 raise ConfigError("missing required key", key=key)
             return default
-        value, line = self.entries[key]
+        text, line = self.entries[key]
         try:
-            if cast is bool:
-                if value.lower() in ("true", "1", "yes"):
-                    return True
-                if value.lower() in ("false", "0", "no"):
-                    return False
-                raise ValueError(value)
-            return cast(value)
-        except ValueError:
-            raise ConfigError(f"malformed value '{value}'", key=key,
-                              line=line) from None
-
-    def floats(self, key, default=()):
-        raw = self._get(key, str, default=None)
-        if raw is None:
-            return tuple(default)
-        try:
-            return tuple(float(tok) for tok in raw.split())
-        except ValueError:
-            raise ConfigError("expected numbers", key=key,
-                              line=self._line(key)) from None
-
-    # -- coefficient block ------------------------------------------------
-
-    def _submanifold(self, key, required=False):
-        raw = self._get(key, str, default=None, required=required)
-        if raw is None:
-            return None
-        tokens = raw.split()
-        try:
-            kind = tokens[0]
-            nums = [float(t) for t in tokens[1:]]
-            pts = np.array(nums).reshape(-1, 2)
-            if kind == "point":
-                return Points(pts[:1])
-            if kind == "points":
-                return Points(pts)
-            if kind in ("segment", "polyline"):
-                return Polyline(pts)
-        except (ValueError, IndexError):
-            pass
-        except DegenerateGeometryError as exc:
-            raise ConfigError(str(exc), key=key, line=self._line(key)) from None
-        raise ConfigError("expected 'point x y', 'points ...', "
-                          "'segment x1 y1 x2 y2' or 'polyline ...'",
-                          key=key, line=self._line(key))
-
-    def _weight(self, target, gamma, key):
-        try:
-            return WeightSpec(target, gamma)
-        except ValueError as exc:
-            raise ConfigError(str(exc), key=key, line=self._line(key)) from None
-
-    def _surface_coefficient(self, key):
-        raw = self._get(key, str, default=None)
-        if raw is None:
-            return 1.0
-        tokens = raw.split() or [raw]
-        if tokens[0] == "dist_to_point":
-            try:
-                x, y, gamma = map(float, tokens[1:])
-            except ValueError:                 # not three numbers
-                raise ConfigError("expected 'dist_to_point x y gamma'",
-                                  key=key, line=self._line(key)) from None
-            return self._weight(Points((x, y)), gamma, key).eval
-        try:
-            (value,) = map(float, tokens)
-        except ValueError:                 # not exactly one number
-            raise ConfigError(f"malformed coefficient '{raw}' (expected one "
-                              "number or 'dist_to_point x y gamma')",
-                              key=key, line=self._line(key)) from None
-        if not 0 <= value < np.inf:
-            raise ConfigError("surface diffusion coefficient violates "
-                              "nonnegativity or is not finite", key=key,
-                              line=self._line(key))
-        return value
+            return parse(text)
+        except (ValueError, DegenerateGeometryError) as exc:
+            raise ConfigError(str(exc), key=key, line=line) from None
 
     def bulk_weight(self):
-        target = self._submanifold("coeff.weight.s")
+        target = self._read("coeff.weight.s", _submanifold, None)
         if target is None:
             return None
-        gamma = self._get("coeff.weight.gamma", float, default=0.0)
-        return self._weight(target, gamma, "coeff.weight.gamma")
+        return self._read("coeff.weight.gamma", _weight(target),
+                          WeightSpec(target, 0.0))
 
     def _read_mesh(self):
         """The mesh file named by ``mesh``, relative to the config; read
         once, however many builders ask for it."""
         if self._mesh is None:
-            if self.mesh_path is None:
-                raise ConfigError("missing required key", key="mesh")
-            if not self.mesh_path.exists():
-                raise FileNotFoundError(
-                    f"mesh: file not found ({self.mesh_path})")
-            self._mesh = load_mesh(self.mesh_path)
+            path = self.base_dir / self._read("mesh", str)
+            if not path.is_file():
+                raise FileNotFoundError(f"mesh: file not found ({path})")
+            self._mesh = load_mesh(path)
         return self._mesh
 
     # -- section builders ---------------------------------------------------
@@ -249,83 +307,44 @@ class RunConfig:
         return mesh
 
     def coefficients(self):
-        def matrix(raw, key):
-            try:
-                vals = [float(v) for v in raw.split()]
-            except ValueError:
-                raise ConfigError(f"malformed coefficient '{raw}'", key=key,
-                                  line=self._line(key)) from None
-            if len(vals) == 1:
-                return vals[0]
-            if len(vals) == 4:
-                return np.array(vals).reshape(2, 2)
-            raise ConfigError("expected a scalar or 4 matrix entries",
-                              key=key, line=self._line(key))
-
-        mu_omega_raw = self._get("coeff.mu_omega", str, default="1.0")
-        regions = {k: v for k, v in self.entries.items()
-                   if k.startswith("coeff.mu_omega.region.")}
+        mu_bulk = self._read("coeff.mu_omega", _matrix, 1.0)
+        regions = [key for key in self.entries
+                   if key.startswith("coeff.mu_omega.region.")]
         if regions:
-            mu_bulk = {"default": matrix(mu_omega_raw, "coeff.mu_omega")}
-            for key, (value, line) in regions.items():
-                try:
-                    rid = int(key.rsplit(".", 1)[1])
-                except ValueError:
-                    raise ConfigError("region id must be an integer",
-                                      key=key, line=line) from None
-                mu_bulk[rid] = matrix(value, key)
-        else:
-            mu_bulk = matrix(mu_omega_raw, "coeff.mu_omega")
-
-        mu_gd = self._surface_coefficient("coeff.mu_gd")
-        mu_sigma = self._surface_coefficient("coeff.mu_sigma")
-        bulk_weight = self.bulk_weight()
-        zeta = {}
-        for block in ("bulk", "gd", "sigma"):
-            key = f"coeff.zeta.{block}"
-            zeta[block] = self._get(key, float, default=1.0)
-            if not 0 < zeta[block] < np.inf:
-                raise ConfigError("relaxation coefficient must be positive "
-                                  "and finite", key=key, line=self._line(key))
+            mu_bulk = {"default": mu_bulk}
+            mu_bulk.update(self._read(key, _region(key)) for key in regions)
         return CoefficientSet(
-            mu_bulk=mu_bulk, mu_gd=mu_gd, mu_sigma=mu_sigma,
-            bulk_weight=bulk_weight,
-            zeta_bulk=zeta["bulk"], zeta_gd=zeta["gd"],
-            zeta_sigma=zeta["sigma"],
-            c1=self._get("coeff.c1", float, default=1.0),
-            c2=self._get("coeff.c2", float, default=1.0))
+            mu_bulk=mu_bulk,
+            mu_gd=self._read("coeff.mu_gd", _surface_coefficient, 1.0),
+            mu_sigma=self._read("coeff.mu_sigma", _surface_coefficient, 1.0),
+            bulk_weight=self.bulk_weight(),
+            zeta_bulk=self._read("coeff.zeta.bulk", _relaxation, 1.0),
+            zeta_gd=self._read("coeff.zeta.gd", _relaxation, 1.0),
+            zeta_sigma=self._read("coeff.zeta.sigma", _relaxation, 1.0),
+            c1=self._read("coeff.c1", _finite, 1.0),
+            c2=self._read("coeff.c2", _finite, 1.0))
 
     def time(self):
         """The time-stepping parameters, step count included."""
-        kwargs = dict(
-            dt=self._get("time.dt", float, required=True),
-            t_end=self._get("time.t_end", float, required=True),
-            theta=self._get("time.theta", float, default=1.0),
-            solver_tol=self._get("solver.tol", float, default=1e-12),
-            snapshot_times=self.floats("time.snapshots"))
-        try:
-            tcfg = TimeSteppingConfig(**kwargs)
-            tcfg.n_steps        # raises unless t_end is a multiple of dt
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        tcfg = TimeSteppingConfig(
+            dt=self._read("time.dt", _float),
+            t_end=self._read("time.t_end", _float),
+            theta=self._read("time.theta", _float, 1.0),
+            solver_tol=self._read("solver.tol", _float, 1e-12),
+            snapshot_times=self._read("time.snapshots", _floats, ()))
+        tcfg.n_steps        # raises unless t_end is a multiple of dt
         return tcfg
 
     def mass(self):
         """Whether the block mass is lumped."""
-        return self._get("mass.lumped", bool, default=False)
+        return self._read("mass.lumped", _bool, False)
 
     def init(self):
         """The initial data as a function of the pencil's dof map.  Each
         ``init.*`` block is a constant or ``random``: uniform on [0, 1),
         drawn from ``seed`` in block order."""
-        specs = []
-        for key in ("init.bulk", "init.gd", "init.sigma"):
-            raw = self._get(key, str, default="0.0")
-            try:
-                specs.append(None if raw == "random" else float(raw))
-            except ValueError:
-                raise ConfigError("expected a number or 'random'",
-                                  key=key, line=self._line(key)) from None
+        specs = [self._read(key, _initial_value, 0.0)
+                 for key in ("init.bulk", "init.gd", "init.sigma")]
         seed = self.seed
 
         def initial_data(dofmap):
@@ -338,23 +357,26 @@ class RunConfig:
         return initial_data
 
     def eigs(self):
-        """The number of eigenpairs."""
-        count = self._get("eigs.count", int, default=6)
-        if count < 1:
-            raise ConfigError("expected a positive count", key="eigs.count",
+        """The number of eigenpairs: at most the mesh's free dofs, and
+        checked against the size limit of the dense eigensolver where
+        ``generalized_eigs`` takes it for nearly all pairs, so that
+        neither fails after a pencil is built."""
+        count = self._read("eigs.count", _count, 6)
+        n = build_dofmap(self.mesh()).n_free
+        if count > n:
+            raise ConfigError(f"requested {count} eigenpairs of a pencil "
+                              f"with {n} dofs", key="eigs.count",
                               line=self._line("eigs.count"))
+        if count >= n - 1:
+            _check_dense_size(n)
         return count
 
     def exponents(self):
         """The exponent-catalogue report.  ``exponents.case = auto`` (the
         default) classifies the bulk weight on the mesh unless gamma = 0."""
-        d = self._get("exponents.d", int, default=2)
-        gamma = self._get("exponents.gamma", float, default=0.0)
-        case = self._get("exponents.case", str, default="auto")
-        if case not in ("nondegenerate", "A", "B", "auto"):
-            raise ConfigError("expected nondegenerate, A, B or auto",
-                              key="exponents.case",
-                              line=self._line("exponents.case"))
+        d = self._read("exponents.d", _int, 2)
+        gamma = self._read("exponents.gamma", _float, 0.0)
+        case = self._read("exponents.case", _case, "auto")
         if case == "auto":
             if gamma == 0.0:
                 case = "nondegenerate"
@@ -365,15 +387,12 @@ class RunConfig:
                     raise ConfigError("exponents.case = auto needs "
                                       "coeff.weight.*", key="exponents.case")
                 case = classify_case(weight, mesh).case
-        try:
-            return embedding_exponents(
-                d, gamma, case=case,
-                surface_uniformly_positive=self._get(
-                    "exponents.surface_uniform", bool, default=False),
-                surface_positive_near_s=self._get(
-                    "exponents.surface_near_s", bool, default=False))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return embedding_exponents(
+            d, gamma, case=case,
+            surface_uniformly_positive=self._read(
+                "exponents.surface_uniform", _bool, False),
+            surface_positive_near_s=self._read(
+                "exponents.surface_near_s", _bool, False))
 
     def probe(self):
         """``(meshes, theta, p, seed)`` of the embedding probe, where
@@ -381,13 +400,10 @@ class RunConfig:
         level.  Each level is checked against the size limit of the dense
         spectral calculus before the next is refined, so a probe too
         large to run fails here, before any pencil is built."""
-        levels = self._get("probe.levels", int, default=3)
-        theta = self._get("probe.theta", float, default=0.5)
-        p = self._get("probe.p", int, default=2)
-        try:
-            _check_probe_arguments(levels, p, theta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        levels = self._read("probe.levels", _int, 3)
+        theta = self._read("probe.theta", _float, 0.5)
+        p = self._read("probe.p", _int, 2)
+        _check_probe_arguments(levels, p, theta)
         meshes = [self.mesh()]
         while True:
             _check_dense_size(build_dofmap(meshes[-1]).n_free)
@@ -397,18 +413,12 @@ class RunConfig:
 
     def scan(self):
         """The scan's ``(WeightSpec, l_max, window)``."""
-        target = self._submanifold("scan.s", required=True)
-        weight = self._weight(
-            target, self._get("scan.gamma", float, default=0.0), "scan.gamma")
-        l_max = self._get("scan.l_max", int, default=4)
-        window = self.floats("scan.window", default=(-1.0, -1.0, 1.0, 1.0))
-        if len(window) != 4:
-            raise ConfigError("expected 'xmin ymin xmax ymax'",
-                              key="scan.window", line=self._line("scan.window"))
-        try:
-            _scan_window(l_max, window)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        target = self._read("scan.s", _submanifold)
+        weight = self._read("scan.gamma", _weight(target),
+                            WeightSpec(target, 0.0))
+        l_max = self._read("scan.l_max", _int, 4)
+        window = self._read("scan.window", _window, (-1.0, -1.0, 1.0, 1.0))
+        _scan_window(l_max, window)
         return weight, l_max, window
 
 
@@ -418,18 +428,21 @@ def prepare(cfg, diagnostics=None):
     Returns ``{section: input}``.  Without ``diagnostics`` the first
     failing builder raises; with a list, each failure is appended to it
     as ``"<section>: <message>"``, that section is left out, and the
-    remaining builders still run.  A failure an earlier section reported
-    (a builder that reads the mesh meets its error again) is not
-    repeated.
+    remaining builders still run.  A library check on several keys
+    raises ``ValueError``, which is reported as a :class:`ConfigError`.
+    A failure an earlier section reported (a builder that reads the
+    mesh meets its error again) is not repeated.
     """
     inputs = {}
     reported = set()
     for section in _PIPELINES[cfg.pipeline][0]:
         try:
             inputs[section] = getattr(cfg, section)()
-        except (OSError, FormheatError) as exc:
+        except (OSError, FormheatError, ValueError) as exc:
+            if isinstance(exc, ValueError):
+                exc = ConfigError(str(exc))
             if diagnostics is None:
-                raise
+                raise exc from None
             text = str(exc)
             if text in reported:
                 continue

@@ -461,8 +461,8 @@ def _tri_rule_values(f, tris, bary, wts):
     return np.einsum("q,nqk->nk", wts, vals) * areas[:, None], vals
 
 
-def adaptive_triangles_integral(f, tris, *, tol_rel=1e-8, order=2,
-                                max_cells=300000, weight_fn=None):
+def adaptive_triangles_integral(f, tris, *, tol_rel=1e-8, max_cells=300000,
+                                weight_fn=None):
     """Error-driven adaptive integration over a batch of triangles.
 
     Per iteration every active cell holds a coarse estimate (one rule
@@ -476,8 +476,8 @@ def adaptive_triangles_integral(f, tris, *, tol_rel=1e-8, order=2,
     ``f`` (scalars squeezed).
     """
     tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
-    bary_lo, wts_lo = triangle_rule(min(order, 2))
-    bary_hi, wts_hi = triangle_rule(max(order, 3))
+    bary_lo, wts_lo = triangle_rule(2)
+    bary_hi, wts_hi = triangle_rule(4)
 
     def evaluate(cells):
         # two rules of different degree on the four children: their error
@@ -637,7 +637,7 @@ def _cell_polygons(cell):
     return polys, single
 
 
-def weighted_cell_integral(w, cell, order=2, tol_rel=1e-6):
+def weighted_cell_integral(w, cell, tol_rel=1e-6):
     """Integral of the weight over a triangle, dyadic cube, or polygon, or
     over each polygon of a stack.
 
@@ -650,8 +650,6 @@ def weighted_cell_integral(w, cell, order=2, tol_rel=1e-6):
     w : WeightSpec
     cell : DyadicCube, array_like (n, 2), or array_like (m, n, 2)
         One cell, or a stack of m convex polygons with n vertices each.
-    order : int
-        Base quadrature order for the adaptive fallback (>= 1).
 
     Returns
     -------
@@ -663,14 +661,12 @@ def weighted_cell_integral(w, cell, order=2, tol_rel=1e-6):
         If the adaptive fallback exhausts its budget; the error carries
         the achieved tolerance.
     """
-    if order < 1:
-        raise ValueError("quadrature order must be >= 1")
     polys, single = _cell_polygons(cell)
     values = _exact_integrals(w, polys)
     if values is None:
         values = np.array([adaptive_triangles_integral(
             w.eval, np.array(_fan_triangles(poly)), tol_rel=tol_rel,
-            order=order, weight_fn=w.eval)[0] for poly in polys])
+            weight_fn=w.eval)[0] for poly in polys])
     return float(values[0]) if single else values
 
 

@@ -231,11 +231,19 @@ def form_value_oracle(pencil, u_free, v_free, weight_tol=1e-8,
 
 
 def _oracle_coefficient_integral(mesh, coeff, k, weight_tol):
+    """Integral of the bulk coefficient over triangle ``k``: a constant
+    base times the area or the weight integral, or, for a callable
+    without a weight, the area times its value at the centroid, which is
+    exact for an affine coefficient."""
     tri = mesh.vertices[mesh.triangles[k]]
     region = mesh.tri_regions[k]
     base = coeff.bulk_base_matrix(region)
     if base is None:
-        raise NotImplementedError("oracle covers constant-per-region bases")
+        if coeff.bulk_weight is not None:
+            raise NotImplementedError("oracle covers callables only "
+                                      "without a weight")
+        centroid = tri.mean(axis=0)[None]
+        return triangle_area(tri) * coeff.bulk_values(centroid, region)[0]
     if coeff.bulk_weight is None:
         return triangle_area(tri) * base
     scale = weighted_cell_integral(coeff.bulk_weight, tri, tol_rel=weight_tol)

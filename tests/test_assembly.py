@@ -359,6 +359,28 @@ def test_form_consistency_with_oracle(std_mesh_8):
                 assert abs(assembled - reference) <= 1e-10 * scale, name
 
 
+@pytest.mark.parametrize("mu", [
+    lambda p: 1.0 + p[:, 0] + 0.5 * p[:, 1],
+    lambda p: np.stack([np.stack([2.0 + p[:, 0], 0.3 * p[:, 1]], axis=1),
+                        np.stack([0.3 * p[:, 1], 1.0 + p[:, 1]], axis=1)],
+                       axis=1),
+], ids=["scalar", "matrix"])
+def test_affine_callable_bulk_coefficient_matches_oracle(std_mesh_8, mu):
+    # an unweighted callable takes the fixed triangle rule, which is exact
+    # for an affine coefficient, as the oracle's centroid value is
+    from oracles import FormOracle
+    pencil = build_pencil(std_mesh_8, CoefficientSet(mu_bulk=mu))
+    oracle = FormOracle(pencil)
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        u = rng.standard_normal(pencil.n_free)
+        v = rng.standard_normal(pencil.n_free)
+        reference = oracle.value(u, v)
+        scale = max(abs(reference),
+                    1e-12 * np.linalg.norm(u) * np.linalg.norm(v))
+        assert abs(float(v @ (pencil.T @ u)) - reference) <= 1e-10 * scale
+
+
 def test_weighted_pencil_integrates_each_cell_once(std_mesh_8, monkeypatch):
     # the coefficient and envelope stiffness share one weight integral
     # per triangle, all computed in one call over the stack of triangles

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import formheat.cli as cli
 import formheat.spectral as spectral
 from formheat import __version__, load_mesh, save_mesh
 from formheat.assembly import BlockField, build_dofmap
-from formheat.cli import (_KNOWN_KEYS, _fmt, _write_snapshot, main,
-                          parse_config, run, validate)
+from formheat.cli import (_KNOWN_KEYS, RunConfig, _fmt, _write_snapshot,
+                          main, parse_config, run, validate)
 from formheat.errors import ConfigError
 from formheat.geometry import SurfaceMesh
 from formheat.model_problems import standard_fixture_mesh, unit_square_mesh
@@ -168,6 +169,25 @@ scan.window = -1 -1 1 1
                       if f not in ("manifest.csv",))
     assert sorted(outputs) == produced
     assert "wall_time_seconds" in keys
+
+
+@pytest.mark.parametrize("target, warning", [
+    ("point 0 0", None),
+    ("point 5 5", "window does not cover the degeneracy set"),
+])
+def test_scan_manifest_warns_of_a_window_that_misses_the_set(
+        workdir, target, warning):
+    cfg = write_cfg(workdir / "miss.cfg", f"""
+pipeline = scan
+output = {workdir}/miss
+scan.s = {target}
+scan.gamma = 1.0
+scan.l_max = 2
+""")
+    assert run(cfg) == 0
+    rows = dict(line.split(",", 1) for line in
+                (workdir / "miss" / "manifest.csv").read_text().splitlines())
+    assert rows.get("scan.warning") == warning
 
 
 def test_eigs_pipeline(workdir):
@@ -386,6 +406,8 @@ _AGREE_ROWS = [
      "key 'mesh': missing required key"),
     ("evolve", {"mass.lumped": "maybe"}, 2, "mass", "malformed value"),
     ("evolve", {"init.bulk": "foo"}, 2, "init", "a number or 'random'"),
+    ("evolve", {"seed": "-1", "init.bulk": "random"}, 2, "config",
+     "expected a nonnegative integer"),
     ("evolve", {"solver.tol": "-1"}, 2, "time", "solver_tol must be positive"),
     ("evolve", {"coeff.mu_omega": "abc"}, 2, "coefficients",
      "malformed coefficient"),
@@ -406,7 +428,7 @@ _AGREE_ROWS = [
      "snapshot times must lie in [0, t_end]"),
     ("scan", {"mesh": "nosuch.mesh"}, 0, None, None),
     ("scan", {"coeff.mu_omega": "abc"}, 0, None, None),
-    ("eigs", {"eigs.count": "1000"}, 1, None, "1000 eigenpairs"),
+    ("eigs", {"eigs.count": "1000"}, 2, "eigs", "1000 eigenpairs"),
     ("eigs", {"coeff.mu_omega": _ULP_SKEW, "coeff.c1": "0.5",
               "coeff.c2": "2"}, 1, None, "pencil is not symmetric"),
     ("probe", {"coeff.mu_omega": _ULP_SKEW, "coeff.c1": "0.5",
@@ -457,6 +479,10 @@ _NON_FINITE_ROWS = [
     ("evolve", "time.dt", "{}", "time"),
     ("evolve", "time.t_end", "{}", "time"),
     ("evolve", "solver.tol", "{}", "time"),
+    ("evolve", "coeff.mu_omega", "{}", "coefficients"),
+    ("evolve", "coeff.mu_omega.region.1", "1 0 0 {}", "coefficients"),
+    ("evolve", "coeff.c1", "{}", "coefficients"),
+    ("evolve", "coeff.c2", "{}", "coefficients"),
     ("evolve", "coeff.weight.gamma", "{}", "coefficients"),
     ("evolve", "coeff.mu_gd", "{}", "coefficients"),
     ("evolve", "coeff.mu_gd", "dist_to_point 0.5 1 {}", "coefficients"),
@@ -464,6 +490,9 @@ _NON_FINITE_ROWS = [
     ("eigs", "coeff.zeta.bulk", "{}", "coefficients"),
     ("evolve", "coeff.zeta.gd", "{}", "coefficients"),
     ("evolve", "coeff.zeta.sigma", "{}", "coefficients"),
+    ("evolve", "init.bulk", "{}", "init"),
+    ("evolve", "init.gd", "{}", "init"),
+    ("evolve", "init.sigma", "{}", "init"),
     ("scan", "scan.gamma", "{}", "scan"),
 ]
 
@@ -503,6 +532,22 @@ def test_dense_eigs_past_the_size_limit(workdir, monkeypatch):
     assert record["kind"] == "SizeLimitError"
     assert record["error"] == (f"dense spectral calculus limited to {n - 1} "
                                f"dofs (pencil has {n})")
+
+
+def test_dense_eigs_size_limit_checked_before_any_pencil(workdir,
+                                                        monkeypatch):
+    n = build_dofmap(load_mesh(workdir / "mixed.mesh")).n_free
+    monkeypatch.setattr(spectral, "_DENSE_CALCULUS_LIMIT", n - 1)
+    monkeypatch.setattr(cli, "build_pencil", None)
+    keys = dict(_AGREE_BASE["eigs"], **{"eigs.count": str(n - 1)})
+    cfg = write_cfg(workdir / "eigs.cfg",
+                    "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    message = (f"dense spectral calculus limited to {n - 1} dofs "
+               f"(pencil has {n})")
+    assert validate(cfg) == [f"eigs: {message}"]
+    assert run(cfg, output_override=workdir / "out") == 1
+    record = json.loads((workdir / "out" / "error.json").read_text())
+    assert record == {"error": message, "kind": "SizeLimitError"}
 
 
 @pytest.mark.parametrize("pipeline", ["evolve", "eigs", "probe"])
@@ -549,6 +594,46 @@ def test_probe_mesh_failure_reported_once(workdir):
     assert validate(cfg) == [
         f"mesh: file not found ({workdir / 'nosuch.mesh'})"]
     assert run(cfg, output_override=workdir / "out") == 2
+
+
+# one valid value for every known key, and one region override: every
+# pipeline validates cleanly from it
+_EVERY_KEY = {
+    "seed": "1", "mesh": "square.mesh",
+    "coeff.mu_omega": "1.0", "coeff.mu_omega.region.1": "2.0",
+    "coeff.weight.s": "point 0.5 0.25", "coeff.weight.gamma": "0.5",
+    "coeff.mu_gd": "1.0", "coeff.mu_sigma": "dist_to_point 0 0.5 1",
+    "coeff.c1": "1", "coeff.c2": "2",
+    "coeff.zeta.bulk": "1", "coeff.zeta.gd": "2", "coeff.zeta.sigma": "3",
+    "time.theta": "1.0", "time.dt": "0.01", "time.t_end": "0.05",
+    "time.snapshots": "0.05", "solver.tol": "1e-10", "mass.lumped": "yes",
+    "init.bulk": "random", "init.gd": "1", "init.sigma": "0",
+    "eigs.count": "3",
+    "exponents.d": "2", "exponents.gamma": "0.5", "exponents.case": "auto",
+    "exponents.surface_uniform": "false", "exponents.surface_near_s": "no",
+    "probe.theta": "0.5", "probe.p": "2", "probe.levels": "3",
+    "scan.s": "point 0 0", "scan.gamma": "1.0", "scan.l_max": "2",
+    "scan.window": "-1 -1 1 1",
+}
+
+
+def test_every_known_key_is_read_through_one_reader(workdir, monkeypatch):
+    # a listed key no builder reads, or a misspelt read that would fall
+    # back to its default, makes the keys read differ from the known ones
+    read = set()
+    reader = RunConfig._read
+
+    def recording(self, key, *args):
+        read.add(key)
+        return reader(self, key, *args)
+
+    monkeypatch.setattr(RunConfig, "_read", recording)
+    for pipeline in ("evolve", "eigs", "exponents", "probe", "scan"):
+        cfg = write_cfg(workdir / f"{pipeline}.cfg", "".join(
+            f"{k} = {v}\n" for k, v in
+            dict(_EVERY_KEY, pipeline=pipeline, output="out").items()))
+        assert validate(cfg) == [], pipeline
+    assert read | {"output"} == _KNOWN_KEYS | {"coeff.mu_omega.region.1"}
 
 
 def test_readme_lists_every_config_key():

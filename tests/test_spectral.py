@@ -15,7 +15,8 @@ from formheat.model_problems import standard_fixture_mesh, unit_square_mesh
 from formheat.spectral import (count_eigenvalues_below, embedding_exponents,
                                fractional_embedding_probe,
                                fractional_power_apply, generalized_eigs,
-                               numerical_range_check, trace_norm_probe)
+                               numerical_range_check, probe_trend,
+                               trace_norm_probe)
 from formheat.weights import WeightSpec
 from oracles import (exact_l2_supremum_gemm, exact_l2_supremum_theta_one,
                      fractional_embedding_probe_loop, pencil_eigenvalues_gvd,
@@ -327,12 +328,14 @@ def test_probe_bounded_above_threshold():
     rows = fractional_embedding_probe(probe_pencils(), 0.9, 2, n_samples=16)
     ratios = [r.ratio for r in rows]
     assert ratios[-1] <= 1.5 * ratios[0]
+    assert probe_trend(rows) == "bounded"
 
 
 def test_probe_grows_below_threshold():
     rows = fractional_embedding_probe(probe_pencils(), 0.05, 2, n_samples=16)
     ratios = [r.ratio for r in rows]
     assert ratios[-1] >= 3.0 * ratios[0]
+    assert probe_trend(rows) == "growing"
 
 
 def test_probe_validates_inputs():

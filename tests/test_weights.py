@@ -59,12 +59,6 @@ def test_cell_integral_point_vs_bruteforce():
     assert val == pytest.approx(oracle, rel=1e-6)
 
 
-def test_cell_integral_invalid_order():
-    w = WeightSpec(Points((0.0, 0.0)), 1.0)
-    with pytest.raises(ValueError):
-        weighted_cell_integral(w, DyadicCube(0, 0, 0), order=0)
-
-
 def test_adaptive_budget_error_reports_tolerance():
     w = WeightSpec(Polyline([(-0.5, -0.2), (0.0, 0.0), (0.4, 0.3)]), 0.5)
     tri = np.array([[-0.5, -0.5], [0.5, -0.5], [0.0, 0.5]])
