@@ -86,10 +86,8 @@ class CoefficientSet:
         envelope.  Callables map points (n, 2) to (n,) or (n, 2, 2); only
         (mu tau, tau) enters, tau the unit tangent of each point's edge.
     bulk_weight : WeightSpec, optional
-        Degenerate scalar envelope multiplying ``mu_bulk``; when given,
-        ``mu_bulk_star`` is this weight.
-    mu_bulk_star : scalar, optional
-        Constant envelope for the nondegenerate case (default 1).
+        Degenerate scalar envelope multiplying ``mu_bulk``; the bulk
+        envelope is this weight, or 1 without one.
     zeta_bulk, zeta_gd, zeta_sigma : scalar or callable
         Relaxation coefficient per block, bounded away from zero.
     c1, c2 : float
@@ -97,7 +95,7 @@ class CoefficientSet:
     """
 
     def __init__(self, mu_bulk=1.0, mu_gd=1.0, mu_sigma=1.0, *,
-                 bulk_weight=None, mu_bulk_star=None,
+                 bulk_weight=None,
                  zeta_bulk=1.0, zeta_gd=1.0, zeta_sigma=1.0,
                  c1=1.0, c2=1.0):
         self.mu_bulk = mu_bulk
@@ -106,7 +104,6 @@ class CoefficientSet:
         self.bulk_weight = bulk_weight
         if bulk_weight is not None and not isinstance(bulk_weight, WeightSpec):
             raise TypeError("bulk_weight must be a WeightSpec")
-        self.mu_bulk_star = 1.0 if mu_bulk_star is None else float(mu_bulk_star)
         self.zeta_bulk = zeta_bulk
         self.zeta_gd = zeta_gd
         self.zeta_sigma = zeta_sigma
@@ -144,7 +141,7 @@ class CoefficientSet:
         """Scalar envelope of the bulk coefficient at (n, 2) points."""
         if self.bulk_weight is not None:
             return self.bulk_weight.eval(points)
-        return np.full(len(points), self.mu_bulk_star)
+        return np.ones(len(points))
 
     # surfaces -----------------------------------------------------------
 
@@ -355,12 +352,6 @@ def _scatter(dofs, elem, n):
     return sp.csr_matrix((elem[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
-def _envelope_integrals(coeff, area, cell_w):
-    """Integral of the scalar bulk envelope times identity, (nt, 2, 2)."""
-    scale = coeff.mu_bulk_star * area if coeff.bulk_weight is None else cell_w
-    return scale[:, None, None] * np.eye(2)
-
-
 def _coefficient_integrals(mesh, coeff, area, cell_w):
     """Integral of the full bulk coefficient over every triangle,
     (nt, 2, 2).  Constant bases scale the weight integrals ``cell_w``;
@@ -407,14 +398,16 @@ def _stiffness(mesh, dofmap, grads, cell_mats):
     return _scatter(dofmap.vertex_free[mesh.triangles], elem, dofmap.n_free)
 
 
-def _form_gram_bulk(mesh, coeff, dofmap, elements):
+def _form_gram_bulk(mesh, dofmap, elements):
     """The plain consistent bulk mass and the bulk part of the form-domain
     Gram matrix ``M_form`` (that mass plus the envelope stiffness), from
-    the ``_triangle_elements`` of the mesh."""
-    grads, area, cell_w, plain = elements
+    the ``_triangle_elements`` of the mesh.  The envelope integrals are
+    the weight integrals ``cell_w``, which are the areas without a
+    weight."""
+    grads, _, cell_w, plain = elements
     mass = _scatter(dofmap.vertex_free[mesh.triangles], plain, dofmap.n_free)
     return mass, mass + _stiffness(mesh, dofmap, grads,
-                                   _envelope_integrals(coeff, area, cell_w))
+                                   cell_w[:, None, None] * np.eye(2))
 
 
 def _edge_points(smesh, ts):
@@ -746,7 +739,7 @@ def build_pencil(mesh, coeff, *, lumped=False, extra_constrained=()):
     k_bulk = _stiffness(mesh, dofmap, grads, _coefficient_integrals(
         mesh, coeff, area, cell_w))
     t_mat = k_bulk
-    bulk_mass, m_form = _form_gram_bulk(mesh, coeff, dofmap, elements)
+    bulk_mass, m_form = _form_gram_bulk(mesh, dofmap, elements)
     # (element dofs within the block, block size, plain and weighted
     # element masses) of each block of the block space
     blocks = [(dofmap.vertex_free[mesh.triangles], n, plain, _weighted_masses(

@@ -1,4 +1,4 @@
-"""Experiment driver: config parsing, pipelines, CSV artifacts, manifest.
+"""Experiment driver: config parsing, pipelines, CSV outputs, manifest.
 
 Configs are flat ``key = value`` text files with dotted section
 prefixes and ``#`` comments, for example::
@@ -17,8 +17,12 @@ prefixes and ``#`` comments, for example::
 Subcommands: ``formheat run <config>``, ``formheat validate <config>``,
 ``formheat version``.  ``run`` and ``validate`` share one preparation
 step that builds every input of the pipeline; ``validate`` stops there
-and exits 2 if it reports anything.  All data outputs are UTF-8 CSV with
-header rows; on failure a machine-readable ``error.json`` record is
+and exits 2 if it reports anything.  Every output of a run is a UTF-8
+CSV written by one writer, ``_Output.table``: a header row, then one row
+per entry, each number as Python's shortest round-trip ``repr`` and a
+cell quoted (RFC 4180) only when it holds ``,``, ``"`` or a line break.
+The writer lists each file as an ``output_file`` row of ``manifest.csv``,
+in write order.  On failure a machine-readable ``error.json`` record is
 written next to the outputs and the exit code is nonzero (2 for
 configuration and input-file problems, 1 for pipeline failures).
 """
@@ -453,136 +457,133 @@ def prepare(cfg, diagnostics=None):
     return inputs
 
 
-# -- artifact writers ---------------------------------------------------------
+# -- outputs ------------------------------------------------------------------
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+_QUOTED = '",\r\n'      # a cell holding one of these is quoted (RFC 4180)
 
 
-def _fmt(x):
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+def _column(key, values):
+    """The cells of one column, header first: ``str`` of each Python
+    value (an array's entries go to Python numbers in one pass), an empty
+    cell for ``None``, and RFC 4180 quotes only where a cell needs them."""
+    if isinstance(values, np.ndarray):
+        cells = [key, *map(str, values.tolist())]
+    else:
+        cells = [key, *("" if v is None else str(v) for v in values)]
+    text = "".join(cells)
+    if any(c in text for c in _QUOTED):
+        cells = ['"' + cell.replace('"', '""') + '"'
+                 if any(c in cell for c in _QUOTED) else cell
+                 for cell in cells]
+    return cells
 
 
-def _write_snapshot(path, mesh, dofmap, field):
-    """One row per block node, each float as ``_fmt`` writes it: the
-    columns go to Python floats in one pass and are ``repr``-ed."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node_kind,node_index,x,y,value\n")
-        for kind, verts, values in (
-                ("bulk", dofmap.free_vertices, field.bulk),
-                ("gd", dofmap.gd_vertices, field.gd),
-                ("sigma", dofmap.sigma_vertices, field.sigma)):
-            xy = mesh.vertices[verts]
-            columns = (xy[:, 0], xy[:, 1], np.asarray(values, dtype=float))
-            fh.writelines(
-                f"{kind},{k},{x},{y},{v}\n" for k, (x, y, v) in enumerate(
-                    zip(*(map(repr, c.tolist()) for c in columns))))
+class _Output:
+    """The files of a run: its output directory, made on creation, and the
+    manifest rows (the package version and every config entry of
+    ``entries``, then the rows pipelines add) that ``write_manifest``
+    writes last."""
 
-
-class _Manifest:
-    def __init__(self, cfg):
+    def __init__(self, outdir, entries):
+        self.dir = outdir
+        outdir.mkdir(parents=True, exist_ok=True)
         self.rows = [("package_version", __version__)]
-        for key in sorted(cfg.entries):
-            self.rows.append((f"config.{key}", cfg.entries[key][0]))
-        self.outputs = []
+        self.rows += [(f"config.{key}", value)
+                      for key, (value, _) in sorted(entries.items())]
+        self.files = []
 
-    def add(self, key, value):
-        self.rows.append((key, _fmt(value)))
+    def add(self, prefix, values):
+        """Add a manifest row ``<prefix><key>,<value>`` per item of the
+        dict ``values``."""
+        self.rows += [(prefix + key, value) for key, value in values.items()]
 
-    def add_output(self, path):
-        self.outputs.append(Path(path).name)
+    def table(self, name, columns):
+        """Write ``<dir>/<name>``, the one CSV writer of a run: a header
+        row of the keys of ``columns``, then one row per index of their
+        value sequences, each cell as ``_column`` writes it (a float as
+        its shortest round-trip ``repr``).  ``name`` becomes an
+        ``output_file`` row of the manifest written after it."""
+        cells = [_column(key, values) for key, values in columns.items()]
+        with open(self.dir / name, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        self.files.append(name)
 
-    def write(self, outdir, wall_time):
-        rows = list(self.rows)
-        for name in self.outputs:
-            rows.append(("output_file", name))
-        rows.append(("wall_time_seconds", repr(wall_time)))
-        _write_csv(outdir / "manifest.csv", "key,value", rows)
+    def write_manifest(self, wall_time):
+        """Write ``manifest.csv``: the rows, then one ``output_file`` row
+        per table in write order, then ``wall_time_seconds``."""
+        rows = (self.rows + [("output_file", name) for name in self.files]
+                + [("wall_time_seconds", wall_time)])
+        keys, values = zip(*rows)
+        self.table("manifest.csv", {"key": keys, "value": values})
 
 
 # -- pipelines ------------------------------------------------------------------
 #
-# Each pipeline computes from the inputs ``prepare`` built; none reads the
-# config.
+# Each pipeline computes from the inputs ``prepare`` built and writes
+# through the run's ``_Output``; none reads the config.
 
-def _pipeline_evolve(inputs, outdir, manifest):
+def _pipeline_evolve(inputs, out):
     mesh, coeff = inputs["mesh"], inputs["coefficients"]
     pencil = build_pencil(mesh, coeff, lumped=inputs["mass"])
     report = evolve(pencil, inputs["init"](pencil.dofmap), None,
                     inputs["time"])
-    monitors = outdir / "monitors.csv"
-    report.to_csv(monitors)
-    manifest.add_output(monitors)
-    for key, value in report.solver.items():
-        manifest.add(f"solver.{key}", value)
+    out.table("monitors.csv", {
+        "step": np.arange(len(report.times)), "time": report.times,
+        "mass": report.mass, "energy": report.energy,
+        "supnorm": report.supnorm, "minval": report.minval,
+        "cg_iters": report.cg_iters})
+    out.add("solver.", report.solver)
+    blocks = (pencil.dofmap.free_vertices, pencil.dofmap.gd_vertices,
+              pencil.dofmap.sigma_vertices)
+    xy = mesh.vertices[np.concatenate(blocks)]
+    nodes = {"node_kind": np.repeat(("bulk", "gd", "sigma"),
+                                    [len(b) for b in blocks]),
+             "node_index": np.concatenate([np.arange(len(b)) for b in blocks]),
+             "x": xy[:, 0], "y": xy[:, 1]}
     for k, (t, field) in enumerate(report.snapshots):
-        path = outdir / f"snapshot_{k:03d}.csv"
-        _write_snapshot(path, mesh, pencil.dofmap, field)
-        manifest.add(f"snapshot_{k:03d}_time", t)
-        manifest.add_output(path)
-    for key, value in mesh.stats().items():
-        manifest.add(f"mesh.{key}", value)
-    _, observed = validate_envelopes(mesh, coeff)
-    for key, value in observed.items():
-        manifest.add(f"observed.{key}", value)
+        out.table(f"snapshot_{k:03d}.csv", {**nodes, "value": field.stacked()})
+        out.add(f"snapshot_{k:03d}_", {"time": t})
+    out.add("mesh.", mesh.stats())
+    out.add("observed.", validate_envelopes(mesh, coeff)[1])
 
 
-def _pipeline_eigs(inputs, outdir, manifest):
+def _pipeline_eigs(inputs, out):
     mesh, count = inputs["mesh"], inputs["eigs"]
     pencil = build_pencil(mesh, inputs["coefficients"])
     vals, _, residuals = generalized_eigs(pencil, count)
-    rows = [(k, _fmt(float(lam)), _fmt(float(res)))
-            for k, (lam, res) in enumerate(zip(vals, residuals))]
-    path = outdir / "eigs.csv"
-    _write_csv(path, "index,lambda,residual", rows)
-    manifest.add_output(path)
-    for key, value in mesh.stats().items():
-        manifest.add(f"mesh.{key}", value)
+    out.table("eigs.csv", {"index": np.arange(len(vals)), "lambda": vals,
+                           "residual": residuals})
+    out.add("mesh.", mesh.stats())
 
 
-def _pipeline_exponents(inputs, outdir, manifest):
-    row = inputs["exponents"].csv_row()
-    path = outdir / "exponents.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("d,gamma,case,r_omega,r_tr,r_tr_gamma,r_tr_star,r0\n")
-        fh.write(row + "\n")
-    manifest.add_output(path)
-    manifest.add("exponents.r0", row.rsplit(",", 1)[1])
+def _pipeline_exponents(inputs, out):
+    cells = dict(zip(("d", "gamma", "case", "r_omega", "r_tr", "r_tr_gamma",
+                      "r_tr_star", "r0"),
+                     inputs["exponents"].csv_row().split(",")))
+    out.table("exponents.csv", {key: [cell] for key, cell in cells.items()})
+    out.add("exponents.", {"r0": cells["r0"]})
 
 
-def _pipeline_probe(inputs, outdir, manifest):
+def _pipeline_probe(inputs, out):
     meshes, theta, p, seed = inputs["probe"]
     pencils = [build_pencil(mesh, inputs["coefficients"]) for mesh in meshes]
     rows = fractional_embedding_probe(pencils, theta, p, seed=seed)
-    path = outdir / "probe.csv"
-    _write_csv(path, "level,h,ratio",
-               [(r.level, _fmt(r.h), _fmt(r.ratio)) for r in rows])
-    manifest.add_output(path)
-    manifest.add("probe.trend", probe_trend(rows))
+    out.table("probe.csv", {key: [getattr(r, key) for r in rows]
+                            for key in ("level", "h", "ratio")})
+    out.add("probe.", {"trend": probe_trend(rows)})
 
 
-def _pipeline_scan(inputs, outdir, manifest):
+def _pipeline_scan(inputs, out):
     result = muckenhoupt_lower_bound_scan(*inputs["scan"])
-    path = outdir / "scan.csv"
-    _write_csv(path, "level,m_x,m_y,normalized",
-               [(lvl, mx, my, _fmt(val)) for lvl, mx, my, val, _ in result.rows])
-    manifest.add_output(path)
-    lpath = outdir / "scan_levels.csv"
-    _write_csv(lpath, "level,min,min_on_s",
-               [(s["level"], _fmt(s["min"]),
-                 "" if s["min_on_s"] is None else _fmt(s["min_on_s"]))
-                for s in result.level_stats])
-    manifest.add_output(lpath)
-    manifest.add("scan.c_min", result.c_min)
+    out.table("scan.csv", dict(zip(("level", "m_x", "m_y", "normalized"),
+                                   zip(*result.rows))))
+    out.table("scan_levels.csv", {key: [s[key] for s in result.level_stats]
+                                  for key in ("level", "min", "min_on_s")})
     cube = result.argmin_cube
-    manifest.add("scan.argmin", f"level={cube.level} m=({cube.mx} {cube.my})")
+    out.add("scan.", {"c_min": result.c_min,
+                      "argmin": f"level={cube.level} m=({cube.mx} {cube.my})"})
     if result.warning:
-        manifest.add("scan.warning", result.warning)
+        out.add("scan.", {"warning": result.warning})
 
 
 # pipeline -> (its sections, in the order ``run`` builds them; the
@@ -611,11 +612,9 @@ def run(config_path, output_override=None):
         entries = parse_config(config_path)
         cfg = RunConfig(entries, Path(config_path).resolve().parent)
         outdir = outdir or cfg.output
-        outdir.mkdir(parents=True, exist_ok=True)
-        manifest = _Manifest(cfg)
-        inputs = prepare(cfg)
-        _PIPELINES[cfg.pipeline][1](inputs, outdir, manifest)
-        manifest.write(outdir, time.perf_counter() - t_start)
+        out = _Output(outdir, entries)
+        _PIPELINES[cfg.pipeline][1](prepare(cfg), out)
+        out.write_manifest(time.perf_counter() - t_start)
         return 0
     except (OSError, ConfigError) as exc:
         # a config that fails to parse or to build still names its output

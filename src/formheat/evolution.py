@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import BlockField, _surface_block_dofs, _surface_plain_mass
+from .assembly import (BlockField, _surface_block_dofs, _surface_plain_mass,
+                       project_initial_data)
 from .errors import ConsistencyError, SolveError
 from .geometry.surface import INTERFACE
 
@@ -85,20 +86,6 @@ class EvolutionReport:
     final_vector: np.ndarray
     snapshots: list = field(default_factory=list)
     solver: dict = field(default_factory=dict)   # method, factor_nnz, ...
-
-    def to_csv(self, path):
-        """Write the monitor table (one row per time level), each float
-        as its ``repr``: the columns go to Python numbers in one pass."""
-        floats = (self.times, self.mass, self.energy, self.supnorm,
-                  self.minval)
-        columns = [map(repr, np.asarray(c, dtype=float).tolist())
-                   for c in floats]
-        columns.append(np.asarray(self.cg_iters, dtype=int).tolist())
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("step,time,mass,energy,supnorm,minval,cg_iters\n")
-            fh.writelines(f"{k},{t},{m},{e},{s},{v},{i}\n"
-                          for k, (t, m, e, s, v, i) in enumerate(
-                              zip(*columns)))
 
 
 def _check_trace_map(j_mat, n):
@@ -223,8 +210,6 @@ def evolve(pencil, u0_raw, forcing, cfg):
     :class:`EvolutionReport` with monitors at every time level; the
     trace ``J u`` is formed only at snapshot times and at the end.
     """
-    from .assembly import project_initial_data
-
     u = project_initial_data(u0_raw, pencil)
     stepper = ThetaStepper(pencil, cfg)
     get_f = _resolve_forcing(forcing)

@@ -649,11 +649,14 @@ def _exact_l2_supremum(pencil, theta, w):
     return float(np.sqrt(_column_dots(a_mat, a_mat).max()))
 
 
-def probe_trend(rows, growth_factor=1.5):
+_PROBE_GROWTH_FACTOR = 1.5
+
+
+def probe_trend(rows):
     """Qualitative verdict on a probe table: ``bounded`` when the last
-    ratio stays within ``growth_factor`` of the first, else ``growing``.
-    Never a certified constant."""
-    if rows[-1].ratio <= growth_factor * rows[0].ratio:
+    ratio stays within ``_PROBE_GROWTH_FACTOR`` of the first, else
+    ``growing``.  Never a certified constant."""
+    if rows[-1].ratio <= _PROBE_GROWTH_FACTOR * rows[0].ratio:
         return "bounded"
     return "growing"
 
@@ -684,8 +687,7 @@ def trace_norm_probe(mesh, coeff, *, n_samples=200, seed=0):
     numer = _surface_plain_mass(smesh_sigma,
                                 dofmap.vertex_free[smesh_sigma.edges], n)
     # the bulk part of the pencil's M_form
-    _, denom = _form_gram_bulk(mesh, coeff, dofmap,
-                               _triangle_elements(mesh, coeff))
+    _, denom = _form_gram_bulk(mesh, dofmap, _triangle_elements(mesh, coeff))
     lam, _ = _dense_eigh(denom, numer, subset=(n - 1, n - 1))
     sup_ratio = float(np.sqrt(max(lam[0], 0.0)))
     u = np.random.default_rng(seed).standard_normal((n_samples, n)).T

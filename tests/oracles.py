@@ -304,8 +304,7 @@ def trace_pair(mesh, coeff):
     dofmap = build_dofmap(mesh, None, smesh)
     numer = _surface_plain_mass(smesh, dofmap.vertex_free[smesh.edges],
                                 dofmap.n_free)
-    _, denom = _form_gram_bulk(mesh, coeff, dofmap,
-                               _triangle_elements(mesh, coeff))
+    _, denom = _form_gram_bulk(mesh, dofmap, _triangle_elements(mesh, coeff))
     return numer, denom
 
 

@@ -495,7 +495,7 @@ def test_j_ellipticity_size_limit(std_pencil_8, monkeypatch):
 def test_envelope_validation_flags_bad_constants():
     mesh = standard_fixture_mesh(4)
     # declared c1 too optimistic for a coefficient below its envelope
-    coeff = CoefficientSet(mu_bulk=0.5, mu_bulk_star=1.0, c1=1.0)
+    coeff = CoefficientSet(mu_bulk=0.5, c1=1.0)
     diags, observed = validate_envelopes(mesh, coeff)
     assert any("below c1" in d for d in diags)
     assert observed["c1_obs"] == pytest.approx(0.5, rel=1e-12)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -9,12 +10,14 @@ import pytest
 import formheat.cli as cli
 import formheat.spectral as spectral
 from formheat import __version__, load_mesh, save_mesh
-from formheat.assembly import BlockField, build_dofmap
-from formheat.cli import (_KNOWN_KEYS, RunConfig, _fmt, _write_snapshot,
-                          main, parse_config, run, validate)
+from formheat.assembly import (BlockField, CoefficientSet, build_dofmap,
+                               build_pencil)
+from formheat.cli import (_KNOWN_KEYS, RunConfig, _Output, main,
+                          parse_config, run, validate)
+from formheat.evolution import TimeSteppingConfig, evolve
 from formheat.errors import ConfigError
 from formheat.geometry import SurfaceMesh
-from formheat.model_problems import standard_fixture_mesh, unit_square_mesh
+from formheat.model_problems import unit_square_mesh
 
 
 @pytest.fixture()
@@ -125,6 +128,14 @@ time.t_end = 0.1
     assert any("violates nonnegativity" in d for d in diags)
 
 
+def manifest_rows(outdir):
+    """The ``(key, value)`` rows of a run's manifest, read as CSV."""
+    with open(outdir / "manifest.csv", newline="", encoding="utf-8") as fh:
+        rows = [tuple(row) for row in csv.reader(fh)]
+    assert rows[0] == ("key", "value")
+    return rows[1:]
+
+
 def test_deterministic_outputs(workdir):
     text = f"""
 pipeline = evolve
@@ -133,7 +144,7 @@ mesh = square.mesh
 time.theta = 1.0
 time.dt = 0.01
 time.t_end = 0.05
-time.snapshots = 0.05
+time.snapshots = 0 0.05
 init.bulk = random
 init.gd = random
 init.sigma = random
@@ -141,34 +152,87 @@ init.sigma = random
     cfg = write_cfg(workdir / "det.cfg", text)
     assert run(cfg, output_override=workdir / "det1") == 0
     assert run(cfg, output_override=workdir / "det2") == 0
-    for name in ("monitors.csv", "snapshot_000.csv"):
-        a = (workdir / "det1" / name).read_bytes()
-        b = (workdir / "det2" / name).read_bytes()
+    names = sorted(os.listdir(workdir / "det1"))
+    assert names == sorted(os.listdir(workdir / "det2")) == [
+        "manifest.csv", "monitors.csv", "snapshot_000.csv",
+        "snapshot_001.csv"]
+    for name in names:
+        a, b = ((workdir / out / name).read_bytes().splitlines(keepends=True)
+                for out in ("det1", "det2"))
+        if name == "manifest.csv":     # the wall time is the last row
+            assert a[-1].startswith(b"wall_time_seconds,")
+            a, b = a[:-1], b[:-1]
         assert a == b
 
 
-def test_manifest_completeness(workdir):
-    cfg = write_cfg(workdir / "man.cfg", f"""
-pipeline = scan
-output = {workdir}/scan
+_MANIFEST_CASES = {
+    "evolve": ("""
+mesh = square.mesh
+time.dt = 0.01
+time.t_end = 0.05
+time.snapshots = 0 0.05
+""", ["monitors.csv", "snapshot_000.csv", "snapshot_001.csv"]),
+    "eigs": ("""
+mesh = mixed.mesh
+eigs.count = 3
+""", ["eigs.csv"]),
+    "exponents": ("""
+exponents.d = 3
+exponents.gamma = 0.5
+exponents.case = B
+""", ["exponents.csv"]),
+    "probe": ("""
+mesh = tiny.mesh
+probe.levels = 3
+""", ["probe.csv"]),
+    "scan": ("""
 scan.s = point 0 0
 scan.gamma = 1.0
 scan.l_max = 2
 scan.window = -1 -1 1 1
+""", ["scan.csv", "scan_levels.csv"]),
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(_MANIFEST_CASES))
+def test_manifest_completeness(workdir, pipeline):
+    save_mesh(unit_square_mesh(4, bottom="neumann", top="dynamic"),
+              workdir / "tiny.mesh")
+    keys, files = _MANIFEST_CASES[pipeline]
+    cfg = write_cfg(workdir / "man.cfg", f"pipeline = {pipeline}\n"
+                    f"output = {workdir}/man\n{keys}")
+    assert run(cfg) == 0
+    rows = manifest_rows(workdir / "man")
+    config = [(key[len("config."):], value) for key, value in rows
+              if key.startswith("config.")]
+    assert config == sorted((key, value) for key, (value, _)
+                            in parse_config(cfg).items())
+    outputs = [value for key, value in rows if key == "output_file"]
+    assert outputs == files
+    assert sorted(outputs) == sorted(
+        f for f in os.listdir(workdir / "man") if f != "manifest.csv")
+    assert rows[-1][0] == "wall_time_seconds"
+
+
+def test_manifest_quotes_config_values_with_commas_and_quotes(workdir):
+    mesh = 'sq "1",2.mesh'
+    save_mesh(unit_square_mesh(4, interface_y=0.5), workdir / mesh)
+    cfg = write_cfg(workdir / "q.cfg", f"""
+pipeline = eigs
+output = {workdir}/c,1
+mesh = {mesh}
+eigs.count = 2
 """)
     assert run(cfg) == 0
-    manifest = (workdir / "scan" / "manifest.csv").read_text().splitlines()
-    keys = [line.split(",", 1)[0] for line in manifest[1:]]
-    for cfg_key in ("pipeline", "output", "scan.s", "scan.gamma",
-                    "scan.l_max", "scan.window"):
-        assert f"config.{cfg_key}" in keys
-    outputs = [line.split(",", 1)[1] for line in manifest[1:]
-               if line.startswith("output_file,")]
-    import os
-    produced = sorted(f for f in os.listdir(workdir / "scan")
-                      if f not in ("manifest.csv",))
-    assert sorted(outputs) == produced
-    assert "wall_time_seconds" in keys
+    text = (workdir / "c,1" / "manifest.csv").read_text()
+    assert f'config.mesh,"sq ""1"",2.mesh"\n' in text
+    assert f'config.output,"{workdir}/c,1"\n' in text
+    assert "config.pipeline,eigs\n" in text       # unquoted where it can be
+    rows = manifest_rows(workdir / "c,1")
+    assert all(len(row) == 2 for row in rows)
+    assert [row for row in rows if row[0].startswith("config.")] == [
+        ("config.eigs.count", "2"), ("config.mesh", mesh),
+        ("config.output", f"{workdir}/c,1"), ("config.pipeline", "eigs")]
 
 
 @pytest.mark.parametrize("target, warning", [
@@ -672,24 +736,75 @@ def test_input_files_that_are_not_utf8(workdir, target, code, kind, section):
     assert validate(cfg) == [f"{section}: line 2: not UTF-8 text"]
 
 
-def test_snapshot_writer_matches_per_row_format(tmp_path):
-    mesh = standard_fixture_mesh(2)
+
+def test_table_writer_cells(tmp_path):
+    awkward = [-0.0, 1.0 / 3.0, 5e-324, 1e16, -1e-300]
+    out = _Output(tmp_path / "out", {})
+    out.table("t.csv", {
+        "array": np.array(awkward),
+        "float": awkward,
+        "float64": [np.float64(x) for x in awkward],
+        "int": [np.int64(-3), 0, 7, 2 ** 70, True],
+        "int_array": np.arange(5),
+        "text": ["a", "", "None", "two\nlines", "x,y"],
+        "mixed": [None, 1.5, 'say "hi"', None, 2]})
+    floats = "-0.0 0.3333333333333333 5e-324 1e+16 -1e-300".split()
+    ints = "-3 0 7 1180591620717411303424 True".split()
+    texts = ["a", "", "None", '"two\nlines"', '"x,y"']
+    mixed = ["", "1.5", '"say ""hi"""', "", "2"]
+    lines = ["array,float,float64,int,int_array,text,mixed"] + [
+        ",".join((floats[k],) * 3 + (ints[k], str(k), texts[k], mixed[k]))
+        for k in range(5)]
+    path = tmp_path / "out" / "t.csv"
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[5] for row in rows[1:]] == ["a", "", "None", "two\nlines",
+                                            "x,y"]
+    assert [row[6] for row in rows[1:]] == ["", "1.5", 'say "hi"', "", "2"]
+    assert [float(row[0]) for row in rows[1:]] == awkward
+    assert out.files == ["t.csv"]
+
+
+def test_evolve_outputs_match_per_row_layout(workdir):
+    cfg = write_cfg(workdir / "snap.cfg", f"""
+pipeline = evolve
+output = {workdir}/snap
+mesh = mixed.mesh
+time.dt = 0.01
+time.t_end = 0.03
+time.snapshots = 0 0.03
+init.bulk = 1.0
+init.gd = 0.25
+init.sigma = -0.5
+""")
+    assert run(cfg) == 0
+    mesh = load_mesh(workdir / "mixed.mesh")
     dofmap = build_dofmap(mesh, SurfaceMesh.from_mesh(mesh, "dynamic"),
                           SurfaceMesh.from_mesh(mesh, "interface"))
-    awkward = [-0.0, 1.0 / 3.0, 5e-324, 1e16, -1e-300]
-    values = np.resize(awkward, dofmap.n_free + dofmap.n_gd
-                       + dofmap.n_sigma)
-    field = BlockField.split(dofmap, values)
-    _write_snapshot(tmp_path / "snap.csv", mesh, dofmap, field)
-    lines = ["node_kind,node_index,x,y,value"]
-    for kind, verts, vals in (("bulk", dofmap.free_vertices, field.bulk),
-                              ("gd", dofmap.gd_vertices, field.gd),
-                              ("sigma", dofmap.sigma_vertices, field.sigma)):
-        for k, v in enumerate(verts):
-            x, y = mesh.vertices[v]
-            lines.append(",".join(str(c) for c in (
-                kind, k, _fmt(float(x)), _fmt(float(y)),
-                _fmt(float(vals[k])))))
-    assert len(lines) == 1 + len(values) > len(awkward)
-    assert (tmp_path / "snap.csv").read_bytes() == (
-        "\n".join(lines) + "\n").encode()
+    pencil = build_pencil(mesh, CoefficientSet())
+    u0 = BlockField(np.full(dofmap.n_free, 1.0), np.full(dofmap.n_gd, 0.25),
+                    np.full(dofmap.n_sigma, -0.5))
+    report = evolve(pencil, u0, None, TimeSteppingConfig(
+        dt=0.01, t_end=0.03, snapshot_times=(0.0, 0.03)))
+    monitors = ["step,time,mass,energy,supnorm,minval,cg_iters"] + [
+        ",".join([str(k)] + [repr(float(c[k])) for c in (
+            report.times, report.mass, report.energy, report.supnorm,
+            report.minval)] + [str(int(report.cg_iters[k]))])
+        for k in range(4)]
+    assert (workdir / "snap" / "monitors.csv").read_bytes() == (
+        "\n".join(monitors) + "\n").encode()
+    assert len(report.snapshots) == 2
+    for k, (_, field) in enumerate(report.snapshots):
+        lines = ["node_kind,node_index,x,y,value"]
+        for kind, verts, vals in (
+                ("bulk", dofmap.free_vertices, field.bulk),
+                ("gd", dofmap.gd_vertices, field.gd),
+                ("sigma", dofmap.sigma_vertices, field.sigma)):
+            for i, v in enumerate(verts):
+                x, y = mesh.vertices[v]
+                lines.append(f"{kind},{i},{float(x)!r},{float(y)!r},"
+                             f"{float(vals[i])!r}")
+        assert dofmap.n_gd and dofmap.n_sigma
+        path = workdir / "snap" / f"snapshot_{k:03d}.csv"
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

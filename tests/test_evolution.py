@@ -6,7 +6,7 @@ import scipy.sparse._sparsetools as sparsetools
 from formheat.assembly import (BlockField, CoefficientSet, Factorization,
                                build_pencil, project_initial_data)
 from formheat.errors import ConsistencyError, SolveError
-from formheat.evolution import (EvolutionReport, ThetaStepper,
+from formheat.evolution import (ThetaStepper,
                                 TimeSteppingConfig, evolve,
                                 recover_interface_flux, steady_solve,
                                 theta_step)
@@ -344,19 +344,3 @@ def test_stepper_rejects_a_trace_map_that_mixes_dofs():
         with pytest.raises(ConsistencyError, match="trace map"):
             ThetaStepper(pencil, cfg)
 
-
-def test_monitor_table_matches_per_row_repr(tmp_path):
-    awkward = np.array([-0.0, 1.0 / 3.0, 5e-324, 1e16, -1e-300])
-    report = EvolutionReport(
-        times=awkward[::-1].copy(), mass=awkward,
-        energy=awkward[[1, 0, 3, 2, 4]], supnorm=awkward * 3.0,
-        minval=-awkward, cg_iters=np.array([0, 1, 2, 30, 400]), final=None,
-        final_vector=None)
-    report.to_csv(tmp_path / "monitors.csv")
-    rows = ["step,time,mass,energy,supnorm,minval,cg_iters\n"]
-    for k in range(5):
-        floats = (report.times, report.mass, report.energy, report.supnorm,
-                  report.minval)
-        rows.append(",".join([str(k)] + [repr(float(c[k])) for c in floats]
-                             + [str(int(report.cg_iters[k]))]) + "\n")
-    assert (tmp_path / "monitors.csv").read_bytes() == "".join(rows).encode()
