@@ -8,7 +8,10 @@ P1 finite elements on a labeled mesh produce the operator pencil
             boundary, interface) values,
     J       0/1 trace map from free bulk dofs into the block space,
     M_form  Gram matrix of the form-domain inner product (unweighted
-            bulk mass + envelope-weighted gradient terms).
+            bulk mass + envelope-weighted gradient terms),
+
+and the unweighted block mass M_blk_plain.  Only diagnostics read
+M_form and M_blk_plain, so the pencil assembles both on first use.
 
 Dirichlet conditions are imposed by eliminating the dofs of the closed
 Dirichlet boundary part (vertices of Dirichlet edges, plus any
@@ -34,6 +37,7 @@ weight is integrated cell by cell.  Operators are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg.lapack
@@ -126,13 +130,17 @@ class CoefficientSet:
             return None
         return _matrix_of(mu)
 
-    def bulk_values(self, points, region):
-        """Full bulk coefficient (weight included) at (n, 2) points."""
+    def _bulk_unweighted(self, points, region):
+        """The ``mu_bulk`` entry of a region at (n, 2) points, without
+        the weight: (n, 2, 2)."""
         base = self.bulk_base_matrix(region)
         if base is None:
-            vals = _eval_matrix_callable(self._bulk_entry(region), points)
-        else:
-            vals = np.broadcast_to(base, (len(points), 2, 2)).copy()
+            return _eval_matrix_callable(self._bulk_entry(region), points)
+        return np.broadcast_to(base, (len(points), 2, 2)).copy()
+
+    def bulk_values(self, points, region):
+        """Full bulk coefficient (weight included) at (n, 2) points."""
+        vals = self._bulk_unweighted(points, region)
         if self.bulk_weight is not None:
             vals = vals * self.bulk_weight.eval(points)[:, None, None]
         return vals
@@ -326,10 +334,9 @@ def _weighted_masses(coeff, which, points, size, rule):
     return masses
 
 
-def _triangle_elements(mesh, coeff):
-    """Element data every bulk term shares: constant P1 basis gradients
-    (nt, 2, 3), areas (nt,), bulk-weight integrals (nt,) (the areas
-    when there is no weight) and plain element masses (nt, 3, 3)."""
+def _triangle_geometry(mesh):
+    """Constant P1 basis gradients (nt, 2, 3) and areas (nt,) of the
+    triangles."""
     tri = mesh.vertices[mesh.triangles]
     e0 = tri[:, 2] - tri[:, 1]
     e1 = tri[:, 0] - tri[:, 2]
@@ -337,10 +344,17 @@ def _triangle_elements(mesh, coeff):
     area = mesh.triangle_areas()
     grads = np.stack([np.stack([-e0[:, 1], -e1[:, 1], -e2[:, 1]], axis=1),
                       np.stack([e0[:, 0], e1[:, 0], e2[:, 0]], axis=1)], axis=1)
-    cell_w = area if coeff.bulk_weight is None else weighted_cell_integral(
-        coeff.bulk_weight, tri, tol_rel=_WEIGHT_TOL)
-    return (grads / (2.0 * area)[:, None, None], area, cell_w,
-            _plain_masses(area, _TRIANGLE_RULE))
+    return grads / (2.0 * area)[:, None, None], area
+
+
+def _cell_weights(mesh, coeff, area):
+    """Bulk-weight integral over every triangle (nt,): the areas ``area``
+    when there is no weight."""
+    if coeff.bulk_weight is None:
+        return area
+    return weighted_cell_integral(coeff.bulk_weight,
+                                  mesh.vertices[mesh.triangles],
+                                  tol_rel=_WEIGHT_TOL)
 
 
 def _scatter(dofs, elem, n):
@@ -398,16 +412,15 @@ def _stiffness(mesh, dofmap, grads, cell_mats):
     return _scatter(dofmap.vertex_free[mesh.triangles], elem, dofmap.n_free)
 
 
-def _form_gram_bulk(mesh, dofmap, elements):
-    """The plain consistent bulk mass and the bulk part of the form-domain
-    Gram matrix ``M_form`` (that mass plus the envelope stiffness), from
-    the ``_triangle_elements`` of the mesh.  The envelope integrals are
-    the weight integrals ``cell_w``, which are the areas without a
-    weight."""
-    grads, _, cell_w, plain = elements
-    mass = _scatter(dofmap.vertex_free[mesh.triangles], plain, dofmap.n_free)
-    return mass, mass + _stiffness(mesh, dofmap, grads,
-                                   cell_w[:, None, None] * np.eye(2))
+def _form_gram_bulk(mesh, dofmap, cell_w):
+    """The bulk part of the form-domain Gram matrix ``M_form``: the plain
+    consistent bulk mass plus the envelope stiffness, whose envelope
+    integrals are the weight integrals ``cell_w`` (:func:`_cell_weights`)."""
+    grads, area = _triangle_geometry(mesh)
+    mass = _scatter(dofmap.vertex_free[mesh.triangles],
+                    _plain_masses(area, _TRIANGLE_RULE), dofmap.n_free)
+    return mass + _stiffness(mesh, dofmap, grads,
+                             cell_w[:, None, None] * np.eye(2))
 
 
 def _edge_points(smesh, ts):
@@ -476,6 +489,19 @@ def _surface_block_dofs(dofmap, smesh, which):
     index = np.full(dofmap.n_vertices, -1, dtype=int)
     index[verts] = np.arange(len(verts))
     return index[smesh.edges]
+
+
+def _block_mass(blocks, lumped):
+    """Block-diagonal CSR mass of the block space from its ``blocks``:
+    (element dofs within the block, block size, element masses) of each
+    nonempty block.  Lumping is one rule for every block: element row
+    sums, scattered as 1x1 elements."""
+    if lumped:
+        blocks = [(dofs.reshape(-1, 1), n_b,
+                   mass.sum(axis=2).reshape(-1, 1, 1))
+                  for dofs, n_b, mass in blocks]
+    return sp.block_diag([_scatter(dofs, mass, n_b)
+                          for dofs, n_b, mass in blocks], format="csr")
 
 
 def assemble_trace_map(dofmap):
@@ -629,21 +655,31 @@ class DiscreteOperator:
         scattered onto the free bulk dofs of their edges.
     M_blk : csr_matrix
         Relaxation-weighted block mass.
-    M_blk_plain : csr_matrix
-        Unweighted block mass, lumped when the pencil is.
     J : csr_matrix
         Trace map, free bulk dofs -> block space; its rows past the bulk
         identity select the dynamic-boundary, then the interface nodes.
-    M_form : csr_matrix
-        Gram matrix of the form-domain inner product.
     K_bulk : csr_matrix
         Bulk-only part of the stiffness (used for flux recovery).
+    M_blk_plain : csr_matrix
+        Unweighted block mass, lumped when the pencil is.
+    M_form : csr_matrix
+        Gram matrix of the form-domain inner product: the plain bulk mass
+        plus the envelope stiffness of the weight integrals, plus the
+        surface stiffnesses (each surface is its own envelope).
     smeshes : dict
         The ``dynamic`` and ``interface`` SurfaceMesh of the mesh.
+
+    Only diagnostics read ``M_blk_plain`` and ``M_form`` (steady solves,
+    flux recovery, the J-ellipticity constant), so the first access of
+    either assembles both, as ``mtilde()`` is assembled on its first
+    request.  For that the pencil keeps only what is costly to recompute:
+    ``cell_w``, the bulk-weight integral of every triangle (the areas
+    without a weight), and ``surface_stiffness``, the surface stiffnesses
+    summed into ``T``, in that order; and whether it is ``lumped``.
     """
 
-    def __init__(self, mesh, coeff, dofmap, smeshes, T, K_bulk, M_blk,
-                 M_blk_plain, J, M_form):
+    def __init__(self, mesh, coeff, dofmap, smeshes, T, K_bulk, M_blk, J, *,
+                 cell_w, surface_stiffness, lumped):
         self.mesh = mesh
         self.coeff = coeff
         self.dofmap = dofmap
@@ -651,12 +687,37 @@ class DiscreteOperator:
         self.T = T
         self.K_bulk = K_bulk
         self.M_blk = M_blk
-        self.M_blk_plain = M_blk_plain
         self.J = J
-        self.M_form = M_form
+        self._cell_w = cell_w
+        self._surface_stiffness = tuple(surface_stiffness)
+        self._lumped = lumped
         self._mtilde = None
         self._eig_cache = None
         self._factors = {}
+
+    @cached_property
+    def _plain_and_form(self):
+        """``(M_blk_plain, M_form)``, assembled together on first use."""
+        mesh, dofmap = self.mesh, self.dofmap
+        m_form = _form_gram_bulk(mesh, dofmap, self._cell_w)
+        for k_surf in self._surface_stiffness:
+            m_form = m_form + k_surf
+        blocks = [(dofmap.vertex_free[mesh.triangles], dofmap.n_free,
+                   _plain_masses(mesh.triangle_areas(), _TRIANGLE_RULE))]
+        blocks += [(_surface_block_dofs(dofmap, smesh, which),
+                    len(dofmap.surface_vertices(which)),
+                    _plain_masses(smesh.edge_lengths, _EDGE_RULE))
+                   for which, smesh in self.smeshes.items()
+                   if len(dofmap.surface_vertices(which))]
+        return _block_mass(blocks, self._lumped), m_form.tocsr()
+
+    @property
+    def M_blk_plain(self):
+        return self._plain_and_form[0]
+
+    @property
+    def M_form(self):
+        return self._plain_and_form[1]
 
     @property
     def n_free(self):
@@ -715,18 +776,18 @@ class DiscreteOperator:
 
 
 def build_pencil(mesh, coeff, *, lumped=False, extra_constrained=()):
-    """Assemble the full discrete operator pencil for a labeled mesh.
+    """Assemble the discrete operator pencil for a labeled mesh.
 
-    One pass over the triangles gives the P1 gradients, the weight
-    integrals and the plain element masses; the weight integrals serve
-    both the coefficient and the envelope stiffness, and the plain masses
-    both ``M_form`` and ``M_blk_plain`` (an unlumped pencil scatters the
-    plain bulk mass once, for both).  Each block of the block space
-    (bulk, dynamic boundary, interface) then gets its weighted element
-    masses from one relaxation-coefficient evaluation.  Lumping is one
-    rule for every block: element row sums, scattered as 1x1 elements.
-    The surface stiffness, its own envelope, goes straight onto the free
-    bulk dofs of its edges in both ``T`` and ``M_form``.
+    ``T``, ``K_bulk``, ``M_blk`` and ``J`` are assembled here, ``M_form``
+    and ``M_blk_plain`` on first use (see :class:`DiscreteOperator`).
+    One pass over the triangles gives the P1 gradients and areas, and one
+    call the weight integrals, which serve both the coefficient stiffness
+    and, later, the envelope stiffness of ``M_form``.  Each block of the
+    block space (bulk, dynamic boundary, interface) gets its weighted
+    element masses from one relaxation-coefficient evaluation.  Lumping
+    is one rule for every block: element row sums, scattered as 1x1
+    elements.  The surface stiffness, its own envelope, goes straight
+    onto the free bulk dofs of its edges in ``T`` (and in ``M_form``).
     """
     smeshes = {which: SurfaceMesh.from_mesh(mesh, which)
                for which in (DYNAMIC, INTERFACE)}
@@ -734,44 +795,33 @@ def build_pencil(mesh, coeff, *, lumped=False, extra_constrained=()):
                           extra_constrained)
     n = dofmap.n_free
 
-    elements = _triangle_elements(mesh, coeff)
-    grads, area, cell_w, plain = elements
+    grads, area = _triangle_geometry(mesh)
+    cell_w = _cell_weights(mesh, coeff, area)
     k_bulk = _stiffness(mesh, dofmap, grads, _coefficient_integrals(
         mesh, coeff, area, cell_w))
     t_mat = k_bulk
-    bulk_mass, m_form = _form_gram_bulk(mesh, dofmap, elements)
-    # (element dofs within the block, block size, plain and weighted
-    # element masses) of each block of the block space
-    blocks = [(dofmap.vertex_free[mesh.triangles], n, plain, _weighted_masses(
+    k_surfs = []
+    # (element dofs within the block, block size, weighted element
+    # masses) of each block of the block space
+    blocks = [(dofmap.vertex_free[mesh.triangles], n, _weighted_masses(
         coeff, "bulk", _TRIANGLE_RULE[0] @ mesh.vertices[mesh.triangles],
         area, _TRIANGLE_RULE))]
     for which, smesh in smeshes.items():
         n_surf = len(dofmap.surface_vertices(which))
         if n_surf == 0:         # an empty block adds no rows to M_blk
             continue
-        k_surf = _surface_stiffness(smesh, coeff, which,
-                                    dofmap.vertex_free[smesh.edges], n)
-        t_mat = t_mat + k_surf
-        m_form = m_form + k_surf
-        length = smesh.edge_lengths
+        k_surfs.append(_surface_stiffness(smesh, coeff, which,
+                                          dofmap.vertex_free[smesh.edges], n))
+        t_mat = t_mat + k_surfs[-1]
         blocks.append((_surface_block_dofs(dofmap, smesh, which), n_surf,
-                       _plain_masses(length, _EDGE_RULE), _weighted_masses(
-                           coeff, which, _edge_points(smesh, _EDGE_TS),
-                           length, _EDGE_RULE)))
-    if lumped:          # element row sums, scattered as 1x1 elements
-        blocks = [(dofs.reshape(-1, 1), n_b,
-                   *(m.sum(axis=2).reshape(-1, 1, 1) for m in masses))
-                  for dofs, n_b, *masses in blocks]
-    m_blk = sp.block_diag([_scatter(dofs, mass, n_b)
-                           for dofs, n_b, _, mass in blocks], format="csr")
-    # the consistent plain bulk block is the mass M_form already holds
-    m_blk_plain = sp.block_diag(
-        [bulk_mass if k == 0 and not lumped else _scatter(dofs, mass, n_b)
-         for k, (dofs, n_b, mass, _) in enumerate(blocks)], format="csr")
+                       _weighted_masses(coeff, which,
+                                        _edge_points(smesh, _EDGE_TS),
+                                        smesh.edge_lengths, _EDGE_RULE)))
 
     return DiscreteOperator(mesh, coeff, dofmap, smeshes, t_mat.tocsr(),
-                            k_bulk, m_blk, m_blk_plain,
-                            assemble_trace_map(dofmap), m_form.tocsr())
+                            k_bulk, _block_mass(blocks, lumped),
+                            assemble_trace_map(dofmap), cell_w=cell_w,
+                            surface_stiffness=k_surfs, lumped=lumped)
 
 
 def project_initial_data(raw, pencil):
@@ -809,9 +859,11 @@ def validate_envelopes(mesh, coeff):
     mu = np.empty(pts.shape[:2] + (2, 2))
     for region in np.unique(mesh.tri_regions):
         sel = mesh.tri_regions == region
-        mu[sel] = coeff.bulk_values(pts[sel].reshape(-1, 2),
-                                    region).reshape(-1, len(bary), 2, 2)
+        mu[sel] = coeff._bulk_unweighted(pts[sel].reshape(-1, 2),
+                                         region).reshape(-1, len(bary), 2, 2)
     env = coeff.bulk_envelope_values(flat).reshape(pts.shape[:2])
+    if coeff.bulk_weight is not None:   # the full coefficient, as bulk_values
+        mu *= env[..., None, None]
     a, b, c, d = (mu[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
     off = 0.5 * (b + c)                     # of the symmetric part
     tr = a + d

@@ -524,6 +524,9 @@ class _Output:
 
 def _pipeline_evolve(inputs, out):
     mesh, coeff = inputs["mesh"], inputs["coefficients"]
+    # sampled before the pencil exists, so that its temporaries do not
+    # stack on the pencil and its factorizations
+    observed = validate_envelopes(mesh, coeff)[1]
     pencil = build_pencil(mesh, coeff, lumped=inputs["mass"])
     report = evolve(pencil, inputs["init"](pencil.dofmap), None,
                     inputs["time"])
@@ -544,7 +547,7 @@ def _pipeline_evolve(inputs, out):
         out.table(f"snapshot_{k:03d}.csv", {**nodes, "value": field.stacked()})
         out.add(f"snapshot_{k:03d}_", {"time": t})
     out.add("mesh.", mesh.stats())
-    out.add("observed.", validate_envelopes(mesh, coeff)[1])
+    out.add("observed.", observed)
 
 
 def _pipeline_eigs(inputs, out):

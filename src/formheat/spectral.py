@@ -40,8 +40,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .assembly import (build_dofmap, lanczos_start, _band_cholesky,
-                       _form_gram_bulk, _surface_plain_mass,
-                       _triangle_elements)
+                       _cell_weights, _form_gram_bulk, _surface_plain_mass)
 from .errors import (EigenSolveError, OutsideTheoryError, SizeLimitError,
                      UnsupportedScenarioError)
 from .geometry.surface import INTERFACE, SurfaceMesh
@@ -687,7 +686,8 @@ def trace_norm_probe(mesh, coeff, *, n_samples=200, seed=0):
     numer = _surface_plain_mass(smesh_sigma,
                                 dofmap.vertex_free[smesh_sigma.edges], n)
     # the bulk part of the pencil's M_form
-    _, denom = _form_gram_bulk(mesh, dofmap, _triangle_elements(mesh, coeff))
+    denom = _form_gram_bulk(mesh, dofmap, _cell_weights(
+        mesh, coeff, mesh.triangle_areas()))
     lam, _ = _dense_eigh(denom, numer, subset=(n - 1, n - 1))
     sup_ratio = float(np.sqrt(max(lam[0], 0.0)))
     u = np.random.default_rng(seed).standard_normal((n_samples, n)).T

@@ -71,3 +71,30 @@ def conserving_mesh_8():
 @pytest.fixture(scope="session")
 def conserving_pencil_8(conserving_mesh_8):
     return build_pencil(conserving_mesh_8, CoefficientSet())
+
+
+def pencil_reference_coefficients():
+    """Seven coefficient sets that together reach every branch of the
+    pencil assembly: constant, scalar with relaxation != 1, matrix,
+    segment and point weights (with callable surface and relaxation
+    coefficients), a callable bulk coefficient, and per-region entries
+    with a vanishing interface coefficient."""
+    import numpy as np
+    return {
+        "default": CoefficientSet(),
+        "scalar": CoefficientSet(2.5, 0.7, 1.3, zeta_bulk=1.5, zeta_gd=0.5,
+                                 zeta_sigma=2.0),
+        "matrix": CoefficientSet([[2.0, 0.3], [0.3, 1.0]],
+                                 [[1.0, 0.2], [0.2, 3.0]], 0.4),
+        "segment": CoefficientSet(
+            bulk_weight=WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]), 0.5),
+            zeta_bulk=2.0, mu_gd=lambda p: 1.0 + p[:, 0]),
+        "point": CoefficientSet(
+            3.0, bulk_weight=WeightSpec(Points((0.5, 0.25)), 1.0),
+            zeta_sigma=lambda p: 1.0 + p[:, 0] ** 2),
+        "callable": CoefficientSet(lambda p: 1.0 + p[:, 0] * p[:, 1],
+                                   zeta_bulk=lambda p: 2.0 + p[:, 1]),
+        "regions": CoefficientSet({0: 1.0, 1: np.array([[2.0, 0.5],
+                                                        [0.5, 1.5]])},
+                                  mu_sigma=0.0),
+    }

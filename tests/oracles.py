@@ -7,15 +7,21 @@ loop instead of sparse matrix algebra, reference integrals come from
 Richardson-extrapolated midpoint grids, the dyadic scan measures the
 distance of every cube, the polygon clip clips every row, pencil
 spectra come from LAPACK's dense generalized solver or, at theta = 1,
-from no eigensolve at all, and the band congruence from band solves
-that take one right-hand side at a time.
+from no eigensolve at all, the band congruence from band solves
+that take one right-hand side at a time, and the pencil's deferred
+matrices from an eager assembly when the pencil is built.
 """
+
+import hashlib
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from formheat.assembly import (_band_cholesky, _form_gram_bulk,
-                               _surface_plain_mass, _triangle_elements,
+from formheat.assembly import (_EDGE_RULE, _TRIANGLE_RULE, _band_cholesky,
+                               _cell_weights, _form_gram_bulk, _plain_masses,
+                               _scatter, _surface_block_dofs,
+                               _surface_plain_mass, _surface_stiffness,
                                build_dofmap)
 from formheat.geometry.mesh import DIRICHLET, DYNAMIC, Mesh
 from formheat.geometry.surface import INTERFACE, SurfaceMesh
@@ -304,8 +310,51 @@ def trace_pair(mesh, coeff):
     dofmap = build_dofmap(mesh, None, smesh)
     numer = _surface_plain_mass(smesh, dofmap.vertex_free[smesh.edges],
                                 dofmap.n_free)
-    _, denom = _form_gram_bulk(mesh, dofmap, _triangle_elements(mesh, coeff))
+    denom = _form_gram_bulk(mesh, dofmap, _cell_weights(
+        mesh, coeff, mesh.triangle_areas()))
     return numer, denom
+
+
+def pencil_digest(pencil):
+    """sha256 of the data, indices and indptr of ``T``, ``K_bulk``,
+    ``M_blk``, ``M_blk_plain``, ``J``, ``M_form`` and ``mtilde()``, in
+    that order: equal digests mean bit-identical pencil matrices."""
+    digest = hashlib.sha256()
+    for matrix in (pencil.T, pencil.K_bulk, pencil.M_blk, pencil.M_blk_plain,
+                   pencil.J, pencil.M_form, pencil.mtilde()):
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def eager_plain_and_form(mesh, coeff, lumped=False):
+    """``(M_blk_plain, M_form)`` of ``build_pencil(mesh, coeff,
+    lumped=lumped)`` assembled at once from the mesh, with freshly
+    integrated weights and surface stiffnesses, in the pencil's order of
+    summation (the reference for the pencil's deferred assembly)."""
+    smeshes = [SurfaceMesh.from_mesh(mesh, which)
+               for which in (DYNAMIC, INTERFACE)]
+    dofmap = build_dofmap(mesh, *smeshes)
+    n = dofmap.n_free
+    area = mesh.triangle_areas()
+    m_form = _form_gram_bulk(mesh, dofmap, _cell_weights(mesh, coeff, area))
+    blocks = [(dofmap.vertex_free[mesh.triangles], n,
+               _plain_masses(area, _TRIANGLE_RULE))]
+    for which, smesh in zip((DYNAMIC, INTERFACE), smeshes):
+        n_surf = len(dofmap.surface_vertices(which))
+        if n_surf == 0:
+            continue
+        m_form = m_form + _surface_stiffness(
+            smesh, coeff, which, dofmap.vertex_free[smesh.edges], n)
+        blocks.append((_surface_block_dofs(dofmap, smesh, which), n_surf,
+                       _plain_masses(smesh.edge_lengths, _EDGE_RULE)))
+    if lumped:
+        blocks = [(dofs.reshape(-1, 1), n_b,
+                   mass.sum(axis=2).reshape(-1, 1, 1))
+                  for dofs, n_b, mass in blocks]
+    plain = sp.block_diag([_scatter(dofs, mass, n_b)
+                           for dofs, n_b, mass in blocks], format="csr")
+    return plain, m_form.tocsr()
 
 
 def band_congruence_dtbtrs(pencil, stiffness):

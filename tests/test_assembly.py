@@ -383,7 +383,8 @@ def test_affine_callable_bulk_coefficient_matches_oracle(std_mesh_8, mu):
 
 def test_weighted_pencil_integrates_each_cell_once(std_mesh_8, monkeypatch):
     # the coefficient and envelope stiffness share one weight integral
-    # per triangle, all computed in one call over the stack of triangles
+    # per triangle, all computed in one call over the stack of triangles;
+    # the deferred M_form reads the integrals the pencil kept
     cells = []
     integral = assembly.weighted_cell_integral
 
@@ -394,7 +395,7 @@ def test_weighted_pencil_integrates_each_cell_once(std_mesh_8, monkeypatch):
     monkeypatch.setattr(assembly, "weighted_cell_integral", counting)
     coeff = CoefficientSet(
         bulk_weight=WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]), 0.5))
-    build_pencil(std_mesh_8, coeff)
+    build_pencil(std_mesh_8, coeff).M_form
     assert cells == [std_mesh_8.num_triangles]
 
 
