@@ -26,7 +26,7 @@ mesh = unit_square_mesh(16, bottom="dirichlet", top="dirichlet",
 pencil = build_pencil(mesh, CoefficientSet())
 verts = mesh.vertices[pencil.dofmap.free_vertices]
 tent = np.minimum(verts[:, 1], 1.0 - verts[:, 1])
-jump = recover_interface_flux(pencil, mesh, tent)
+jump = recover_interface_flux(pencil, tent)
 print("tent profile: recovered jump at the interface nodes")
 print(f"  values in [{jump.min():.12f}, {jump.max():.12f}]  (exact: 2)")
 
@@ -44,7 +44,7 @@ for n in (8, 16, 32, 64):
     f = BlockField.from_functions(
         mesh, pencil.dofmap,
         f_bulk=lambda p: ms.f_bulk(p, 0.0) + ms.u(p, 0.0))
-    worst = np.abs(recover_interface_flux(pencil, mesh, u, f)).max()
+    worst = np.abs(recover_interface_flux(pencil, u, f)).max()
     ratio = "" if prev is None else f"{worst / prev:8.3f}"
     print(f"{n:>4} {worst:>14.6e} {ratio:>8}")
     prev = worst

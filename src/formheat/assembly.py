@@ -11,7 +11,8 @@ P1 finite elements on a labeled mesh produce the operator pencil
             bulk mass + envelope-weighted gradient terms),
 
 and the unweighted block mass M_blk_plain.  Only diagnostics read
-M_form and M_blk_plain, so the pencil assembles both on first use.
+M_form and M_blk_plain, so the pencil assembles each on its own first
+use.
 
 Dirichlet conditions are imposed by eliminating the dofs of the closed
 Dirichlet boundary part (vertices of Dirichlet edges, plus any
@@ -669,13 +670,14 @@ class DiscreteOperator:
     smeshes : dict
         The ``dynamic`` and ``interface`` SurfaceMesh of the mesh.
 
-    Only diagnostics read ``M_blk_plain`` and ``M_form`` (steady solves,
-    flux recovery, the J-ellipticity constant), so the first access of
-    either assembles both, as ``mtilde()`` is assembled on its first
-    request.  For that the pencil keeps only what is costly to recompute:
-    ``cell_w``, the bulk-weight integral of every triangle (the areas
-    without a weight), and ``surface_stiffness``, the surface stiffnesses
-    summed into ``T``, in that order; and whether it is ``lumped``.
+    Only diagnostics read ``M_blk_plain`` (steady solves, flux recovery)
+    and ``M_form`` (the J-ellipticity constant), so each is assembled on
+    its own first use, as ``mtilde()`` is assembled on its first request;
+    the two share no work.  For that the pencil keeps only what is costly
+    to recompute: ``cell_w``, the bulk-weight integral of every triangle
+    (the areas without a weight), and ``surface_stiffness``, the surface
+    stiffnesses summed into ``T``, in that order; and whether it is
+    ``lumped``.
     """
 
     def __init__(self, mesh, coeff, dofmap, smeshes, T, K_bulk, M_blk, J, *,
@@ -696,12 +698,8 @@ class DiscreteOperator:
         self._factors = {}
 
     @cached_property
-    def _plain_and_form(self):
-        """``(M_blk_plain, M_form)``, assembled together on first use."""
+    def M_blk_plain(self):
         mesh, dofmap = self.mesh, self.dofmap
-        m_form = _form_gram_bulk(mesh, dofmap, self._cell_w)
-        for k_surf in self._surface_stiffness:
-            m_form = m_form + k_surf
         blocks = [(dofmap.vertex_free[mesh.triangles], dofmap.n_free,
                    _plain_masses(mesh.triangle_areas(), _TRIANGLE_RULE))]
         blocks += [(_surface_block_dofs(dofmap, smesh, which),
@@ -709,15 +707,14 @@ class DiscreteOperator:
                     _plain_masses(smesh.edge_lengths, _EDGE_RULE))
                    for which, smesh in self.smeshes.items()
                    if len(dofmap.surface_vertices(which))]
-        return _block_mass(blocks, self._lumped), m_form.tocsr()
+        return _block_mass(blocks, self._lumped)
 
-    @property
-    def M_blk_plain(self):
-        return self._plain_and_form[0]
-
-    @property
+    @cached_property
     def M_form(self):
-        return self._plain_and_form[1]
+        m_form = _form_gram_bulk(self.mesh, self.dofmap, self._cell_w)
+        for k_surf in self._surface_stiffness:
+            m_form = m_form + k_surf
+        return m_form.tocsr()
 
     @property
     def n_free(self):
@@ -779,7 +776,8 @@ def build_pencil(mesh, coeff, *, lumped=False, extra_constrained=()):
     """Assemble the discrete operator pencil for a labeled mesh.
 
     ``T``, ``K_bulk``, ``M_blk`` and ``J`` are assembled here, ``M_form``
-    and ``M_blk_plain`` on first use (see :class:`DiscreteOperator`).
+    and ``M_blk_plain`` each on its own first use (see
+    :class:`DiscreteOperator`).
     One pass over the triangles gives the P1 gradients and areas, and one
     call the weight integrals, which serve both the coefficient stiffness
     and, later, the envelope stiffness of ``M_form``.  Each block of the

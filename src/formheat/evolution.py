@@ -270,7 +270,7 @@ def steady_solve(pencil, f):
     return u
 
 
-def recover_interface_flux(pencil, mesh, u, f=None):
+def recover_interface_flux(pencil, u, f=None):
     """Variational recovery of the conormal flux jump on the interface.
 
     For each interface node hat function phi the bulk residual

@@ -1,13 +1,18 @@
 """Surface meshes: chains of labeled mesh edges carrying surface dofs.
 
 A :class:`SurfaceMesh` realizes one labeled surface (the dynamic boundary
-part or the interface) as ordered chains of mesh edges.  Surface nodes
-are exactly the mesh vertices incident to edges of that label; the
-cross-reference from local surface node index to bulk vertex id is the
-``node_vertices`` array.
+part or the interface) as a set of mesh edges.  Surface nodes are exactly
+the mesh vertices incident to edges of that label; the cross-reference
+from local surface node index to bulk vertex id is the ``node_vertices``
+array.  Nodes, lengths and tangents are built in array passes at
+construction; the ordered chains and their arc coordinates, which only
+the Lipschitz charts read, are built on first read.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,7 +24,12 @@ INTERFACE = "interface"
 
 
 class SurfaceMesh:
-    """Edge chains of one labeled surface with arc coordinates and charts.
+    """Edges of one labeled surface, with chains, arc coordinates and charts.
+
+    ``node_vertices`` (sorted), ``edge_nodes``, ``edge_lengths`` and
+    ``tangents`` are built at construction, as is the check that the
+    edges form simple polylines.  ``chains`` and ``arc_coords`` are built
+    on first read.
 
     Parameters
     ----------
@@ -35,20 +45,10 @@ class SurfaceMesh:
         self.mesh = mesh
         self.label = label
         self.edges = np.asarray(edges, dtype=int).reshape(-1, 2)
-        if len(self.edges) == 0:
-            self.node_vertices = np.zeros(0, dtype=int)
-            self.edge_nodes = np.zeros((0, 2), dtype=int)
-            self.edge_lengths = np.zeros(0)
-            self.tangents = np.zeros((0, 2))
-            self.chains = []
-            self.arc_coords = {}
-            return
-
-        verts = sorted({int(v) for e in self.edges for v in e})
-        self.node_vertices = np.array(verts, dtype=int)
-        self._local = {v: k for k, v in enumerate(verts)}
-        self.edge_nodes = np.array(
-            [[self._local[i], self._local[j]] for i, j in self.edges], dtype=int)
+        # the inverse's shape differs between numpy 2.x releases
+        self.node_vertices, inverse = np.unique(self.edges,
+                                                return_inverse=True)
+        self.edge_nodes = inverse.reshape(-1, 2)
 
         lengths = mesh.edge_lengths(self.edges)
         if np.any(lengths <= 0):
@@ -56,8 +56,8 @@ class SurfaceMesh:
         self.edge_lengths = lengths
         d = mesh.vertices[self.edges[:, 1]] - mesh.vertices[self.edges[:, 0]]
         self.tangents = d / np.sqrt(np.vecdot(d, d))[:, None]   # (k, 2), unit
-        self.chains = self._build_chains()
-        self.arc_coords = self._arc_coordinates()
+        if np.any(np.bincount(self.edge_nodes.ravel()) > 2):
+            raise MeshInvariantError("surface edges do not form simple polylines")
 
     @classmethod
     def from_mesh(cls, mesh, label):
@@ -68,67 +68,54 @@ class SurfaceMesh:
         if label == INTERFACE:
             edges = mesh.interface_edges
         elif label == DYNAMIC:
-            idx = mesh.boundary_edges_with_label(DYNAMIC)
-            edges = mesh.boundary_edges[idx] if idx else np.zeros((0, 2), int)
+            edges = mesh.boundary_edges[mesh.boundary_edges_with_label(DYNAMIC)]
         else:
             raise ValueError(f"no surface dofs live on label '{label}'")
         return cls(mesh, edges, label)
 
     # -- topology ---------------------------------------------------------------
 
-    def _build_chains(self):
-        """Order edges into simple chains (paths, or loops when closed)."""
+    @cached_property
+    def chains(self):
+        """Edges ordered into simple chains of bulk vertex ids (paths, or
+        loops whose last vertex repeats the first).  A chain starts at the
+        lowest unused edge with an endpoint, else at the lowest unused
+        edge."""
+        edges = self.edges.tolist()
         incident = {}
-        for k, (i, j) in enumerate(self.edges):
-            incident.setdefault(int(i), []).append(k)
-            incident.setdefault(int(j), []).append(k)
-        for v, eks in incident.items():
-            if len(eks) > 2:
-                raise MeshInvariantError("surface edges do not form simple polylines")
-
-        unused = set(range(len(self.edges)))
+        for k, (i, j) in enumerate(edges):
+            incident.setdefault(i, []).append(k)
+            incident.setdefault(j, []).append(k)
+        ends = [k for k, (i, j) in enumerate(edges)
+                if len(incident[i]) == 1 or len(incident[j]) == 1]
+        unused = set(range(len(edges)))
         chains = []
         while unused:
-            # prefer an endpoint (degree-1 vertex) start; otherwise a loop
-            start_edge = None
-            for k in sorted(unused):
-                i, j = self.edges[k]
-                if len(incident[int(i)]) == 1 or len(incident[int(j)]) == 1:
-                    start_edge = k
-                    break
-            if start_edge is None:
-                start_edge = min(unused)
-            i, j = map(int, self.edges[start_edge])
+            start = next((k for k in ends if k in unused), min(unused))
+            i, j = edges[start]
             if len(incident[j]) == 1 and len(incident[i]) != 1:
                 i, j = j, i
             chain = [i, j]
-            unused.discard(start_edge)
-            current, prev_edge = j, start_edge
-            while True:
-                nxt = [k for k in incident[current] if k != prev_edge and k in unused]
+            unused.discard(start)
+            while chain[-1] != chain[0]:
+                nxt = [k for k in incident[chain[-1]] if k in unused]
                 if not nxt:
                     break
-                k = nxt[0]
-                a, b = map(int, self.edges[k])
-                current = b if a == current else a
-                chain.append(current)
-                unused.discard(k)
-                prev_edge = k
-                if current == chain[0]:
-                    break
+                a, b = edges[nxt[0]]
+                chain.append(b if a == chain[-1] else a)
+                unused.discard(nxt[0])
             chains.append(chain)
         return chains
 
-    def _arc_coordinates(self):
+    @cached_property
+    def arc_coords(self):
         """Arc length of every surface node along its chain."""
         coords = {}
         v = self.mesh.vertices
         for chain in self.chains:
-            s = 0.0
-            coords[chain[0]] = 0.0
-            for a, b in zip(chain[:-1], chain[1:]):
-                s += float(np.linalg.norm(v[b] - v[a]))
-                coords[b] = s
+            steps = [float(np.linalg.norm(v[b] - v[a]))
+                     for a, b in zip(chain[:-1], chain[1:])]
+            coords.update(zip(chain, accumulate(steps, initial=0.0)))
         return coords
 
     # -- measure and charts -------------------------------------------------------
@@ -139,10 +126,15 @@ class SurfaceMesh:
 
     def total_length(self):
         """Discrete 1-D Hausdorff measure: sum of edge lengths."""
-        return float(self.edge_lengths.sum()) if len(self.edges) else 0.0
+        return float(self.edge_lengths.sum())
 
     def local_index(self, vertex):
-        return self._local[int(vertex)]
+        """Local node index of a bulk vertex; ``KeyError`` when the vertex
+        is not on the surface."""
+        k = int(np.searchsorted(self.node_vertices, vertex))
+        if k == self.num_nodes or self.node_vertices[k] != vertex:
+            raise KeyError(vertex)
+        return k
 
     def edge_midpoint(self, k):
         i, j = self.edges[k]

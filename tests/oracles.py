@@ -8,8 +8,10 @@ Richardson-extrapolated midpoint grids, the dyadic scan measures the
 distance of every cube, the polygon clip clips every row, pencil
 spectra come from LAPACK's dense generalized solver or, at theta = 1,
 from no eigensolve at all, the band congruence from band solves
-that take one right-hand side at a time, and the pencil's deferred
-matrices from an eager assembly when the pencil is built.
+that take one right-hand side at a time, the pencil's deferred
+matrices from an eager assembly when the pencil is built, and a surface
+mesh's nodes, chains and arc coordinates from a set, a dict and an
+edge-by-edge walk.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ from formheat.assembly import (_EDGE_RULE, _TRIANGLE_RULE, _band_cholesky,
                                _scatter, _surface_block_dofs,
                                _surface_plain_mass, _surface_stiffness,
                                build_dofmap)
+from formheat.errors import DegenerateGeometryError, MeshInvariantError
 from formheat.geometry.mesh import DIRICHLET, DYNAMIC, Mesh
 from formheat.geometry.surface import INTERFACE, SurfaceMesh
 from formheat.spectral import _pencil_eigendecomposition
@@ -355,6 +358,76 @@ def eager_plain_and_form(mesh, coeff, lumped=False):
     plain = sp.block_diag([_scatter(dofs, mass, n_b)
                            for dofs, n_b, mass in blocks], format="csr")
     return plain, m_form.tocsr()
+
+
+def surface_mesh_loop(mesh, edges):
+    """The attributes ``SurfaceMesh(mesh, edges, label)`` builds, as a
+    dict, built vertex by vertex and edge by edge: nodes from a set of
+    vertex ids and a vertex -> node dict, chains walked through an
+    incidence dict, arc lengths summed along each chain.  Raises as the
+    surface mesh does: ``DegenerateGeometryError`` for a zero-length
+    edge, then ``MeshInvariantError`` for a vertex on three edges."""
+    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+    verts = sorted({int(v) for e in edges for v in e})
+    local = {v: k for k, v in enumerate(verts)}
+    lengths = mesh.edge_lengths(edges)
+    if np.any(lengths <= 0):
+        raise DegenerateGeometryError("zero-length surface edge")
+    d = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
+    incident = {}
+    for k, (i, j) in enumerate(edges):
+        incident.setdefault(int(i), []).append(k)
+        incident.setdefault(int(j), []).append(k)
+    if any(len(eks) > 2 for eks in incident.values()):
+        raise MeshInvariantError("surface edges do not form simple polylines")
+
+    unused = set(range(len(edges)))
+    chains = []
+    while unused:
+        # prefer an endpoint (degree-1 vertex) start; otherwise a loop
+        start_edge = None
+        for k in sorted(unused):
+            i, j = edges[k]
+            if len(incident[int(i)]) == 1 or len(incident[int(j)]) == 1:
+                start_edge = k
+                break
+        if start_edge is None:
+            start_edge = min(unused)
+        i, j = map(int, edges[start_edge])
+        if len(incident[j]) == 1 and len(incident[i]) != 1:
+            i, j = j, i
+        chain = [i, j]
+        unused.discard(start_edge)
+        current, prev_edge = j, start_edge
+        while True:
+            nxt = [k for k in incident[current]
+                   if k != prev_edge and k in unused]
+            if not nxt:
+                break
+            k = nxt[0]
+            a, b = map(int, edges[k])
+            current = b if a == current else a
+            chain.append(current)
+            unused.discard(k)
+            prev_edge = k
+            if current == chain[0]:
+                break
+        chains.append(chain)
+
+    arc_coords = {}
+    for chain in chains:
+        s = 0.0
+        arc_coords[chain[0]] = 0.0
+        for a, b in zip(chain[:-1], chain[1:]):
+            s += float(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a]))
+            arc_coords[b] = s
+    return {"node_vertices": np.array(verts, dtype=int).reshape(-1),
+            "edge_nodes": np.array([[local[int(i)], local[int(j)]]
+                                    for i, j in edges],
+                                   dtype=int).reshape(-1, 2),
+            "edge_lengths": lengths,
+            "tangents": d / np.sqrt(np.vecdot(d, d))[:, None],
+            "chains": chains, "arc_coords": arc_coords, "local": local}
 
 
 def band_congruence_dtbtrs(pencil, stiffness):

@@ -518,6 +518,17 @@ def test_envelope_validation_flags_bad_constants():
     assert observed["zeta_min"] == pytest.approx(1.0)
 
 
+def test_envelope_check_skips_a_missing_interface():
+    # no interface: its negative coefficient has no edge to flag, while
+    # every dynamic edge is still checked
+    mesh = unit_square_mesh(4)
+    diags, observed = validate_envelopes(
+        mesh, CoefficientSet(mu_gd=-1.0, mu_sigma=-1.0, zeta_sigma=-1.0))
+    assert diags == [f"surface coefficient violates nonnegativity "
+                     f"(dynamic edge {k})" for k in range(4)]
+    assert observed == {"c1_obs": 1.0, "c2_obs": 1.0, "zeta_min": 1.0}
+
+
 def test_envelope_constants_bound_only_the_bulk():
     # a surface coefficient is its own envelope: c1 > 1 flags no edge
     mesh = standard_fixture_mesh(8)

@@ -60,6 +60,33 @@ exponents.case = B
     assert lines[1] == "3,0.5,B,4,+inf,2.6667,+inf,2.6667"
 
 
+def test_exponents_auto_case_without_gamma_is_nondegenerate(workdir):
+    cfg = write_cfg(workdir / "exp.cfg", f"""
+pipeline = exponents
+output = {workdir}/exp
+exponents.d = 3
+exponents.gamma = 0
+exponents.case = auto
+""")
+    assert run(cfg) == 0
+    lines = (workdir / "exp" / "exponents.csv").read_text().splitlines()
+    assert lines[1].split(",")[2] == "nondegenerate"
+
+
+def test_main_run_writes_to_the_output_option(workdir):
+    cfg = write_cfg(workdir / "exp.cfg", f"""
+pipeline = exponents
+output = {workdir}/ignored
+exponents.d = 3
+exponents.gamma = 0.5
+exponents.case = B
+""")
+    assert main(["run", cfg, "--output", str(workdir / "chosen")]) == 0
+    assert sorted(os.listdir(workdir / "chosen")) == ["exponents.csv",
+                                                      "manifest.csv"]
+    assert not (workdir / "ignored").exists()
+
+
 def test_evolve_equilibrium_constant_mass(workdir):
     cfg = write_cfg(workdir / "run.cfg", f"""
 pipeline = evolve
@@ -372,6 +399,12 @@ _BASE_KEYS = {
     ("evolve", "coeff.mu_gd", "dist_to_point 0 1 -0.5", "coefficients",
      "nonnegative"),
     ("evolve", "coeff.mu_gd", "", "coefficients", "malformed coefficient"),
+    ("evolve", "coeff.mu_gd", "dist_to_point 0.5 1", "coefficients",
+     "expected 'dist_to_point x y gamma'"),
+    ("evolve", "coeff.mu_omega", "1 2 3", "coefficients",
+     "expected a scalar or 4 matrix entries"),
+    ("evolve", "time.snapshots", "0.1 x", "time", "expected numbers"),
+    ("scan", "scan.window", "a b c d", "scan", "expected numbers"),
 ])
 def test_bad_config_values_are_config_errors(workdir, pipeline, key, value,
                                              section, message):
@@ -491,6 +524,12 @@ _AGREE_ROWS = [
     ("evolve", {"time.snapshots": "0.2"}, 2, "time",
      "snapshot times must lie in [0, t_end]"),
     ("scan", {"mesh": "nosuch.mesh"}, 0, None, None),
+    ("scan", {"scan.s": "points -0.5 0 0.5 0"}, 0, None, None),
+    ("exponents", {"exponents.case": "auto", "exponents.gamma": "0"}, 0,
+     None, None),
+    ("exponents", {"exponents.case": "auto", "mesh": "square.mesh"}, 2,
+     "exponents", "key 'exponents.case': exponents.case = auto needs "
+     "coeff.weight.*"),
     ("scan", {"coeff.mu_omega": "abc"}, 0, None, None),
     ("eigs", {"eigs.count": "1000"}, 2, "eigs", "1000 eigenpairs"),
     ("eigs", {"coeff.mu_omega": _ULP_SKEW, "coeff.c1": "0.5",

@@ -94,6 +94,29 @@ def test_forcing_sampled_at_intermediate_level():
     assert u[0] == pytest.approx(midpoint, rel=1e-13)
 
 
+def test_constant_forcing_field_equals_its_callable(conserving_pencil_8):
+    pencil = conserving_pencil_8
+    cfg = TimeSteppingConfig(dt=0.05, t_end=0.2, theta=0.5)
+    u0 = BlockField.from_functions(pencil.mesh, pencil.dofmap, 1.0, 1.0, 1.0)
+    f = BlockField.from_functions(pencil.mesh, pencil.dofmap,
+                                  lambda x: x[:, 0], 2.0, -1.0)
+    constant = evolve(pencil, u0, f, cfg)
+    assert np.array_equal(constant.final_vector,
+                          evolve(pencil, u0, lambda t: f, cfg).final_vector)
+    assert not np.array_equal(constant.final_vector,
+                              evolve(pencil, u0, None, cfg).final_vector)
+
+
+@pytest.mark.parametrize("forcing", [1.0, "f", np.zeros(3)],
+                         ids=["number", "string", "array"])
+def test_forcing_of_another_type_is_a_type_error(conserving_pencil_8,
+                                                 forcing):
+    pencil = conserving_pencil_8
+    u0 = BlockField.from_functions(pencil.mesh, pencil.dofmap, 1.0, 1.0, 1.0)
+    with pytest.raises(TypeError, match="forcing must be None, a BlockField"):
+        evolve(pencil, u0, forcing, TimeSteppingConfig(dt=0.1, t_end=0.2))
+
+
 def test_time_order_theta_one_and_half():
     mesh = standard_fixture_mesh(8)
     pencil = build_pencil(mesh, CoefficientSet())
@@ -125,14 +148,13 @@ def test_flux_recovery_tent():
     pencil = build_pencil(mesh, CoefficientSet())
     verts = mesh.vertices[pencil.dofmap.free_vertices]
     u = np.minimum(verts[:, 1], 1.0 - verts[:, 1])
-    jump = recover_interface_flux(pencil, mesh, u)
+    jump = recover_interface_flux(pencil, u)
     assert np.abs(np.abs(jump) - 2.0).max() <= 1e-10
 
 
 def test_flux_recovery_zero_state(std_pencil_8):
     pencil = std_pencil_8
-    jump = recover_interface_flux(pencil, pencil.mesh,
-                                  np.zeros(pencil.n_free))
+    jump = recover_interface_flux(pencil, np.zeros(pencil.n_free))
     assert np.abs(jump).max() == 0.0
 
 
@@ -150,7 +172,7 @@ def test_flux_recovery_smooth_refinement():
         # and du/dt = -u for this profile
         f = BlockField.from_functions(
             mesh, pencil.dofmap, f_bulk=lambda p: ms.f_bulk(p, t) + ms.u(p, t))
-        interior = np.abs(recover_interface_flux(pencil, mesh, u, f))
+        interior = np.abs(recover_interface_flux(pencil, u, f))
         maxima.append(interior.max())
     assert maxima[1] <= 0.7 * maxima[0]
     assert maxima[2] <= 0.7 * maxima[1]
@@ -159,7 +181,7 @@ def test_flux_recovery_smooth_refinement():
 def test_empty_interface_gives_empty_flux():
     mesh = unit_square_mesh(4)
     pencil = build_pencil(mesh, CoefficientSet())
-    jump = recover_interface_flux(pencil, mesh, np.zeros(pencil.n_free))
+    jump = recover_interface_flux(pencil, np.zeros(pencil.n_free))
     assert jump.size == 0
 
 

@@ -1,23 +1,24 @@
-"""The pencil assembles ``M_form`` and ``M_blk_plain`` on first use: CLI
-runs build neither, the first access of either builds both once, both
-equal an eager assembly bit for bit, and the diagnostics that read them
-keep the values recorded before the deferral, as does the envelope
+"""The pencil assembles ``M_form`` and ``M_blk_plain`` each on its own
+first use: CLI runs build neither, each is built once, on the first
+access of that matrix, each diagnostic builds only the matrix it reads,
+both equal an eager assembly bit for bit, and the diagnostics that read
+them keep the values recorded before the deferral, as does the envelope
 check, which now evaluates the bulk weight once."""
 
 import hashlib
 import json
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import formheat.assembly as assembly
 from conftest import jittered_mesh, pencil_reference_coefficients
 from oracles import eager_plain_and_form, pencil_digest
 from formheat import save_mesh
-from formheat.assembly import (BlockField, CoefficientSet, build_pencil,
-                               validate_envelopes)
+from formheat.assembly import (BlockField, CoefficientSet, DiscreteOperator,
+                               build_pencil, validate_envelopes)
 from formheat.cli import run
 from formheat.evolution import recover_interface_flux, steady_solve
 from formheat.geometry import Points, Polyline
@@ -28,18 +29,23 @@ REFERENCE = json.loads(
     (Path(__file__).with_name("pencil_reference.json")).read_text())
 
 
+_DEFERRED = ("M_form", "M_blk_plain")
+
+
 @pytest.fixture()
-def gram_builds(monkeypatch):
-    """The meshes of every ``_form_gram_bulk`` call: one per assembly of
-    ``M_form`` (and with it ``M_blk_plain``)."""
+def builds(monkeypatch):
+    """The name of the matrix each run of a deferred matrix's builder
+    assembled, in call order."""
     calls = []
-    gram = assembly._form_gram_bulk
+    for name in _DEFERRED:
+        def counting(pencil, build=getattr(DiscreteOperator, name).func,
+                     name=name):
+            calls.append(name)
+            return build(pencil)
 
-    def counting(mesh, *args):
-        calls.append(mesh)
-        return gram(mesh, *args)
-
-    monkeypatch.setattr(assembly, "_form_gram_bulk", counting)
+        spy = cached_property(counting)
+        spy.__set_name__(DiscreteOperator, name)
+        monkeypatch.setattr(DiscreteOperator, name, spy)
     return calls
 
 
@@ -67,8 +73,7 @@ probe.levels = 3
 
 
 @pytest.mark.parametrize("pipeline", sorted(_RUNS))
-def test_cli_runs_assemble_no_diagnostic_matrix(tmp_path, gram_builds,
-                                                pipeline):
+def test_cli_runs_assemble_no_diagnostic_matrix(tmp_path, builds, pipeline):
     save_mesh(unit_square_mesh(6, interface_y=0.5), tmp_path / "mixed.mesh")
     save_mesh(unit_square_mesh(4, bottom="neumann", top="dynamic"),
               tmp_path / "tiny.mesh")
@@ -76,20 +81,42 @@ def test_cli_runs_assemble_no_diagnostic_matrix(tmp_path, gram_builds,
     cfg.write_text(f"pipeline = {pipeline}\noutput = {tmp_path}/out\n"
                    f"seed = 0\n{_RUNS[pipeline]}")
     assert run(cfg) == 0
-    assert gram_builds == []
+    assert builds == []
 
 
-@pytest.mark.parametrize("first", ["M_form", "M_blk_plain"])
-def test_first_access_assembles_both_once(std_mesh_8, gram_builds, first):
+@pytest.mark.parametrize("first", _DEFERRED)
+def test_each_matrix_is_built_once_on_its_own_first_access(std_mesh_8, builds,
+                                                           first):
     pencil = build_pencil(std_mesh_8, CoefficientSet())
-    assert gram_builds == []
-    matrices = {first: getattr(pencil, first)}
-    assert len(gram_builds) == 1
-    for name in ("M_form", "M_blk_plain"):
-        matrices.setdefault(name, getattr(pencil, name))
-    assert len(gram_builds) == 1
-    assert pencil.M_form is matrices["M_form"]
-    assert pencil.M_blk_plain is matrices["M_blk_plain"]
+    assert builds == []
+    matrix = getattr(pencil, first)
+    assert builds == [first]
+    assert getattr(pencil, first) is matrix
+    assert builds == [first]
+    second, = set(_DEFERRED) - {first}
+    other = getattr(pencil, second)
+    assert builds == [first, second]
+    assert getattr(pencil, first) is matrix
+    assert getattr(pencil, second) is other
+    assert builds == [first, second]
+
+
+@pytest.mark.parametrize("diagnostic, reads", [
+    ("steady_solve", ["M_blk_plain"]),
+    ("flux", ["M_blk_plain"]),
+    ("flux_unforced", []),
+    ("j_ellipticity", ["M_form"])])
+def test_each_diagnostic_builds_only_the_matrix_it_reads(std_mesh_8, builds,
+                                                         diagnostic, reads):
+    pencil = build_pencil(std_mesh_8, CoefficientSet())
+    f = BlockField.from_functions(std_mesh_8, pencil.dofmap,
+                                  lambda x: 1.0 + x[:, 0])
+    u = np.zeros(pencil.n_free)
+    {"steady_solve": lambda: steady_solve(pencil, f),
+     "flux": lambda: recover_interface_flux(pencil, u, f),
+     "flux_unforced": lambda: recover_interface_flux(pencil, u),
+     "j_ellipticity": pencil.j_ellipticity_constant}[diagnostic]()
+    assert builds == reads
 
 
 def _csr_bytes(matrix):
@@ -141,7 +168,7 @@ def test_pencil_and_diagnostics_match_recorded_values(n, lumped, name):
         mesh, pencil.dofmap, lambda x: np.sin(3.0 * x[:, 0]) + x[:, 1],
         lambda x: 1.0 + x[:, 0], lambda x: x[:, 0] ** 2)
     u = steady_solve(pencil, f)
-    flux = recover_interface_flux(pencil, mesh, u, f)
+    flux = recover_interface_flux(pencil, u, f)
     expected = REFERENCE["cases"][
         f"{n}-{name}-{'lumped' if lumped else 'consistent'}"]
     assert {"pencil": pencil_digest(pencil),
