@@ -70,6 +70,6 @@ for _ in range(4):
     pencils.append(build_pencil(mesh, CoefficientSet()))
     mesh = refine_uniform(mesh)
 for theta in (1.0, 0.9, 0.05):
-    rows = fractional_embedding_probe(pencils, theta, 2, n_samples=16)
+    rows = fractional_embedding_probe(pencils, theta, 2)
     trend = " -> ".join(f"{r.ratio:.2f}" for r in rows)
     print(f"  theta = {theta:<5}: {trend}   ({probe_trend(rows)})")

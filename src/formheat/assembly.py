@@ -446,7 +446,10 @@ def _surface_stiffness(smesh, coeff, which, dofs, n):
     Each edge contributes ``(integral of mu_t / L^2) [[1,-1],[-1,1]]``;
     edges whose probe samples agree take that value times their length,
     and a vanishing coefficient gives zero rows, so arbitrarily supported
-    (degenerate) surface diffusion assembles naturally.
+    (degenerate) surface diffusion assembles naturally.  Raises
+    :class:`EnvelopeViolationError` naming the edge when a sampled value,
+    an integral or a stiffness ``integral / L^2`` is not finite, or a
+    sample or an integral is negative.
     """
     length = smesh.edge_lengths
     _, probe = _surface_samples(smesh, coeff, which, _PROBE_TS)
@@ -473,6 +476,12 @@ def _surface_stiffness(smesh, coeff, which, dofs, n):
                 f"negative or non-finite tangential coefficient integral on "
                 f"{which} edge {vary[np.argmax(bad)]}")
     w = s_e / length ** 2
+    bad = ~np.isfinite(w)
+    if bad.any():
+        raise EnvelopeViolationError(
+            f"{'mu_gd' if which == DYNAMIC else 'mu_sigma'} gives a "
+            f"non-finite tangential stiffness (coefficient integral over "
+            f"squared length) on {which} edge {np.argmax(bad)}")
     elem = w[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
     return _scatter(dofs, elem, n)
 

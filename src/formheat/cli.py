@@ -399,7 +399,7 @@ class RunConfig:
                 "exponents.surface_near_s", _bool, False))
 
     def probe(self):
-        """``(meshes, theta, p, seed)`` of the embedding probe, where
+        """``(meshes, theta, p)`` of the embedding probe, where
         ``meshes`` is the refinement ladder of the mesh, one mesh per
         level.  Each level is checked against the size limit of the dense
         spectral calculus before the next is refined, so a probe too
@@ -412,7 +412,7 @@ class RunConfig:
         while True:
             _check_dense_size(build_dofmap(meshes[-1]).n_free)
             if len(meshes) == levels:
-                return meshes, theta, p, self.seed
+                return meshes, theta, p
             meshes.append(refine_uniform(meshes[-1]))
 
     def scan(self):
@@ -568,9 +568,9 @@ def _pipeline_exponents(inputs, out):
 
 
 def _pipeline_probe(inputs, out):
-    meshes, theta, p, seed = inputs["probe"]
+    meshes, theta, p = inputs["probe"]
     pencils = [build_pencil(mesh, inputs["coefficients"]) for mesh in meshes]
-    rows = fractional_embedding_probe(pencils, theta, p, seed=seed)
+    rows = fractional_embedding_probe(pencils, theta, p)
     out.table("probe.csv", {key: [getattr(r, key) for r in rows]
                             for key in ("level", "h", "ratio")})
     out.add("probe.", {"trend": probe_trend(rows)})

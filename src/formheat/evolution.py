@@ -22,6 +22,7 @@ state.  Only ``evolve`` writes the report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,10 @@ from .assembly import (BlockField, _surface_block_dofs, _surface_plain_mass,
                        project_initial_data)
 from .errors import ConsistencyError, SolveError
 from .geometry.surface import INTERFACE
+
+# most steps a run takes: its monitor trail holds four float64 values per
+# time level, 32 bytes, so 10^7 steps keep 320 MB of trail
+_MAX_STEPS = 10 ** 7
 
 
 @dataclass
@@ -66,7 +71,14 @@ class TimeSteppingConfig:
 
     @property
     def n_steps(self):
-        n = int(round(self.t_end / self.dt))
+        """``t_end / dt`` as an integer.  Raises ``ValueError`` when the
+        quotient is above ``_MAX_STEPS`` (infinite included) or is not an
+        integer."""
+        steps = self.t_end / self.dt
+        if not steps <= _MAX_STEPS:
+            raise ValueError(f"t_end / dt = {steps} steps is above the "
+                             f"limit of {_MAX_STEPS}")
+        n = int(round(steps))
         if abs(n * self.dt - self.t_end) > 1e-9 * max(self.t_end, 1.0):
             raise ValueError("t_end must be an integer multiple of dt")
         return n
@@ -202,6 +214,16 @@ def _resolve_forcing(forcing):
     raise TypeError("forcing must be None, a BlockField, or a callable of t")
 
 
+def _finite_monitors(step, monitors):
+    """The four monitor scalars of time level ``step``; raises
+    :class:`SolveError` naming the step unless all are finite."""
+    if not all(map(math.isfinite, monitors)):
+        values = ", ".join(map(repr, map(float, monitors)))
+        raise SolveError(f"non-finite monitor at step {step}: (mass, energy, "
+                         f"supnorm, minval) = ({values})")
+    return monitors
+
+
 def evolve(pencil, u0_raw, forcing, cfg):
     """Run the theta scheme from raw initial block data.
 
@@ -209,6 +231,8 @@ def evolve(pencil, u0_raw, forcing, cfg):
     onto the trace range in the weighted block norm first.  Returns an
     :class:`EvolutionReport` with monitors at every time level; the
     trace ``J u`` is formed only at snapshot times and at the end.
+    Raises :class:`SolveError` naming the step at the first time level
+    whose monitors are not all finite.
     """
     u = project_initial_data(u0_raw, pencil)
     stepper = ThetaStepper(pencil, cfg)
@@ -229,7 +253,7 @@ def evolve(pencil, u0_raw, forcing, cfg):
                          if level == k)
 
     trail = np.empty((n_steps + 1, 4))
-    trail[0] = stepper.observe(u)
+    trail[0] = _finite_monitors(0, stepper.observe(u))
     if 0 in wanted:
         record_snapshots(0, u)
     for n in range(n_steps):
@@ -239,7 +263,7 @@ def evolve(pencil, u0_raw, forcing, cfg):
         except SolveError as exc:
             raise SolveError(f"step {n + 1} failed: {exc}",
                              residual=exc.residual) from exc
-        trail[n + 1] = stepper.monitors
+        trail[n + 1] = _finite_monitors(n + 1, stepper.monitors)
         if n + 1 in wanted:
             record_snapshots(n + 1, u)
 

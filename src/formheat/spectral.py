@@ -24,9 +24,10 @@ eigenvalues are the pencil's; a third maps its eigenvectors to the
 M-orthonormal ``V = P^T U^-1 Z``.  At 1,640 dofs the three sweeps take
 about 15 ms of a 0.3 s eigendecomposition, nearly all of the rest being
 ``dsyevd``.  No dense ``Mt`` or ``M_form`` is formed.  The fractional
-powers apply ``(I + Mt^-1 T)^theta`` to an ``(n, k)`` block with two
-dense products in the eigenbasis of ``(T, Mt)``, cached on the pencil;
-every probe draws its random samples as one block.
+power ``(I + Mt^-1 T)^theta`` is applied with two dense products in the
+eigenbasis of ``(T, Mt)``, cached on the pencil.  The embedding probe
+reports the exact supremum for every ``p`` and draws no random sample,
+so it needs no seed.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .geometry.surface import INTERFACE, SurfaceMesh
 INF = math.inf
 _DENSE_EIGS_CROSSOVER = 250        # see ``generalized_eigs``
 # largest dense eigenproblem, in free dofs, that keeps its eigenvectors:
-# they and the p = 2 supremum's products are n x n arrays of 32 MB each.
+# they and the probe supremum's products are n x n arrays of 32 MB each.
 # Below it the band factor of the mass never outgrows a dense mass
 _DENSE_CALCULUS_LIMIT = 2000
 # largest one that computes eigenvalues only: its congruence holds 50 MB
@@ -537,15 +538,6 @@ def _power_eigenbasis(pencil, theta):
     return vecs, (1.0 + np.clip(vals, 0.0, None)) ** theta
 
 
-def _fractional_power_block(pencil, theta, block):
-    """``(I + Mt^-1 T)^theta`` applied to every column of an ``(n, k)``
-    block: two dense products for the whole block."""
-    vecs, scale = _power_eigenbasis(pencil, theta)
-    coeff = vecs.T @ (pencil.mtilde() @ block)
-    coeff *= scale[:, None]
-    return vecs @ coeff
-
-
 def _check_theta(theta):
     """``ValueError`` unless ``theta`` lies in ``(0, 1]``; NaN and the
     infinities fail the comparison."""
@@ -563,7 +555,11 @@ def fractional_power_apply(pencil, theta, u):
     if u.shape != (pencil.n_free,):
         raise ValueError(f"expected a vector of {pencil.n_free} free dofs, "
                          f"got shape {u.shape}")
-    return _fractional_power_block(pencil, theta, u[:, None])[:, 0]
+    vecs, scale = _power_eigenbasis(pencil, theta)
+    # an (n, 1) block, so that BLAS takes GEMM, which rounds unlike GEMV
+    coeff = vecs.T @ (pencil.mtilde() @ u[:, None])
+    coeff *= scale[:, None]
+    return (vecs @ coeff)[:, 0]
 
 
 @dataclass
@@ -583,69 +579,60 @@ def _check_probe_arguments(levels, p_proxy, theta):
     _check_theta(theta)
 
 
-def fractional_embedding_probe(pencils, theta, p_proxy, *, n_samples=64,
-                               seed=0):
-    """Worst sup-norm-to-smoothed-norm ratios across refinement levels.
+def fractional_embedding_probe(pencils, theta, p_proxy):
+    """Exact sup-norm-to-smoothed-norm suprema across refinement levels.
 
-    For each pencil, reports the worst
-    ``||u||_inf / ||(I + Mt^-1 T)^theta u||_{lp}`` (lumped block measure)
-    over bulk vectors ``u``.  For ``p = 2`` that is the exact supremum
-    over all ``u``; for ``p = 4`` and ``8`` it is the worst of
-    ``n_samples`` random samples, and ``n_samples`` applies only there.
-    Bounded ratios across levels witness an embedding; growing ones
-    witness its failure.  The trend is qualitative, never a certified
-    constant.
+    For each pencil, reports the exact supremum of
+    ``||u||_inf / ||(I + Mt^-1 T)^theta u||_{lp}`` (lumped block
+    measure) over all bulk vectors ``u`` (:func:`_exact_supremum`), for
+    every ``p``: no sample is drawn, so no seed enters.  Bounded ratios
+    across levels witness an embedding; growing ones witness its
+    failure.  The trend is qualitative, never a certified constant.
 
     Each level costs one dense eigendecomposition of its pencil
-    (:func:`_pencil_eigendecomposition`, about 0.3 s at 1,640 dofs).
-    Then for ``p = 2`` one symmetric ``n x n`` product ``H H^T`` and one
-    sparse-dense product, for ``p = 4, 8`` one ``(n, n_samples)`` block
-    of samples put through the fractional power at once.  Level ``l``
-    draws its samples from seed ``seed + l``.  Raises ``ValueError``
-    for fewer than 3 levels, a ``p_proxy`` other than 2, 4 or 8, or a
-    ``theta`` that is not a finite number in ``(0, 1]``.
+    (:func:`_pencil_eigendecomposition`, about 0.3 s at 1,640 dofs),
+    one symmetric ``n x n`` product ``H H^T`` and one sparse-dense
+    product.  Raises ``ValueError`` for fewer than 3 levels, a
+    ``p_proxy`` other than 2, 4 or 8, or a ``theta`` that is not a
+    finite number in ``(0, 1]``.
     """
     _check_probe_arguments(len(pencils), p_proxy, theta)
-    rows = []
-    for level, pencil in enumerate(pencils):
-        w = pencil.lumped_block_weights()
-        if p_proxy == 2:
-            worst = _exact_l2_supremum(pencil, theta, w)
-        else:
-            rng = np.random.default_rng(seed + level)
-            # one row per sample: the stream of n_samples single draws
-            u = rng.standard_normal((n_samples, pencil.n_free)).T
-            bu = _fractional_power_block(pencil, theta, u)
-            sup_u = np.abs(pencil.J @ u).max(axis=0, initial=0.0)
-            ju = np.abs(pencil.J @ bu)
-            ju **= p_proxy
-            ratios = sup_u / (w @ ju) ** (1.0 / p_proxy)
-            worst = float(np.max(ratios, initial=0.0))
-        rows.append(ProbeRow(level=level, h=pencil.mesh.h_max(), ratio=worst))
-    return rows
+    return [ProbeRow(level=level, h=pencil.mesh.h_max(),
+                     ratio=_exact_supremum(pencil, theta, p_proxy))
+            for level, pencil in enumerate(pencils)]
 
 
-def _exact_l2_supremum(pencil, theta, w):
-    """Exact ``sup_u ||u||_inf / ||(I + Mt^-1 T)^theta u||_{l2}``.
+def _exact_supremum(pencil, theta, p):
+    """Exact ``sup_u ||u||_inf / ||(I + Mt^-1 T)^theta u||_{lp}``.
 
-    With ``B = (I + Mt^-1 T)^theta`` and ``Wt`` the diagonal lumped block
-    measure ``w`` pulled back to the bulk dofs, the supremum is the root
-    of the largest diagonal entry of ``(B^T Wt B)^-1``, i.e. the largest
-    column norm of ``Wt^-1/2 Mt F`` with ``F = V D^-theta V^T``.  ``F``
-    is ``H H^T`` for ``H = V D^(-theta/2)``, one symmetric rank-n update
-    (SYRK, half the flops of a general product), and ``Mt F`` is a
-    sparse-dense product.
+    With ``B = (I + Mt^-1 T)^theta``, ``F = V D^-theta V^T`` (so that
+    ``B^-1 = F Mt``) and ``Wt`` the diagonal lumped block measure pulled
+    back to the bulk dofs, the supremum is ``||F Mt Wt^-1/p||_{p->inf}``:
+    the largest l^p' column norm of ``A = Wt^-1/p Mt F``, ``p' = p/(p-1)``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    on mixed subordinate norms).  The Hoelder extremal
+    ``sign(a) |a|^(p'-1)`` of the largest column ``a`` attains it.
+    ``F`` is ``H H^T`` for ``H = V D^(-theta/2)``, one symmetric rank-n
+    update (SYRK, half the flops of a general product), and ``Mt F`` is
+    a sparse-dense product.  For ``p = 4, 8`` the column norms are taken
+    in place on ``A``, so every ``p`` peaks at three ``n x n`` arrays.
     """
     vecs, scale = _power_eigenbasis(pencil, theta)
-    wt = np.asarray(pencil.J.T @ w).ravel()
+    wt = np.asarray(pencil.J.T @ pencil.lumped_block_weights()).ravel()
     half = vecs / np.sqrt(scale)[None, :]
     # ``a @ a.T`` is one SYRK: numpy forms one triangle and mirrors it
     power = half @ half.T
     del half
     a_mat = pencil.mtilde() @ power
     del power
-    a_mat /= np.sqrt(wt)[:, None]
-    return float(np.sqrt(_column_dots(a_mat, a_mat).max()))
+    if p == 2:
+        a_mat /= np.sqrt(wt)[:, None]
+        return float(np.sqrt(_column_dots(a_mat, a_mat).max()))
+    dual = p / (p - 1.0)
+    a_mat /= (wt ** (1.0 / p))[:, None]
+    np.abs(a_mat, out=a_mat)
+    a_mat **= dual
+    return float(a_mat.sum(axis=0).max() ** (1.0 / dual))
 
 
 _PROBE_GROWTH_FACTOR = 1.5

@@ -183,8 +183,14 @@ def _pow(values, exponent):
     power primitives ``x1^(p+1) - x0^(p+1)`` of :func:`_linear_power`
     only: they cancel, so they keep libm's rounding, which numpy's
     vectorized power misses by up to an ulp.  Every other power is
-    numpy's."""
-    return np.array([x ** exponent for x in values.tolist()])
+    numpy's.  Raises :class:`QuadratureAccuracyError` naming the exponent
+    when a power overflows a float."""
+    try:
+        return np.array([x ** exponent for x in values.tolist()])
+    except OverflowError:
+        raise QuadratureAccuracyError(
+            f"exact weight integral out of float range: a power with "
+            f"exponent {exponent!r} overflows") from None
 
 
 def _linear_power(area, vals, gamma):

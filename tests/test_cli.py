@@ -474,11 +474,12 @@ _AGREE_BASE = {
 }
 
 
-# (pipeline, changed keys (None deletes one), run's exit code, the section
-# of validate's diagnostic, a fragment of the message); exit 2 rows are
-# configuration errors both paths report, exit 0 rows inputs both accept,
-# exit 1 rows with a section failures both report before any compute, and
-# exit 1 rows without one failures only the run can see
+# (pipeline, changed keys (None deletes one), run's exit code or, for
+# exit 1, the kind of its error, the section of validate's diagnostic, a
+# fragment of the message); exit 2 rows are configuration errors both
+# paths report, exit 0 rows inputs both accept, exit 1 rows with a section
+# failures both report before any compute, and exit 1 rows without one
+# failures only the run can see
 _AGREE_ROWS = [
     ("eigs", {"eigs.count": "0"}, 2, "eigs", "positive count"),
     ("eigs", {"eigs.count": "-2"}, 2, "eigs", "positive count"),
@@ -533,17 +534,34 @@ _AGREE_ROWS = [
     ("scan", {"coeff.mu_omega": "abc"}, 0, None, None),
     ("eigs", {"eigs.count": "1000"}, 2, "eigs", "1000 eigenpairs"),
     ("eigs", {"coeff.mu_omega": _ULP_SKEW, "coeff.c1": "0.5",
-              "coeff.c2": "2"}, 1, None, "pencil is not symmetric"),
+              "coeff.c2": "2"}, "EigenSolveError", None,
+     "pencil is not symmetric"),
     ("probe", {"coeff.mu_omega": _ULP_SKEW, "coeff.c1": "0.5",
-               "coeff.c2": "2"}, 1, None,
+               "coeff.c2": "2"}, "EigenSolveError", None,
      "spectral calculus needs a symmetric pencil"),
     # the fourth level of square.mesh (no Dirichlet part) has 49^2 dofs
-    ("probe", {"probe.levels": "4"}, 1, "probe",
+    ("probe", {"probe.levels": "4"}, "SizeLimitError", "probe",
      "dense spectral calculus limited to 2000 dofs (pencil has 2401)"),
     # (2e7 + 1)^2 cubes on level 0: the scan refuses before allocating
-    ("scan", {"scan.l_max": "0", "scan.window": "-1e7 -1e7 1e7 1e7"}, 1,
-     "scan", "dyadic scan limited to 1050625 cubes per level "
-     "(level 0 has 400000040000001)"),
+    ("scan", {"scan.l_max": "0", "scan.window": "-1e7 -1e7 1e7 1e7"},
+     "SizeLimitError", "scan", "dyadic scan limited to 1050625 cubes per "
+     "level (level 0 has 400000040000001)"),
+    # step counts past the limit, one of them infinite
+    ("evolve", {"time.t_end": "1e308"}, 2, "time",
+     "t_end / dt = inf steps is above the limit of 10000000"),
+    ("evolve", {"time.dt": "1e-300"}, 2, "time",
+     "t_end / dt = 5e+298 steps is above the limit of 10000000"),
+    # a finite surface coefficient whose stiffness integral / L^2 is not
+    ("eigs", {"coeff.mu_sigma": "1e308"}, "EnvelopeViolationError", None,
+     "mu_sigma gives a non-finite tangential stiffness"),
+    ("probe", {"coeff.mu_sigma": "1e308"}, "EnvelopeViolationError", None,
+     "mu_sigma gives a non-finite tangential stiffness"),
+    ("scan", {"scan.s": "segment -1 0.1 1 0.1", "scan.gamma": "1e308"},
+     "QuadratureAccuracyError", None,
+     "a power with exponent 1e+308 overflows"),
+    # finite initial data whose energy overflows
+    ("evolve", {"init.sigma": "1e308"}, "SolveError", None,
+     "non-finite monitor at step 0"),
 ]
 
 
@@ -557,6 +575,7 @@ def test_run_and_validate_agree(workdir, pipeline, changes, code, section,
     keys.update(changes)
     cfg = write_cfg(workdir / "agree.cfg", "".join(
         f"{k} = {v}\n" for k, v in keys.items() if v is not None))
+    kind, code = (code, 1) if isinstance(code, str) else ("ConfigError", code)
     assert run(cfg) == code
     out = workdir / "out"
     diags = validate(cfg)
@@ -566,11 +585,10 @@ def test_run_and_validate_agree(workdir, pipeline, changes, code, section,
         return
     record = json.loads((out / "error.json").read_text())
     assert message in record["error"]
+    assert record["kind"] == kind
     if section is None:
-        assert record["kind"] == "EigenSolveError"
         assert diags == []
         return
-    assert record["kind"] == ("ConfigError" if code == 2 else "SizeLimitError")
     assert sorted(os.listdir(out)) == ["error.json"]
     assert [d for d in diags if d.startswith(f"{section}:")
             and message in d], diags

@@ -19,7 +19,8 @@ from formheat.spectral import (count_eigenvalues_below, embedding_exponents,
                                trace_norm_probe)
 from formheat.weights import WeightSpec
 from oracles import (exact_l2_supremum_gemm, exact_l2_supremum_theta_one,
-                     fractional_embedding_probe_loop, pencil_eigenvalues_gvd,
+                     fractional_embedding_probe_loop, inverse_fractional_power,
+                     pencil_eigenvalues_gvd, probe_ratio,
                      probe_sample_ratios_loop)
 
 INF = math.inf
@@ -318,21 +319,21 @@ def probe_pencils(levels=4, n0=4):
 
 
 def test_probe_bounded_at_theta_one():
-    rows = fractional_embedding_probe(probe_pencils(), 1.0, 2, n_samples=16)
+    rows = fractional_embedding_probe(probe_pencils(), 1.0, 2)
     ratios = [r.ratio for r in rows]
     assert ratios[-1] <= 1.3 * ratios[0]
 
 
 def test_probe_bounded_above_threshold():
     # d = 2 needs theta > 1/p; take theta = 0.9, p = 2
-    rows = fractional_embedding_probe(probe_pencils(), 0.9, 2, n_samples=16)
+    rows = fractional_embedding_probe(probe_pencils(), 0.9, 2)
     ratios = [r.ratio for r in rows]
     assert ratios[-1] <= 1.5 * ratios[0]
     assert probe_trend(rows) == "bounded"
 
 
 def test_probe_grows_below_threshold():
-    rows = fractional_embedding_probe(probe_pencils(), 0.05, 2, n_samples=16)
+    rows = fractional_embedding_probe(probe_pencils(), 0.05, 2)
     ratios = [r.ratio for r in rows]
     assert ratios[-1] >= 3.0 * ratios[0]
     assert probe_trend(rows) == "growing"
@@ -374,42 +375,67 @@ def probe_families():
             "weighted": levels(CoefficientSet(bulk_weight=weight))}
 
 
+@pytest.fixture(scope="module")
+def inverse_powers():
+    """``(family, level, theta) -> B^-1`` of the dense oracle
+    :func:`oracles.inverse_fractional_power`, computed once."""
+    return {}
+
+
 @pytest.mark.parametrize("family", ["probe", "lumped", "weighted"])
 @pytest.mark.parametrize("p", [2, 4, 8])
 @pytest.mark.parametrize("theta", [0.05, 0.5, 1.0])
-def test_batched_probe_matches_loop(probe_families, family, p, theta):
+def test_batched_probe_matches_loop(probe_families, inverse_powers, family,
+                                    p, theta):
     pencils = probe_families[family]
-    rows = fractional_embedding_probe(pencils, theta, p, n_samples=16,
-                                      seed=3)
-    loop = fractional_embedding_probe_loop(pencils, theta, p, n_samples=16,
-                                           seed=3)
-    got = np.array([r.ratio for r in rows])
-    assert np.abs(got - loop).max() <= 1e-13 * np.abs(loop).max()
+    got = [r.ratio for r in fractional_embedding_probe(pencils, theta, p)]
+    if p == 2:
+        loop = fractional_embedding_probe_loop(pencils, theta, p,
+                                               n_samples=16, seed=3)
+        assert np.abs(np.array(got) - loop).max() <= 1e-13 * np.abs(loop).max()
+        return
+    # the exact supremum is the largest l^p' row norm of B^-1 Wt^-1/p,
+    # p' = p/(p-1); the Hoelder extremal of that row attains it, and no
+    # sample of the old sampler exceeds it
+    dual = p / (p - 1)
+    for level, (pencil, ratio) in enumerate(zip(pencils, got)):
+        key = family, level, theta
+        if key not in inverse_powers:
+            inverse_powers[key] = inverse_fractional_power(pencil, theta)
+        wt = np.asarray(pencil.J.T @ pencil.lumped_block_weights()).ravel()
+        scaled = inverse_powers[key] / wt ** (1.0 / p)
+        norms = (np.abs(scaled) ** dual).sum(axis=1) ** (1.0 / dual)
+        assert ratio == pytest.approx(norms.max(), rel=1e-12)
+        row = scaled[np.argmax(norms)]
+        witness = inverse_powers[key] @ (
+            np.sign(row) * np.abs(row) ** (dual - 1.0) / wt ** (1.0 / p))
+        assert probe_ratio(pencil, theta, p, witness) == pytest.approx(
+            ratio, rel=1e-12)
+        samples = probe_sample_ratios_loop(pencil, theta, p, 200, seed=level)
+        assert ratio >= max(samples) * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.05, 0.5, 1.0])
 def test_probe_samples_below_exact_supremum(probe_families, theta):
     for pencil in probe_families["weighted"]:
-        sup = fractional_embedding_probe([pencil] * 3, theta, 2,
-                                         n_samples=0)[0].ratio
+        sup = fractional_embedding_probe([pencil] * 3, theta, 2)[0].ratio
         assert sup == pytest.approx(exact_l2_supremum_gemm(pencil, theta),
                                     rel=1e-13)
         samples = probe_sample_ratios_loop(pencil, theta, 2, 200, seed=5)
         assert max(samples) <= sup * (1 + 1e-12)
 
 
-def test_l2_probe_draws_no_samples(monkeypatch):
-    # for p = 2 the exact supremum is the ratio, so no sample is drawn
-    # and n_samples changes nothing
+def test_probe_draws_no_samples(monkeypatch):
+    # every p reports the exact supremum, so no sample is drawn
     pencils = probe_pencils(levels=3)
-    exact = fractional_embedding_probe(pencils, 0.5, 2, n_samples=0)
+    exact = {p: fractional_embedding_probe(pencils, 0.5, p) for p in (2, 4, 8)}
 
-    def no_draws(seed):
-        raise AssertionError("p = 2 drew samples")
+    def no_draws(seed=None):
+        raise AssertionError("the probe drew samples")
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
-    rows = fractional_embedding_probe(pencils, 0.5, 2, n_samples=64)
-    assert [r.ratio for r in rows] == [r.ratio for r in exact]
+    for p, rows in exact.items():
+        assert fractional_embedding_probe(pencils, 0.5, p) == rows
 
 
 @pytest.mark.parametrize("theta", [0.05, 0.5, 1.0])
@@ -421,7 +447,7 @@ def test_exact_supremum_bruteforce(theta):
     for _ in range(2):
         mesh = refine_uniform(mesh)
         pencils.append(build_pencil(mesh, CoefficientSet()))
-    rows = fractional_embedding_probe(pencils, theta, 2, n_samples=0)
+    rows = fractional_embedding_probe(pencils, theta, 2)
     for pencil, row in zip(pencils, rows):
         mt = pencil.mtilde().toarray()
         gen = np.eye(pencil.n_free) + np.linalg.solve(mt, pencil.T.toarray())
@@ -441,7 +467,7 @@ def test_theta_one_supremum_without_eigenvectors():
         pencils.append(build_pencil(mesh, CoefficientSet()))
         mesh = refine_uniform(mesh)
     assert pencils[-1].n_free == 1640
-    rows = fractional_embedding_probe(pencils, 1.0, 2, n_samples=0)
+    rows = fractional_embedding_probe(pencils, 1.0, 2)
     for pencil, row in zip(pencils, rows):
         assert row.ratio == pytest.approx(
             exact_l2_supremum_theta_one(pencil), rel=1e-11)
