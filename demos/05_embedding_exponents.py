@@ -11,7 +11,7 @@ with gamma = 1.5 (outside the admissible range) it visibly grows.
 
 from fractions import Fraction
 
-from formheat import (CoefficientSet, Polyline, WeightSpec,
+from formheat import (CoefficientSet, Polyline, WeightSpec, build_pencil,
                       embedding_exponents, standard_fixture_mesh,
                       trace_norm_probe)
 
@@ -48,8 +48,8 @@ print("\ndiscrete interface trace norm vs weighted bulk norm "
       "(sup over the P1 space):")
 for gamma in (0.5, 1.5):
     weight = WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]), gamma)
-    sups = [trace_norm_probe(standard_fixture_mesh(n),
-                             CoefficientSet(bulk_weight=weight),
+    sups = [trace_norm_probe(build_pencil(standard_fixture_mesh(n),
+                                          CoefficientSet(bulk_weight=weight)),
                              n_samples=40).sup_ratio
             for n in (8, 16, 32)]
     trend = " -> ".join(f"{s:.4f}" for s in sups)

@@ -27,7 +27,8 @@ from .evolution import (TimeSteppingConfig, EvolutionReport, ThetaStepper,
 from .spectral import (EmbeddingReport, embedding_exponents, generalized_eigs,
                        numerical_range_check, fractional_power_apply,
                        fractional_embedding_probe, trace_norm_probe,
-                       count_eigenvalues_below, probe_trend)
+                       j_ellipticity_constant, count_eigenvalues_below,
+                       probe_trend)
 from .model_problems import (unit_square_mesh, standard_fixture_mesh,
                              ManufacturedSolution, block_l2_error,
                              nodal_full_vector)
@@ -48,7 +49,7 @@ __all__ = [
     "EmbeddingReport", "embedding_exponents", "generalized_eigs",
     "numerical_range_check", "fractional_power_apply",
     "fractional_embedding_probe", "trace_norm_probe",
-    "count_eigenvalues_below", "probe_trend",
+    "j_ellipticity_constant", "count_eigenvalues_below", "probe_trend",
     "unit_square_mesh", "standard_fixture_mesh", "ManufacturedSolution",
     "block_l2_error", "nodal_full_vector",
 ]

@@ -10,15 +10,17 @@ P1 finite elements on a labeled mesh produce the operator pencil
     M_form  Gram matrix of the form-domain inner product (unweighted
             bulk mass + envelope-weighted gradient terms),
 
-and the unweighted block mass M_blk_plain.  Only diagnostics read
-M_form and M_blk_plain, so the pencil assembles each on its own first
-use.
+the bulk part M_form_bulk of M_form, the unweighted block mass
+M_blk_plain and the plain interface mass.  Only diagnostics read these
+four, so the pencil assembles each on its own first use.
 
 Dirichlet conditions are imposed by eliminating the dofs of the closed
 Dirichlet boundary part (vertices of Dirichlet edges, plus any
 explicitly constrained surface endpoints).
 
-``build_pencil`` is the only assembler, with one batched element path:
+``build_pencil`` and the pencil it returns are the only assembler: no
+other module builds a matrix from the mesh, every diagnostic reads the
+pencil's.  There is one batched element path:
 coefficients are evaluated once over all quadrature points of a region,
 and each matrix is one ``einsum`` over element values summed onto its
 dofs by one sparse constructor.  Each block of the block space (bulk,
@@ -672,17 +674,23 @@ class DiscreteOperator:
         Bulk-only part of the stiffness (used for flux recovery).
     M_blk_plain : csr_matrix
         Unweighted block mass, lumped when the pencil is.
+    M_form_bulk : csr_matrix
+        Bulk part of ``M_form``: the plain consistent bulk mass plus the
+        envelope stiffness of the weight integrals.
     M_form : csr_matrix
-        Gram matrix of the form-domain inner product: the plain bulk mass
-        plus the envelope stiffness of the weight integrals, plus the
-        surface stiffnesses (each surface is its own envelope).
+        Gram matrix of the form-domain inner product: ``M_form_bulk``
+        plus the surface stiffnesses (each surface is its own envelope).
+    interface_mass : csr_matrix
+        Plain consistent interface edge mass on the interface block.
     smeshes : dict
         The ``dynamic`` and ``interface`` SurfaceMesh of the mesh.
 
-    Only diagnostics read ``M_blk_plain`` (steady solves, flux recovery)
-    and ``M_form`` (the J-ellipticity constant), so each is assembled on
-    its own first use, as ``mtilde()`` is assembled on its first request;
-    the two share no work.  For that the pencil keeps only what is costly
+    Only diagnostics read ``M_blk_plain`` (steady solves, flux recovery),
+    ``M_form`` (the J-ellipticity constant), ``M_form_bulk`` (it and the
+    trace probe) and ``interface_mass`` (flux recovery, the trace probe),
+    so each is assembled on its own first use, as ``mtilde()`` is
+    assembled on its first request.  Of the four only ``M_blk_plain``
+    depends on ``lumped``.  For that the pencil keeps only what is costly
     to recompute: ``cell_w``, the bulk-weight integral of every triangle
     (the areas without a weight), and ``surface_stiffness``, the surface
     stiffnesses summed into ``T``, in that order; and whether it is
@@ -719,11 +727,19 @@ class DiscreteOperator:
         return _block_mass(blocks, self._lumped)
 
     @cached_property
+    def M_form_bulk(self):
+        return _form_gram_bulk(self.mesh, self.dofmap, self._cell_w)
+
+    @cached_property
     def M_form(self):
-        m_form = _form_gram_bulk(self.mesh, self.dofmap, self._cell_w)
-        for k_surf in self._surface_stiffness:
-            m_form = m_form + k_surf
-        return m_form.tocsr()
+        return sum(self._surface_stiffness, self.M_form_bulk).tocsr()
+
+    @cached_property
+    def interface_mass(self):
+        smesh = self.smeshes[INTERFACE]
+        return _surface_plain_mass(
+            smesh, _surface_block_dofs(self.dofmap, smesh, INTERFACE),
+            self.dofmap.n_sigma)
 
     @property
     def n_free(self):
@@ -762,30 +778,12 @@ class DiscreteOperator:
         ones = np.ones(self.M_blk.shape[0])
         return np.asarray(self.M_blk @ ones).ravel()
 
-    def j_ellipticity_constant(self):
-        """Smallest generalized eigenvalue of (sym(T) + Mtilde, M_form).
-
-        A positive value witnesses coercivity of the form plus the block
-        norm against the form-domain norm.  Computed densely, on the band
-        congruence of ``M_form`` (``spectral._dense_eigh``: above 2,500
-        dofs :class:`SizeLimitError`).  There is no sparse path: the
-        smallest eigenvalue is often highly multiple (sym(T) + Mtilde and
-        M_form differ only on the surfaces), and shift-invert Lanczos at 0
-        does not converge on the unit-square fixture at 272 or 1,056 dofs.
-        """
-        from .spectral import _dense_eigh
-
-        lam, _ = _dense_eigh(self.M_form,
-                             0.5 * (self.T + self.T.T) + self.mtilde(),
-                             subset=(0, 0))
-        return float(lam[0])
-
 
 def build_pencil(mesh, coeff, *, lumped=False, extra_constrained=()):
     """Assemble the discrete operator pencil for a labeled mesh.
 
-    ``T``, ``K_bulk``, ``M_blk`` and ``J`` are assembled here, ``M_form``
-    and ``M_blk_plain`` each on its own first use (see
+    ``T``, ``K_bulk``, ``M_blk`` and ``J`` are assembled here, the
+    diagnostic matrices each on its own first use (see
     :class:`DiscreteOperator`).
     One pass over the triangles gives the P1 gradients and areas, and one
     call the weight integrals, which serve both the coefficient stiffness
@@ -806,7 +804,6 @@ def build_pencil(mesh, coeff, *, lumped=False, extra_constrained=()):
     cell_w = _cell_weights(mesh, coeff, area)
     k_bulk = _stiffness(mesh, dofmap, grads, _coefficient_integrals(
         mesh, coeff, area, cell_w))
-    t_mat = k_bulk
     k_surfs = []
     # (element dofs within the block, block size, weighted element
     # masses) of each block of the block space
@@ -819,14 +816,22 @@ def build_pencil(mesh, coeff, *, lumped=False, extra_constrained=()):
             continue
         k_surfs.append(_surface_stiffness(smesh, coeff, which,
                                           dofmap.vertex_free[smesh.edges], n))
-        t_mat = t_mat + k_surfs[-1]
         blocks.append((_surface_block_dofs(dofmap, smesh, which), n_surf,
                        _weighted_masses(coeff, which,
                                         _edge_points(smesh, _EDGE_TS),
                                         smesh.edge_lengths, _EDGE_RULE)))
 
-    return DiscreteOperator(mesh, coeff, dofmap, smeshes, t_mat.tocsr(),
-                            k_bulk, _block_mass(blocks, lumped),
+    t_mat = sum(k_surfs, k_bulk).tocsr()
+    m_blk = _block_mass(blocks, lumped)
+    # one pass over each matrix once its last sum is taken: a non-finite
+    # coefficient value or an overflow shows as a non-finite entry
+    for matrix, name, source in (
+            (k_bulk, "bulk stiffness K_bulk", "mu_omega"),
+            (t_mat, "stiffness T", "mu_omega with the surface coefficients"),
+            (m_blk, "block mass M_blk", "the relaxation coefficient zeta")):
+        if not np.isfinite(matrix.data).all():
+            raise EnvelopeViolationError(f"{source} gives a non-finite {name}")
+    return DiscreteOperator(mesh, coeff, dofmap, smeshes, t_mat, k_bulk, m_blk,
                             assemble_trace_map(dofmap), cell_w=cell_w,
                             surface_stiffness=k_surfs, lumped=lumped)
 

@@ -560,9 +560,7 @@ def _pipeline_eigs(inputs, out):
 
 
 def _pipeline_exponents(inputs, out):
-    cells = dict(zip(("d", "gamma", "case", "r_omega", "r_tr", "r_tr_gamma",
-                      "r_tr_star", "r0"),
-                     inputs["exponents"].csv_row().split(",")))
+    cells = inputs["exponents"].cells()
     out.table("exponents.csv", {key: [cell] for key, cell in cells.items()})
     out.add("exponents.", {"r0": cells["r0"]})
 

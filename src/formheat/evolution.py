@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (BlockField, _surface_block_dofs, _surface_plain_mass,
-                       project_initial_data)
+from .assembly import BlockField, project_initial_data
 from .errors import ConsistencyError, SolveError
 from .geometry.surface import INTERFACE
 
@@ -261,8 +260,9 @@ def evolve(pencil, u0_raw, forcing, cfg):
         try:
             u = stepper.step(u, f)
         except SolveError as exc:
-            raise SolveError(f"step {n + 1} failed: {exc}",
-                             residual=exc.residual) from exc
+            # the message already ends in the residual, kept in .residual
+            exc.args = (f"step {n + 1} failed: {exc}",)
+            raise
         trail[n + 1] = _finite_monitors(n + 1, stepper.monitors)
         if n + 1 in wanted:
             record_snapshots(n + 1, u)
@@ -300,7 +300,8 @@ def recover_interface_flux(pencil, u, f=None):
     For each interface node hat function phi the bulk residual
     ``t_bulk(u, phi) - (f_bulk, phi)`` equals the integral of the
     conormal outflow sum against phi, for quasi-steady ``u``.
-    Mass-normalizing with the interface edge mass matrix gives nodal
+    Mass-normalizing with the interface edge mass matrix
+    (``pencil.interface_mass``) gives nodal
     values of
 
         (nu . mu grad u)|minus  -  (nu . mu grad u)|plus,
@@ -319,15 +320,8 @@ def recover_interface_flux(pencil, u, f=None):
     n = pencil.n_free
     residual = pencil.K_bulk @ np.asarray(u, dtype=float)
     if f is not None:
-        m_bulk_plain = pencil.M_blk_plain[:n, :n]
-        residual = residual - m_bulk_plain @ f.bulk
+        residual = residual - pencil.M_blk_plain[:n, :n] @ f.bulk
     r_sigma = pencil.J[n + dofmap.n_gd:] @ residual
-
-    def interface_mass():
-        smesh = pencil.smeshes[INTERFACE]
-        return _surface_plain_mass(
-            smesh, _surface_block_dofs(dofmap, smesh, INTERFACE),
-            dofmap.n_sigma)
-
-    lu = pencil.factorization(("M_plain", INTERFACE), interface_mass)
+    lu = pencil.factorization(("M_plain", INTERFACE),
+                              lambda: pencil.interface_mass)
     return lu.solve(r_sigma)

@@ -3,10 +3,12 @@
 Two kinds of tools live here.  Matrix-level ones act on an assembled
 pencil: generalized eigenpairs of ``T u = lambda Mt u``, numerical-range
 sampling (sectoriality witness), fractional powers ``(I + Mt^-1 T)^theta``
-by spectral calculus, and refinement probes for sup-norm embeddings and
-trace-norm boundedness.  Symbolic ones compute the critical
-integrability exponents of the trace and embedding catalogue in exact
-rational arithmetic for general dimension.
+by spectral calculus, refinement probes for sup-norm embeddings and
+trace-norm boundedness, and the J-ellipticity constant of the form.
+Each reads the matrices of the pencil; none assembles its own.
+Symbolic ones compute the critical integrability exponents of the trace
+and embedding catalogue in exact rational arithmetic for general
+dimension.
 
 Every dense eigenproblem here, ``(T, Mt)``, ``(sym T, Mt)``,
 ``(sym T + Mt, M_form)`` or the interface mass against the bulk
@@ -40,11 +42,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .assembly import (build_dofmap, lanczos_start, _band_cholesky,
-                       _cell_weights, _form_gram_bulk, _surface_plain_mass)
+from .assembly import lanczos_start, _band_cholesky
 from .errors import (EigenSolveError, OutsideTheoryError, SizeLimitError,
                      UnsupportedScenarioError)
-from .geometry.surface import INTERFACE, SurfaceMesh
 
 INF = math.inf
 _DENSE_EIGS_CROSSOVER = 250        # see ``generalized_eigs``
@@ -65,9 +65,7 @@ _TILE = 64
 
 
 def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (Fraction, int)):
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(str(value))
@@ -76,9 +74,7 @@ def _as_fraction(value):
 
 def _ratio(num, den):
     """num/den as a Fraction, +inf when the denominator is <= 0."""
-    if den <= 0:
-        return INF
-    return Fraction(num, 1) / den
+    return INF if den <= 0 else Fraction(num, 1) / den
 
 
 @dataclass
@@ -121,14 +117,21 @@ class EmbeddingReport:
             return 1 / p
         return self.r0 / ((self.r0 - 2) * p)
 
-    def csv_row(self):
+    def cells(self):
+        """The table row of the report, ``{column: cell text}``: ``d``,
+        ``gamma``, ``case``, the effective ``r_omega``, ``r_tr``,
+        ``r_tr_gamma`` and ``r_tr_star``, then ``r0``."""
         gamma = float(self.gamma)
         gamma_txt = str(int(gamma)) if gamma == int(gamma) else repr(gamma)
-        cells = [str(self.d), gamma_txt, self.case]
+        cells = {"d": str(self.d), "gamma": gamma_txt, "case": self.case}
         for name in ("r_omega", "r_tr", "r_tr_gamma", "r_tr_star"):
-            cells.append(_fmt_exponent(self.effective(name)))
-        cells.append(_fmt_exponent(self.r0))
-        return ",".join(cells)
+            cells[name] = _fmt_exponent(self.effective(name))
+        cells["r0"] = _fmt_exponent(self.r0)
+        return cells
+
+    def csv_row(self):
+        """The cells of :meth:`cells`, comma-joined."""
+        return ",".join(self.cells().values())
 
 
 def _fmt_exponent(value):
@@ -495,7 +498,9 @@ def _dense_eigh(mass, stiffness, *, subset=None, vectors=False):
     ``Z``, a tiled backward sweep (:func:`_backward_sweep`) and a gather
     of rows: about 11 ms at 1,640 dofs.  Raises what
     :func:`_check_dense_size` and :func:`_band_congruence` raise, and
-    :class:`EigenSolveError` for a failed eigensolve.
+    :class:`EigenSolveError` for a failed eigensolve, or one that returns
+    fewer eigenvalues than asked for (LAPACK may, on a non-finite
+    pencil).
     """
     _check_dense_size(mass.shape[0], vectors)
     congruence, inverse, factor = _band_congruence(mass, stiffness)
@@ -507,9 +512,13 @@ def _dense_eigh(mass, stiffness, *, subset=None, vectors=False):
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"dense eigensolve failed: {exc}") from None
     del congruence      # overwritten, and for "evd" Z itself
+    vals, vecs = result if vectors else (result, None)
+    first, last = subset or (0, len(inverse) - 1)
+    if len(vals) <= last - first:
+        raise EigenSolveError(f"dense eigensolve returned {len(vals)} of the "
+                              f"{last - first + 1} eigenvalues asked for")
     if not vectors:
-        return result, None
-    vals, vecs = result
+        return vals, None
     trans = vecs.T.copy(order="F")
     del vecs, result
     # cut again: the tiles take about twice the memory of the band
@@ -656,25 +665,23 @@ class TraceProbeResult:
     n_dofs: int
 
 
-def trace_norm_probe(mesh, coeff, *, n_samples=200, seed=0):
+def trace_norm_probe(pencil, *, n_samples=200, seed=0):
     """Discrete norm of the interface trace against the weighted bulk norm.
 
     Computes the exact supremum of
     ``||u_h|_Sigma||_{L2(Sigma)} / ||u_h||_{W^{1,2}(Omega, mu*)}``
-    over the P1 space (the interface mass against the bulk ``M_form``,
-    :func:`_dense_eigh`) along with the maximum over random samples.
-    Bounded suprema under refinement witness trace-norm boundedness; for
-    exponents outside the admissible range the numbers are reported
-    without any claim.
+    over the P1 space of the pencil, along with the maximum over random
+    samples: the pencil's ``interface_mass`` pulled back to the bulk dofs
+    through the interface rows ``J_Sigma`` of ``J``, against its
+    ``M_form_bulk`` (:func:`_dense_eigh`).  Neither depends on whether
+    the pencil is lumped.  Bounded suprema under refinement witness
+    trace-norm boundedness; for exponents outside the admissible range
+    the numbers are reported without any claim.
     """
-    smesh_sigma = SurfaceMesh.from_mesh(mesh, INTERFACE)
-    dofmap = build_dofmap(mesh, None, smesh_sigma)
-    n = dofmap.n_free
-    numer = _surface_plain_mass(smesh_sigma,
-                                dofmap.vertex_free[smesh_sigma.edges], n)
-    # the bulk part of the pencil's M_form
-    denom = _form_gram_bulk(mesh, dofmap, _cell_weights(
-        mesh, coeff, mesh.triangle_areas()))
+    n = pencil.n_free
+    j_sigma = pencil.J[n + pencil.dofmap.n_gd:]
+    numer = j_sigma.T @ pencil.interface_mass @ j_sigma
+    denom = pencil.M_form_bulk
     lam, _ = _dense_eigh(denom, numer, subset=(n - 1, n - 1))
     sup_ratio = float(np.sqrt(max(lam[0], 0.0)))
     u = np.random.default_rng(seed).standard_normal((n_samples, n)).T
@@ -682,3 +689,20 @@ def trace_norm_probe(mesh, coeff, *, n_samples=200, seed=0):
     worst = np.sqrt(np.max(quotients, initial=0.0))
     return TraceProbeResult(sup_ratio=sup_ratio, max_sampled_ratio=float(worst),
                             n_dofs=n)
+
+
+def j_ellipticity_constant(pencil):
+    """Smallest generalized eigenvalue of ``(sym(T) + Mt, M_form)``.
+
+    A positive value witnesses coercivity of the form plus the block
+    norm against the form-domain norm.  Computed densely, on the band
+    congruence of ``M_form`` (:func:`_dense_eigh`: above 2,500 dofs
+    :class:`SizeLimitError`).  There is no sparse path: the smallest
+    eigenvalue is often highly multiple (sym(T) + Mt and M_form differ
+    only on the surfaces), and shift-invert Lanczos at 0 does not
+    converge on the unit-square fixture at 272 or 1,056 dofs.
+    """
+    lam, _ = _dense_eigh(pencil.M_form,
+                         0.5 * (pencil.T + pencil.T.T) + pencil.mtilde(),
+                         subset=(0, 0))
+    return float(lam[0])

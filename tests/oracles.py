@@ -322,8 +322,8 @@ def pencil_eigenvalues_gvd(pencil):
 def trace_pair(mesh, coeff):
     """The plain interface mass and the bulk part of ``M_form``, on the
     free bulk dofs, whose largest generalized eigenvalue is the square of
-    ``trace_norm_probe``'s supremum; assembled as the probe assembles
-    them."""
+    ``trace_norm_probe``'s supremum; assembled from the mesh with its own
+    dof map, independently of the pencil the probe reads them from."""
     smesh = SurfaceMesh.from_mesh(mesh, INTERFACE)
     dofmap = build_dofmap(mesh, None, smesh)
     numer = _surface_plain_mass(smesh, dofmap.vertex_free[smesh.edges],

@@ -120,6 +120,31 @@ def test_surface_stiffness_non_finite_coefficient(mu_sigma, message):
         build_pencil(interface_only_mesh(4), CoefficientSet(mu_sigma=mu_sigma))
 
 
+def _infinite(points):
+    return np.full(len(points), np.inf)
+
+
+@pytest.mark.parametrize("coefficients, message", [
+    ({"mu_bulk": _infinite}, "mu_omega gives a non-finite bulk stiffness "
+     "K_bulk"),
+    ({"mu_bulk": 1e308}, "mu_omega gives a non-finite bulk stiffness K_bulk"),
+    ({"zeta_bulk": _infinite}, "the relaxation coefficient zeta gives a "
+     "non-finite block mass M_blk"),
+    ({"zeta_gd": _infinite}, "the relaxation coefficient zeta gives a "
+     "non-finite block mass M_blk"),
+    ({"zeta_sigma": _infinite}, "the relaxation coefficient zeta gives a "
+     "non-finite block mass M_blk"),
+], ids=["mu_bulk-callable", "mu_bulk-1e308", "zeta_bulk", "zeta_gd",
+        "zeta_sigma"])
+def test_non_finite_pencil_names_its_coefficient(std_mesh_8, coefficients,
+                                                 message):
+    # a finite bulk coefficient may still overflow the stiffness, and an
+    # infinite relaxation value passes validate_envelopes, which only
+    # looks for values <= 0
+    with pytest.raises(EnvelopeViolationError, match=message):
+        build_pencil(std_mesh_8, CoefficientSet(**coefficients))
+
+
 def test_surface_stiffness_degenerate_at_midpoint():
     # coefficient |x - M| vanishing at the chain midpoint: row sums zero
     # and entries match the exact per-edge linear integrals
@@ -479,9 +504,9 @@ def test_surface_callable_calls_independent_of_edge_count():
 def test_j_ellipticity_positive_and_stable(std_mesh_8):
     coeff = CoefficientSet(
         bulk_weight=WeightSpec(Points((0.5, 0.25)), 1.0))
-    coarse = build_pencil(std_mesh_8, coeff).j_ellipticity_constant()
-    fine = build_pencil(refine_uniform(std_mesh_8),
-                        coeff).j_ellipticity_constant()
+    coarse = spectral.j_ellipticity_constant(build_pencil(std_mesh_8, coeff))
+    fine = spectral.j_ellipticity_constant(
+        build_pencil(refine_uniform(std_mesh_8), coeff))
     assert coarse > 0 and fine > 0
     assert fine >= 0.5 * coarse
     assert fine <= 1.5 * coarse
@@ -490,7 +515,7 @@ def test_j_ellipticity_positive_and_stable(std_mesh_8):
 def test_j_ellipticity_size_limit(std_pencil_8, monkeypatch):
     monkeypatch.setattr(spectral, "_DENSE_VALUES_LIMIT", 10)
     with pytest.raises(SizeLimitError):
-        std_pencil_8.j_ellipticity_constant()
+        spectral.j_ellipticity_constant(std_pencil_8)
 
 
 def test_envelope_validation_flags_bad_constants():

@@ -559,6 +559,17 @@ _AGREE_ROWS = [
     ("scan", {"scan.s": "segment -1 0.1 1 0.1", "scan.gamma": "1e308"},
      "QuadratureAccuracyError", None,
      "a power with exponent 1e+308 overflows"),
+    # a finite bulk coefficient, within its declared envelope, whose
+    # stiffness overflows: named before any solve
+    ("eigs", {"coeff.mu_omega": "5e307", "coeff.c2": "1e308"},
+     "EnvelopeViolationError", None,
+     "mu_omega gives a non-finite bulk stiffness K_bulk"),
+    ("probe", {"coeff.mu_omega": "5e307", "coeff.c2": "1e308"},
+     "EnvelopeViolationError", None,
+     "mu_omega gives a non-finite bulk stiffness K_bulk"),
+    ("evolve", {"coeff.mu_omega": "5e307", "coeff.c2": "1e308"},
+     "EnvelopeViolationError", None,
+     "mu_omega gives a non-finite bulk stiffness K_bulk"),
     # finite initial data whose energy overflows
     ("evolve", {"init.sigma": "1e308"}, "SolveError", None,
      "non-finite monitor at step 0"),

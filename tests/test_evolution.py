@@ -192,8 +192,14 @@ def test_solver_failure_carries_residual(conserving_pencil_8):
     raw = BlockField(rng.uniform(0, 1, pencil.dofmap.n_free),
                      rng.uniform(0, 1, pencil.dofmap.n_gd),
                      rng.uniform(0, 1, pencil.dofmap.n_sigma))
-    with pytest.raises(SolveError):
+    with pytest.raises(SolveError) as failure:
         evolve(pencil, raw, None, cfg)
+    residual = failure.value.residual
+    assert residual > 0
+    message = str(failure.value)
+    assert message.startswith("step 1 failed: ")
+    assert message.count("residual") == 1
+    assert message.endswith(f"(final residual {residual:.3e})")
 
 
 def test_snapshots_collected(conserving_pencil_8):

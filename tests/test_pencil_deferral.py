@@ -3,10 +3,19 @@ first use: CLI runs build neither, each is built once, on the first
 access of that matrix, each diagnostic builds only the matrix it reads,
 both equal an eager assembly bit for bit, and the diagnostics that read
 them keep the values recorded before the deferral, as does the envelope
-check, which now evaluates the bulk weight once."""
+check, which now evaluates the bulk weight once.  The same holds for
+``M_form_bulk`` and ``interface_mass``, which only the trace probe, the
+J-ellipticity constant and flux recovery read.
+
+The recorded values are recomputed in one child process whose BLAS runs
+the thread count they were recorded at: the dense eigensolve of the
+J-ellipticity constant rounds differently at other counts."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from functools import cached_property
 from pathlib import Path
 
@@ -16,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import jittered_mesh, pencil_reference_coefficients
 from oracles import eager_plain_and_form, pencil_digest
+import formheat
 from formheat import save_mesh
 from formheat.assembly import (BlockField, CoefficientSet, DiscreteOperator,
                                build_pencil, validate_envelopes)
@@ -23,6 +33,7 @@ from formheat.cli import run
 from formheat.evolution import recover_interface_flux, steady_solve
 from formheat.geometry import Points, Polyline
 from formheat.model_problems import standard_fixture_mesh, unit_square_mesh
+from formheat.spectral import j_ellipticity_constant, trace_norm_probe
 from formheat.weights import WeightSpec
 
 REFERENCE = json.loads(
@@ -30,14 +41,16 @@ REFERENCE = json.loads(
 
 
 _DEFERRED = ("M_form", "M_blk_plain")
+# the parts of the form-domain Gram matrix and of the plain block mass
+# that the trace probe reads
+_PROBE_MATRICES = ("M_form_bulk", "interface_mass")
 
 
-@pytest.fixture()
-def builds(monkeypatch):
-    """The name of the matrix each run of a deferred matrix's builder
-    assembled, in call order."""
+def _spy(monkeypatch, names):
+    """The name of the matrix each run of the builder of one of the
+    deferred matrices ``names`` assembled, in call order."""
     calls = []
-    for name in _DEFERRED:
+    for name in names:
         def counting(pencil, build=getattr(DiscreteOperator, name).func,
                      name=name):
             calls.append(name)
@@ -47,6 +60,19 @@ def builds(monkeypatch):
         spy.__set_name__(DiscreteOperator, name)
         monkeypatch.setattr(DiscreteOperator, name, spy)
     return calls
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """The builds of ``M_form`` and ``M_blk_plain``, in call order."""
+    return _spy(monkeypatch, _DEFERRED)
+
+
+@pytest.fixture()
+def probe_builds(monkeypatch):
+    """The builds of ``M_form_bulk`` and ``interface_mass``, in call
+    order."""
+    return _spy(monkeypatch, _PROBE_MATRICES)
 
 
 _RUNS = {
@@ -73,7 +99,8 @@ probe.levels = 3
 
 
 @pytest.mark.parametrize("pipeline", sorted(_RUNS))
-def test_cli_runs_assemble_no_diagnostic_matrix(tmp_path, builds, pipeline):
+def test_cli_runs_assemble_no_diagnostic_matrix(tmp_path, builds,
+                                                probe_builds, pipeline):
     save_mesh(unit_square_mesh(6, interface_y=0.5), tmp_path / "mixed.mesh")
     save_mesh(unit_square_mesh(4, bottom="neumann", top="dynamic"),
               tmp_path / "tiny.mesh")
@@ -82,6 +109,7 @@ def test_cli_runs_assemble_no_diagnostic_matrix(tmp_path, builds, pipeline):
                    f"seed = 0\n{_RUNS[pipeline]}")
     assert run(cfg) == 0
     assert builds == []
+    assert probe_builds == []
 
 
 @pytest.mark.parametrize("first", _DEFERRED)
@@ -101,13 +129,16 @@ def test_each_matrix_is_built_once_on_its_own_first_access(std_mesh_8, builds,
     assert builds == [first, second]
 
 
+# reads: the builds of (M_form, M_blk_plain) and of (M_form_bulk,
+# interface_mass) a diagnostic makes, each in call order
 @pytest.mark.parametrize("diagnostic, reads", [
-    ("steady_solve", ["M_blk_plain"]),
-    ("flux", ["M_blk_plain"]),
-    ("flux_unforced", []),
-    ("j_ellipticity", ["M_form"])])
-def test_each_diagnostic_builds_only_the_matrix_it_reads(std_mesh_8, builds,
-                                                         diagnostic, reads):
+    ("steady_solve", (["M_blk_plain"], [])),
+    ("flux", (["M_blk_plain"], ["interface_mass"])),
+    ("flux_unforced", ([], ["interface_mass"])),
+    ("j_ellipticity", (["M_form"], ["M_form_bulk"])),
+    ("trace_probe", ([], ["interface_mass", "M_form_bulk"]))])
+def test_each_diagnostic_builds_only_the_matrix_it_reads(
+        std_mesh_8, builds, probe_builds, diagnostic, reads):
     pencil = build_pencil(std_mesh_8, CoefficientSet())
     f = BlockField.from_functions(std_mesh_8, pencil.dofmap,
                                   lambda x: 1.0 + x[:, 0])
@@ -115,8 +146,9 @@ def test_each_diagnostic_builds_only_the_matrix_it_reads(std_mesh_8, builds,
     {"steady_solve": lambda: steady_solve(pencil, f),
      "flux": lambda: recover_interface_flux(pencil, u, f),
      "flux_unforced": lambda: recover_interface_flux(pencil, u),
-     "j_ellipticity": pencil.j_ellipticity_constant}[diagnostic]()
-    assert builds == reads
+     "j_ellipticity": lambda: j_ellipticity_constant(pencil),
+     "trace_probe": lambda: trace_norm_probe(pencil)}[diagnostic]()
+    assert (builds, probe_builds) == reads
 
 
 def _csr_bytes(matrix):
@@ -156,25 +188,55 @@ def test_deferred_matrices_equal_eager_assembly(n, seed, bulk, weight, zeta,
     assert _csr_bytes(pencil.M_form) == _csr_bytes(m_form)
 
 
+def recorded_values():
+    """The values ``REFERENCE["cases"]`` records, for every case,
+    computed in this process: ``{case: {value name: digest or hex}}``."""
+    values = {}
+    for case in REFERENCE["cases"]:
+        n, name, mass = case.split("-")
+        mesh = standard_fixture_mesh(int(n))
+        pencil = build_pencil(mesh, pencil_reference_coefficients()[name],
+                              lumped=mass == "lumped")
+        f = BlockField.from_functions(
+            mesh, pencil.dofmap, lambda x: np.sin(3.0 * x[:, 0]) + x[:, 1],
+            lambda x: 1.0 + x[:, 0], lambda x: x[:, 0] ** 2)
+        u = steady_solve(pencil, f)
+        flux = recover_interface_flux(pencil, u, f)
+        values[case] = {
+            "pencil": pencil_digest(pencil),
+            "steady_solve": hashlib.sha256(u.tobytes()).hexdigest(),
+            "interface_flux": hashlib.sha256(flux.tobytes()).hexdigest(),
+            "j_ellipticity": j_ellipticity_constant(pencil).hex()}
+    return values
+
+
+@pytest.fixture(scope="module")
+def pinned_values():
+    """:func:`recorded_values`, computed once in a child process whose
+    OpenBLAS and OpenMP run ``REFERENCE["blas_threads"]`` threads."""
+    threads = str(REFERENCE["blas_threads"])
+    here = Path(__file__).parent
+    path = [str(here), str(Path(formheat.__file__).parents[1])]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   path + [os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-c", "import json, test_pencil_deferral as t; "
+         "print(json.dumps(t.recorded_values()))"],
+        cwd=here, env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("lumped", [False, True],
                          ids=["consistent", "lumped"])
 @pytest.mark.parametrize("name", sorted(pencil_reference_coefficients()))
-def test_pencil_and_diagnostics_match_recorded_values(n, lumped, name):
-    mesh = standard_fixture_mesh(n)
-    coeff = pencil_reference_coefficients()[name]
-    pencil = build_pencil(mesh, coeff, lumped=lumped)
-    f = BlockField.from_functions(
-        mesh, pencil.dofmap, lambda x: np.sin(3.0 * x[:, 0]) + x[:, 1],
-        lambda x: 1.0 + x[:, 0], lambda x: x[:, 0] ** 2)
-    u = steady_solve(pencil, f)
-    flux = recover_interface_flux(pencil, u, f)
-    expected = REFERENCE["cases"][
-        f"{n}-{name}-{'lumped' if lumped else 'consistent'}"]
-    assert {"pencil": pencil_digest(pencil),
-            "steady_solve": hashlib.sha256(u.tobytes()).hexdigest(),
-            "interface_flux": hashlib.sha256(flux.tobytes()).hexdigest(),
-            "j_ellipticity": pencil.j_ellipticity_constant().hex()} == expected
+def test_pencil_and_diagnostics_match_recorded_values(pinned_values, n,
+                                                      lumped, name):
+    case = f"{n}-{name}-{'lumped' if lumped else 'consistent'}"
+    assert pinned_values[case] == REFERENCE["cases"][case]
 
 
 @pytest.mark.parametrize("n", [8, 16])

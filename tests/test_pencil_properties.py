@@ -12,7 +12,7 @@ from formheat.assembly import BlockField, CoefficientSet, build_pencil
 from formheat.evolution import TimeSteppingConfig, evolve
 from formheat.geometry import Points, Polyline, SurfaceMesh, refine_uniform
 from formheat.model_problems import standard_fixture_mesh, unit_square_mesh
-from formheat.spectral import trace_norm_probe
+from formheat.spectral import j_ellipticity_constant, trace_norm_probe
 from formheat.weights import WeightSpec
 
 _positive = st.floats(0.2, 5.0)
@@ -195,9 +195,8 @@ def test_j_ellipticity_on_jittered_meshes(n, seed, mu_bulk, mu_gd, mu_sigma,
     coeff = CoefficientSet(mu_bulk=mu_bulk, mu_gd=mu_gd, mu_sigma=mu_sigma,
                            bulk_weight=weight, zeta_bulk=zeta[0],
                            zeta_gd=zeta[1], zeta_sigma=zeta[2])
-    c_coarse = build_pencil(mesh, coeff).j_ellipticity_constant()
-    c_fine = build_pencil(refine_uniform(mesh),
-                          coeff).j_ellipticity_constant()
+    c_coarse = j_ellipticity_constant(build_pencil(mesh, coeff))
+    c_fine = j_ellipticity_constant(build_pencil(refine_uniform(mesh), coeff))
     assert c_coarse > 0 and c_fine > 0
     assert 0.5 * c_coarse <= c_fine <= 1.5 * c_coarse
 
@@ -210,9 +209,9 @@ def test_trace_norm_bounded_on_jittered_meshes(seed, gamma):
     supremum under a segment weight on the interface grows by at most
     the acceptance factor per refinement."""
     weight = WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]), gamma)
-    sups = [trace_norm_probe(jittered_mesh(standard_fixture_mesh(n), seed),
-                             CoefficientSet(bulk_weight=weight),
-                             n_samples=60).sup_ratio
+    sups = [trace_norm_probe(build_pencil(
+                jittered_mesh(standard_fixture_mesh(n), seed),
+                CoefficientSet(bulk_weight=weight)), n_samples=60).sup_ratio
             for n in (8, 16, 32)]
     assert sups[1] <= 1.10 * sups[0], sups
     assert sups[2] <= 1.10 * sups[1], sups

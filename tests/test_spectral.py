@@ -44,6 +44,10 @@ def test_exponents_d3_caseb():
     assert rep.active_trace == "r_tr_gamma"
     assert rep.effective("r_tr") is INF
     assert rep.csv_row() == "3,0.5,B,4,+inf,2.6667,+inf,2.6667"
+    assert rep.cells() == {"d": "3", "gamma": "0.5", "case": "B",
+                           "r_omega": "4", "r_tr": "+inf",
+                           "r_tr_gamma": "2.6667", "r_tr_star": "+inf",
+                           "r0": "2.6667"}
 
 
 def test_exponents_d3_nondegenerate_and_surface_improvement():
@@ -477,10 +481,22 @@ def test_trace_probe_bounded_case_b():
     weight = WeightSpec(Polyline([(0.0, 0.5), (1.0, 0.5)]), 0.5)
     sups = []
     for n in (8, 16, 32):
-        res = trace_norm_probe(standard_fixture_mesh(n),
-                               CoefficientSet(bulk_weight=weight),
-                               n_samples=40)
+        res = trace_norm_probe(build_pencil(
+            standard_fixture_mesh(n), CoefficientSet(bulk_weight=weight)),
+            n_samples=40)
         assert res.max_sampled_ratio <= res.sup_ratio * (1 + 1e-9)
         sups.append(res.sup_ratio)
     assert sups[1] <= 1.10 * sups[0]
     assert sups[2] <= 1.10 * sups[1]
+
+
+def test_dense_eigensolve_refuses_fewer_pairs_than_asked():
+    # on this overflowed stiffness LAPACK's dsyevr returns no pair at all
+    # for a subset of three, and reports no error
+    pencil = build_pencil(standard_fixture_mesh(4), CoefficientSet())
+    with np.errstate(over="ignore"):
+        stiffness = pencil.T * 1e308
+    with pytest.raises(EigenSolveError,
+                       match="returned 0 of the 3 eigenvalues asked for"):
+        spectral._dense_eigh(pencil.mtilde(), stiffness, subset=(0, 2),
+                             vectors=True)
