@@ -331,9 +331,13 @@ def _weighted_masses(coeff, which, points, size, rule):
     z = coeff.zeta_values(which, points.reshape(-1, 2)).reshape(
         points.shape[:2])
     a, b = np.triu_indices(bary.shape[1])
+    # einsum's "q,nq,qp,qp->np": from zero, over q in order, each term
+    # multiplied left to right
+    upper = np.zeros((len(size), len(a)))
+    for q in range(len(wts)):
+        upper += wts[q] * z[:, q, None] * bary[q, a] * bary[q, b]
     masses = np.empty((len(size),) + (bary.shape[1],) * 2)
-    masses[:, a, b] = masses[:, b, a] = size[:, None] * np.einsum(
-        "q,nq,qp,qp->np", wts, z, bary[:, a], bary[:, b])
+    masses[:, a, b] = masses[:, b, a] = size[:, None] * upper
     return masses
 
 
@@ -362,11 +366,15 @@ def _cell_weights(mesh, coeff, area):
 
 def _scatter(dofs, elem, n):
     """Sum element matrices (cells, k, k) onto the dofs (cells, k) of an
-    n x n CSR matrix; a dof of -1 drops its rows and columns."""
-    rows = np.broadcast_to(dofs[:, :, None], elem.shape)
-    cols = np.broadcast_to(dofs[:, None, :], elem.shape)
-    keep = (rows >= 0) & (cols >= 0)
-    return sp.csr_matrix((elem[keep], (rows[keep], cols[keep])), shape=(n, n))
+    n x n CSR matrix; a dof of -1 drops its rows and columns.  The
+    entries go in row-major (cell, a, b) order."""
+    k = dofs.shape[1]
+    dofs = dofs.astype(np.int32)
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+    return sp.csr_matrix((elem.reshape(-1).take(keep),
+                          (rows.take(keep), cols.take(keep))), shape=(n, n))
 
 
 def _coefficient_integrals(mesh, coeff, area, cell_w):
@@ -409,10 +417,20 @@ def _stiffness(mesh, dofmap, grads, cell_mats):
     a, b = np.triu_indices(3)
     ga, gb = grads[:, :, a], grads[:, :, b]
     elem = np.empty((len(grads), 3, 3))
-    elem[:, b, a] = np.einsum("nip,nij,njp->np", ga, np.ascontiguousarray(
-        cell_mats.transpose(0, 2, 1)), gb)
-    elem[:, a, b] = np.einsum("nip,nij,njp->np", ga, cell_mats, gb)
+    elem[:, b, a] = _gram_products(ga, cell_mats.transpose(0, 2, 1), gb)
+    elem[:, a, b] = _gram_products(ga, cell_mats, gb)
     return _scatter(dofmap.vertex_free[mesh.triangles], elem, dofmap.n_free)
+
+
+def _gram_products(ga, mats, gb):
+    """``ga[n, :, p] . mats[n] gb[n, :, p]`` (cells, p), summed as
+    einsum's ``"nip,nij,njp->np"``: from zero, over (i, j) in row-major
+    order, each term multiplied left to right."""
+    out = np.zeros((len(ga), ga.shape[2]))
+    for i in range(2):
+        for j in range(2):
+            out += ga[:, i] * mats[:, i, j, None] * gb[:, j]
+    return out
 
 
 def _form_gram_bulk(mesh, dofmap, cell_w):
@@ -877,12 +895,21 @@ def validate_envelopes(mesh, coeff):
     if coeff.bulk_weight is not None:   # the full coefficient, as bulk_values
         mu *= env[..., None, None]
     a, b, c, d = (mu[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    # a sample whose entries could overflow the products below is scaled
+    # by an exact power of two, and both bounds are scaled back: they are
+    # homogeneous of degree one.  Every other sample keeps its arithmetic.
+    shift = 0
+    if max(mu.max(), -mu.min()) > 2.0 ** 500:
+        big = np.abs(mu).max(axis=(-2, -1))
+        shift = np.where(big > 2.0 ** 500, np.frexp(big)[1], 0)
+        a, b, c, d = (np.ldexp(x, -shift) for x in (a, b, c, d))
     off = 0.5 * (b + c)                     # of the symmetric part
     tr = a + d
     disc = np.sqrt(np.maximum(0.25 * tr * tr - (a * d - off * off), 0.0))
-    lam_min = 0.5 * tr - disc
+    lam_min = np.ldexp(0.5 * tr - disc, shift)
     # largest singular value of a 2x2 matrix, free of cancellation
-    norm2 = np.hypot(0.5 * tr, 0.5 * (c - b)) + np.hypot(0.5 * (a - d), off)
+    norm2 = np.ldexp(np.hypot(0.5 * tr, 0.5 * (c - b))
+                     + np.hypot(0.5 * (a - d), off), shift)
     pos = env > 0
     c1_obs = float(np.min(lam_min[pos] / env[pos])) if np.any(pos) else np.inf
     c2_obs = float(np.max(norm2[pos] / env[pos])) if np.any(pos) else 0.0

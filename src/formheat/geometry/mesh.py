@@ -295,7 +295,10 @@ def load_mesh(path):
         raise MeshFormatError(
             "not UTF-8 text",
             line=exc.object.count(b"\n", 0, exc.start) + 1) from None
-    text = [raw.split("#", 1)[0].strip() for raw in content.split("\n")]
+    lines = content.split("\n")
+    if "#" in content:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    text = [line.strip() for line in lines]
     linenos = [k for k, line in enumerate(text, start=1) if line]
     rows = [line for line in text if line]
     if not rows:

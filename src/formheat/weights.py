@@ -87,7 +87,8 @@ class WeightSpec:
 # array and a vertex count per row.  A row with fewer than k vertices
 # repeats its last one; an empty row (count 0) is all zeros.  The Python
 # loops below run over vertex slots, target points or panel steps; only
-# ``_pow``, for the cancelling power primitives, visits values one by one.
+# ``_pow``, for the cancelling power primitives, visits values one by one,
+# and only the distinct ones, keyed by bit pattern.
 
 def _signed_areas(polys):
     """Shoelace areas of polygons (..., k, 2), positive when CCW.
@@ -178,19 +179,36 @@ def _sutherland_hodgman(polys, counts, vals):
 
 # -- exact pieces ----------------------------------------------------------------
 
-def _pow(values, exponent):
-    """``values ** exponent`` with libm's ``pow`` (Python floats), for the
-    power primitives ``x1^(p+1) - x0^(p+1)`` of :func:`_linear_power`
-    only: they cancel, so they keep libm's rounding, which numpy's
-    vectorized power misses by up to an ulp.  Every other power is
-    numpy's.  Raises :class:`QuadratureAccuracyError` naming the exponent
-    when a power overflows a float."""
-    try:
-        return np.array([x ** exponent for x in values.tolist()])
-    except OverflowError:
-        raise QuadratureAccuracyError(
-            f"exact weight integral out of float range: a power with "
-            f"exponent {exponent!r} overflows") from None
+def _pow(values, exponents):
+    """``values ** e`` (values.shape) for each of ``exponents``, with
+    libm's ``pow`` (Python floats), for the power primitives
+    ``x1^(p+1) - x0^(p+1)`` of :func:`_linear_power` only: they cancel,
+    so they keep libm's rounding, which numpy's vectorized power misses
+    by up to an ulp.  Every other power is numpy's.  ``pow`` runs once
+    per distinct value and exponent, and the results are gathered back;
+    values are told apart by bit pattern, so ``-0.0`` keeps its own
+    power (``pow(-0.0, 3.0)`` is ``-0.0``).  Raises
+    :class:`QuadratureAccuracyError` naming the exponent when a power
+    overflows a float."""
+    keys, inverse = np.unique(np.ravel(values).view(np.int64),
+                              return_inverse=True)
+    distinct = keys.view(np.float64).tolist()
+    powers = []
+    for exponent in exponents:
+        try:
+            powers.append(np.array([x ** exponent for x in distinct],
+                                   dtype=float)[inverse].reshape(values.shape))
+        except OverflowError:
+            raise _out_of_range(exponent) from None
+    return powers
+
+
+def _out_of_range(exponent):
+    """The error of an exact weight integral whose power with exponent
+    ``exponent`` overflows a float."""
+    return QuadratureAccuracyError(
+        f"exact weight integral out of float range: a power with "
+        f"exponent {exponent!r} overflows")
 
 
 def _linear_power(area, vals, gamma):
@@ -217,8 +235,7 @@ def _linear_power(area, vals, gamma):
     # as the scalar power primitive (p + 1) rounds
     g1 = gamma + 1.0
     g2 = g1 + 1.0
-    p1 = [_pow(x, g1) for x in (l1, l2, l3)]
-    p2 = [_pow(x, g2) for x in (l1, l2, l3)]
+    p1, p2 = _pow(np.stack([l1, l2, l3]), (g1, g2))
     den = l3 - l1
     rise = l2 - l1 > 1e-15 * l3
     fall = l3 - l2 > 1e-15 * l3
@@ -308,14 +325,19 @@ def _wedges(p, a, b, gamma):
     half = 0.5 * (end - start)
     mid = 0.5 * (end + start)
     panels = np.empty(len(half))
-    for s in range(0, len(half), _PANEL_BLOCK):
-        t = mid[s:s + _PANEL_BLOCK, None] + half[s:s + _PANEL_BLOCK, None] * xg
-        panels[s:s + _PANEL_BLOCK] = half[s:s + _PANEL_BLOCK] * np.vecdot(
-            (1.0 + t * t) ** (0.5 * gamma), wg)
-    total = np.bincount(np.concatenate([neg, pos])[owner], panels,
-                        minlength=len(d))
-    total = np.where(ta > tb, -total, total)
-    out[live] = d ** (gamma + 2.0) / (gamma + 2.0) * total
+    # a profile or a scale that overflows leaves a non-finite wedge
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, len(half), _PANEL_BLOCK):
+            t = (mid[s:s + _PANEL_BLOCK, None]
+                 + half[s:s + _PANEL_BLOCK, None] * xg)
+            panels[s:s + _PANEL_BLOCK] = half[s:s + _PANEL_BLOCK] * np.vecdot(
+                (1.0 + t * t) ** (0.5 * gamma), wg)
+        total = np.bincount(np.concatenate([neg, pos])[owner], panels,
+                            minlength=len(d))
+        total = np.where(ta > tb, -total, total)
+        out[live] = d ** (gamma + 2.0) / (gamma + 2.0) * total
+    if not np.isfinite(out).all():
+        raise _out_of_range(gamma)
     return out
 
 
@@ -868,7 +890,6 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
     levels, near_polygons = _split_levels(w, l_max, box)
     values = weighted_cell_integral(w, near_polygons)
 
-    d = 2
     c_min = np.inf
     argmin = None
     rows = []
@@ -877,7 +898,7 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
     start = 0
     for k, (level, lo, ny, near_mx, near_my, on_set, far_cubes, bounds,
             skipped, skipped_bounds) in enumerate(levels):
-        norm_factor = 2.0 ** (level * (d + w.gamma))
+        norm_factor = _level_normalization(level, w.gamma)
         stop = start + len(near_mx)
         lvl_min = float(bounds.min(initial=np.inf))
         lvl_min_on_s = np.inf
@@ -921,7 +942,7 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
         if late.any():
             far_cubes, bounds = _with_measured(
                 w, level, lo, ny, far_cubes, bounds, skipped[late])
-        norm_factor = 2.0 ** (level * (d + w.gamma))
+        norm_factor = _level_normalization(level, w.gamma)
         for k, bound in zip(far_cubes.tolist(), bounds.tolist()):
             if bound < c_min:
                 cube = DyadicCube(level, lo[0] + k // ny, lo[1] + k % ny)
@@ -934,6 +955,20 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
     return ScanResult(c_min=float(c_min), argmin_cube=argmin,
                       level_stats=level_stats, rows=rows,
                       window_covers_s=covers)
+
+
+def _level_normalization(level, gamma):
+    """``2^(level (d + gamma))``, d = 2, the factor that makes the cube
+    integrals of a level comparable across levels.  Raises
+    :class:`QuadratureAccuracyError` naming the exponent when it
+    overflows a float."""
+    try:
+        return 2.0 ** (level * (2 + gamma))
+    except OverflowError:
+        raise QuadratureAccuracyError(
+            f"dyadic scan out of float range: the level-{level} "
+            f"normalization 2^({level} * (2 + gamma)) overflows at "
+            f"exponent gamma = {gamma!r}") from None
 
 
 def _with_measured(w, level, lo, ny, far_cubes, bounds, cubes):

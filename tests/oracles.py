@@ -10,9 +10,11 @@ spectra come from LAPACK's dense generalized solver or, at theta = 1,
 from no eigensolve at all, inverse fractional powers from scipy's dense
 ``fractional_matrix_power``, the band congruence from band solves
 that take one right-hand side at a time, the pencil's deferred
-matrices from an eager assembly when the pencil is built, and a surface
+matrices from an eager assembly when the pencil is built, a surface
 mesh's nodes, chains and arc coordinates from a set, a dict and an
-edge-by-edge walk.
+edge-by-edge walk, the exact power integrals from one libm ``pow`` per
+argument, and the element kernels from ``einsum`` and a broadcast-mask
+scatter.
 """
 
 import hashlib
@@ -576,3 +578,72 @@ def clip_every_row(polys, counts, normal, offset):
     out = points[rows, order[rows, np.minimum(np.arange(width), last)]]
     out[new_counts == 0] = 0.0
     return out, new_counts
+
+
+def linear_power_per_value(area, vals, gamma):
+    """Exact integrals of ``l^gamma`` over triangles with one libm
+    ``pow`` per argument, in a Python list per vertex slot (reference
+    for :func:`formheat.weights._linear_power`, which calls ``pow`` once
+    per distinct value)."""
+    scale = np.maximum(1.0, np.abs(vals).max(axis=1))
+    small = vals.min(axis=1) > -1e-9 * scale
+    vals = np.where(small[:, None], np.clip(vals, 0.0, None), vals)
+    l1, l2, l3 = np.sort(vals, axis=1).T
+    if ((area > 0.0) & (l1 < 0.0)).any():
+        raise ValueError("linear functional changes sign on triangle")
+    live = (area > 0.0) & (l3 > 0.0)
+    out = np.zeros(len(area))
+    flat = live & (l3 - l1 <= 1e-14 * l3)
+    out[flat] = area[flat] * ((l1 + l2 + l3)[flat] / 3.0) ** gamma
+    sel = live & ~flat
+    area, l1, l2, l3 = area[sel], l1[sel], l2[sel], l3[sel]
+    g1 = gamma + 1.0
+    g2 = g1 + 1.0
+    p1 = [np.array([x ** g1 for x in v.tolist()]) for v in (l1, l2, l3)]
+    p2 = [np.array([x ** g2 for x in v.tolist()]) for v in (l1, l2, l3)]
+    den = l3 - l1
+    rise = l2 - l1 > 1e-15 * l3
+    fall = l3 - l2 > 1e-15 * l3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up = 2.0 * area / ((l2 - l1) * den) * (
+            (p2[1] - p2[0]) / g2 - l1 * ((p1[1] - p1[0]) / g1))
+        down = 2.0 * area / ((l3 - l2) * den) * (
+            l3 * ((p1[2] - p1[1]) / g1) - (p2[2] - p2[1]) / g2)
+    out[sel] = np.where(rise, up, 0.0) + np.where(fall, down, 0.0)
+    return out
+
+
+def scatter_masked(dofs, elem, n):
+    """Element matrices summed onto a CSR matrix through broadcast row
+    and column index arrays and a boolean mask (reference for
+    :func:`formheat.assembly._scatter`)."""
+    rows = np.broadcast_to(dofs[:, :, None], elem.shape)
+    cols = np.broadcast_to(dofs[:, None, :], elem.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.csr_matrix((elem[keep], (rows[keep], cols[keep])), shape=(n, n))
+
+
+def stiffness_einsum(mesh, dofmap, grads, cell_mats):
+    """Stiffness with element matrices ``grad^T C grad`` from ``einsum``
+    (reference for :func:`formheat.assembly._stiffness`)."""
+    a, b = np.triu_indices(3)
+    ga, gb = grads[:, :, a], grads[:, :, b]
+    elem = np.empty((len(grads), 3, 3))
+    elem[:, b, a] = np.einsum("nip,nij,njp->np", ga, np.ascontiguousarray(
+        cell_mats.transpose(0, 2, 1)), gb)
+    elem[:, a, b] = np.einsum("nip,nij,njp->np", ga, cell_mats, gb)
+    return scatter_masked(dofmap.vertex_free[mesh.triangles], elem,
+                          dofmap.n_free)
+
+
+def weighted_masses_einsum(coeff, which, points, size, rule):
+    """Relaxation-weighted element masses from ``einsum`` (reference for
+    :func:`formheat.assembly._weighted_masses`)."""
+    bary, wts = rule
+    z = coeff.zeta_values(which, points.reshape(-1, 2)).reshape(
+        points.shape[:2])
+    a, b = np.triu_indices(bary.shape[1])
+    masses = np.empty((len(size),) + (bary.shape[1],) * 2)
+    masses[:, a, b] = masses[:, b, a] = size[:, None] * np.einsum(
+        "q,nq,qp,qp->np", wts, z, bary[:, a], bary[:, b])
+    return masses

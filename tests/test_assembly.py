@@ -543,6 +543,26 @@ def test_envelope_validation_flags_bad_constants():
     assert observed["zeta_min"] == pytest.approx(1.0)
 
 
+# entries whose squares overflow a float: both bounds are still found,
+# without an overflow warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_envelope_validation_flags_a_huge_coefficient_below_c1():
+    mesh = standard_fixture_mesh(2)
+    diags, observed = validate_envelopes(
+        mesh, CoefficientSet(mu_bulk=1e200, c1=1e300, c2=1e301))
+    assert diags == sorted(f"bulk coefficient below c1 * envelope on "
+                           f"triangle {k}" for k in range(8))
+    assert observed["c1_obs"] == observed["c2_obs"] == 1e200
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_envelope_validation_passes_the_largest_coefficient_within_c2():
+    diags, observed = validate_envelopes(
+        standard_fixture_mesh(2), CoefficientSet(mu_bulk=1e308, c2=1e308))
+    assert diags == []
+    assert observed["c1_obs"] == observed["c2_obs"] == 1e308
+
+
 def test_envelope_check_skips_a_missing_interface():
     # no interface: its negative coefficient has no edge to flag, while
     # every dynamic edge is still checked

@@ -559,6 +559,18 @@ _AGREE_ROWS = [
     ("scan", {"scan.s": "segment -1 0.1 1 0.1", "scan.gamma": "1e308"},
      "QuadratureAccuracyError", None,
      "a power with exponent 1e+308 overflows"),
+    # a large exponent overflows a point wedge's power, or a level's
+    # normalization 2^(l (2 + gamma)), at l_max = 3
+    ("scan", {"scan.s": "point 0.1 0.2", "scan.gamma": "400",
+              "scan.l_max": "3"}, "QuadratureAccuracyError", None,
+     "a power with exponent 400.0 overflows"),
+    ("scan", {"scan.s": "segment -1 0.1 1 0.1", "scan.gamma": "400",
+              "scan.l_max": "3"}, "QuadratureAccuracyError", None,
+     "the level-3 normalization 2^(3 * (2 + gamma)) overflows at exponent "
+     "gamma = 400.0"),
+    ("scan", {"scan.s": "point 0.1 0.2", "scan.gamma": "300",
+              "scan.l_max": "3"}, "QuadratureAccuracyError", None,
+     "a power with exponent 300.0 overflows"),
     # a finite bulk coefficient, within its declared envelope, whose
     # stiffness overflows: named before any solve
     ("eigs", {"coeff.mu_omega": "5e307", "coeff.c2": "1e308"},

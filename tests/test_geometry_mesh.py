@@ -361,6 +361,32 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.tri_regions, mesh.tri_regions)
 
 
+def test_comments_and_crlf_read_as_the_plain_file(tmp_path):
+    # the same mesh with a trailing note on a vertex line, a comment line
+    # after the data and CRLF line ends: the same arrays, and a bad line
+    # reported at the same line number
+    plain = tmp_path / "plain.mesh"
+    save_mesh(standard_fixture_mesh(4), plain)
+    lines = plain.read_text().splitlines()
+    lines[1] += "  # note"
+    noted = tmp_path / "noted.mesh"
+    noted.write_bytes("\r\n".join(lines + ["# end of mesh", ""]).encode())
+    a, b = load_mesh(plain), load_mesh(noted)
+    for name in ("vertices", "triangles", "boundary_edges",
+                 "interface_edges", "tri_regions"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.boundary_labels == b.boundary_labels
+    bad = 1 + a.num_vertices + 3     # the third triangle line
+    for path in (plain, noted):
+        lines = path.read_bytes().decode().split("\n")
+        lines[bad - 1] = lines[bad - 1].replace(" ", " x ", 1)
+        path.write_bytes("\n".join(lines).encode())
+        with pytest.raises(MeshFormatError) as info:
+            load_mesh(path)
+        assert info.value.line == bad
+        assert str(info.value) == f"line {bad}: malformed integer in triangle"
+
+
 def test_refine_uniform_preserves_structure():
     mesh = standard_fixture_mesh(4)
     fine = refine_uniform(mesh)
