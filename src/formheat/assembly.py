@@ -133,17 +133,13 @@ class CoefficientSet:
             return None
         return _matrix_of(mu)
 
-    def _bulk_unweighted(self, points, region):
-        """The ``mu_bulk`` entry of a region at (n, 2) points, without
-        the weight: (n, 2, 2)."""
-        base = self.bulk_base_matrix(region)
-        if base is None:
-            return _eval_matrix_callable(self._bulk_entry(region), points)
-        return np.broadcast_to(base, (len(points), 2, 2)).copy()
-
     def bulk_values(self, points, region):
         """Full bulk coefficient (weight included) at (n, 2) points."""
-        vals = self._bulk_unweighted(points, region)
+        base = self.bulk_base_matrix(region)
+        if base is None:
+            vals = _eval_matrix_callable(self._bulk_entry(region), points)
+        else:
+            vals = np.broadcast_to(base, (len(points), 2, 2)).copy()
         if self.bulk_weight is not None:
             vals = vals * self.bulk_weight.eval(points)[:, None, None]
         return vals
@@ -776,8 +772,8 @@ class DiscreteOperator:
 
         The pencil never changes, so one factorization per matrix serves
         every solve.  Keys name the matrix: ``("step", theta, dt)`` for
-        ``Mt + theta dt T``, ``"mtilde"``, ``"T"``, ``("shift", sigma)``
-        for ``T - sigma Mt`` and ``("M_plain", "interface")``.
+        ``Mt + theta dt T``, ``"T"``, ``("shift", sigma)`` for
+        ``T - sigma Mt`` and ``("M_plain", "interface")``.
         """
         lu = self._factors.get(key)
         if lu is None:
@@ -854,21 +850,107 @@ def build_pencil(mesh, coeff, *, lumped=False, extra_constrained=()):
                             surface_stiffness=k_surfs, lumped=lumped)
 
 
+# Jacobi-preconditioned CG on Mt = J^T M_blk J.  A P1 mass matrix is
+# spectrally equivalent to its diagonal with bounds that do not depend on
+# the mesh (Wathen 1987), so the iteration count does not grow with
+# refinement.  It stops once the Jacobi residual D^-1 r is at most
+# _PROJECTION_TOL times the largest entry of the iterate, in every
+# entry: a relaxation coefficient spanning many orders scales the rows of
+# Mt by as much, and a Euclidean residual norm (``scipy.sparse.linalg.cg``'s
+# criterion) leaves the rows of a small coefficient unconverged.  On the
+# unit-square fixture at n = 16 to 128 CG took 31 or 32 iterations, and 33
+# or 34 with a steep (1e-6 + x^8) or jumping (1e-4 to 1e4, boundary 1e-6,
+# interface 1e6) relaxation coefficient, each within 4e-15 of a direct
+# solve relative to the largest entry; a lumped Mt is diagonal and takes
+# one.  The count grows with the log of the coefficient's contrast: a bulk
+# coefficient 1e-100 beside surface ones of 1 took 91 iterations at n = 64
+# and 116 at n = 128, and 1e-200 took 154 at n = 64.  At a contrast near
+# 1e300 the small rows underflow and CG stops at the cap.
+_PROJECTION_TOL = 1e-14
+_PROJECTION_MAXITER = 200
+
+
+def _jacobi_cg(matrix, rhs):
+    """``(x, iterations)`` with ``matrix x = rhs`` by Jacobi-preconditioned
+    CG from zero, stopped by the ``_PROJECTION_TOL`` test on the Jacobi
+    residual.  The matrix is symmetric with a positive diagonal; raises
+    :class:`ConsistencyError` when CG has not converged after
+    ``_PROJECTION_MAXITER`` iterations.
+
+    CG runs on ``S A S y = 2^-e S rhs``, ``x = 2^e S y``, with ``S`` the
+    diagonal of powers of two that brings the diagonal of ``S A S`` into
+    [1/2, 2) and ``e`` the ``frexp`` exponent of the largest entry of
+    ``S rhs``.  Each product and sum then equals that of CG on
+    ``A x = rhs`` times a power of two, so the iterates are those of the
+    unscaled iteration, but no dot product overflows or underflows
+    however far the diagonal or the data lie from 1, and scaling ``rhs``
+    by a power of two scales ``x`` by the same power bit for bit.
+    """
+    diag = matrix.diagonal()
+    scale = np.ldexp(1.0, -(np.frexp(diag)[1] // 2))
+    rows = np.repeat(scale, np.diff(matrix.indptr))
+    scaled = sp.csr_matrix(
+        (matrix.data * rows * scale[matrix.indices], matrix.indices,
+         matrix.indptr), shape=matrix.shape)
+    inv_diag = 1.0 / scaled.diagonal()
+    r = scale * rhs
+    shift = int(np.frexp(np.abs(r).max(initial=0.0))[1])
+    r = np.ldexp(r, -shift)
+    y = np.zeros(len(r))
+    z = inv_diag * r
+    p = z
+    rho = r @ z
+    iterations = 0
+    # the test on x = S y and D^-1 r = S z, written so that a NaN fails it
+    # and the loop goes on to the cap
+    while not np.abs(scale * z).max(initial=0.0) <= (
+            _PROJECTION_TOL * np.abs(scale * y).max(initial=0.0)):
+        if iterations == _PROJECTION_MAXITER:
+            raise ConsistencyError(f"projection CG did not converge in "
+                                   f"{_PROJECTION_MAXITER} iterations")
+        iterations += 1
+        q = scaled @ p
+        alpha = rho / (p @ q)
+        y += alpha * p
+        r -= alpha * q
+        z = inv_diag * r
+        rho, rho_old = r @ z, rho
+        p = z + (rho / rho_old) * p
+    with np.errstate(over="ignore"):     # the caller checks for overflow
+        return np.ldexp(scale * y, shift), iterations
+
+
 def project_initial_data(raw, pencil):
     """Block-mass-orthogonal projection of raw block data onto traces.
 
     Solves ``(J^T M_blk J) u = J^T M_blk raw`` for the bulk-dof vector
     whose trace triple is closest to the (possibly unrelated) components
     of ``raw`` in the weighted block norm.
+
+    The normal matrix is a mass matrix, so Jacobi-preconditioned CG
+    (:func:`_jacobi_cg`) solves it in a number of iterations that does
+    not grow with the mesh, and nothing is factored.  CG runs on the
+    problem scaled by exact powers of two, per dof and overall, so data
+    and relaxation coefficients near the overflow or underflow threshold
+    are solved as accurately as those near 1, and scaling ``raw`` by a
+    power of two scales ``u`` by the same power bit for bit.
+
+    Raises :class:`ConsistencyError` when a diagonal entry of the normal
+    matrix is not positive (a vanishing relaxation coefficient makes it
+    singular) or CG does not converge, and :class:`SolveError` when the
+    right-hand side or the projected data overflows.
     """
     rhs = pencil.J.T @ (pencil.M_blk @ raw.stacked())
-    try:
-        lu = pencil.factorization("mtilde", pencil.mtilde)
-    except SolveError:
-        raise ConsistencyError("projection normal matrix is singular") from None
-    u = lu.solve(rhs)
-    if not np.all(np.isfinite(u)):
-        raise ConsistencyError("projection normal matrix is singular")
+    mt = pencil.mtilde()
+    if not (mt.diagonal() > 0).all():
+        raise ConsistencyError("projection normal matrix is singular: a "
+                               "diagonal entry is not positive")
+    if not np.isfinite(rhs).all():
+        raise SolveError("initial data overflows the projection's "
+                         "right-hand side")
+    u, _ = _jacobi_cg(mt, rhs)
+    if not np.isfinite(u).all():
+        raise SolveError("projected initial data overflows")
     return u
 
 
@@ -884,23 +966,33 @@ def validate_envelopes(mesh, coeff):
     """
     diags = []
     bary, _ = triangle_rule(_ENVELOPE_ORDER)
-    pts = bary @ mesh.vertices[mesh.triangles]            # (nt, q, 2)
-    flat = pts.reshape(-1, 2)
-    mu = np.empty(pts.shape[:2] + (2, 2))
-    for region in np.unique(mesh.tri_regions):
-        sel = mesh.tri_regions == region
-        mu[sel] = coeff._bulk_unweighted(pts[sel].reshape(-1, 2),
-                                         region).reshape(-1, len(bary), 2, 2)
-    env = coeff.bulk_envelope_values(flat).reshape(pts.shape[:2])
+    q = len(bary)
+    flat = (bary @ mesh.vertices[mesh.triangles]).reshape(-1, 2)
+    env = coeff.bulk_envelope_values(flat)
+    # the entries a, b, c, d of the coefficient at every sample, each a
+    # contiguous row; a constant region's are four scalars
+    entries = np.empty((4, len(flat)))
+    regions = np.unique(mesh.tri_regions)
+    for region in regions:
+        sel = (slice(None) if len(regions) == 1
+               else np.repeat(mesh.tri_regions == region, q))
+        base = coeff.bulk_base_matrix(region)
+        if base is None:
+            entries[:, sel] = _eval_matrix_callable(
+                coeff._bulk_entry(region), flat[sel]).reshape(-1, 4).T
+        elif len(regions) == 1:
+            entries[:] = base.reshape(4, 1)
+        else:       # a masked copy: 3x faster than a boolean-index store
+            np.copyto(entries, base.reshape(4, 1), where=sel)
     if coeff.bulk_weight is not None:   # the full coefficient, as bulk_values
-        mu *= env[..., None, None]
-    a, b, c, d = (mu[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        entries *= env
+    a, b, c, d = entries
     # a sample whose entries could overflow the products below is scaled
     # by an exact power of two, and both bounds are scaled back: they are
     # homogeneous of degree one.  Every other sample keeps its arithmetic.
     shift = 0
-    if max(mu.max(), -mu.min()) > 2.0 ** 500:
-        big = np.abs(mu).max(axis=(-2, -1))
+    if max(entries.max(), -entries.min()) > 2.0 ** 500:
+        big = np.abs(entries).max(axis=0)
         shift = np.where(big > 2.0 ** 500, np.frexp(big)[1], 0)
         a, b, c, d = (np.ldexp(x, -shift) for x in (a, b, c, d))
     off = 0.5 * (b + c)                     # of the symmetric part
@@ -916,9 +1008,9 @@ def validate_envelopes(mesh, coeff):
     below = lam_min + 1e-13 * np.maximum(env, 1.0) < coeff.c1 * env
     above = norm2 > coeff.c2 * env * (1 + 1e-13) + 1e-13
     diags += [f"bulk coefficient below c1 * envelope on triangle {k}"
-              for k in np.flatnonzero(below.any(axis=1))]
+              for k in np.flatnonzero(below.reshape(-1, q).any(axis=1))]
     diags += [f"bulk coefficient above c2 * envelope on triangle {k}"
-              for k in np.flatnonzero(above.any(axis=1))]
+              for k in np.flatnonzero(above.reshape(-1, q).any(axis=1))]
     zeta_min = float(np.min(coeff.zeta_values("bulk", flat)))
 
     ts = np.linspace(0.1, 0.9, 5)

@@ -379,7 +379,8 @@ class RunConfig:
         """The exponent-catalogue report.  ``exponents.case = auto`` (the
         default) classifies the bulk weight on the mesh unless gamma = 0."""
         d = self._read("exponents.d", _int, 2)
-        gamma = self._read("exponents.gamma", _float, 0.0)
+        gamma = self._read("exponents.gamma", _checked(
+            _float, np.isfinite, "exponent is not finite"), 0.0)
         case = self._read("exponents.case", _case, "auto")
         if case == "auto":
             if gamma == 0.0:

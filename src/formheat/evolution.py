@@ -12,7 +12,10 @@ jumps are recovered variationally from the bulk residual.
 
 Steps are inherently sequential.  The step matrix is factored once per
 pencil and ``(theta, dt)``: by band Cholesky when it is symmetric and
-its reordered band is narrow enough, by sparse LU otherwise.  A step is
+its reordered band is narrow enough, by sparse LU otherwise.  It is the
+only matrix a run factors: the initial data are projected by
+Jacobi-preconditioned CG on ``Mt`` (``assembly.project_initial_data``),
+so one ``evolve`` run builds one factorization.  A step is
 the two triangular solves of that factorization plus one sparse product,
 of the stacked matrix ``[Mt; dt T]`` with the new state.  That product
 gives the next right-hand side, the backward error of the solve and the
@@ -227,7 +230,9 @@ def evolve(pencil, u0_raw, forcing, cfg):
     """Run the theta scheme from raw initial block data.
 
     The initial data components need not be related; they are projected
-    onto the trace range in the weighted block norm first.  Returns an
+    onto the trace range in the weighted block norm first, by
+    Jacobi-preconditioned CG (:func:`~formheat.assembly.project_initial_data`),
+    so the step matrix is the one matrix the run factors.  Returns an
     :class:`EvolutionReport` with monitors at every time level; the
     trace ``J u`` is formed only at snapshot times and at the end.
     Raises :class:`SolveError` naming the step at the first time level

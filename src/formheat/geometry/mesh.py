@@ -29,11 +29,16 @@ single-threaded) and safe for concurrent read access.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from ..errors import MeshFormatError, MeshInvariantError
 
 BOUNDARY_LABELS = ("dirichlet", "neumann", "dynamic")
+
+# a line of whitespace only, which load_mesh skips, between two line ends
+_BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -103,9 +108,11 @@ class Mesh:
 
         if not np.isfinite(self.vertices).all():
             raise MeshInvariantError("non-finite vertex coordinate")
-        flip = self.triangle_areas() < 0
+        areas = self.triangle_areas()
+        flip = areas < 0
         self.triangles[flip] = self.triangles[flip][:, [0, 2, 1]]
-        if np.any(self.triangle_areas() <= 0.0):
+        # a flipped triangle's area is exactly the negated one
+        if np.any(np.abs(areas) <= 0.0):
             raise MeshInvariantError("degenerate triangle (area <= 0)")
 
         # Edge i -> j is keyed i * nv + j.  A triangle with a repeated vertex
@@ -295,12 +302,18 @@ def load_mesh(path):
         raise MeshFormatError(
             "not UTF-8 text",
             line=exc.object.count(b"\n", 0, exc.start) + 1) from None
-    lines = content.split("\n")
-    if "#" in content:
-        lines = [raw.split("#", 1)[0] for raw in lines]
-    text = [line.strip() for line in lines]
-    linenos = [k for k, line in enumerate(text, start=1) if line]
-    rows = [line for line in text if line]
+    body = content.rstrip()
+    if body and "#" not in content and not _BLANK_LINE.search("\n" + body):
+        # every line is a row: row k is line k + 1
+        rows = body.split("\n")
+        linenos = range(1, len(rows) + 1)
+    else:
+        lines = content.split("\n")
+        if "#" in content:
+            lines = [raw.split("#", 1)[0] for raw in lines]
+        text = [line.strip() for line in lines]
+        linenos = [k for k, line in enumerate(text, start=1) if line]
+        rows = [line for line in text if line]
     if not rows:
         raise MeshFormatError("empty mesh file")
 
@@ -328,7 +341,8 @@ def load_mesh(path):
     start = 1 + nv + nt
     lines, nos = rows[start:start + nbe], linenos[start:start + nbe]
     no_label = "expected 'i j label' boundary edge line"
-    fields, error = _read(lines, nos, 3, str, no_label, no_label)
+    # object fields: the same strings as str, without a pass for their width
+    fields, error = _read(lines, nos, 3, object, no_label, no_label)
     bedges, bad_int = _read(lines[:len(fields)], nos, 2, int,
                             no_label, "malformed integer in boundary edge")
     labels = fields[:len(bedges), 2].tolist()

@@ -882,6 +882,9 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
     ------
     SizeLimitError
         If level ``l_max`` holds more than ``_SCAN_CUBE_LIMIT`` cubes.
+    QuadratureAccuracyError
+        If no cube has a finite bound: the distance from the window to
+        the set overflows.
     """
     box = xmin, ymin, xmax, ymax = _scan_window(l_max, window)
     sx0, sy0, sx1, sy1 = w.bounding_box()
@@ -952,6 +955,10 @@ def muckenhoupt_lower_bound_scan(w, l_max, window):
                     c_min = value
                     argmin = cube
 
+    if argmin is None:
+        raise QuadratureAccuracyError(
+            "dyadic scan out of float range: no cube has a finite bound "
+            "(the distance from the window to the set overflows)")
     return ScanResult(c_min=float(c_min), argmin_cube=argmin,
                       level_stats=level_stats, rows=rows,
                       window_covers_s=covers)

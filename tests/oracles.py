@@ -13,8 +13,8 @@ that take one right-hand side at a time, the pencil's deferred
 matrices from an eager assembly when the pencil is built, a surface
 mesh's nodes, chains and arc coordinates from a set, a dict and an
 edge-by-edge walk, the exact power integrals from one libm ``pow`` per
-argument, and the element kernels from ``einsum`` and a broadcast-mask
-scatter.
+argument, the element kernels from ``einsum`` and a broadcast-mask
+scatter, and the initial-data projection from a direct factorization.
 """
 
 import hashlib
@@ -23,12 +23,13 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from formheat.assembly import (_EDGE_RULE, _TRIANGLE_RULE, _band_cholesky,
-                               _cell_weights, _form_gram_bulk, _plain_masses,
-                               _scatter, _surface_block_dofs,
+from formheat.assembly import (_EDGE_RULE, _TRIANGLE_RULE, Factorization,
+                               _band_cholesky, _cell_weights, _form_gram_bulk,
+                               _plain_masses, _scatter, _surface_block_dofs,
                                _surface_plain_mass, _surface_stiffness,
                                build_dofmap)
-from formheat.errors import DegenerateGeometryError, MeshInvariantError
+from formheat.errors import (ConsistencyError, DegenerateGeometryError,
+                             MeshInvariantError, SolveError)
 from formheat.geometry.mesh import DIRICHLET, DYNAMIC, Mesh
 from formheat.geometry.surface import INTERFACE, SurfaceMesh
 from formheat.spectral import _pencil_eigendecomposition
@@ -647,3 +648,18 @@ def weighted_masses_einsum(coeff, which, points, size, rule):
     masses[:, a, b] = masses[:, b, a] = size[:, None] * np.einsum(
         "q,nq,qp,qp->np", wts, z, bary[:, a], bary[:, b])
     return masses
+
+
+def project_initial_data_factored(raw, pencil):
+    """Block-mass-orthogonal projection of raw block data onto traces by a
+    direct solve: a fresh :class:`Factorization` (band Cholesky or sparse
+    LU) of ``J^T M_blk J``, the projection's method before CG."""
+    rhs = pencil.J.T @ (pencil.M_blk @ raw.stacked())
+    try:
+        lu = Factorization(pencil.mtilde())
+    except SolveError:
+        raise ConsistencyError("projection normal matrix is singular") from None
+    u = lu.solve(rhs)
+    if not np.all(np.isfinite(u)):
+        raise ConsistencyError("projection normal matrix is singular")
+    return u

@@ -585,6 +585,18 @@ _AGREE_ROWS = [
     # finite initial data whose energy overflows
     ("evolve", {"init.sigma": "1e308"}, "SolveError", None,
      "non-finite monitor at step 0"),
+    # finite initial data whose projection overflows: its right-hand side
+    # under a large relaxation coefficient, or the overshoot of a jump of
+    # the largest magnitude
+    ("evolve", {"coeff.zeta.bulk": "1e300", "init.bulk": "1e20"},
+     "SolveError", None, "initial data overflows the projection's "
+     "right-hand side"),
+    ("evolve", {"init.bulk": "1.7e308", "init.gd": "-1.7e308",
+                "init.sigma": "-1.7e308"}, "SolveError", None,
+     "projected initial data overflows"),
+    # a set so far from the window that every distance overflows
+    ("scan", {"scan.s": "point 1e308 0"}, "QuadratureAccuracyError", None,
+     "no cube has a finite bound"),
 ]
 
 
@@ -638,6 +650,7 @@ _NON_FINITE_ROWS = [
     ("evolve", "init.gd", "{}", "init"),
     ("evolve", "init.sigma", "{}", "init"),
     ("scan", "scan.gamma", "{}", "scan"),
+    ("exponents", "exponents.gamma", "{}", "exponents"),
 ]
 
 

@@ -387,6 +387,32 @@ def test_comments_and_crlf_read_as_the_plain_file(tmp_path):
         assert str(info.value) == f"line {bad}: malformed integer in triangle"
 
 
+def test_blank_lines_read_as_the_plain_file(tmp_path):
+    # a whitespace-only line between vertex lines, an empty one before the
+    # boundary edges and blank lines after the data: the same arrays, and
+    # a bad line reported at its own line number
+    plain = tmp_path / "plain.mesh"
+    save_mesh(standard_fixture_mesh(4), plain)
+    lines = plain.read_text().splitlines()
+    mesh = load_mesh(plain)
+    first_edge = 1 + mesh.num_vertices + mesh.num_triangles
+    lines = (lines[:2] + [" \t "] + lines[2:first_edge] + [""]
+             + lines[first_edge:] + ["", "  ", ""])
+    spaced = tmp_path / "spaced.mesh"
+    spaced.write_text("\n".join(lines))
+    back = load_mesh(spaced)
+    for name in ("vertices", "triangles", "boundary_edges",
+                 "interface_edges", "tri_regions"):
+        assert np.array_equal(getattr(mesh, name), getattr(back, name)), name
+    assert back.boundary_labels == mesh.boundary_labels
+    bad = first_edge + 3     # the first boundary edge line
+    lines[bad - 1] = lines[bad - 1].replace(" ", " x ", 1)
+    spaced.write_text("\n".join(lines))
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(spaced)
+    assert str(info.value) == f"line {bad}: malformed integer in boundary edge"
+
+
 def test_refine_uniform_preserves_structure():
     mesh = standard_fixture_mesh(4)
     fine = refine_uniform(mesh)
