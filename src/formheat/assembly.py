@@ -852,30 +852,35 @@ def build_pencil(mesh, coeff, *, lumped=False, extra_constrained=()):
 
 # Jacobi-preconditioned CG on Mt = J^T M_blk J.  A P1 mass matrix is
 # spectrally equivalent to its diagonal with bounds that do not depend on
-# the mesh (Wathen 1987), so the iteration count does not grow with
-# refinement.  It stops once the Jacobi residual D^-1 r is at most
+# the mesh (Wathen 1987): the Jacobi-scaled Mt has its spectrum in
+# [1/2, 2], so CG gains at least a factor 3 per iteration in the energy
+# norm.  It stops once the Jacobi residual D^-1 r is at most
 # _PROJECTION_TOL times the largest entry of the iterate, in every
 # entry: a relaxation coefficient spanning many orders scales the rows of
 # Mt by as much, and a Euclidean residual norm (``scipy.sparse.linalg.cg``'s
-# criterion) leaves the rows of a small coefficient unconverged.  On the
-# unit-square fixture at n = 16 to 128 CG took 31 or 32 iterations, and 33
-# or 34 with a steep (1e-6 + x^8) or jumping (1e-4 to 1e4, boundary 1e-6,
-# interface 1e6) relaxation coefficient, each within 4e-15 of a direct
-# solve relative to the largest entry; a lumped Mt is diagonal and takes
-# one.  The count grows with the log of the coefficient's contrast: a bulk
-# coefficient 1e-100 beside surface ones of 1 took 91 iterations at n = 64
-# and 116 at n = 128, and 1e-200 took 154 at n = 64.  At a contrast near
-# 1e300 the small rows underflow and CG stops at the cap.
+# criterion) leaves the rows of a small coefficient unconverged.  Those
+# rows weigh less in the energy norm by the square root of the spread of
+# the diagonal, so the count grows with it: the cap is _PROJECTION_MAXITER
+# plus one iteration per binary order of that square root, above the
+# energy-norm bound of log3(2) = 0.63 per order.  On the unit-square
+# fixture at n = 16 to 128 CG took 31 or 32 iterations, and 33 or 34 with
+# a steep (1e-6 + x^8) or jumping (1e-4 to 1e4, boundary 1e-6, interface
+# 1e6) relaxation coefficient, each within 4e-15 of a direct solve
+# relative to the largest entry; a lumped Mt is diagonal and takes one.
+# A bulk coefficient 1e-100 beside surface ones of 1 took 57, 91, 116 and
+# 116 iterations at n = 16, 64, 128 and 256 (cap 270), 1e-300 took 123,
+# 216, 263 and 267 (cap 601), and 1e-300 beside 1e300 took 234, 409, 479
+# and 519 (cap 1100).
 _PROJECTION_TOL = 1e-14
-_PROJECTION_MAXITER = 200
+_PROJECTION_MAXITER = 100
 
 
 def _jacobi_cg(matrix, rhs):
     """``(x, iterations)`` with ``matrix x = rhs`` by Jacobi-preconditioned
     CG from zero, stopped by the ``_PROJECTION_TOL`` test on the Jacobi
     residual.  The matrix is symmetric with a positive diagonal; raises
-    :class:`ConsistencyError` when CG has not converged after
-    ``_PROJECTION_MAXITER`` iterations.
+    :class:`ConsistencyError` when CG has not converged within its cap of
+    ``_PROJECTION_MAXITER`` plus half the binary orders the diagonal spans.
 
     CG runs on ``S A S y = 2^-e S rhs``, ``x = 2^e S y``, with ``S`` the
     diagonal of powers of two that brings the diagonal of ``S A S`` into
@@ -884,40 +889,52 @@ def _jacobi_cg(matrix, rhs):
     ``A x = rhs`` times a power of two, so the iterates are those of the
     unscaled iteration, but no dot product overflows or underflows
     however far the diagonal or the data lie from 1, and scaling ``rhs``
-    by a power of two scales ``x`` by the same power bit for bit.
+    by a power of two scales ``x`` by the same power bit for bit.  The
+    iterate is kept as ``S y``, which is of the size of the data in every
+    row, and the residual is scaled up by ``2^300`` whenever its energy
+    falls below ``2^-600``: rows of a small diagonal converge only after
+    the others, and their dot products would underflow.
     """
     diag = matrix.diagonal()
-    scale = np.ldexp(1.0, -(np.frexp(diag)[1] // 2))
+    exponents = np.frexp(diag)[1]
+    scale = np.ldexp(1.0, -(exponents // 2))
     rows = np.repeat(scale, np.diff(matrix.indptr))
     scaled = sp.csr_matrix(
         (matrix.data * rows * scale[matrix.indices], matrix.indices,
          matrix.indptr), shape=matrix.shape)
     inv_diag = 1.0 / scaled.diagonal()
+    cap = _PROJECTION_MAXITER + int(exponents.max(initial=0)
+                                      - exponents.min(initial=0)) // 2
     r = scale * rhs
     shift = int(np.frexp(np.abs(r).max(initial=0.0))[1])
     r = np.ldexp(r, -shift)
-    y = np.zeros(len(r))
+    x = np.zeros(len(r))
     z = inv_diag * r
     p = z
     rho = r @ z
+    level = 0           # r, z and p are those of the iteration times 2^level
     iterations = 0
-    # the test on x = S y and D^-1 r = S z, written so that a NaN fails it
-    # and the loop goes on to the cap
-    while not np.abs(scale * z).max(initial=0.0) <= (
-            _PROJECTION_TOL * np.abs(scale * y).max(initial=0.0)):
-        if iterations == _PROJECTION_MAXITER:
+    # the test on x and D^-1 r = S z, written so that a NaN fails it and
+    # the loop goes on to the cap
+    while not np.ldexp(np.abs(scale * z).max(initial=0.0), -level) <= (
+            _PROJECTION_TOL * np.abs(x).max(initial=0.0)):
+        if iterations == cap:
             raise ConsistencyError(f"projection CG did not converge in "
-                                   f"{_PROJECTION_MAXITER} iterations")
+                                   f"{cap} iterations")
         iterations += 1
         q = scaled @ p
         alpha = rho / (p @ q)
-        y += alpha * p
+        x += np.ldexp(scale * (alpha * p), -level)
         r -= alpha * q
         z = inv_diag * r
         rho, rho_old = r @ z, rho
         p = z + (rho / rho_old) * p
+        if rho < 2.0 ** -600:
+            r, z, p = (np.ldexp(v, 300) for v in (r, z, p))
+            rho *= 2.0 ** 600
+            level += 300
     with np.errstate(over="ignore"):     # the caller checks for overflow
-        return np.ldexp(scale * y, shift), iterations
+        return np.ldexp(x, shift), iterations
 
 
 def project_initial_data(raw, pencil):
@@ -972,16 +989,12 @@ def validate_envelopes(mesh, coeff):
     # the entries a, b, c, d of the coefficient at every sample, each a
     # contiguous row; a constant region's are four scalars
     entries = np.empty((4, len(flat)))
-    regions = np.unique(mesh.tri_regions)
-    for region in regions:
-        sel = (slice(None) if len(regions) == 1
-               else np.repeat(mesh.tri_regions == region, q))
+    for region in np.unique(mesh.tri_regions):
+        sel = np.repeat(mesh.tri_regions == region, q)
         base = coeff.bulk_base_matrix(region)
         if base is None:
             entries[:, sel] = _eval_matrix_callable(
                 coeff._bulk_entry(region), flat[sel]).reshape(-1, 4).T
-        elif len(regions) == 1:
-            entries[:] = base.reshape(4, 1)
         else:       # a masked copy: 3x faster than a boolean-index store
             np.copyto(entries, base.reshape(4, 1), where=sel)
     if coeff.bulk_weight is not None:   # the full coefficient, as bulk_values

@@ -29,16 +29,11 @@ single-threaded) and safe for concurrent read access.
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 from ..errors import MeshFormatError, MeshInvariantError
 
 BOUNDARY_LABELS = ("dirichlet", "neumann", "dynamic")
-
-# a line of whitespace only, which load_mesh skips, between two line ends
-_BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -302,18 +297,12 @@ def load_mesh(path):
         raise MeshFormatError(
             "not UTF-8 text",
             line=exc.object.count(b"\n", 0, exc.start) + 1) from None
-    body = content.rstrip()
-    if body and "#" not in content and not _BLANK_LINE.search("\n" + body):
-        # every line is a row: row k is line k + 1
-        rows = body.split("\n")
-        linenos = range(1, len(rows) + 1)
-    else:
-        lines = content.split("\n")
-        if "#" in content:
-            lines = [raw.split("#", 1)[0] for raw in lines]
-        text = [line.strip() for line in lines]
-        linenos = [k for k, line in enumerate(text, start=1) if line]
-        rows = [line for line in text if line]
+    lines = content.split("\n")
+    if "#" in content:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    text = [line.strip() for line in lines]
+    linenos = [k for k, line in enumerate(text, start=1) if line]
+    rows = [line for line in text if line]
     if not rows:
         raise MeshFormatError("empty mesh file")
 

@@ -463,6 +463,32 @@ coeff.mu_omega = {mu_omega}
     assert rows["solver.factorization"] == kind
 
 
+@pytest.mark.parametrize("zeta", [{"bulk": "1e-300"},
+                                  {"bulk": "1e-300", "gd": "1e300",
+                                   "sigma": "1e300"}])
+def test_evolve_with_relaxation_hundreds_of_orders_apart(tmp_path, zeta):
+    # on a mesh of 16 x 16 cells the projection's CG takes 124 and 234
+    # iterations; both pass the point where its dot products underflow
+    # unless the residual is rescaled, and the second a cap of 200
+    save_mesh(unit_square_mesh(16, bottom="neumann", top="dynamic",
+                               interface_y=0.5), tmp_path / "fine.mesh")
+    cfg = write_cfg(tmp_path / "zeta.cfg", f"""
+pipeline = evolve
+output = {tmp_path}/out
+mesh = fine.mesh
+time.dt = 0.01
+time.t_end = 0.02
+init.bulk = random
+init.gd = random
+init.sigma = random
+""" + "".join(f"coeff.zeta.{k} = {v}\n" for k, v in zeta.items()))
+    assert run(cfg) == 0
+    assert validate(cfg) == []
+    lines = (tmp_path / "out" / "monitors.csv").read_text().splitlines()
+    assert all(np.isfinite(float(x)) for line in lines[1:]
+               for x in line.split(","))
+
+
 _AGREE_BASE = {
     "evolve": {"pipeline": "evolve", "mesh": "square.mesh",
                "time.dt": "0.01", "time.t_end": "0.05"},

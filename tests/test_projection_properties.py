@@ -15,7 +15,7 @@ from formheat.assembly import (BlockField, CoefficientSet, build_pencil,
                                project_initial_data)
 from formheat.errors import ConsistencyError, SolveError
 from formheat.geometry import Polyline
-from formheat.model_problems import unit_square_mesh
+from formheat.model_problems import standard_fixture_mesh, unit_square_mesh
 from formheat.weights import WeightSpec
 
 # relaxation coefficients: constant, steep (1e-6 at x = 0, 1 at x = 1)
@@ -108,9 +108,11 @@ def test_projection_of_extreme_constants(varying_pencil, value):
     {"zeta_bulk": 1e-307, "zeta_gd": 1e-307, "zeta_sigma": 1e-307},
     {"zeta_bulk": 1e308, "zeta_gd": 1e308, "zeta_sigma": 1e308},
     {"zeta_bulk": 1e-100},
-    {"zeta_bulk": 1e-100, "zeta_gd": 1e100}])
+    {"zeta_bulk": 1e-100, "zeta_gd": 1e100},
+    {"zeta_bulk": 1e-300},
+    {"zeta_bulk": 1e-150, "zeta_gd": 1e150, "zeta_sigma": 1e150}])
 def test_projection_with_extreme_relaxation(varying_pencil, relaxation):
-    # a normal matrix with subnormal or huge entries, or rows 100 to 200
+    # a normal matrix with subnormal or huge entries, or rows 100 to 300
     # orders of magnitude apart
     pencil = build_pencil(varying_pencil.mesh, CoefficientSet(**relaxation))
     raw = _random_block(pencil, 3)
@@ -119,9 +121,38 @@ def test_projection_with_extreme_relaxation(varying_pencil, relaxation):
     assert np.abs(u - want).max() <= 1e-13 * np.abs(u).max()
 
 
+def test_projection_at_a_contrast_of_300_orders_on_a_fine_mesh():
+    # the count grows with the contrast and, up to n = 128, with the mesh:
+    # 263 iterations here, past a fixed cap of 200
+    mesh = standard_fixture_mesh(128)
+    pencil = build_pencil(mesh, CoefficientSet(zeta_bulk=1e-300))
+    raw = _random_block(pencil, 5)
+    u, iterations = _counted_projection(raw, pencil)
+    want = project_initial_data_factored(raw, pencil)
+    assert np.abs(u - want).max() <= 1e-13 * np.abs(u).max()
+    assert iterations > 200
+
+
+@pytest.mark.parametrize("small, large", [(1e-300, 1e300), (1e-307, 1e308)])
+def test_projection_at_the_widest_contrast(varying_pencil, small, large):
+    # rows 600 orders apart: the Jacobi residual recomputed from u is at
+    # rounding level in every row.  The direct solve is no reference here:
+    # its factor loses the rows of the small coefficient (a Jacobi
+    # residual of 0.3 times max |u| on the unit-square fixture at n = 16)
+    pencil = build_pencil(varying_pencil.mesh, CoefficientSet(
+        zeta_bulk=small, zeta_gd=large, zeta_sigma=large))
+    raw = _random_block(pencil, 3)
+    u = project_initial_data(raw, pencil)
+    mt = pencil.mtilde()
+    rhs = pencil.J.T @ (pencil.M_blk @ raw.stacked())
+    residual = (rhs - mt @ u) / mt.diagonal()
+    assert np.abs(residual).max() <= 1e-13 * np.abs(u).max()
+
+
 def test_projection_reports_a_stalled_cg(varying_pencil, monkeypatch):
+    # the cap adds half the binary orders the diagonal spans, 4 here
     monkeypatch.setattr(assembly, "_PROJECTION_MAXITER", 3)
-    with pytest.raises(ConsistencyError, match="did not converge in 3 "):
+    with pytest.raises(ConsistencyError, match="did not converge in 7 "):
         project_initial_data(_random_block(varying_pencil, 1), varying_pencil)
 
 
